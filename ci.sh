@@ -17,7 +17,6 @@
 #   test           cargo test --workspace
 #   alloc-gate     hot-path allocation gate
 #   artefacts      fig9 + resilience byte-identity vs pinned baselines
-#   event-engine   same workloads under --engine event, same bytes
 #   forensics      theory checks over every fig9 trace (+ faulted)
 #   bintrace       binary trace container: export identity + ratio
 #   perf           perf campaign + schema validation + regression gate
@@ -39,8 +38,8 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-STAGES=(fmt clippy shellcheck build test alloc-gate artefacts event-engine
-    forensics bintrace perf digests campaign stats service bench-compile)
+STAGES=(fmt clippy shellcheck build test alloc-gate artefacts forensics
+    bintrace perf digests campaign stats service bench-compile)
 
 ART_DIR="$(mktemp -d)"
 SRV_PID=""
@@ -107,7 +106,9 @@ stage_artefacts() {
         --trace-events "$ART_DIR/traces" > /dev/null
     # Performance work must not move a single byte of any artefact:
     # tables and event traces are diffed against
-    # crates/bench/baselines/quick/. (Wall-clock telemetry — heartbeat
+    # crates/bench/baselines/quick/, which the slot-stepped oracle
+    # produced — so this stage also holds the event engine (the only
+    # runtime path) to byte identity with it. (Wall-clock telemetry — heartbeat
     # *-telemetry.jsonl, profile reports — is deliberately outside this
     # contract and never diffed.)
     diff -u crates/bench/baselines/quick/fig9.md "$ART_DIR/fig9.md"
@@ -115,24 +116,6 @@ stage_artefacts() {
     (cd "$ART_DIR/traces" \
         && sha256sum --check --quiet "$OLDPWD/crates/bench/baselines/quick/traces.sha256")
     echo "byte-identical (with profiling enabled)"
-}
-
-stage_event_engine() {
-    step "event engine on the same pinned workloads (--engine event, gate byte-identity)"
-    ensure_built
-    # The event-driven engine skips provably-dead slots; its artefacts
-    # must still match every pinned byte the slot-stepped reference
-    # produced — tables AND event traces — or the skip logic changed
-    # behaviour.
-    ./target/release/experiments fig9 --quick --engine event --out "$ART_DIR/event" \
-        --trace-events "$ART_DIR/event/traces" > /dev/null
-    ./target/release/experiments resilience --quick --engine event --out "$ART_DIR/event" \
-        --trace-events "$ART_DIR/event/traces" > /dev/null
-    diff -u crates/bench/baselines/quick/fig9.md "$ART_DIR/event/fig9.md"
-    diff -u crates/bench/baselines/quick/resilience.md "$ART_DIR/event/resilience.md"
-    (cd "$ART_DIR/event/traces" \
-        && sha256sum --check --quiet "$OLDPWD/crates/bench/baselines/quick/traces.sha256")
-    echo "event engine byte-identical to the slot-stepped reference"
 }
 
 stage_forensics() {

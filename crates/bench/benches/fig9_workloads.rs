@@ -8,7 +8,7 @@
 //! set; any drift between the two is a bug in whichever changed.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ldcf_bench::{run_flood, run_flood_faulted, ExpOptions, ProtocolKind};
+use ldcf_bench::{ExpOptions, ProtocolKind, RunRequest, Runner};
 use ldcf_sim::{FaultConfig, SimConfig};
 use std::hint::black_box;
 
@@ -42,15 +42,24 @@ fn bench_fig9_workloads(c: &mut Criterion) {
     g.warm_up_time(std::time::Duration::from_millis(300));
     g.measurement_time(std::time::Duration::from_secs(3));
 
+    let runner = Runner::default();
     for kind in [ProtocolKind::Opt, ProtocolKind::Dbao, ProtocolKind::Of] {
         g.bench_with_input(BenchmarkId::new("clean", kind.name()), &kind, |b, &kind| {
-            b.iter(|| black_box(run_flood(&topo, &cfg, kind)))
+            b.iter(|| black_box(runner.run(RunRequest::new(&topo, &cfg, kind))))
         });
         let faults = FaultConfig::at_intensity(seed, FAULT_INTENSITY);
         g.bench_with_input(
             BenchmarkId::new("faulted", kind.name()),
             &kind,
-            |b, &kind| b.iter(|| black_box(run_flood_faulted(&topo, &cfg, kind, &faults, "bench"))),
+            |b, &kind| {
+                b.iter(|| {
+                    black_box(runner.run(RunRequest {
+                        faults: Some(&faults),
+                        tag: "bench",
+                        ..RunRequest::new(&topo, &cfg, kind)
+                    }))
+                })
+            },
         );
     }
     g.finish();

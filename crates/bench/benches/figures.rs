@@ -4,7 +4,7 @@
 //! `experiments` binary regenerates the full-size versions).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use ldcf_bench::{experiments, ExpOptions};
+use ldcf_bench::{experiments, ExpOptions, Runner};
 use std::hint::black_box;
 
 fn tiny_opts() -> ExpOptions {
@@ -43,11 +43,12 @@ fn bench_figures(c: &mut Criterion) {
     g.warm_up_time(std::time::Duration::from_millis(200));
     g.measurement_time(std::time::Duration::from_secs(5));
     let opts = tiny_opts();
+    let runner = Runner::default();
     g.bench_function("fig9_reduced", |b| {
-        b.iter(|| black_box(experiments::fig9(&opts)))
+        b.iter(|| black_box(experiments::fig9(&runner, &opts)))
     });
     g.bench_function("fig10_fig11_reduced", |b| {
-        b.iter(|| black_box(experiments::fig10_fig11(&opts)))
+        b.iter(|| black_box(experiments::fig10_fig11(&runner, &opts)))
     });
     g.finish();
 }

@@ -3,7 +3,7 @@
 //! decision complexity, not just in network behaviour).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ldcf_bench::{run_flood, ProtocolKind};
+use ldcf_bench::{ProtocolKind, RunRequest, Runner};
 use ldcf_net::{LinkQuality, Topology};
 use ldcf_sim::SimConfig;
 use std::hint::black_box;
@@ -25,6 +25,7 @@ fn bench_protocols(c: &mut Criterion) {
         mistiming_prob: 0.0,
     };
 
+    let runner = Runner::default();
     for kind in [
         ProtocolKind::Opt,
         ProtocolKind::Dbao,
@@ -34,7 +35,7 @@ fn bench_protocols(c: &mut Criterion) {
         g.bench_with_input(
             BenchmarkId::new("flood_grid7x7_m3", kind.name()),
             &kind,
-            |b, &kind| b.iter(|| black_box(run_flood(&topo, &cfg, kind))),
+            |b, &kind| b.iter(|| black_box(runner.run(RunRequest::new(&topo, &cfg, kind)))),
         );
     }
     g.finish();

@@ -3,7 +3,6 @@
 //! ```text
 //! experiments <artefact> [--quick] [--out DIR] [--trace-events DIR]
 //!             [--trace-format jsonl|bin] [--metrics DIR] [--profile]
-//!             [--engine slot|event]
 //! experiments forensics --trace FILE [--out DIR]
 //! experiments trace info --trace FILE [--min-ratio R]
 //! experiments trace export --trace FILE [--out FILE]
@@ -47,10 +46,9 @@
 //! to every simulation and prints a per-phase cost summary to stderr —
 //! the artefact bytes themselves must not change (CI diffs them against
 //! the pinned baselines with profiling on).
-//! `--engine event` selects the event-driven engine path, which jumps
-//! over dead slots instead of stepping them; artefact bytes must not
-//! change either (CI re-runs the pinned baselines under it and diffs
-//! byte-for-byte — see EXPERIMENTS.md "Engines").
+//! Every simulation runs on the event-driven engine, which jumps over
+//! provably dead slots instead of stepping them (see EXPERIMENTS.md
+//! "Engines").
 //!
 //! `forensics` replays one `--trace-events` file (either format,
 //! sniffed from its leading bytes) through
@@ -79,8 +77,7 @@
 //! the artefacts it serves are byte-identical to direct
 //! `experiments campaign` runs.
 
-use ldcf_bench::runner;
-use ldcf_bench::{experiments, ExpOptions};
+use ldcf_bench::{experiments, ExpOptions, Runner, TraceFormat, WorkLedger};
 use ldcf_obs::RunManifest;
 use serde::Value;
 use std::path::PathBuf;
@@ -92,6 +89,9 @@ struct Cli {
     opts: ExpOptions,
     quick: bool,
     out: Option<PathBuf>,
+    /// `--trace-events DIR` with its `--trace-format`.
+    trace_events: Option<(PathBuf, TraceFormat)>,
+    metrics: Option<PathBuf>,
     trace: Option<PathBuf>,
     label: Option<String>,
     validate: Option<PathBuf>,
@@ -145,16 +145,8 @@ fn allowed_flags(artefact: &str) -> &'static [&'static str] {
             "--baseline",
             "--profile",
             "--reps",
-            "--engine",
         ],
-        "campaign" => &[
-            "--spec",
-            "--quick",
-            "--out",
-            "--digest",
-            "--no-progress",
-            "--engine",
-        ],
+        "campaign" => &["--spec", "--quick", "--out", "--digest", "--no-progress"],
         "stats" => &["--spec", "--quick", "--from", "--out", "--gate"],
         "serve" => &[
             "--data",
@@ -174,7 +166,6 @@ fn allowed_flags(artefact: &str) -> &'static [&'static str] {
             "--trace-format",
             "--metrics",
             "--profile",
-            "--engine",
         ],
     }
 }
@@ -195,9 +186,8 @@ fn parse_args() -> Cli {
     let mut reps = ldcf_bench::perf::DEFAULT_REPS;
     let mut no_progress = false;
     let mut trace_events = None;
-    let mut trace_format: Option<runner::TraceFormat> = None;
+    let mut trace_format: Option<TraceFormat> = None;
     let mut metrics = None;
-    let mut engine: Option<ldcf_sim::EngineKind> = None;
     let mut min_ratio = None;
     let mut slot = None;
     let mut node = None;
@@ -245,19 +235,11 @@ fn parse_args() -> Cli {
             "--trace-events" => trace_events = Some(PathBuf::from(value("a directory"))),
             "--trace-format" => {
                 let name = value("jsonl or bin");
-                trace_format = Some(runner::TraceFormat::from_cli_name(&name).unwrap_or_else(
-                    || usage(&format!("--trace-format wants jsonl or bin, got {name:?}")),
-                ));
+                trace_format = Some(TraceFormat::from_cli_name(&name).unwrap_or_else(|| {
+                    usage(&format!("--trace-format wants jsonl or bin, got {name:?}"))
+                }));
             }
             "--metrics" => metrics = Some(PathBuf::from(value("a directory"))),
-            "--engine" => {
-                let name = value("slot or event");
-                engine = Some(match name.to_ascii_lowercase().as_str() {
-                    "slot" => ldcf_sim::EngineKind::Slot,
-                    "event" => ldcf_sim::EngineKind::Event,
-                    _ => usage(&format!("--engine wants slot or event, got {name:?}")),
-                });
-            }
             "--min-ratio" => {
                 let r = value("a ratio");
                 min_ratio = Some(
@@ -329,16 +311,6 @@ fn parse_args() -> Cli {
     if trace_format.is_some() && trace_events.is_none() {
         usage("--trace-format needs --trace-events DIR");
     }
-    if let Some(dir) = &trace_events {
-        runner::enable_event_tracing(dir, trace_format.unwrap_or_default())
-            .unwrap_or_else(|e| usage(&format!("--trace-events: {e}")));
-    }
-    if let Some(dir) = &metrics {
-        runner::enable_metrics(dir).unwrap_or_else(|e| usage(&format!("--metrics: {e}")));
-    }
-    if let Some(kind) = engine {
-        runner::set_engine_kind(kind);
-    }
     Cli {
         artefact,
         action,
@@ -349,6 +321,8 @@ fn parse_args() -> Cli {
         },
         quick,
         out,
+        trace_events: trace_events.map(|dir| (dir, trace_format.unwrap_or_default())),
+        metrics,
         trace,
         label,
         validate,
@@ -376,17 +350,38 @@ fn parse_args() -> Cli {
     }
 }
 
+impl Cli {
+    /// A fresh runner for one artefact, configured from the flags.
+    fn runner(&self) -> Runner {
+        let mut runner = Runner::default();
+        if let Some((dir, format)) = &self.trace_events {
+            runner = runner
+                .with_event_tracing(dir, *format)
+                .unwrap_or_else(|e| usage(&format!("--trace-events: {e}")));
+        }
+        if let Some(dir) = &self.metrics {
+            runner = runner
+                .with_metrics(dir)
+                .unwrap_or_else(|e| usage(&format!("--metrics: {e}")));
+        }
+        if self.profile {
+            runner = runner.with_profiling();
+        }
+        runner
+    }
+}
+
 fn usage(err: &str) -> ! {
     if !err.is_empty() {
         eprintln!("error: {err}\n");
     }
     eprintln!(
-        "usage: experiments <artefact> [--quick] [--out DIR] [--trace-events DIR] [--trace-format jsonl|bin] [--metrics DIR] [--profile] [--engine slot|event]\n\
+        "usage: experiments <artefact> [--quick] [--out DIR] [--trace-events DIR] [--trace-format jsonl|bin] [--metrics DIR] [--profile]\n\
          \u{20}      experiments forensics --trace FILE [--out DIR]\n\
          \u{20}      experiments trace info --trace FILE [--min-ratio R]\n\
          \u{20}      experiments trace export --trace FILE [--out FILE]\n\
          \u{20}      experiments trace query --trace FILE --slot A..B [--node N] [--packet P]\n\
-         \u{20}      experiments perf [--quick] [--label NAME] [--out DIR] [--baseline FILE] [--profile] [--reps N] [--engine slot|event]\n\
+         \u{20}      experiments perf [--quick] [--label NAME] [--out DIR] [--baseline FILE] [--profile] [--reps N]\n\
          \u{20}      experiments perf --validate FILE | --validate-profile FILE\n\
          \u{20}      experiments campaign --spec FILE [--quick] [--out DIR] [--no-progress]\n\
          \u{20}      experiments campaign --spec FILE --digest\n\
@@ -704,7 +699,6 @@ fn run_campaign_cmd(cli: &Cli) -> ! {
     }
 
     let out = cli.out.clone().unwrap_or_else(|| PathBuf::from("."));
-    runner::ledger_reset();
     let t0 = std::time::Instant::now();
     let outcome = match ldcf_bench::campaign::run_campaign(spec, cli.quick, &out, !cli.no_progress)
     {
@@ -717,28 +711,11 @@ fn run_campaign_cmd(cli: &Cli) -> ! {
     let wall = t0.elapsed();
     println!("{}", outcome.markdown);
 
-    let ledger = runner::ledger_snapshot();
-    let manifest = with_trace_stats(
-        RunManifest::new(
-            &format!("campaign-{}", outcome.name),
-            ledger.protocols.clone(),
-            Value::Object(vec![(
-                "spec_digest".into(),
-                Value::Str(outcome.digest.clone()),
-            )]),
-            ledger.seeds.clone(),
-            cli.quick,
-            ledger.sims,
-            ledger.slots,
-            wall.as_millis() as u64,
-        ),
-        &ledger,
-    );
-    std::fs::write(
-        out.join("campaign.manifest.json"),
-        manifest.to_json_pretty() + "\n",
-    )
-    .expect("write manifest");
+    ldcf_bench::campaign::write_manifest(&out, &outcome.manifest(wall.as_millis() as u64))
+        .unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(1);
+        });
     eprintln!(
         "[campaign-{}] done in {wall:?} — {}/{} cells run, {} resumed, digest {}",
         outcome.name, outcome.cells_run, outcome.cells_total, outcome.cells_resumed, outcome.digest
@@ -885,7 +862,7 @@ fn emit(out: &Option<PathBuf>, name: &str, body: &str) {
 
 /// The experiment options as a JSON value for the manifest, or `Null`
 /// for artefacts that ran no simulations.
-fn opts_value(opts: &ExpOptions, ledger: &runner::WorkLedger) -> Value {
+fn opts_value(opts: &ExpOptions, ledger: &WorkLedger) -> Value {
     if ledger.sims == 0 {
         return Value::Null;
     }
@@ -901,25 +878,11 @@ fn opts_value(opts: &ExpOptions, ledger: &runner::WorkLedger) -> Value {
     ])
 }
 
-/// Attach the trace sink's event/byte totals to a manifest when
-/// `--trace-events` is active; a no-op otherwise (the manifest keeps
-/// its `"none"` default).
-fn with_trace_stats(manifest: RunManifest, ledger: &runner::WorkLedger) -> RunManifest {
-    if !runner::tracing_enabled() {
-        return manifest;
-    }
-    manifest.with_trace_stats(
-        runner::trace_format().label(),
-        ledger.trace_events,
-        ledger.trace_bytes,
-    )
-}
-
 /// With `--profile` on a generic artefact: print where the artefact's
-/// simulation time went, from the process-global profile the runner
-/// accumulated. Stderr only — artefact bytes stay profiling-invariant.
-fn report_profile(name: &str) {
-    let prof = runner::profile_snapshot();
+/// simulation time went, from the profile its runner merged. Stderr
+/// only — artefact bytes stay profiling-invariant.
+fn report_profile(name: &str, runner: &Runner) {
+    let prof = runner.profile();
     if prof.slots() == 0 {
         return;
     }
@@ -966,9 +929,6 @@ fn main() {
     ) {
         run_service_cmd(&cli);
     }
-    if cli.profile {
-        runner::enable_profiling();
-    }
     let names: Vec<&str> = match cli.artefact.as_str() {
         "analytical" => vec![
             "table1",
@@ -1004,19 +964,16 @@ fn main() {
     // fig10 and fig11 share one sweep: compute lazily, cache. The shared
     // ledger/wall-clock is billed to whichever of the two runs first.
     let mut sweep_cache: Option<(String, String)> = None;
-    let mut fig10_11 = |opts: &ExpOptions| -> (String, String) {
+    let mut fig10_11 = |runner: &Runner, opts: &ExpOptions| -> (String, String) {
         if sweep_cache.is_none() {
-            let (f10, f11) = experiments::fig10_fig11(opts);
+            let (f10, f11) = experiments::fig10_fig11(runner, opts);
             sweep_cache = Some((with_chart(&f10), with_chart(&f11)));
         }
         sweep_cache.clone().expect("just set")
     };
 
     for name in names {
-        runner::ledger_reset();
-        if cli.profile {
-            runner::profile_reset();
-        }
+        let runner = cli.runner();
         let t0 = std::time::Instant::now();
         let body = match name {
             "table1" => experiments::table1(1024),
@@ -1031,38 +988,41 @@ fn main() {
             }
             "fig6" => with_chart(&experiments::fig6()),
             "fig7" => with_chart(&experiments::fig7(298)),
-            "fig9" => with_chart(&experiments::fig9(&cli.opts)),
-            "fig10" => fig10_11(&cli.opts).0,
-            "fig11" => fig10_11(&cli.opts).1,
-            "ablation-overhearing" => experiments::ablation_overhearing(&cli.opts).to_markdown(),
+            "fig9" => with_chart(&experiments::fig9(&runner, &cli.opts)),
+            "fig10" => fig10_11(&runner, &cli.opts).0,
+            "fig11" => fig10_11(&runner, &cli.opts).1,
+            "ablation-overhearing" => {
+                experiments::ablation_overhearing(&runner, &cli.opts).to_markdown()
+            }
             "ablation-opportunistic" => {
-                experiments::ablation_opportunistic(&cli.opts).to_markdown()
+                experiments::ablation_opportunistic(&runner, &cli.opts).to_markdown()
             }
             "lifetime-gain" => experiments::lifetime_gain(298, 0.75),
             "theorem1-check" => experiments::theorem1_check(),
             "ablation-policy" => experiments::ablation_policy(),
-            "cross-layer" => experiments::cross_layer(&cli.opts),
-            "sync-error" => with_chart(&experiments::sync_error(&cli.opts)),
-            "resilience" => ldcf_bench::resilience::resilience(&cli.opts, cli.quick),
+            "cross-layer" => experiments::cross_layer(&runner, &cli.opts),
+            "sync-error" => with_chart(&experiments::sync_error(&runner, &cli.opts)),
+            "resilience" => ldcf_bench::resilience::resilience(&runner, &cli.opts, cli.quick),
             other => usage(&format!("unknown artefact '{other}'")),
         };
         let wall = t0.elapsed();
         emit(&cli.out, name, &body);
 
-        let ledger = runner::ledger_snapshot();
-        let manifest = with_trace_stats(
-            RunManifest::new(
-                name,
-                ledger.protocols.clone(),
-                opts_value(&cli.opts, &ledger),
-                ledger.seeds.clone(),
-                cli.quick,
-                ledger.sims,
-                ledger.slots,
-                wall.as_millis() as u64,
-            ),
-            &ledger,
+        let ledger = runner.ledger();
+        let mut manifest = RunManifest::new(
+            name,
+            ledger.protocols.iter().map(|p| p.to_string()).collect(),
+            opts_value(&cli.opts, &ledger),
+            ledger.seeds.iter().copied().collect(),
+            cli.quick,
+            ledger.sims,
+            ledger.slots,
+            wall.as_millis() as u64,
         );
+        if let Some((_, format)) = &cli.trace_events {
+            manifest =
+                manifest.with_trace_stats(format.label(), ledger.trace_events, ledger.trace_bytes);
+        }
         if let Some(dir) = &cli.out {
             std::fs::write(
                 dir.join(format!("{name}.manifest.json")),
@@ -1079,7 +1039,7 @@ fn main() {
             eprintln!("[{name}] done in {wall:?}");
         }
         if cli.profile {
-            report_profile(name);
+            report_profile(name, &runner);
         }
     }
 }

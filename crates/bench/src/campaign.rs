@@ -32,9 +32,9 @@
 //!   statistics, enforced by CI.
 
 use crate::heartbeat::Heartbeat;
-use crate::runner::{self, ProtocolKind};
+use crate::runner::{ProtocolKind, RunRequest, Runner};
 use ldcf_analysis::campaign::{CampaignStats, CellSummary};
-use ldcf_obs::{write_atomic, ProgressSink};
+use ldcf_obs::{write_atomic, ProgressSink, RunManifest};
 use ldcf_scenarios::{BuiltScenario, ScenarioSpec, ScheduleModel};
 use ldcf_sim::SimConfig;
 use rayon::prelude::*;
@@ -81,6 +81,43 @@ pub struct CampaignOutcome {
     /// cells contribute nothing — their slots were spent in an earlier
     /// run).
     pub slots_run: u64,
+    /// Whether the matrix was quickened.
+    pub quick: bool,
+    /// Display names of the matrix protocols, in matrix order.
+    pub protocols: Vec<String>,
+    /// The matrix seeds (after quickening), in matrix order.
+    pub seeds: Vec<u64>,
+}
+
+impl CampaignOutcome {
+    /// The provenance manifest of this run (`campaign.manifest.json`):
+    /// the spec's protocols and seeds, the cells and slots this
+    /// invocation simulated, and `wall_ms` of wall clock. Wall-clock
+    /// telemetry, outside the byte-reproducibility contract.
+    pub fn manifest(&self, wall_ms: u64) -> RunManifest {
+        RunManifest::new(
+            &format!("campaign-{}", self.name),
+            self.protocols.clone(),
+            Value::Object(vec![(
+                "spec_digest".into(),
+                Value::Str(self.digest.clone()),
+            )]),
+            self.seeds.clone(),
+            self.quick,
+            self.cells_run as u64,
+            self.slots_run,
+            wall_ms,
+        )
+    }
+}
+
+/// Write `manifest` as `<out>/campaign.manifest.json`, atomically.
+pub fn write_manifest(out: &Path, manifest: &RunManifest) -> Result<(), String> {
+    write_atomic(
+        &out.join("campaign.manifest.json"),
+        (manifest.to_json_pretty() + "\n").as_bytes(),
+    )
+    .map_err(|e| format!("write campaign.manifest.json: {e}"))
 }
 
 /// Shrink a spec's matrix for `--quick`. Delegates to
@@ -142,6 +179,7 @@ fn cell_stem(protocol: &str, duty: f64, seed: u64) -> String {
 }
 
 fn run_cell(
+    runner: &Runner,
     built: &BuiltScenario,
     kind: ProtocolKind,
     protocol: &str,
@@ -150,14 +188,12 @@ fn run_cell(
 ) -> CellSummary {
     let cfg = cell_config(&built.spec, duty, seed);
     let schedules = built.schedules(duty, seed);
-    let (report, energy) = runner::run_flood_scenario(
-        &built.topology,
-        &cfg,
-        schedules,
-        &built.injections,
-        kind,
-        &built.spec.name,
-    );
+    let out = runner.run(RunRequest {
+        scenario: Some((schedules, &built.injections)),
+        tag: &built.spec.name,
+        ..RunRequest::new(&built.topology, &cfg, kind)
+    });
+    let (report, energy) = (out.report, out.energy);
     CellSummary {
         protocol: protocol.to_string(),
         duty,
@@ -353,6 +389,8 @@ pub fn run_campaign_with(
     let duties = built.spec.matrix.duties.clone();
     let seeds = built.spec.matrix.seeds.clone();
     let cells_total = protocols.len() * duties.len() * seeds.len();
+    // One runner per campaign: concurrent campaigns never share a tally.
+    let runner = Runner::default();
 
     let cells_dir = out.join("cells");
     std::fs::create_dir_all(&cells_dir)
@@ -417,7 +455,7 @@ pub fn run_campaign_with(
                         return Err(CANCELLED.to_string());
                     }
                     let t0 = std::time::Instant::now();
-                    let summary = run_cell(&built, *kind, protocol, duty, seed);
+                    let summary = run_cell(&runner, &built, *kind, protocol, duty, seed);
                     heartbeat.cell_done(
                         &cell_stem(protocol, duty, seed),
                         t0.elapsed(),
@@ -525,6 +563,9 @@ pub fn run_campaign_with(
         cells_run,
         cells_resumed,
         slots_run,
+        quick: opts.quick,
+        protocols: kinds.iter().map(|(k, _)| k.name().to_string()).collect(),
+        seeds,
     })
 }
 

@@ -18,7 +18,7 @@
 //! | [`theorem1_check`] | Lemma 3 / Theorem 1 empirical check |
 
 use crate::options::ExpOptions;
-use crate::runner::{run_flood, ProtocolKind};
+use crate::runner::{ProtocolKind, RunRequest, Runner};
 use ldcf_analysis::{Series, Table};
 use ldcf_core::algorithm1::MatrixFlood;
 use ldcf_core::{fdl, link_loss, tradeoff::DutyCycleAdvisor};
@@ -182,7 +182,7 @@ fn sim_config(opts: &ExpOptions, duty: f64, seed: u64) -> SimConfig {
 /// averaged over `opts.seeds`. Expected shape: delay grows with packet
 /// index while the pipeline fills, then plateaus (the bounded blocking
 /// effect of Corollary 1); OPT < DBAO < OF throughout.
-pub fn fig9(opts: &ExpOptions) -> Table {
+pub fn fig9(runner: &Runner, opts: &ExpOptions) -> Table {
     let topo = ldcf_trace::greenorbs::default_trace(opts.trace_seed);
     let series: Vec<Series> = ProtocolKind::paper_set()
         .par_iter()
@@ -190,7 +190,7 @@ pub fn fig9(opts: &ExpOptions) -> Table {
             let mut totals = vec![0.0f64; opts.m as usize];
             for &seed in &opts.seeds {
                 let cfg = sim_config(opts, 0.05, seed);
-                let (report, _) = run_flood(&topo, &cfg, kind);
+                let report = runner.run(RunRequest::new(&topo, &cfg, kind)).report;
                 for (p, st) in report.packets.iter().enumerate() {
                     totals[p] += st.flooding_delay().unwrap_or(0) as f64;
                 }
@@ -210,7 +210,7 @@ type SweepRows = Vec<(f64, f64, f64)>;
 
 /// One duty-cycle sweep: `(mean delay, failures)` per (protocol, duty),
 /// averaged over seeds. Backbone of Figs. 10 and 11.
-fn duty_sweep(opts: &ExpOptions) -> Vec<(ProtocolKind, SweepRows)> {
+fn duty_sweep(runner: &Runner, opts: &ExpOptions) -> Vec<(ProtocolKind, SweepRows)> {
     let topo = ldcf_trace::greenorbs::default_trace(opts.trace_seed);
     ProtocolKind::paper_set()
         .par_iter()
@@ -223,7 +223,7 @@ fn duty_sweep(opts: &ExpOptions) -> Vec<(ProtocolKind, SweepRows)> {
                     let mut fails = 0.0;
                     for &seed in &opts.seeds {
                         let cfg = sim_config(opts, duty, seed);
-                        let (report, _) = run_flood(&topo, &cfg, kind);
+                        let report = runner.run(RunRequest::new(&topo, &cfg, kind)).report;
                         delay += report.mean_flooding_delay().unwrap_or(f64::NAN);
                         fails += report.transmission_failures as f64;
                     }
@@ -241,11 +241,11 @@ fn duty_sweep(opts: &ExpOptions) -> Vec<(ProtocolKind, SweepRows)> {
 /// Fig. 10 shape: delay decays hyperbolically in the duty cycle,
 /// OPT < DBAO < OF, and the §IV-B analytic prediction sits below all
 /// three. Fig. 11 shape: failures roughly flat in duty, OPT < DBAO < OF.
-pub fn fig10_fig11(opts: &ExpOptions) -> (Table, Table) {
+pub fn fig10_fig11(runner: &Runner, opts: &ExpOptions) -> (Table, Table) {
     let topo = ldcf_trace::greenorbs::default_trace(opts.trace_seed);
     let n = topo.n_sensors() as u64;
     let mean_q = topo.mean_link_quality().expect("trace has links");
-    let sweep = duty_sweep(opts);
+    let sweep = duty_sweep(runner, opts);
 
     let mut delay_series: Vec<Series> = Vec::new();
     let mut fail_series: Vec<Series> = Vec::new();
@@ -279,17 +279,22 @@ pub fn fig10_fig11(opts: &ExpOptions) -> (Table, Table) {
 
 /// DBAO with and without overhearing at duty 5 %: overhearing should cut
 /// both delay and transmissions.
-pub fn ablation_overhearing(opts: &ExpOptions) -> Table {
-    ablation(opts, ProtocolKind::Dbao, ProtocolKind::DbaoNoOverhear)
+pub fn ablation_overhearing(runner: &Runner, opts: &ExpOptions) -> Table {
+    ablation(
+        runner,
+        opts,
+        ProtocolKind::Dbao,
+        ProtocolKind::DbaoNoOverhear,
+    )
 }
 
 /// OF with and without opportunistic forwards at duty 5 %: the extra
 /// delivery chances should cut delay on the lossy trace.
-pub fn ablation_opportunistic(opts: &ExpOptions) -> Table {
-    ablation(opts, ProtocolKind::Of, ProtocolKind::OfPureTree)
+pub fn ablation_opportunistic(runner: &Runner, opts: &ExpOptions) -> Table {
+    ablation(runner, opts, ProtocolKind::Of, ProtocolKind::OfPureTree)
 }
 
-fn ablation(opts: &ExpOptions, a: ProtocolKind, b: ProtocolKind) -> Table {
+fn ablation(runner: &Runner, opts: &ExpOptions, a: ProtocolKind, b: ProtocolKind) -> Table {
     let topo = ldcf_trace::greenorbs::default_trace(opts.trace_seed);
     let series: Vec<Series> = [a, b]
         .par_iter()
@@ -297,7 +302,7 @@ fn ablation(opts: &ExpOptions, a: ProtocolKind, b: ProtocolKind) -> Table {
             let mut delay = Series::new(format!("{} delay", kind.name()));
             for &seed in &opts.seeds {
                 let cfg = sim_config(opts, 0.05, seed);
-                let (report, _) = run_flood(&topo, &cfg, kind);
+                let report = runner.run(RunRequest::new(&topo, &cfg, kind)).report;
                 delay.push(
                     seed as f64,
                     report.mean_flooding_delay().unwrap_or(f64::NAN),
@@ -352,7 +357,7 @@ pub fn lifetime_gain(n: u64, mean_q: f64) -> String {
 /// local sync; this quantifies how much precision the assumption buys,
 /// mapping each error level to the re-sync interval of a mote-class
 /// protocol via `ldcf_net::clock::SyncModel`.
-pub fn sync_error(opts: &ExpOptions) -> Table {
+pub fn sync_error(runner: &Runner, opts: &ExpOptions) -> Table {
     let topo = ldcf_trace::greenorbs::default_trace(opts.trace_seed);
     let errors = [0.0, 0.05, 0.1, 0.2, 0.3, 0.5];
     let mut delay = Series::new("DBAO delay");
@@ -365,7 +370,9 @@ pub fn sync_error(opts: &ExpOptions) -> Table {
             for &seed in &opts.seeds {
                 let mut cfg = sim_config(opts, 0.05, seed);
                 cfg.mistiming_prob = err;
-                let (report, _) = run_flood(&topo, &cfg, ProtocolKind::Dbao);
+                let report = runner
+                    .run(RunRequest::new(&topo, &cfg, ProtocolKind::Dbao))
+                    .report;
                 d += report.mean_flooding_delay().unwrap_or(f64::NAN);
                 w += report.mistimed as f64;
             }
@@ -386,7 +393,7 @@ pub fn sync_error(opts: &ExpOptions) -> Table {
 /// alone. For each duty cycle: run OF, compute the measured networking
 /// gain `lifetime(duty) / measured_delay`, and report the best operating
 /// point next to the analytic advisor's pick.
-pub fn cross_layer(opts: &ExpOptions) -> String {
+pub fn cross_layer(runner: &Runner, opts: &ExpOptions) -> String {
     let topo = ldcf_trace::greenorbs::default_trace(opts.trace_seed);
     let n = topo.n_sensors() as u64;
     let mean_q = topo.mean_link_quality().expect("trace has links");
@@ -399,7 +406,9 @@ pub fn cross_layer(opts: &ExpOptions) -> String {
             let mut delay = 0.0;
             for &seed in &opts.seeds {
                 let cfg = sim_config(opts, duty, seed);
-                let (report, _) = run_flood(&topo, &cfg, ProtocolKind::Of);
+                let report = runner
+                    .run(RunRequest::new(&topo, &cfg, ProtocolKind::Of))
+                    .report;
                 delay += report.mean_flooding_delay().unwrap_or(f64::NAN);
             }
             delay /= opts.seeds.len() as f64;

@@ -21,5 +21,5 @@ pub use campaign::{run_campaign, run_campaign_with, CampaignOptions, CampaignOut
 pub use experiments::*;
 pub use heartbeat::Heartbeat;
 pub use options::ExpOptions;
-pub use runner::{run_flood, run_flood_faulted, run_flood_scenario, ProtocolKind, TraceFormat};
+pub use runner::{ProtocolKind, RunOutput, RunRequest, Runner, TraceFormat, WorkLedger};
 pub use service_cli::BenchExec;

@@ -45,10 +45,7 @@
 //! numbers never carry profiling overhead.
 
 use crate::options::ExpOptions;
-use crate::runner::{
-    self, run_flood, run_flood_faulted, run_flood_faulted_profiled, run_flood_profiled,
-    ProtocolKind,
-};
+use crate::runner::{ProtocolKind, RunOutput, RunRequest, Runner};
 use ldcf_analysis::stats::{combined_rel_sigma, noise_tolerance, rel_sigma};
 use ldcf_analysis::{mad, median, OnlineStats};
 use ldcf_net::{NeighborTable, NodeId, Topology};
@@ -206,12 +203,31 @@ fn git_rev() -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
+/// One perf flood through `runner`: the fig9 workload at `seed`, under
+/// the composed fault stack when `faulted`.
+fn run_perf_flood(
+    runner: &Runner,
+    topo: &Topology,
+    opts: &ExpOptions,
+    kind: ProtocolKind,
+    faulted: bool,
+    seed: u64,
+) -> RunOutput {
+    let cfg = perf_config(opts, seed);
+    let faults = FaultConfig::at_intensity(seed, FAULT_INTENSITY);
+    runner.run(RunRequest {
+        faults: faulted.then_some(&faults),
+        tag: "perf",
+        ..RunRequest::new(topo, &cfg, kind)
+    })
+}
+
 /// Run one case `reps` times: every seed of the option set,
-/// sequentially, booking slots through the work ledger. The workload is
-/// deterministic, so sims/slots are identical across repetitions; only
-/// the wall clock varies.
+/// sequentially, each repetition booking slots into a fresh runner's
+/// ledger. The workload is deterministic, so sims/slots are identical
+/// across repetitions; only the wall clock varies.
 fn run_case(
-    topo: &ldcf_net::Topology,
+    topo: &Topology,
     opts: &ExpOptions,
     kind: ProtocolKind,
     faulted: bool,
@@ -222,19 +238,13 @@ fn run_case(
     let mut sims = 0;
     let mut slots = 0;
     for _ in 0..reps {
-        runner::ledger_reset();
+        let runner = Runner::default();
         let t0 = Instant::now();
         for &seed in &opts.seeds {
-            let cfg = perf_config(opts, seed);
-            if faulted {
-                let faults = FaultConfig::at_intensity(seed, FAULT_INTENSITY);
-                run_flood_faulted(topo, &cfg, kind, &faults, "perf");
-            } else {
-                run_flood(topo, &cfg, kind);
-            }
+            run_perf_flood(&runner, topo, opts, kind, faulted, seed);
         }
         let wall = t0.elapsed();
-        let ledger = runner::ledger_snapshot();
+        let ledger = runner.ledger();
         sims = ledger.sims;
         slots = ledger.slots;
         wall_ms_reps.push(wall.as_millis() as u64);
@@ -818,7 +828,8 @@ pub struct ProfiledCase {
     pub faulted: bool,
     /// Floods executed (one per seed).
     pub sims: u64,
-    /// Slots stepped across those floods.
+    /// Slots elapsed across those floods (the profile counts only the
+    /// dispatched ones; the event engine settles the rest in batch).
     pub slots: u64,
     /// Wall clock of the case's run loops, in nanoseconds, summed over
     /// seeds (engine construction excluded — the profiler's slot totals
@@ -851,23 +862,13 @@ pub fn profile(opts: &ExpOptions, quick: bool, label: &str) -> ProfileReport {
     let mut cases = Vec::new();
     for faulted in [false, true] {
         for kind in ProtocolKind::paper_set() {
-            runner::ledger_reset();
-            let mut merged = PhaseProfiler::new();
-            let mut wall_ns = 0u64;
-            for &seed in &opts.seeds {
-                let cfg = perf_config(opts, seed);
-                let (prof, run_wall) = if faulted {
-                    let faults = FaultConfig::at_intensity(seed, FAULT_INTENSITY);
-                    let r = run_flood_faulted_profiled(&topo, &cfg, kind, &faults);
-                    (r.2, r.3)
-                } else {
-                    let r = run_flood_profiled(&topo, &cfg, kind);
-                    (r.2, r.3)
-                };
-                merged.merge(&prof);
-                wall_ns += run_wall;
-            }
-            let ledger = runner::ledger_snapshot();
+            let runner = Runner::default().with_profiling();
+            let wall_ns = opts
+                .seeds
+                .iter()
+                .map(|&seed| run_perf_flood(&runner, &topo, opts, kind, faulted, seed).run_ns)
+                .sum();
+            let ledger = runner.ledger();
             let suffix = if faulted { "-faulted" } else { "" };
             cases.push(ProfiledCase {
                 name: format!("fig9-{}{suffix}", kind.name().to_lowercase()),
@@ -876,7 +877,7 @@ pub fn profile(opts: &ExpOptions, quick: bool, label: &str) -> ProfileReport {
                 sims: ledger.sims,
                 slots: ledger.slots,
                 wall_ns,
-                profile: merged,
+                profile: runner.profile(),
             });
         }
     }
@@ -1062,6 +1063,8 @@ pub fn validate_profile_json(text: &str) -> Result<Vec<String>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ldcf_protocols::{Dbao, OpportunisticFlooding};
+    use ldcf_sim::FloodingProtocol;
 
     fn tiny_case(name: &str, sps: f64, mad: f64) -> PerfCase {
         PerfCase {
@@ -1282,6 +1285,31 @@ mod tests {
         validate_bench_json(&report.to_json_pretty()).expect("scale cases validate");
     }
 
+    /// Slots one perf flood dispatches, profiled on an engine built
+    /// outside the runner.
+    fn dispatched_slots(
+        topo: &Topology,
+        cfg: &SimConfig,
+        kind: ProtocolKind,
+        faults: Option<&FaultConfig>,
+    ) -> u64 {
+        fn count<P: FloodingProtocol>(engine: Engine<P>, faults: Option<&FaultConfig>) -> u64 {
+            let mut prof = PhaseProfiler::new();
+            match faults {
+                Some(f) => engine.with_faults(f.build()).with_profiler(&mut prof).run(),
+                None => engine.with_profiler(&mut prof).run(),
+            };
+            prof.slots()
+        }
+        let (topo, cfg) = (topo.clone(), cfg.clone());
+        match kind {
+            ProtocolKind::Of => count(Engine::new(topo, cfg, OpportunisticFlooding::new()), faults),
+            ProtocolKind::Dbao => count(Engine::new(topo, cfg, Dbao::new()), faults),
+            ProtocolKind::Opt => count(Engine::new(topo, cfg, Opt::new()), faults),
+            other => unreachable!("{} is not a perf protocol", other.name()),
+        }
+    }
+
     #[test]
     fn profile_report_validates_and_telescopes() {
         let opts = ExpOptions {
@@ -1292,11 +1320,28 @@ mod tests {
         };
         let report = profile(&opts, true, "unit");
         assert_eq!(report.cases.len(), 6);
+        let topo = ldcf_trace::greenorbs::default_trace(opts.trace_seed);
         for c in &report.cases {
+            let kind = ProtocolKind::paper_set()
+                .into_iter()
+                .find(|k| k.name() == c.protocol)
+                .expect("paper protocol");
+            let faults = FaultConfig::at_intensity(1, FAULT_INTENSITY);
+            let dispatched = dispatched_slots(
+                &topo,
+                &perf_config(&opts, 1),
+                kind,
+                c.faulted.then_some(&faults),
+            );
             assert_eq!(
                 c.profile.slots(),
-                c.slots,
-                "{}: every slot profiled",
+                dispatched,
+                "{}: every dispatched slot profiled",
+                c.name
+            );
+            assert!(
+                dispatched <= c.slots,
+                "{}: skipped slots settle unprofiled",
                 c.name
             );
             assert_eq!(

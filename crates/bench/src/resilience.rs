@@ -19,8 +19,9 @@
 //!    flood forensics.
 
 use crate::options::ExpOptions;
-use crate::runner::{run_flood_faulted, ProtocolKind};
+use crate::runner::{ProtocolKind, RunRequest, Runner};
 use ldcf_analysis::{Series, Table};
+use ldcf_net::Topology;
 use ldcf_sim::energy::{EnergyLedger, EnergyModel};
 use ldcf_sim::{FaultConfig, SimConfig, SimReport};
 use rayon::prelude::*;
@@ -125,6 +126,23 @@ fn cell_of_runs(
     }
 }
 
+/// One faulted flood, its trace/metrics files tagged with `tag`.
+fn faulted_run(
+    runner: &Runner,
+    topo: &Topology,
+    cfg: &SimConfig,
+    kind: ProtocolKind,
+    faults: &FaultConfig,
+    tag: &str,
+) -> (SimReport, EnergyLedger) {
+    let out = runner.run(RunRequest {
+        faults: Some(faults),
+        tag,
+        ..RunRequest::new(topo, cfg, kind)
+    });
+    (out.report, out.energy)
+}
+
 /// Filename-safe tag of an intensity level (`0.5` → `"f050"`).
 fn intensity_tag(intensity: f64) -> String {
     format!("f{:03.0}", intensity * 100.0)
@@ -133,6 +151,7 @@ fn intensity_tag(intensity: f64) -> String {
 /// The intensity sweep: `protocols × intensities`, seed-averaged.
 /// Rows are ordered by protocol then intensity.
 pub fn resilience_sweep(
+    runner: &Runner,
     opts: &ExpOptions,
     protocols: &[ProtocolKind],
     intensities: &[f64],
@@ -150,7 +169,7 @@ pub fn resilience_sweep(
                         .map(|&seed| {
                             let cfg = resilience_config(opts, seed);
                             let faults = FaultConfig::at_intensity(seed, x);
-                            run_flood_faulted(&topo, &cfg, kind, &faults, &intensity_tag(x))
+                            faulted_run(runner, &topo, &cfg, kind, &faults, &intensity_tag(x))
                         })
                         .collect();
                     cell_of_runs(kind, x, &runs)
@@ -187,7 +206,7 @@ fn isolation_profiles(seed: u64, intensity: f64) -> Vec<(&'static str, &'static 
 
 /// The fault-isolation table for DBAO at [`ISOLATION_INTENSITY`],
 /// seed-averaged: `(profile name, cell)` per row.
-pub fn isolation_table(opts: &ExpOptions) -> Vec<(String, ResilienceCell)> {
+pub fn isolation_table(runner: &Runner, opts: &ExpOptions) -> Vec<(String, ResilienceCell)> {
     let topo = ldcf_trace::greenorbs::default_trace(opts.trace_seed);
     let kind = ProtocolKind::Dbao;
     // Profiles are seed-dependent (FaultConfig embeds the seed), so
@@ -206,7 +225,7 @@ pub fn isolation_table(opts: &ExpOptions) -> Vec<(String, ResilienceCell)> {
                         isolation_profiles(seed, ISOLATION_INTENSITY).swap_remove(i);
                     name = label.to_string();
                     let cfg = resilience_config(opts, seed);
-                    run_flood_faulted(&topo, &cfg, kind, &faults, tag)
+                    faulted_run(runner, &topo, &cfg, kind, &faults, tag)
                 })
                 .collect();
             (name, cell_of_runs(kind, ISOLATION_INTENSITY, &runs))
@@ -233,10 +252,10 @@ const CELL_HEADER: &str = "| | coverage | mean delay | p99 delay | energy/node |
 
 /// The full artefact as markdown: intensity-sweep table + delay chart,
 /// then the fault-isolation table.
-pub fn resilience(opts: &ExpOptions, quick: bool) -> String {
+pub fn resilience(runner: &Runner, opts: &ExpOptions, quick: bool) -> String {
     let intensities = intensity_grid(quick);
     let protocols = ProtocolKind::paper_set();
-    let cells = resilience_sweep(opts, &protocols, &intensities);
+    let cells = resilience_sweep(runner, opts, &protocols, &intensities);
 
     let mut out = String::new();
     writeln!(
@@ -279,7 +298,7 @@ pub fn resilience(opts: &ExpOptions, quick: bool) -> String {
     )
     .unwrap();
     writeln!(out, "{CELL_HEADER}").unwrap();
-    for (name, c) in isolation_table(opts) {
+    for (name, c) in isolation_table(runner, opts) {
         cell_row(&mut out, &name, &c);
     }
     out

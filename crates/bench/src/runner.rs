@@ -1,9 +1,11 @@
-//! Protocol dispatch for the trace-driven experiments, plus the
-//! process-wide observability hooks of the `experiments` binary:
+//! Protocol dispatch for the trace-driven experiments: every flood
+//! runs through one call, [`Runner::run`], on a caller-owned
+//! [`Runner`] that holds the flood's observability settings and a
+//! tally of the work booked through it:
 //!
-//! * a **work ledger** — atomic counters of simulation runs, slots
-//!   simulated, and the protocols/seeds involved, reset per artefact and
-//!   folded into each artefact's `RunManifest`;
+//! * a **work ledger** — simulation runs, slots simulated, and the
+//!   protocols/seeds involved, folded into each artefact's
+//!   `RunManifest`;
 //! * optional **event tracing** (`--trace-events DIR`) — every flood
 //!   writes its slot-level event stream as one file, row-wise JSONL or
 //!   the columnar binary container (`--trace-format bin`), with the
@@ -12,25 +14,28 @@
 //!   snapshots a `MetricsRegistry` (delay histogram, per-node load,
 //!   queue depth, coverage growth) as one JSON file;
 //! * optional **self-profiling** (`--profile`) — every flood runs with
-//!   an engine phase profiler attached, accumulating per-phase timing
-//!   histograms into a process-global [`PhaseProfiler`].
+//!   an engine phase profiler attached, merged into the runner's
+//!   [`PhaseProfiler`].
 //!
-//! Tracing is opt-in per process: when neither directory is configured,
-//! floods run with the engine's `NullObserver` and pay nothing; same
-//! for profiling and the engine's `NullProfiler`.
+//! The CLI builds one runner per artefact and the campaign runner one
+//! per campaign, so concurrent service jobs and parallel tests never
+//! share a tally. Floods run on the engine's default, event-driven
+//! path; when neither directory is configured they run with the
+//! engine's `NullObserver` and pay nothing, likewise for profiling and
+//! the engine's `NullProfiler`.
 
 use ldcf_net::{NeighborTable, Topology};
 use ldcf_protocols::{Dbao, DbaoConfig, NaiveFlood, OfConfig, OpportunisticFlooding, Opt};
 use ldcf_sim::energy::EnergyLedger;
 use ldcf_sim::{
-    BinSink, Engine, EngineKind, FaultConfig, FaultPlan, FloodingProtocol, Injection, JsonlSink,
-    MetricsObserver, PhaseProfiler, SimConfig, SimEvent, SimObserver, SimReport,
+    BinSink, Engine, FaultConfig, FaultPlan, FloodingProtocol, Injection, JsonlSink,
+    MetricsObserver, NullObserver, PhaseProfiler, SimConfig, SimEvent, SimObserver, SimReport,
 };
 use std::collections::BTreeSet;
 use std::fs::File;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
+use std::time::Instant;
 
 /// The protocols under evaluation (§V-A) plus ablation variants.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -85,8 +90,7 @@ impl ProtocolKind {
 
 /// Instantiate the protocol a [`ProtocolKind`] names and hand it to the
 /// given closure-like expression. One place owns the kind → constructor
-/// mapping, so every entry point (plain, faulted, scenario) stays a
-/// one-liner and a new ablation variant is added exactly once.
+/// mapping, so a new ablation variant is added exactly once.
 macro_rules! dispatch_protocol {
     ($kind:expr, |$p:ident| $body:expr) => {
         match $kind {
@@ -122,73 +126,222 @@ macro_rules! dispatch_protocol {
 }
 
 // ---------------------------------------------------------------------
-// Work ledger
+// Runner
 // ---------------------------------------------------------------------
 
-static SIMS_RUN: AtomicU64 = AtomicU64::new(0);
-static SLOTS_SIMULATED: AtomicU64 = AtomicU64::new(0);
-static PROTOCOLS_RUN: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
-static SEEDS_RUN: Mutex<BTreeSet<u64>> = Mutex::new(BTreeSet::new());
-
-/// Snapshot of the simulation work performed since the last
-/// [`ledger_reset`] — the provenance half of a `RunManifest`.
+/// The simulation work booked through one [`Runner`] — the provenance
+/// half of a `RunManifest`.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct WorkLedger {
     /// Individual floods executed.
     pub sims: u64,
-    /// Total slots stepped across those floods.
+    /// Total slots elapsed across those floods.
     pub slots: u64,
     /// Distinct protocol names run.
-    pub protocols: Vec<String>,
+    pub protocols: BTreeSet<&'static str>,
     /// Distinct RNG seeds used.
-    pub seeds: Vec<u64>,
+    pub seeds: BTreeSet<u64>,
     /// Events written across every trace sink (0 when tracing is off).
     pub trace_events: u64,
     /// Bytes written across every trace sink (0 when tracing is off).
     pub trace_bytes: u64,
 }
 
-/// Reset the work ledger (call at the start of each artefact).
-pub fn ledger_reset() {
-    SIMS_RUN.store(0, Ordering::Relaxed);
-    SLOTS_SIMULATED.store(0, Ordering::Relaxed);
-    TRACE_EVENTS_WRITTEN.store(0, Ordering::Relaxed);
-    TRACE_BYTES_WRITTEN.store(0, Ordering::Relaxed);
-    PROTOCOLS_RUN.lock().expect("ledger lock").clear();
-    SEEDS_RUN.lock().expect("ledger lock").clear();
+/// One flood to run: the network, the config and the protocol, plus
+/// optional fault injection and scenario-drawn schedules.
+///
+/// Build it with [`RunRequest::new`] and struct-update the optional
+/// parts: `RunRequest { faults: Some(&f), tag: "f050", ..RunRequest::new(&topo, &cfg, kind) }`.
+pub struct RunRequest<'a> {
+    /// The network graph.
+    pub topo: &'a Topology,
+    /// The run configuration (its `seed` drives the engine RNG).
+    pub cfg: &'a SimConfig,
+    /// The protocol to flood with.
+    pub kind: ProtocolKind,
+    /// A fault plan to inject, if any.
+    pub faults: Option<&'a FaultConfig>,
+    /// Externally drawn schedules and an explicit injection plan — the
+    /// campaign runner's case, where the scenario owns both instead of
+    /// the engine drawing them from `cfg.seed`.
+    pub scenario: Option<(NeighborTable, &'a [Injection])>,
+    /// A short filename-safe label appended to the run's trace/metrics
+    /// file stem, so faulted or scenario runs never overwrite the files
+    /// of a run that shares their config shape (empty by default).
+    pub tag: &'a str,
 }
 
-/// Read the work performed since the last [`ledger_reset`].
-pub fn ledger_snapshot() -> WorkLedger {
-    WorkLedger {
-        sims: SIMS_RUN.load(Ordering::Relaxed),
-        slots: SLOTS_SIMULATED.load(Ordering::Relaxed),
-        protocols: PROTOCOLS_RUN
+impl<'a> RunRequest<'a> {
+    /// A fault-free flood over engine-drawn schedules, untagged.
+    pub fn new(topo: &'a Topology, cfg: &'a SimConfig, kind: ProtocolKind) -> Self {
+        Self {
+            topo,
+            cfg,
+            kind,
+            faults: None,
+            scenario: None,
+            tag: "",
+        }
+    }
+}
+
+/// What one [`Runner::run`] produced.
+#[derive(Clone, Debug)]
+pub struct RunOutput {
+    /// The simulation report.
+    pub report: SimReport,
+    /// The energy ledger.
+    pub energy: EnergyLedger,
+    /// This run's phase profile (profiling runners only).
+    pub profile: Option<PhaseProfiler>,
+    /// Events this run's trace sink wrote (0 when tracing is off).
+    pub trace_events: u64,
+    /// Bytes this run's trace sink wrote (0 when tracing is off).
+    pub trace_bytes: u64,
+    /// Wall clock of the engine's run loop in nanoseconds (engine
+    /// construction excluded — the span a profile's phases cover).
+    pub run_ns: u64,
+}
+
+/// Runs floods and tallies them. Cheap to build; build one per unit of
+/// work whose ledger should stand alone (an artefact, a campaign, a
+/// test). `Sync`, so rayon fan-outs share one by reference.
+#[derive(Debug, Default)]
+pub struct Runner {
+    trace: Option<(PathBuf, TraceFormat)>,
+    metrics: Option<PathBuf>,
+    profiling: bool,
+    tally: Mutex<(WorkLedger, Option<PhaseProfiler>)>,
+}
+
+impl Runner {
+    /// Route every flood's event stream to
+    /// `dir/<protocol>-p<period>-a<active>-m<M>-s<seed>.events.{jsonl,bin}`
+    /// in the given format. Creates `dir`.
+    pub fn with_event_tracing(mut self, dir: &Path, format: TraceFormat) -> std::io::Result<Self> {
+        std::fs::create_dir_all(dir)?;
+        self.trace = Some((dir.to_path_buf(), format));
+        Ok(self)
+    }
+
+    /// Snapshot every flood's metrics registry to
+    /// `dir/<protocol>-p<period>-a<active>-m<M>-s<seed>.metrics.json`.
+    /// Creates `dir`.
+    pub fn with_metrics(mut self, dir: &Path) -> std::io::Result<Self> {
+        std::fs::create_dir_all(dir)?;
+        self.metrics = Some(dir.to_path_buf());
+        Ok(self)
+    }
+
+    /// Attach a phase profiler to every flood, merging each run's phase
+    /// timings into the runner's [`Runner::profile`]. Profiling reads
+    /// wall clocks only — simulation outcomes and artefacts stay
+    /// byte-identical (`--profile` on any artefact command proves this
+    /// in CI against the pinned baselines).
+    pub fn with_profiling(mut self) -> Self {
+        self.profiling = true;
+        self
+    }
+
+    /// The work booked through this runner so far.
+    pub fn ledger(&self) -> WorkLedger {
+        self.tally
             .lock()
-            .expect("ledger lock")
-            .iter()
-            .map(|s| s.to_string())
-            .collect(),
-        seeds: SEEDS_RUN
+            .expect("runner tally poisoned by a panicked run")
+            .0
+            .clone()
+    }
+
+    /// The phase timings merged across this runner's floods (empty when
+    /// profiling is off or nothing ran).
+    pub fn profile(&self) -> PhaseProfiler {
+        self.tally
             .lock()
-            .expect("ledger lock")
-            .iter()
-            .copied()
-            .collect(),
-        trace_events: TRACE_EVENTS_WRITTEN.load(Ordering::Relaxed),
-        trace_bytes: TRACE_BYTES_WRITTEN.load(Ordering::Relaxed),
+            .expect("runner tally")
+            .1
+            .clone()
+            .unwrap_or_default()
+    }
+
+    /// Run one flood to completion and book it into the ledger; when
+    /// configured, write its event trace / metrics snapshot and profile
+    /// it.
+    pub fn run(&self, req: RunRequest<'_>) -> RunOutput {
+        let (kind, seed) = (req.kind, req.cfg.seed);
+        let out = dispatch_protocol!(kind, |p| self.run_protocol(req, p));
+        let mut tally = self
+            .tally
+            .lock()
+            .expect("runner tally poisoned by a panicked run");
+        let (ledger, profile) = &mut *tally;
+        ledger.sims += 1;
+        ledger.slots += out.report.slots_elapsed;
+        ledger.protocols.insert(kind.name());
+        ledger.seeds.insert(seed);
+        ledger.trace_events += out.trace_events;
+        ledger.trace_bytes += out.trace_bytes;
+        if let Some(p) = &out.profile {
+            profile.get_or_insert_with(PhaseProfiler::new).merge(p);
+        }
+        out
+    }
+
+    fn run_protocol<P: FloodingProtocol>(&self, mut req: RunRequest<'_>, protocol: P) -> RunOutput {
+        let (topo, cfg) = (req.topo.clone(), req.cfg.clone());
+        let engine = match req.scenario.take() {
+            Some((schedules, plan)) => {
+                Engine::with_injections(topo, cfg, schedules, plan, protocol)
+            }
+            None => Engine::new(topo, cfg, protocol),
+        };
+        match req.faults {
+            Some(faults) => self.observe(engine.with_faults(faults.build()), &req),
+            None => self.observe(engine, &req),
+        }
+    }
+
+    /// Attach the trace observer when tracing or metrics are on.
+    fn observe<P: FloodingProtocol, F: FaultPlan>(
+        &self,
+        engine: Engine<P, NullObserver, F>,
+        req: &RunRequest<'_>,
+    ) -> RunOutput {
+        match TraceObserver::for_run(self, req) {
+            Some(obs) => {
+                let (mut out, obs) = self.finish(engine.with_observer(obs));
+                (out.trace_events, out.trace_bytes) = obs.written;
+                out
+            }
+            None => self.finish(engine).0,
+        }
+    }
+
+    /// Run the engine, with a profiler lent to it when profiling is on.
+    fn finish<P: FloodingProtocol, O: SimObserver, F: FaultPlan>(
+        &self,
+        engine: Engine<P, O, F>,
+    ) -> (RunOutput, O) {
+        let mut profile = self.profiling.then(PhaseProfiler::new);
+        let t0 = Instant::now();
+        let (report, energy, obs) = match &mut profile {
+            Some(prof) => engine.with_profiler(prof).run_traced(),
+            None => engine.run_traced(),
+        };
+        let out = RunOutput {
+            report,
+            energy,
+            profile,
+            trace_events: 0,
+            trace_bytes: 0,
+            run_ns: t0.elapsed().as_nanos() as u64,
+        };
+        (out, obs)
     }
 }
 
 // ---------------------------------------------------------------------
-// Tracing configuration
+// Tracing
 // ---------------------------------------------------------------------
-
-static TRACE_DIR: OnceLock<PathBuf> = OnceLock::new();
-static TRACE_FORMAT: OnceLock<TraceFormat> = OnceLock::new();
-static METRICS_DIR: OnceLock<PathBuf> = OnceLock::new();
-static TRACE_EVENTS_WRITTEN: AtomicU64 = AtomicU64::new(0);
-static TRACE_BYTES_WRITTEN: AtomicU64 = AtomicU64::new(0);
 
 /// On-disk encoding of `--trace-events` streams.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -227,40 +380,6 @@ impl TraceFormat {
     }
 }
 
-/// Route every subsequent flood's event stream to
-/// `dir/<protocol>-p<period>-a<active>-m<M>-s<seed>.events.{jsonl,bin}`
-/// in the given format. Creates `dir`. May be called once per process.
-pub fn enable_event_tracing(dir: &Path, format: TraceFormat) -> std::io::Result<()> {
-    std::fs::create_dir_all(dir)?;
-    TRACE_FORMAT
-        .set(format)
-        .map_err(|_| std::io::Error::other("event tracing already enabled"))?;
-    TRACE_DIR
-        .set(dir.to_path_buf())
-        .map_err(|_| std::io::Error::other("event tracing already enabled"))
-}
-
-/// The configured trace format (`Jsonl` unless tracing was enabled with
-/// something else).
-pub fn trace_format() -> TraceFormat {
-    TRACE_FORMAT.get().copied().unwrap_or_default()
-}
-
-/// Whether `--trace-events` is active for this process.
-pub fn tracing_enabled() -> bool {
-    TRACE_DIR.get().is_some()
-}
-
-/// Snapshot every subsequent flood's metrics registry to
-/// `dir/<protocol>-p<period>-a<active>-m<M>-s<seed>.metrics.json`.
-/// Creates `dir`. May be called once per process.
-pub fn enable_metrics(dir: &Path) -> std::io::Result<()> {
-    std::fs::create_dir_all(dir)?;
-    METRICS_DIR
-        .set(dir.to_path_buf())
-        .map_err(|_| std::io::Error::other("metrics capture already enabled"))
-}
-
 /// Deterministic per-run file stem: the same `(protocol, config,
 /// fault tag)` triple always maps to the same files, so re-running an
 /// artefact overwrites traces with byte-identical content instead of
@@ -288,8 +407,7 @@ fn run_stem(protocol: &str, cfg: &SimConfig, fault_tag: &str) -> String {
 }
 
 /// Format-dispatching event sink: one trace file per flood, row-wise
-/// JSONL or columnar binary depending on the process-wide
-/// [`TraceFormat`].
+/// JSONL or columnar binary depending on the runner's [`TraceFormat`].
 enum EventSink {
     Jsonl(JsonlSink<File>),
     Bin(BinSink<File>),
@@ -343,16 +461,20 @@ impl SimObserver for EventSink {
 struct TraceObserver {
     sink: Option<(EventSink, PathBuf)>,
     metrics: Option<(MetricsObserver, PathBuf)>,
+    /// `(events, bytes)` the sink wrote, set when the run finishes.
+    written: (u64, u64),
 }
 
 impl TraceObserver {
     /// `None` when neither tracing nor metrics are configured.
-    fn for_run(protocol: &str, cfg: &SimConfig, n_nodes: usize, fault_tag: &str) -> Option<Self> {
-        let stem = run_stem(protocol, cfg, fault_tag);
-        let sink = TRACE_DIR.get().and_then(|dir| {
-            let format = trace_format();
+    fn for_run(runner: &Runner, req: &RunRequest<'_>) -> Option<Self> {
+        if runner.trace.is_none() && runner.metrics.is_none() {
+            return None;
+        }
+        let stem = run_stem(req.kind.name(), req.cfg, req.tag);
+        let sink = runner.trace.as_ref().and_then(|(dir, format)| {
             let path = dir.join(format!("{stem}.{}", format.extension()));
-            match EventSink::create(&path, format) {
+            match EventSink::create(&path, *format) {
                 Ok(s) => Some((s, path)),
                 Err(e) => {
                     eprintln!("trace-events: cannot create {}: {e}", path.display());
@@ -360,14 +482,18 @@ impl TraceObserver {
                 }
             }
         });
-        let metrics = METRICS_DIR.get().map(|dir| {
+        let metrics = runner.metrics.as_ref().map(|dir| {
             let path = dir.join(format!("{stem}.metrics.json"));
-            (MetricsObserver::new(n_nodes, cfg.period as u64), path)
+            (
+                MetricsObserver::new(req.topo.n_nodes(), req.cfg.period as u64),
+                path,
+            )
         });
-        if sink.is_none() && metrics.is_none() {
-            return None;
-        }
-        Some(Self { sink, metrics })
+        Some(Self {
+            sink,
+            metrics,
+            written: (0, 0),
+        })
     }
 }
 
@@ -386,8 +512,7 @@ impl SimObserver for TraceObserver {
         if let Some((mut sink, path)) = self.sink.take() {
             sink.on_finish();
             let (events, bytes) = sink.stats();
-            TRACE_EVENTS_WRITTEN.fetch_add(events, Ordering::Relaxed);
-            TRACE_BYTES_WRITTEN.fetch_add(bytes, Ordering::Relaxed);
+            self.written = (events, bytes);
             sink_stats = Some((events, bytes));
             if let Err(e) = sink.into_result() {
                 eprintln!("trace-events: write to {} failed: {e}", path.display());
@@ -405,245 +530,6 @@ impl SimObserver for TraceObserver {
             }
         }
     }
-}
-
-// ---------------------------------------------------------------------
-// Engine-kind configuration
-// ---------------------------------------------------------------------
-
-static EVENT_ENGINE: AtomicBool = AtomicBool::new(false);
-
-/// Select the engine path (`--engine {slot,event}`) for every
-/// subsequent flood run through this module. The event engine is
-/// contractually byte-identical to the slot-stepped path on every
-/// artefact (CI re-runs the pinned baselines under `--engine event` and
-/// diffs byte-for-byte), so flipping this changes wall-clock only.
-/// Unlike the once-only tracing switches this is re-settable: perf
-/// cases time both paths inside one process.
-pub fn set_engine_kind(kind: EngineKind) {
-    EVENT_ENGINE.store(kind == EngineKind::Event, Ordering::Relaxed);
-}
-
-/// The engine path selected via [`set_engine_kind`] (slot-stepped by
-/// default).
-pub fn engine_kind() -> EngineKind {
-    if EVENT_ENGINE.load(Ordering::Relaxed) {
-        EngineKind::Event
-    } else {
-        EngineKind::Slot
-    }
-}
-
-// ---------------------------------------------------------------------
-// Self-profiling configuration
-// ---------------------------------------------------------------------
-
-static PROFILING: AtomicBool = AtomicBool::new(false);
-static PROFILE: Mutex<Option<PhaseProfiler>> = Mutex::new(None);
-
-/// Attach a phase profiler to every subsequent flood run through this
-/// module, merging each run's phase timings into a process-global
-/// [`PhaseProfiler`] (read it with [`profile_snapshot`]). Profiling
-/// reads wall clocks only — simulation outcomes and artefacts stay
-/// byte-identical (`--profile` on any artefact command proves this in
-/// CI against the pinned baselines).
-pub fn enable_profiling() {
-    PROFILING.store(true, Ordering::Relaxed);
-}
-
-/// Whether [`enable_profiling`] was called.
-pub fn profiling_enabled() -> bool {
-    PROFILING.load(Ordering::Relaxed)
-}
-
-/// Reset the accumulated profile (call at the start of each artefact,
-/// like [`ledger_reset`]).
-pub fn profile_reset() {
-    *PROFILE.lock().expect("profile lock") = None;
-}
-
-/// The phase timings accumulated since the last [`profile_reset`]
-/// (empty when profiling is off or nothing ran).
-pub fn profile_snapshot() -> PhaseProfiler {
-    PROFILE
-        .lock()
-        .expect("profile lock")
-        .clone()
-        .unwrap_or_default()
-}
-
-/// Fold one run's profile into the process-global accumulator.
-fn profile_absorb(p: &PhaseProfiler) {
-    PROFILE
-        .lock()
-        .expect("profile lock")
-        .get_or_insert_with(PhaseProfiler::new)
-        .merge(p);
-}
-
-/// Run an engine to completion, attaching a phase profiler first when
-/// process-wide profiling is on. All flood entry points funnel through
-/// here, so `--profile` covers every artefact the binary can produce.
-fn run_engine<P: FloodingProtocol, O: SimObserver, F: FaultPlan>(
-    engine: Engine<P, O, F>,
-) -> (SimReport, EnergyLedger) {
-    let engine = engine.with_engine_kind(engine_kind());
-    if profiling_enabled() {
-        let mut prof = PhaseProfiler::new();
-        let (report, energy, _) = engine.with_profiler(&mut prof).run_traced();
-        profile_absorb(&prof);
-        (report, energy)
-    } else {
-        let (report, energy, _) = engine.run_traced();
-        (report, energy)
-    }
-}
-
-// ---------------------------------------------------------------------
-// Flood dispatch
-// ---------------------------------------------------------------------
-
-/// Book one finished flood into the work ledger.
-fn book_run(kind: ProtocolKind, cfg: &SimConfig, report: &SimReport) {
-    SIMS_RUN.fetch_add(1, Ordering::Relaxed);
-    SLOTS_SIMULATED.fetch_add(report.slots_elapsed, Ordering::Relaxed);
-    PROTOCOLS_RUN
-        .lock()
-        .expect("ledger lock")
-        .insert(kind.name());
-    SEEDS_RUN.lock().expect("ledger lock").insert(cfg.seed);
-}
-
-fn run_one<P: FloodingProtocol>(
-    topo: &Topology,
-    cfg: &SimConfig,
-    kind: ProtocolKind,
-    protocol: P,
-) -> (SimReport, EnergyLedger) {
-    let engine = Engine::new(topo.clone(), cfg.clone(), protocol);
-    let (report, energy) = match TraceObserver::for_run(kind.name(), cfg, topo.n_nodes(), "") {
-        Some(obs) => run_engine(engine.with_observer(obs)),
-        None => run_engine(engine),
-    };
-    book_run(kind, cfg, &report);
-    (report, energy)
-}
-
-fn run_one_faulted<P: FloodingProtocol>(
-    topo: &Topology,
-    cfg: &SimConfig,
-    kind: ProtocolKind,
-    protocol: P,
-    faults: &FaultConfig,
-    fault_tag: &str,
-) -> (SimReport, EnergyLedger) {
-    let engine = Engine::new(topo.clone(), cfg.clone(), protocol).with_faults(faults.build());
-    let (report, energy) = match TraceObserver::for_run(kind.name(), cfg, topo.n_nodes(), fault_tag)
-    {
-        Some(obs) => run_engine(engine.with_observer(obs)),
-        None => run_engine(engine),
-    };
-    book_run(kind, cfg, &report);
-    (report, energy)
-}
-
-/// Run one flood of `cfg.n_packets` packets over `topo` with the given
-/// protocol; returns the report and energy ledger. Books the run into
-/// the work ledger and, when enabled, writes its event trace / metrics
-/// snapshot.
-pub fn run_flood(
-    topo: &Topology,
-    cfg: &SimConfig,
-    kind: ProtocolKind,
-) -> (SimReport, EnergyLedger) {
-    dispatch_protocol!(kind, |p| run_one(topo, cfg, kind, p))
-}
-
-/// Like [`run_flood`], but with the given fault plan injected into the
-/// engine. `fault_tag` is a short filename-safe label appended to the
-/// run's trace/metrics file stem so faulted traces never overwrite
-/// fault-free ones (the engine otherwise sees an identical config).
-pub fn run_flood_faulted(
-    topo: &Topology,
-    cfg: &SimConfig,
-    kind: ProtocolKind,
-    faults: &FaultConfig,
-    fault_tag: &str,
-) -> (SimReport, EnergyLedger) {
-    dispatch_protocol!(kind, |p| run_one_faulted(
-        topo, cfg, kind, p, faults, fault_tag
-    ))
-}
-
-/// Like [`run_flood`], but over externally drawn schedules and an
-/// explicit injection plan — the campaign runner's entry point, where
-/// the scenario owns both instead of the engine drawing them from
-/// `cfg.seed`. `tag` disambiguates trace/metrics file stems between
-/// scenarios that share a config shape (empty outside campaigns).
-pub fn run_flood_scenario(
-    topo: &Topology,
-    cfg: &SimConfig,
-    schedules: NeighborTable,
-    plan: &[Injection],
-    kind: ProtocolKind,
-    tag: &str,
-) -> (SimReport, EnergyLedger) {
-    dispatch_protocol!(kind, |p| {
-        let engine = Engine::with_injections(topo.clone(), cfg.clone(), schedules, plan, p);
-        let (report, energy) = match TraceObserver::for_run(kind.name(), cfg, topo.n_nodes(), tag) {
-            Some(obs) => run_engine(engine.with_observer(obs)),
-            None => run_engine(engine),
-        };
-        book_run(kind, cfg, &report);
-        (report, energy)
-    })
-}
-
-/// Like [`run_flood`], but with a [`PhaseProfiler`] lent to the engine
-/// for this run only, returned alongside the results and the wall-clock
-/// nanoseconds of the run loop itself (engine construction excluded —
-/// the profiler's phase coverage is judged against the loop it actually
-/// instruments). Used by `experiments perf --profile`, which wants a
-/// per-case profile without flipping the process-global switch (the
-/// timing repetitions must stay unprofiled so BENCH numbers never carry
-/// profiling overhead).
-pub fn run_flood_profiled(
-    topo: &Topology,
-    cfg: &SimConfig,
-    kind: ProtocolKind,
-) -> (SimReport, EnergyLedger, PhaseProfiler, u64) {
-    dispatch_protocol!(kind, |p| {
-        let mut prof = PhaseProfiler::new();
-        let engine = Engine::new(topo.clone(), cfg.clone(), p)
-            .with_engine_kind(engine_kind())
-            .with_profiler(&mut prof);
-        let t0 = std::time::Instant::now();
-        let (report, energy, _) = engine.run_traced();
-        let wall_ns = t0.elapsed().as_nanos() as u64;
-        book_run(kind, cfg, &report);
-        (report, energy, prof, wall_ns)
-    })
-}
-
-/// [`run_flood_profiled`] with a fault plan injected.
-pub fn run_flood_faulted_profiled(
-    topo: &Topology,
-    cfg: &SimConfig,
-    kind: ProtocolKind,
-    faults: &FaultConfig,
-) -> (SimReport, EnergyLedger, PhaseProfiler, u64) {
-    dispatch_protocol!(kind, |p| {
-        let mut prof = PhaseProfiler::new();
-        let engine = Engine::new(topo.clone(), cfg.clone(), p)
-            .with_engine_kind(engine_kind())
-            .with_faults(faults.build())
-            .with_profiler(&mut prof);
-        let t0 = std::time::Instant::now();
-        let (report, energy, _) = engine.run_traced();
-        let wall_ns = t0.elapsed().as_nanos() as u64;
-        book_run(kind, cfg, &report);
-        (report, energy, prof, wall_ns)
-    })
 }
 
 #[cfg(test)]
@@ -671,8 +557,8 @@ mod tests {
             ProtocolKind::OfPureTree,
             ProtocolKind::Naive,
         ] {
-            let (r, _) = run_flood(&topo, &cfg, kind);
-            assert!(r.all_covered(), "{} failed to cover", kind.name());
+            let out = Runner::default().run(RunRequest::new(&topo, &cfg, kind));
+            assert!(out.report.all_covered(), "{} failed to cover", kind.name());
         }
     }
 
@@ -688,27 +574,67 @@ mod tests {
             seed: 11,
             mistiming_prob: 0.0,
         };
-        // The ledger is process-global and other tests also book into
-        // it, so assert on deltas of the monotone counters only.
-        let before = ledger_snapshot();
-        let (r1, _) = run_flood(&topo, &cfg, ProtocolKind::Dbao);
-        let (r2, _) = run_flood(
-            &topo,
-            &SimConfig {
-                seed: 12,
-                ..cfg.clone()
-            },
-            ProtocolKind::Of,
-        );
-        let after = ledger_snapshot();
-        assert_eq!(after.sims - before.sims, 2);
-        assert_eq!(
-            after.slots - before.slots,
-            r1.slots_elapsed + r2.slots_elapsed
-        );
-        assert!(after.protocols.iter().any(|p| p == "DBAO"));
-        assert!(after.protocols.iter().any(|p| p == "OF"));
-        assert!(after.seeds.contains(&11) && after.seeds.contains(&12));
+        let runner = Runner::default();
+        let r1 = runner
+            .run(RunRequest::new(&topo, &cfg, ProtocolKind::Dbao))
+            .report;
+        let cfg12 = SimConfig {
+            seed: 12,
+            ..cfg.clone()
+        };
+        let r2 = runner
+            .run(RunRequest::new(&topo, &cfg12, ProtocolKind::Of))
+            .report;
+        let ledger = runner.ledger();
+        assert_eq!(ledger.sims, 2);
+        assert_eq!(ledger.slots, r1.slots_elapsed + r2.slots_elapsed);
+        assert_eq!(ledger.protocols, BTreeSet::from(["DBAO", "OF"]));
+        assert_eq!(ledger.seeds, BTreeSet::from([11, 12]));
+        assert_eq!((ledger.trace_events, ledger.trace_bytes), (0, 0));
+        assert_eq!(runner.profile().slots(), 0, "profiling is off");
+    }
+
+    #[test]
+    fn concurrent_runners_keep_their_own_tallies() {
+        let topo = Topology::grid(3, 3, LinkQuality::new(0.9));
+        let cfg = |seed| SimConfig {
+            period: 4,
+            active_per_period: 1,
+            n_packets: 1,
+            coverage: 1.0,
+            max_slots: 100_000,
+            seed,
+            mistiming_prob: 0.0,
+        };
+        // Two threads, two runners, each flood started in lock-step
+        // with the other thread's: each tally holds its own floods and
+        // nothing of the other's.
+        let (a, b) = (Runner::default(), Runner::default().with_profiling());
+        let barrier = std::sync::Barrier::new(2);
+        let floods = |runner: &Runner, kind, seeds: [u64; 3]| -> u64 {
+            seeds
+                .iter()
+                .map(|&seed| {
+                    barrier.wait();
+                    let out = runner.run(RunRequest::new(&topo, &cfg(seed), kind));
+                    out.report.slots_elapsed
+                })
+                .sum()
+        };
+        let (slots_a, slots_b) = std::thread::scope(|s| {
+            let ta = s.spawn(|| floods(&a, ProtocolKind::Dbao, [1, 2, 3]));
+            let tb = s.spawn(|| floods(&b, ProtocolKind::Of, [7, 8, 9]));
+            (ta.join().unwrap(), tb.join().unwrap())
+        });
+        let (la, lb) = (a.ledger(), b.ledger());
+        assert_eq!((la.sims, la.slots), (3, slots_a));
+        assert_eq!(la.protocols, BTreeSet::from(["DBAO"]));
+        assert_eq!(la.seeds, BTreeSet::from([1, 2, 3]));
+        assert_eq!((lb.sims, lb.slots), (3, slots_b));
+        assert_eq!(lb.protocols, BTreeSet::from(["OF"]));
+        assert_eq!(lb.seeds, BTreeSet::from([7, 8, 9]));
+        assert_eq!(a.profile().slots(), 0, "only b profiles");
+        assert!(b.profile().slots() > 0);
     }
 
     #[test]
@@ -763,40 +689,16 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(99);
         let schedules = NeighborTable::random_single_slot(topo.n_nodes(), 5, &mut rng);
         let plan: Vec<Injection> = (0..2).map(|_| Injection::at_source()).collect();
-        let (r1, _) =
-            run_flood_scenario(&topo, &cfg, schedules.clone(), &plan, ProtocolKind::Of, "");
-        let (r2, _) = run_flood_scenario(&topo, &cfg, schedules, &plan, ProtocolKind::Of, "");
+        let runner = Runner::default();
+        let scenario = |schedules| RunRequest {
+            scenario: Some((schedules, &plan[..])),
+            ..RunRequest::new(&topo, &cfg, ProtocolKind::Of)
+        };
+        let r1 = runner.run(scenario(schedules.clone())).report;
+        let r2 = runner.run(scenario(schedules)).report;
         assert!(r1.all_covered());
         assert_eq!(r1.slots_elapsed, r2.slots_elapsed, "same inputs, same run");
         assert_eq!(r1.transmissions, r2.transmissions);
-    }
-
-    #[test]
-    fn event_engine_switch_changes_no_outcome() {
-        let topo = Topology::grid(4, 4, LinkQuality::new(0.9));
-        let cfg = SimConfig {
-            period: 20,
-            active_per_period: 1,
-            n_packets: 2,
-            coverage: 1.0,
-            max_slots: 200_000,
-            seed: 5,
-            mistiming_prob: 0.0,
-        };
-        let (slot, slot_energy) = run_flood(&topo, &cfg, ProtocolKind::Dbao);
-        set_engine_kind(EngineKind::Event);
-        let (event, event_energy) = run_flood(&topo, &cfg, ProtocolKind::Dbao);
-        set_engine_kind(EngineKind::Slot);
-        // Byte-identical artefacts: the switch changes wall-clock only.
-        // (Safe against parallel tests precisely because of this — any
-        // test racing the flip sees identical outcomes either way.)
-        assert!(slot.all_covered());
-        assert_eq!(slot.slots_elapsed, event.slots_elapsed);
-        assert_eq!(slot.transmissions, event.transmissions);
-        assert_eq!(slot.mean_flooding_delay(), event.mean_flooding_delay());
-        assert_eq!(slot_energy.active_slots, event_energy.active_slots);
-        assert_eq!(slot_energy.tx_slots, event_energy.tx_slots);
-        assert_eq!(slot_energy.sleep_slots, event_energy.sleep_slots);
     }
 
     #[test]
@@ -812,11 +714,18 @@ mod tests {
             mistiming_prob: 0.0,
         };
         let faults = FaultConfig::at_intensity(3, 0.5).burst_and_drift_only();
-        let before = ledger_snapshot();
-        let (r, energy) = run_flood_faulted(&topo, &cfg, ProtocolKind::Of, &faults, "f50bd");
-        let after = ledger_snapshot();
+        let runner = Runner::default();
+        let out = runner.run(RunRequest {
+            faults: Some(&faults),
+            tag: "f50bd",
+            ..RunRequest::new(&topo, &cfg, ProtocolKind::Of)
+        });
+        let (r, energy) = (out.report, out.energy);
         assert!(r.all_covered(), "OF under mild faults must still cover");
-        assert_eq!(after.sims - before.sims, 1);
         assert_eq!(energy.tx_slots, r.transmissions);
+        let ledger = runner.ledger();
+        assert_eq!((ledger.sims, ledger.slots), (1, r.slots_elapsed));
+        assert_eq!(ledger.protocols, BTreeSet::from(["OF"]));
+        assert_eq!(ledger.seeds, BTreeSet::from([3]));
     }
 }

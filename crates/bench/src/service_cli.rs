@@ -11,7 +11,7 @@
 //! byte-identical to a direct CLI run of the same spec.
 
 use crate::campaign::{self, CampaignOptions};
-use ldcf_obs::{write_atomic, RunManifest};
+use ldcf_obs::write_atomic;
 use ldcf_scenarios::ScenarioSpec;
 use ldcf_service::{Client, ExecError, ExecOutcome, ExecRequest, ServiceConfig};
 use serde::Value;
@@ -47,27 +47,11 @@ impl ldcf_service::CampaignExec for BenchExec {
         })?;
 
         // Same provenance manifest a CLI run writes, plus the service
-        // fields (job id, queue wait). Wall-clock telemetry — outside
-        // the byte-reproducibility contract, like the heartbeat file.
-        let manifest = RunManifest::new(
-            &format!("campaign-{}", outcome.name),
-            vec![], // per-protocol ledger is process-global; omit under concurrent jobs
-            Value::Object(vec![(
-                "spec_digest".into(),
-                Value::Str(outcome.digest.clone()),
-            )]),
-            vec![],
-            req.quick,
-            outcome.cells_run as u64,
-            outcome.slots_run,
-            t0.elapsed().as_millis() as u64,
-        )
-        .with_service_job(req.job_id, req.queue_wait_ms);
-        write_atomic(
-            &req.out.join("campaign.manifest.json"),
-            (manifest.to_json_pretty() + "\n").as_bytes(),
-        )
-        .map_err(|e| ExecError::Failed(format!("write campaign.manifest.json: {e}")))?;
+        // fields (job id, queue wait).
+        let manifest = outcome
+            .manifest(t0.elapsed().as_millis() as u64)
+            .with_service_job(req.job_id, req.queue_wait_ms);
+        campaign::write_manifest(req.out, &manifest).map_err(ExecError::Failed)?;
 
         Ok(ExecOutcome {
             cells_total: outcome.cells_total,

@@ -67,9 +67,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The differential contract over a randomized workload space. Each
-    /// case draws a topology shape, a duty cycle, a protocol, an
-    /// injection cadence, and optionally the full fault stack; the two
-    /// engines must agree byte for byte.
+    /// case draws a topology shape (with or without dense adjacency
+    /// rows), a duty cycle, a protocol, an injection cadence, and
+    /// optionally the full fault stack; the two engines must agree byte
+    /// for byte.
     #[test]
     fn event_engine_is_byte_identical_to_slot_engine(
         rows in 2usize..5,
@@ -81,11 +82,15 @@ proptest! {
         mist_i in 0usize..2,
         proto in 0usize..3,
         fault_i in 0usize..3,
+        sparse in 0usize..2,
     ) {
         let gap = [0u64, 7, 300, 1_500][gap_i];
         let mistiming = [0.0f64, 0.05][mist_i];
         let fault_intensity = [None, Some(0.4), Some(1.0)][fault_i];
         let topo = Topology::grid(rows, cols, LinkQuality::new(0.85));
+        // Large networks have no dense adjacency rows; the skip logic
+        // then walks neighbor lists instead.
+        let topo = if sparse == 1 { topo.without_dense_mirror() } else { topo };
         let cfg = SimConfig {
             period,
             active_per_period: 1,

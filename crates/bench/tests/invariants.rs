@@ -2,7 +2,7 @@
 //! the `SimReport`, the `EnergyLedger`, and the observer event stream.
 //! Every joule and every counter must be attributable to events.
 
-use ldcf_bench::{run_flood, ProtocolKind};
+use ldcf_bench::{ProtocolKind, RunRequest, Runner};
 use ldcf_net::{LinkQuality, Topology};
 use ldcf_protocols::Dbao;
 use ldcf_sim::{Engine, SimConfig, SimEvent, VecObserver};
@@ -27,6 +27,7 @@ fn cfg(seed: u64, mistiming: f64) -> SimConfig {
 fn energy_ledger_matches_report_for_all_protocols() {
     let topo = Topology::grid(4, 4, LinkQuality::new(0.8));
     let n_nodes = topo.n_nodes() as u64;
+    let runner = Runner::default();
     for kind in [
         ProtocolKind::Opt,
         ProtocolKind::Dbao,
@@ -37,7 +38,9 @@ fn energy_ledger_matches_report_for_all_protocols() {
     ] {
         for seed in [1, 2, 3, 4, 5] {
             for mistiming in [0.0, 0.15] {
-                let (report, energy) = run_flood(&topo, &cfg(seed, mistiming), kind);
+                let cfg = cfg(seed, mistiming);
+                let out = runner.run(RunRequest::new(&topo, &cfg, kind));
+                let (report, energy) = (out.report, out.energy);
                 let ctx = format!("{} seed {seed} mistiming {mistiming}", kind.name());
                 assert_eq!(energy.tx_slots, report.transmissions, "{ctx}: tx_slots");
                 assert_eq!(

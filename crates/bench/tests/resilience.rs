@@ -7,7 +7,7 @@
 //! visibly at work (crashes and drift misses observed).
 
 use ldcf_bench::resilience::resilience_sweep;
-use ldcf_bench::{ExpOptions, ProtocolKind};
+use ldcf_bench::{ExpOptions, ProtocolKind, Runner};
 
 #[test]
 fn endpoint_degradation_is_monotone() {
@@ -17,7 +17,12 @@ fn endpoint_degradation_is_monotone() {
         max_slots: 600_000,
         ..ExpOptions::quick()
     };
-    let cells = resilience_sweep(&opts, &ProtocolKind::paper_set(), &[0.0, 1.0]);
+    let cells = resilience_sweep(
+        &Runner::default(),
+        &opts,
+        &ProtocolKind::paper_set(),
+        &[0.0, 1.0],
+    );
     assert_eq!(cells.len(), 6);
     for kind in ProtocolKind::paper_set() {
         let at = |x: f64| {

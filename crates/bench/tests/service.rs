@@ -114,6 +114,27 @@ fn http_submitted_campaign_is_byte_identical_to_direct_run() {
         .get("queue_wait_ms")
         .and_then(Value::as_u64)
         .is_some());
+    // ... and what ran: the spec's protocols and (quickened) seeds,
+    // the cells and slots simulated.
+    let spec = ldcf_scenarios::ScenarioSpec::from_toml_str(&spec_text())
+        .unwrap()
+        .quicken();
+    let protocols = spec.matrix.protocols.iter().map(|p| p.to_ascii_uppercase());
+    let listed = |field: &str| match manifest.get(field) {
+        Some(Value::Array(items)) => items.clone(),
+        other => panic!("manifest {field} is not an array: {other:?}"),
+    };
+    assert_eq!(
+        listed("protocols"),
+        protocols.map(Value::Str).collect::<Vec<_>>()
+    );
+    let seeds: Vec<u64> = listed("seeds").iter().filter_map(Value::as_u64).collect();
+    assert_eq!(seeds, spec.matrix.seeds);
+    assert_eq!(
+        manifest.get("sims").and_then(Value::as_u64),
+        done.get("cells_total").and_then(Value::as_u64)
+    );
+    assert!(manifest.get("slots").and_then(Value::as_u64).unwrap() > 0);
 
     // Re-submitting the identical spec dedupes onto the finished job
     // instead of re-running it.

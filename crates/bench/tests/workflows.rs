@@ -65,7 +65,7 @@ fn ci_workflow_parses_and_fans_out_over_the_stages() {
         "./ci.sh fmt clippy",
         "./ci.sh shellcheck",
         "./ci.sh build test alloc-gate bench-compile",
-        "./ci.sh build artefacts event-engine forensics bintrace",
+        "./ci.sh build artefacts forensics bintrace",
         "./ci.sh build perf digests",
         "./ci.sh build campaign stats service",
     ] {
@@ -89,7 +89,6 @@ fn ci_script_carries_the_load_bearing_gates() {
         "test",
         "alloc-gate",
         "artefacts",
-        "event-engine",
         "forensics",
         "bintrace",
         "perf",

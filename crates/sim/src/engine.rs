@@ -41,16 +41,15 @@ impl Injection {
 
 /// How [`Engine::run`] advances simulated time.
 ///
-/// Both kinds produce byte-identical artefacts — report, energy
-/// ledger, trace stream, RNG consumption; the event engine merely
-/// refuses to *execute* slots it can prove dead. Low-duty-cycle runs
-/// (the paper's regime: duty `1/T` with large `T`) are mostly dead
-/// slots, so the event engine's throughput advantage grows with the
-/// period.
+/// The engine is event-driven: it refuses to *execute* slots it can
+/// prove dead. Low-duty-cycle runs (the paper's regime: duty `1/T`
+/// with large `T`) are mostly dead slots. The slot-stepped kind is
+/// kept only as the oracle the differential tests hold the event
+/// engine to: both kinds produce byte-identical artefacts — report,
+/// energy ledger, trace stream, RNG consumption.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum EngineKind {
     /// Execute every slot in order (the reference oracle).
-    #[default]
     Slot,
     /// After each quiet slot, jump straight to the next slot where any
     /// node with forwarding work has an awake, live neighbor (or where
@@ -58,6 +57,7 @@ pub enum EngineKind {
     /// the skipped span's energy, metrics and trace events in batch.
     /// Requires a wake calendar (homogeneous periods); without one the
     /// engine degrades to slot stepping.
+    #[default]
     Event,
 }
 
@@ -137,6 +137,27 @@ impl SimState {
     #[inline]
     pub fn nodes_with_work(&self) -> impl Iterator<Item = NodeId> + '_ {
         bitset::iter_ones(&self.work).map(NodeId::from)
+    }
+
+    /// Whether some node with forwarding work has a live neighbor awake
+    /// at slot `t` — exactly when the event engine's rendezvous query
+    /// from `t` would answer `t`. Needs a wake calendar.
+    fn work_has_awake_neighbor(&self, t: u64) -> bool {
+        let awake = self
+            .schedules
+            .active_words(t)
+            .expect("skipping is gated on a wake calendar");
+        self.nodes_with_work()
+            .any(|u| match self.topo.neighbor_words(u) {
+                Some(row) => row
+                    .iter()
+                    .zip(awake)
+                    .zip(&self.down)
+                    .any(|((r, a), d)| r & a & !d != 0),
+                None => self.topo.neighbors(u).iter().any(|&(v, _)| {
+                    bitset::test_bit(awake, v.index()) && !bitset::test_bit(&self.down, v.index())
+                }),
+            })
     }
 
     /// The FCFS queue of `node`.
@@ -302,8 +323,19 @@ pub struct Engine<
     F: FaultPlan = NullFaultPlan,
     Pr: SimProfiler = NullProfiler,
 > {
-    state: SimState,
+    /// Everything that does not depend on the type parameters, so the
+    /// `with_*` builders move it as one value.
+    core: Core,
     protocol: P,
+    obs: O,
+    faults: F,
+    profiler: Pr,
+}
+
+/// The non-generic part of an [`Engine`]: world state, RNG, statistics
+/// and the slot loop's reusable scratch.
+struct Core {
+    state: SimState,
     rng: StdRng,
     report: SimReport,
     energy: EnergyLedger,
@@ -314,9 +346,6 @@ pub struct Engine<
     res_buf: SlotResolution,
     /// Reusable per-slot list of fresh `(receiver, packet)` deliveries.
     delivered_buf: Vec<(NodeId, PacketId)>,
-    obs: O,
-    faults: F,
-    profiler: Pr,
     /// Final clock read of the previous slot, carried over as the next
     /// slot's start anchor (profiled runs only). Chaining the anchor
     /// across slots attributes the inter-slot overhead — the profiler's
@@ -340,7 +369,8 @@ pub struct Engine<
     /// Non-default slot-0 injections `(packet, origin)`, kept so the
     /// observer (attached after construction) can be told at slot 0.
     start_injections: Vec<(PacketId, NodeId)>,
-    /// How `run` advances time (slot stepping vs event skipping).
+    /// How `run` advances time (event skipping, or the slot-stepped
+    /// oracle).
     kind: EngineKind,
     /// Scratch: packed union of the neighbors of every node with work,
     /// masked by live nodes — the receivers whose wake-up could make
@@ -354,6 +384,41 @@ pub struct Engine<
     /// next dispatched slot's total (profiled event runs only), so
     /// phase times keep telescoping to the slot total exactly.
     skip_carry_ns: u64,
+}
+
+/// Drop every intent `missed` flags, booking each as a mistimed
+/// transmission: the energy and a failure are spent, nothing reaches
+/// the MAC. An in-place retain: the per-slot scratch Vec this used to
+/// allocate showed up in the engine profile at high duty.
+#[inline]
+fn drop_mistimed<O: SimObserver>(
+    intents: &mut Vec<TxIntent>,
+    slot: u64,
+    report: &mut SimReport,
+    energy: &mut EnergyLedger,
+    obs: &mut O,
+    mut missed: impl FnMut(&TxIntent) -> bool,
+) {
+    intents.retain(|it| {
+        if !missed(it) {
+            return true;
+        }
+        report.transmissions += 1;
+        report.transmission_failures += 1;
+        report.mistimed += 1;
+        report.packets[it.packet as usize].failures += 1;
+        energy.tx_slots += 1;
+        energy.failed_tx_slots += 1;
+        if O::ENABLED {
+            obs.on_event(&SimEvent::Mistimed {
+                slot,
+                sender: it.sender,
+                receiver: it.receiver,
+                packet: it.packet,
+            });
+        }
+        false
+    });
 }
 
 impl<P: FloodingProtocol> Engine<P> {
@@ -489,37 +554,39 @@ impl<P: FloodingProtocol> Engine<P> {
             }
         }
         Self {
-            state,
+            core: Core {
+                state,
+                rng,
+                report,
+                energy: EnergyLedger::default(),
+                // Slot-loop scratch, pre-sized to its worst-case high-water
+                // mark (≤ one intent per sender, ≤ one delivery per
+                // receiver): the flood wave widening mid-run must not grow
+                // any of these — the allocation gate asserts zero heap
+                // allocations per steady-state slot.
+                intents_buf: Vec::with_capacity(n),
+                mac_scratch: MacScratch::for_nodes(n),
+                res_buf: SlotResolution::for_nodes(n),
+                delivered_buf: Vec::with_capacity(n),
+                slot_anchor: None,
+                churn_buf: Vec::new(),
+                retry_heap: BinaryHeap::new(),
+                retry_attempts: vec![0; m],
+                retry_pending: vec![false; m],
+                pending_injections,
+                next_injection: 0,
+                start_injections,
+                kind: EngineKind::Event,
+                // Event-engine scratch, pre-sized like the rest: skipping
+                // must stay allocation-free too.
+                reach_buf: vec![0; node_words],
+                reach_summary_buf: vec![0; bitset::words_for(node_words)],
+                skip_carry_ns: 0,
+            },
             protocol,
-            rng,
-            report,
-            energy: EnergyLedger::default(),
-            // Slot-loop scratch, pre-sized to its worst-case high-water
-            // mark (≤ one intent per sender, ≤ one delivery per
-            // receiver): the flood wave widening mid-run must not grow
-            // any of these — the allocation gate asserts zero heap
-            // allocations per steady-state slot.
-            intents_buf: Vec::with_capacity(n),
-            mac_scratch: MacScratch::for_nodes(n),
-            res_buf: SlotResolution::for_nodes(n),
-            delivered_buf: Vec::with_capacity(n),
             obs: NullObserver,
             faults: NullFaultPlan,
             profiler: NullProfiler,
-            slot_anchor: None,
-            churn_buf: Vec::new(),
-            retry_heap: BinaryHeap::new(),
-            retry_attempts: vec![0; m],
-            retry_pending: vec![false; m],
-            pending_injections,
-            next_injection: 0,
-            start_injections,
-            kind: EngineKind::Slot,
-            // Event-engine scratch, pre-sized like the rest: skipping
-            // must stay allocation-free too.
-            reach_buf: vec![0; node_words],
-            reach_summary_buf: vec![0; bitset::words_for(node_words)],
-            skip_carry_ns: 0,
         }
     }
 }
@@ -531,30 +598,11 @@ impl<P: FloodingProtocol, O: SimObserver, F: FaultPlan, Pr: SimProfiler> Engine<
     /// `Engine::new(topo, cfg, proto).with_observer(JsonlSink::new(file))`
     pub fn with_observer<O2: SimObserver>(self, obs: O2) -> Engine<P, O2, F, Pr> {
         Engine {
-            state: self.state,
+            core: self.core,
             protocol: self.protocol,
-            rng: self.rng,
-            report: self.report,
-            energy: self.energy,
-            intents_buf: self.intents_buf,
-            mac_scratch: self.mac_scratch,
-            res_buf: self.res_buf,
-            delivered_buf: self.delivered_buf,
             obs,
             faults: self.faults,
             profiler: self.profiler,
-            slot_anchor: self.slot_anchor,
-            churn_buf: self.churn_buf,
-            retry_heap: self.retry_heap,
-            retry_attempts: self.retry_attempts,
-            retry_pending: self.retry_pending,
-            pending_injections: self.pending_injections,
-            next_injection: self.next_injection,
-            start_injections: self.start_injections,
-            kind: self.kind,
-            reach_buf: self.reach_buf,
-            reach_summary_buf: self.reach_summary_buf,
-            skip_carry_ns: self.skip_carry_ns,
         }
     }
 
@@ -563,30 +611,11 @@ impl<P: FloodingProtocol, O: SimObserver, F: FaultPlan, Pr: SimProfiler> Engine<
     /// `Engine::new(topo, cfg, proto).with_faults(fault_cfg.build())`
     pub fn with_faults<F2: FaultPlan>(self, faults: F2) -> Engine<P, O, F2, Pr> {
         Engine {
-            state: self.state,
+            core: self.core,
             protocol: self.protocol,
-            rng: self.rng,
-            report: self.report,
-            energy: self.energy,
-            intents_buf: self.intents_buf,
-            mac_scratch: self.mac_scratch,
-            res_buf: self.res_buf,
-            delivered_buf: self.delivered_buf,
             obs: self.obs,
             faults,
             profiler: self.profiler,
-            slot_anchor: self.slot_anchor,
-            churn_buf: self.churn_buf,
-            retry_heap: self.retry_heap,
-            retry_attempts: self.retry_attempts,
-            retry_pending: self.retry_pending,
-            pending_injections: self.pending_injections,
-            next_injection: self.next_injection,
-            start_injections: self.start_injections,
-            kind: self.kind,
-            reach_buf: self.reach_buf,
-            reach_summary_buf: self.reach_summary_buf,
-            skip_carry_ns: self.skip_carry_ns,
         }
     }
 
@@ -597,44 +626,21 @@ impl<P: FloodingProtocol, O: SimObserver, F: FaultPlan, Pr: SimProfiler> Engine<
     /// `Engine::new(topo, cfg, proto).with_profiler(&mut profiler)`
     pub fn with_profiler<Pr2: SimProfiler>(self, profiler: Pr2) -> Engine<P, O, F, Pr2> {
         Engine {
-            state: self.state,
+            core: self.core,
             protocol: self.protocol,
-            rng: self.rng,
-            report: self.report,
-            energy: self.energy,
-            intents_buf: self.intents_buf,
-            mac_scratch: self.mac_scratch,
-            res_buf: self.res_buf,
-            delivered_buf: self.delivered_buf,
             obs: self.obs,
             faults: self.faults,
             profiler,
-            slot_anchor: self.slot_anchor,
-            churn_buf: self.churn_buf,
-            retry_heap: self.retry_heap,
-            retry_attempts: self.retry_attempts,
-            retry_pending: self.retry_pending,
-            pending_injections: self.pending_injections,
-            next_injection: self.next_injection,
-            start_injections: self.start_injections,
-            kind: self.kind,
-            reach_buf: self.reach_buf,
-            reach_summary_buf: self.reach_summary_buf,
-            skip_carry_ns: self.skip_carry_ns,
         }
     }
 
     /// Select how [`Engine::run`] advances time. The default
-    /// [`EngineKind::Slot`] executes every slot; [`EngineKind::Event`]
-    /// skips provably dead spans with byte-identical artefacts.
+    /// [`EngineKind::Event`] skips provably dead spans;
+    /// [`EngineKind::Slot`] is the oracle that executes every slot,
+    /// with byte-identical artefacts.
     pub fn with_engine_kind(mut self, kind: EngineKind) -> Self {
-        self.kind = kind;
+        self.core.kind = kind;
         self
-    }
-
-    /// The selected engine kind.
-    pub fn kind(&self) -> EngineKind {
-        self.kind
     }
 
     /// The attached observer.
@@ -644,17 +650,17 @@ impl<P: FloodingProtocol, O: SimObserver, F: FaultPlan, Pr: SimProfiler> Engine<
 
     /// Immutable view of the state (for tests and tools).
     pub fn state(&self) -> &SimState {
-        &self.state
+        &self.core.state
     }
 
     /// The statistics gathered so far.
     pub fn report(&self) -> &SimReport {
-        &self.report
+        &self.core.report
     }
 
     /// Energy ledger gathered so far.
     pub fn energy(&self) -> &EnergyLedger {
-        &self.energy
+        &self.core.energy
     }
 
     /// Execute the fault plan's churn transitions due this slot: crashes
@@ -663,8 +669,8 @@ impl<P: FloodingProtocol, O: SimObserver, F: FaultPlan, Pr: SimProfiler> Engine<
     /// transition, a repair pass re-queues packets whose dissemination
     /// the churn may have wedged.
     fn apply_churn(&mut self) {
-        let now = self.state.now;
-        let mut actions = std::mem::take(&mut self.churn_buf);
+        let now = self.core.state.now;
+        let mut actions = std::mem::take(&mut self.core.churn_buf);
         actions.clear();
         self.faults.churn_actions(now, &mut actions);
         let churned = !actions.is_empty();
@@ -674,44 +680,45 @@ impl<P: FloodingProtocol, O: SimObserver, F: FaultPlan, Pr: SimProfiler> Engine<
                 ChurnAction::Crash(v) => {
                     debug_assert_ne!(v, SOURCE, "fault plans must not crash the source");
                     let vi = v.index();
-                    if bitset::test_bit(&self.state.down, vi) {
+                    if bitset::test_bit(&self.core.state.down, vi) {
                         continue;
                     }
-                    bitset::set_bit(&mut self.state.down, vi);
-                    self.report.node_crashes += 1;
+                    bitset::set_bit(&mut self.core.state.down, vi);
+                    self.core.report.node_crashes += 1;
                     if O::ENABLED {
                         self.obs
                             .on_event(&SimEvent::NodeCrashed { slot: now, node: v });
                     }
                     // RAM wipe: forwarding queue and packet possession.
-                    self.state.queue_clear(v);
-                    for p in 0..self.state.cfg.n_packets {
+                    self.core.state.queue_clear(v);
+                    for p in 0..self.core.state.cfg.n_packets {
                         let pi = p as usize;
-                        if !self.state.has(v, p) {
+                        if !self.core.state.has(v, p) {
                             continue;
                         }
-                        self.state.revoke(v, p);
-                        self.state.holders[pi] -= 1;
+                        self.core.state.revoke(v, p);
+                        self.core.state.holders[pi] -= 1;
                         // Arm a source-side retry for packets the crash
                         // may have orphaned mid-flood.
                         if backoff.is_some()
-                            && self.report.packets[pi].covered_at.is_none()
-                            && !self.retry_pending[pi]
+                            && self.core.report.packets[pi].covered_at.is_none()
+                            && !self.core.retry_pending[pi]
                         {
-                            self.retry_pending[pi] = true;
-                            self.retry_heap
+                            self.core.retry_pending[pi] = true;
+                            self.core
+                                .retry_heap
                                 .push(Reverse((now + backoff.unwrap_or(1), p)));
                         }
                     }
                 }
                 ChurnAction::Recover(v, schedule) => {
                     let vi = v.index();
-                    if !bitset::test_bit(&self.state.down, vi) {
+                    if !bitset::test_bit(&self.core.state.down, vi) {
                         continue;
                     }
-                    bitset::clear_bit(&mut self.state.down, vi);
-                    self.state.schedules.set_schedule(v, schedule);
-                    self.report.node_recoveries += 1;
+                    bitset::clear_bit(&mut self.core.state.down, vi);
+                    self.core.state.schedules.set_schedule(v, schedule);
+                    self.core.report.node_recoveries += 1;
                     if O::ENABLED {
                         self.obs
                             .on_event(&SimEvent::NodeRecovered { slot: now, node: v });
@@ -719,18 +726,18 @@ impl<P: FloodingProtocol, O: SimObserver, F: FaultPlan, Pr: SimProfiler> Engine<
                 }
             }
         }
-        self.churn_buf = actions;
+        self.core.churn_buf = actions;
         if !churned {
             return;
         }
         // Repair pass: re-queue each uncovered packet at every live
         // holder that still has a live, needy neighbor (see
         // [`SimState::repair_requeue`]).
-        for p in 0..self.state.cfg.n_packets {
-            if self.report.packets[p as usize].covered_at.is_some() {
+        for p in 0..self.core.state.cfg.n_packets {
+            if self.core.report.packets[p as usize].covered_at.is_some() {
                 continue;
             }
-            self.state.repair_requeue(p, now);
+            self.core.state.repair_requeue(p, now);
         }
     }
 
@@ -741,23 +748,24 @@ impl<P: FloodingProtocol, O: SimObserver, F: FaultPlan, Pr: SimProfiler> Engine<
         let Some(base) = self.faults.source_retry_backoff() else {
             return;
         };
-        let now = self.state.now;
-        while let Some(&Reverse((at, p))) = self.retry_heap.peek() {
+        let now = self.core.state.now;
+        while let Some(&Reverse((at, p))) = self.core.retry_heap.peek() {
             if at > now {
                 break;
             }
-            self.retry_heap.pop();
+            self.core.retry_heap.pop();
             let pi = p as usize;
-            self.retry_pending[pi] = false;
-            if self.report.packets[pi].covered_at.is_some() {
+            self.core.retry_pending[pi] = false;
+            if self.core.report.packets[pi].covered_at.is_some() {
                 continue;
             }
             // With a deferred-injection plan the source may not hold a
             // not-yet-injected packet; a retry can only re-queue copies
             // the source actually has (always true for the default plan).
-            if self.state.has(SOURCE, p) && !self.state.queues[SOURCE.index()].contains(p) {
-                self.state.queue_push(SOURCE, p, now);
-                self.report.source_retries += 1;
+            if self.core.state.has(SOURCE, p) && !self.core.state.queues[SOURCE.index()].contains(p)
+            {
+                self.core.state.queue_push(SOURCE, p, now);
+                self.core.report.source_retries += 1;
                 if O::ENABLED {
                     self.obs.on_event(&SimEvent::SourceRetry {
                         slot: now,
@@ -766,10 +774,12 @@ impl<P: FloodingProtocol, O: SimObserver, F: FaultPlan, Pr: SimProfiler> Engine<
                 }
             }
             // Re-arm with exponential backoff (capped) until covered.
-            let shift = self.retry_attempts[pi].min(6);
-            self.retry_attempts[pi] += 1;
-            self.retry_pending[pi] = true;
-            self.retry_heap.push(Reverse((now + (base << shift), p)));
+            let shift = self.core.retry_attempts[pi].min(6);
+            self.core.retry_attempts[pi] += 1;
+            self.core.retry_pending[pi] = true;
+            self.core
+                .retry_heap
+                .push(Reverse((now + (base << shift), p)));
         }
     }
 
@@ -793,7 +803,7 @@ impl<P: FloodingProtocol, O: SimObserver, F: FaultPlan, Pr: SimProfiler> Engine<
     /// Advance one slot. Returns `false` once the run has terminated
     /// (all packets covered, or `max_slots` reached).
     pub fn step(&mut self) -> bool {
-        if self.report.all_covered() || self.state.now >= self.state.cfg.max_slots {
+        if self.core.report.all_covered() || self.core.state.now >= self.core.state.cfg.max_slots {
             return false;
         }
         // Profiling timestamp chain: `t_slot` anchors the whole slot,
@@ -803,12 +813,12 @@ impl<P: FloodingProtocol, O: SimObserver, F: FaultPlan, Pr: SimProfiler> Engine<
         // profiler's own recording, the caller's loop — lands in this
         // slot's Injection phase instead of vanishing unattributed.
         let t_slot = if Pr::ENABLED {
-            Some(self.slot_anchor.take().unwrap_or_else(Instant::now))
+            Some(self.core.slot_anchor.take().unwrap_or_else(Instant::now))
         } else {
             None
         };
         let mut t_chain = t_slot;
-        if self.state.now == 0 {
+        if self.core.state.now == 0 {
             if O::ENABLED {
                 // Dump every node's working schedule up front so a trace
                 // is self-contained: consumers (forensics) can tell a
@@ -816,9 +826,9 @@ impl<P: FloodingProtocol, O: SimObserver, F: FaultPlan, Pr: SimProfiler> Engine<
                 // starved. Schedules only change after construction when
                 // a fault plan's churn reboots a node (such traces are
                 // not forensics-compatible).
-                for ni in 0..self.state.n_nodes() {
+                for ni in 0..self.core.state.n_nodes() {
                     let node = NodeId::from(ni);
-                    let sched = self.state.schedules.schedule(node);
+                    let sched = self.core.state.schedules.schedule(node);
                     for &offset in sched.active_slots() {
                         self.obs.on_event(&SimEvent::ScheduleSlot {
                             slot: 0,
@@ -832,8 +842,8 @@ impl<P: FloodingProtocol, O: SimObserver, F: FaultPlan, Pr: SimProfiler> Engine<
                 // workloads) so a trace carries every packet's origin.
                 // The observer attaches after construction, which is why
                 // these are emitted here and not at build time.
-                for i in 0..self.start_injections.len() {
-                    let (packet, node) = self.start_injections[i];
+                for i in 0..self.core.start_injections.len() {
+                    let (packet, node) = self.core.start_injections[i];
                     self.obs.on_event(&SimEvent::PacketInjected {
                         slot: 0,
                         node,
@@ -843,33 +853,33 @@ impl<P: FloodingProtocol, O: SimObserver, F: FaultPlan, Pr: SimProfiler> Engine<
             }
             if F::ENABLED {
                 self.faults.on_start(
-                    self.state.n_nodes(),
-                    self.state.cfg.period,
-                    self.state.cfg.active_per_period,
+                    self.core.state.n_nodes(),
+                    self.core.state.cfg.period,
+                    self.core.state.cfg.active_per_period,
                 );
             }
-            self.protocol.on_start(&self.state);
+            self.protocol.on_start(&self.core.state);
         }
 
         // --- deferred injections (periodic / staged workloads) ---------------
         // Empty for the default plan, so single-source runs skip this
         // entirely (no RNG draws, no events: pinned traces are unchanged).
-        while self.next_injection < self.pending_injections.len() {
-            let (slot, p, origin) = self.pending_injections[self.next_injection];
-            if slot > self.state.now {
+        while self.core.next_injection < self.core.pending_injections.len() {
+            let (slot, p, origin) = self.core.pending_injections[self.core.next_injection];
+            if slot > self.core.state.now {
                 break;
             }
-            self.next_injection += 1;
-            let now = self.state.now;
-            self.state.grant(origin, p);
-            self.state.queue_push(origin, p, now);
-            self.report.record_injection(p, now);
-            self.state.injected += 1;
+            self.core.next_injection += 1;
+            let now = self.core.state.now;
+            self.core.state.grant(origin, p);
+            self.core.state.queue_push(origin, p, now);
+            self.core.report.record_injection(p, now);
+            self.core.state.injected += 1;
             if origin != SOURCE {
                 let pi = p as usize;
-                self.state.holders[pi] += 1;
-                if self.state.holders[pi] >= self.state.coverage_target {
-                    self.report.record_coverage(p, now);
+                self.core.state.holders[pi] += 1;
+                if self.core.state.holders[pi] >= self.core.state.coverage_target {
+                    self.core.report.record_coverage(p, now);
                 }
             }
             if O::ENABLED {
@@ -891,9 +901,9 @@ impl<P: FloodingProtocol, O: SimObserver, F: FaultPlan, Pr: SimProfiler> Engine<
         self.phase_mark(&mut t_chain, Phase::Faults);
 
         // --- gather intents ------------------------------------------------
-        self.intents_buf.clear();
-        let mut intents = std::mem::take(&mut self.intents_buf);
-        self.protocol.propose(&self.state, &mut intents);
+        self.core.intents_buf.clear();
+        let mut intents = std::mem::take(&mut self.core.intents_buf);
+        self.protocol.propose(&self.core.state, &mut intents);
         self.phase_mark(&mut t_chain, Phase::Propose);
 
         // Residual local-sync error: each transmission independently
@@ -901,85 +911,53 @@ impl<P: FloodingProtocol, O: SimObserver, F: FaultPlan, Pr: SimProfiler> Engine<
         // sender wakes against a stale schedule estimate and emits into a
         // closed window. The transmission is spent (energy + failure) but
         // nothing is received.
-        if self.state.cfg.mistiming_prob > 0.0 {
-            let p = self.state.cfg.mistiming_prob;
-            let slot = self.state.now;
-            let report = &mut self.report;
-            let energy = &mut self.energy;
-            let rng = &mut self.rng;
-            let obs = &mut self.obs;
-            // In-place retain: the per-slot scratch Vec this used to
-            // allocate showed up in the engine profile at high duty.
-            intents.retain(|it| {
-                if rand::Rng::random::<f64>(rng) >= p {
-                    return true;
-                }
-                report.transmissions += 1;
-                report.transmission_failures += 1;
-                report.mistimed += 1;
-                report.packets[it.packet as usize].failures += 1;
-                energy.tx_slots += 1;
-                energy.failed_tx_slots += 1;
-                if O::ENABLED {
-                    obs.on_event(&SimEvent::Mistimed {
-                        slot,
-                        sender: it.sender,
-                        receiver: it.receiver,
-                        packet: it.packet,
-                    });
-                }
-                false
-            });
+        if self.core.state.cfg.mistiming_prob > 0.0 {
+            let p = self.core.state.cfg.mistiming_prob;
+            let rng = &mut self.core.rng;
+            drop_mistimed(
+                &mut intents,
+                self.core.state.now,
+                &mut self.core.report,
+                &mut self.core.energy,
+                &mut self.obs,
+                |_| rand::Rng::random::<f64>(rng) < p,
+            );
         }
 
         // Injected clock drift: the fault plan draws (from its own RNG)
         // whether each sender's accumulated skew makes it miss the
-        // rendezvous. Same bookkeeping as residual mis-sync above — the
-        // transmission is spent but nothing reaches the MAC.
+        // rendezvous. Same bookkeeping as residual mis-sync above, as a
+        // second pass: interleaving the two would reorder the
+        // `Mistimed` events a trace records.
         if F::ENABLED {
-            let slot = self.state.now;
-            let report = &mut self.report;
-            let energy = &mut self.energy;
+            let slot = self.core.state.now;
             let faults = &mut self.faults;
-            let obs = &mut self.obs;
-            intents.retain(|it| {
-                if !faults.drift_miss(it.sender, slot) {
-                    return true;
-                }
-                report.transmissions += 1;
-                report.transmission_failures += 1;
-                report.mistimed += 1;
-                report.packets[it.packet as usize].failures += 1;
-                energy.tx_slots += 1;
-                energy.failed_tx_slots += 1;
-                if O::ENABLED {
-                    obs.on_event(&SimEvent::Mistimed {
-                        slot,
-                        sender: it.sender,
-                        receiver: it.receiver,
-                        packet: it.packet,
-                    });
-                }
-                false
-            });
+            drop_mistimed(
+                &mut intents,
+                slot,
+                &mut self.core.report,
+                &mut self.core.energy,
+                &mut self.obs,
+                |it| faults.drift_miss(it.sender, slot),
+            );
         }
 
         #[cfg(debug_assertions)]
         for it in &intents {
             debug_assert!(
-                self.state.has(it.sender, it.packet),
+                self.core.state.has(it.sender, it.packet),
                 "{} proposes {} it does not hold",
                 it.sender,
                 it.packet
             );
             debug_assert!(
-                self.state.is_active(it.receiver),
+                self.core.state.is_active(it.receiver),
                 "receiver {} is dormant at {}",
                 it.receiver,
-                self.state.now
+                self.core.state.now
             );
             debug_assert!(
-                self.state.topo.are_neighbors(it.sender, it.receiver),
+                self.core.state.topo.are_neighbors(it.sender, it.receiver),
                 "no link {} -> {}",
                 it.sender,
                 it.receiver
@@ -988,15 +966,15 @@ impl<P: FloodingProtocol, O: SimObserver, F: FaultPlan, Pr: SimProfiler> Engine<
         self.phase_mark(&mut t_chain, Phase::Sync);
 
         // --- resolve through the MAC ---------------------------------------
-        let now = self.state.now;
-        let schedules = &self.state.schedules;
-        let have = &self.state.have;
-        let packet_words = self.state.packet_words;
-        let down = &self.state.down;
+        let now = self.core.state.now;
+        let schedules = &self.core.state.schedules;
+        let have = &self.core.state.have;
+        let packet_words = self.core.state.packet_words;
+        let down = &self.core.state.down;
         let faults = &mut self.faults;
-        let mut res = std::mem::take(&mut self.res_buf);
+        let mut res = std::mem::take(&mut self.core.res_buf);
         mac::resolve_slot_into(
-            &self.state.topo,
+            &self.core.state.topo,
             &intents,
             self.protocol.overhearing(),
             |r| schedules.is_active(r, now) && (!F::ENABLED || !bitset::test_bit(down, r.index())),
@@ -1008,16 +986,16 @@ impl<P: FloodingProtocol, O: SimObserver, F: FaultPlan, Pr: SimProfiler> Engine<
                     base
                 }
             },
-            &mut self.rng,
-            &mut self.mac_scratch,
+            &mut self.core.rng,
+            &mut self.core.mac_scratch,
             &mut res,
         );
         self.phase_mark(&mut t_chain, Phase::Mac);
 
         // --- apply outcomes -------------------------------------------------
-        self.report.transmissions += res.transmitted.len() as u64;
-        self.report.deferrals += res.deferred.len() as u64;
-        self.energy.tx_slots += res.transmitted.len() as u64;
+        self.core.report.transmissions += res.transmitted.len() as u64;
+        self.core.report.deferrals += res.deferred.len() as u64;
+        self.core.energy.tx_slots += res.transmitted.len() as u64;
 
         if O::ENABLED {
             for &i in &res.committed {
@@ -1041,17 +1019,17 @@ impl<P: FloodingProtocol, O: SimObserver, F: FaultPlan, Pr: SimProfiler> Engine<
             }
         }
 
-        let mut newly_delivered = std::mem::take(&mut self.delivered_buf);
+        let mut newly_delivered = std::mem::take(&mut self.core.delivered_buf);
         newly_delivered.clear();
         for e in &res.events {
-            if e.sender == self.state.origins[e.packet as usize] {
-                self.report.record_push(e.packet, now);
+            if e.sender == self.core.state.origins[e.packet as usize] {
+                self.core.report.record_push(e.packet, now);
             }
             match e.outcome {
                 Outcome::Delivered | Outcome::Overheard => {
                     let pi = e.packet as usize;
-                    self.energy.rx_slots += 1;
-                    let fresh = !self.state.has(e.receiver, e.packet);
+                    self.core.energy.rx_slots += 1;
+                    let fresh = !self.core.state.has(e.receiver, e.packet);
                     if O::ENABLED {
                         let ev = match e.outcome {
                             Outcome::Overheard => SimEvent::Overheard {
@@ -1072,27 +1050,27 @@ impl<P: FloodingProtocol, O: SimObserver, F: FaultPlan, Pr: SimProfiler> Engine<
                         self.obs.on_event(&ev);
                     }
                     if fresh {
-                        self.state.grant(e.receiver, e.packet);
-                        self.state.queue_push(e.receiver, e.packet, now);
+                        self.core.state.grant(e.receiver, e.packet);
+                        self.core.state.queue_push(e.receiver, e.packet, now);
                         newly_delivered.push((e.receiver, e.packet));
                         if e.receiver != SOURCE {
-                            self.state.holders[pi] += 1;
-                            if self.state.holders[pi] >= self.state.coverage_target {
-                                if O::ENABLED && self.report.packets[pi].covered_at.is_none() {
+                            self.core.state.holders[pi] += 1;
+                            if self.core.state.holders[pi] >= self.core.state.coverage_target {
+                                if O::ENABLED && self.core.report.packets[pi].covered_at.is_none() {
                                     self.obs.on_event(&SimEvent::CoverageReached {
                                         slot: now,
                                         packet: e.packet,
-                                        holders: self.state.holders[pi],
+                                        holders: self.core.state.holders[pi],
                                     });
                                 }
-                                self.report.record_coverage(e.packet, now);
+                                self.core.report.record_coverage(e.packet, now);
                             }
                         }
-                        let st = &mut self.report.packets[pi];
+                        let st = &mut self.core.report.packets[pi];
                         match e.outcome {
                             Outcome::Overheard => {
                                 st.overhears += 1;
-                                self.report.overhears += 1;
+                                self.core.report.overhears += 1;
                             }
                             _ => st.deliveries += 1,
                         }
@@ -1100,11 +1078,11 @@ impl<P: FloodingProtocol, O: SimObserver, F: FaultPlan, Pr: SimProfiler> Engine<
                     // Duplicate deliveries cost energy but change nothing.
                 }
                 o if o.is_failure() => {
-                    self.report.transmission_failures += 1;
-                    self.report.packets[e.packet as usize].failures += 1;
-                    self.energy.failed_tx_slots += 1;
+                    self.core.report.transmission_failures += 1;
+                    self.core.report.packets[e.packet as usize].failures += 1;
+                    self.core.energy.failed_tx_slots += 1;
                     if o == Outcome::Collision {
-                        self.report.collisions += 1;
+                        self.core.report.collisions += 1;
                     }
                     if O::ENABLED {
                         let ev = match o {
@@ -1156,9 +1134,10 @@ impl<P: FloodingProtocol, O: SimObserver, F: FaultPlan, Pr: SimProfiler> Engine<
         // "all neighbors hold it" is a word-wise subset test of the
         // adjacency row against the packet's possession row.
         for &(r, p) in &newly_delivered {
-            let nw = self.state.node_words;
-            let holders = &self.state.holder_bits[p as usize * nw..][..nw];
+            let nw = self.core.state.node_words;
+            let holders = &self.core.state.holder_bits[p as usize * nw..][..nw];
             for u in self
+                .core
                 .state
                 .topo
                 .neighbors(r)
@@ -1167,12 +1146,13 @@ impl<P: FloodingProtocol, O: SimObserver, F: FaultPlan, Pr: SimProfiler> Engine<
                 .chain(std::iter::once(r))
             {
                 let ui = u.index();
-                if !self.state.queues[ui].contains(p) {
+                if !self.core.state.queues[ui].contains(p) {
                     continue;
                 }
-                let exhausted = match self.state.topo.neighbor_words(u) {
+                let exhausted = match self.core.state.topo.neighbor_words(u) {
                     Some(adj) => adj.iter().zip(holders).all(|(adj, have)| adj & !have == 0),
                     None => self
+                        .core
                         .state
                         .topo
                         .neighbors(u)
@@ -1180,30 +1160,31 @@ impl<P: FloodingProtocol, O: SimObserver, F: FaultPlan, Pr: SimProfiler> Engine<
                         .all(|&(v, _)| bitset::test_bit(holders, v.index())),
                 };
                 if exhausted {
-                    self.state.queues[ui].remove(p);
-                    if self.state.queues[ui].is_empty() {
-                        bitset::clear_bit(&mut self.state.work, ui);
+                    self.core.state.queues[ui].remove(p);
+                    if self.core.state.queues[ui].is_empty() {
+                        bitset::clear_bit(&mut self.core.state.work, ui);
                     }
                 }
             }
         }
 
-        self.protocol.on_events(&self.state, &res.events);
+        self.protocol.on_events(&self.core.state, &res.events);
         self.phase_mark(&mut t_chain, Phase::Prune);
 
         // --- energy for scheduled duty cycling -------------------------------
         // Crashed nodes draw no power: they count as asleep, keeping the
         // ledger identity `active + sleep == slots * n` under churn.
-        let n = self.state.n_nodes() as u64;
+        let n = self.core.state.n_nodes() as u64;
         let active_now = if F::ENABLED {
-            let down = &self.state.down;
-            match self.state.schedules.active_words(now) {
+            let down = &self.core.state.down;
+            match self.core.state.schedules.active_words(now) {
                 Some(active) => active
                     .iter()
                     .zip(down)
                     .map(|(a, d)| (a & !d).count_ones() as u64)
                     .sum(),
                 None => self
+                    .core
                     .state
                     .schedules
                     .all_active(now)
@@ -1211,13 +1192,13 @@ impl<P: FloodingProtocol, O: SimObserver, F: FaultPlan, Pr: SimProfiler> Engine<
                     .count() as u64,
             }
         } else {
-            self.state.schedules.active_count(now) as u64
+            self.core.state.schedules.active_count(now) as u64
         };
-        self.energy.active_slots += active_now;
-        self.energy.sleep_slots += n - active_now;
+        self.core.energy.active_slots += active_now;
+        self.core.energy.sleep_slots += n - active_now;
 
         if O::ENABLED {
-            let queued: u64 = self.state.queues.iter().map(|q| q.len() as u64).sum();
+            let queued: u64 = self.core.state.queues.iter().map(|q| q.len() as u64).sum();
             self.obs.on_event(&SimEvent::SlotEnd {
                 slot: now,
                 queued,
@@ -1225,11 +1206,11 @@ impl<P: FloodingProtocol, O: SimObserver, F: FaultPlan, Pr: SimProfiler> Engine<
             });
         }
 
-        self.state.now += 1;
-        self.report.slots_elapsed = self.state.now;
-        self.intents_buf = intents;
-        self.res_buf = res;
-        self.delivered_buf = newly_delivered;
+        self.core.state.now += 1;
+        self.core.report.slots_elapsed = self.core.state.now;
+        self.core.intents_buf = intents;
+        self.core.res_buf = res;
+        self.core.delivered_buf = newly_delivered;
         if Pr::ENABLED {
             // One final clock read closes both the Energy phase and the
             // whole slot, so phase times sum to the slot total exactly.
@@ -1243,10 +1224,10 @@ impl<P: FloodingProtocol, O: SimObserver, F: FaultPlan, Pr: SimProfiler> Engine<
             }
             if let Some(start) = t_slot {
                 self.profiler
-                    .slot_end(t.duration_since(start).as_nanos() as u64 + self.skip_carry_ns);
-                self.skip_carry_ns = 0;
+                    .slot_end(t.duration_since(start).as_nanos() as u64 + self.core.skip_carry_ns);
+                self.core.skip_carry_ns = 0;
             }
-            self.slot_anchor = Some(t);
+            self.core.slot_anchor = Some(t);
         }
         true
     }
@@ -1271,77 +1252,83 @@ impl<P: FloodingProtocol, O: SimObserver, F: FaultPlan, Pr: SimProfiler> Engine<
     /// rendezvous slot found may turn out idle (the awake neighbor
     /// already holds everything), but never the other way around.
     fn maybe_skip(&mut self) {
-        if self.report.all_covered() {
+        if self.core.report.all_covered() {
             return;
         }
         // Quiet gate: only skip out of a dead configuration. A slot
         // that proposed or delivered anything may have re-armed
         // protocol state (backoffs) or coverage; the next slot must be
         // dispatched normally.
-        if !self.intents_buf.is_empty() || !self.res_buf.events.is_empty() {
+        if !self.core.intents_buf.is_empty() || !self.core.res_buf.events.is_empty() {
             return;
         }
         // Heterogeneous periods: no wake calendar, no rendezvous query
         // — degrade to plain slot stepping.
-        if !self.state.schedules.has_calendar() {
+        if !self.core.state.schedules.has_calendar() {
             return;
         }
-        let now = self.state.now;
+        let now = self.core.state.now;
         // Externally scheduled state changes bound the skip: their slot
         // must be dispatched, never jumped past.
-        let mut bound = self.state.cfg.max_slots;
-        if let Some(&(slot, _, _)) = self.pending_injections.get(self.next_injection) {
+        let mut bound = self.core.state.cfg.max_slots;
+        if let Some(&(slot, _, _)) = self.core.pending_injections.get(self.core.next_injection) {
             bound = bound.min(slot);
         }
         if F::ENABLED {
             bound = bound.min(self.faults.churn_horizon());
-            if let Some(&Reverse((at, _))) = self.retry_heap.peek() {
+            if let Some(&Reverse((at, _))) = self.core.retry_heap.peek() {
                 bound = bound.min(at);
             }
         }
         if bound <= now {
             return;
         }
-        let target = if self.state.work.iter().all(|&w| w == 0) {
+        let target = if self.core.state.work.iter().all(|&w| w == 0) {
             // No forwarding work anywhere: nothing can happen before
             // the next external event.
             bound
+        } else if self.core.state.work_has_awake_neighbor(now) {
+            // The rendezvous query below would answer `now`: nothing to
+            // skip. On a busy calendar most quiet slots end here, so the
+            // exact answer is had without building the reach union.
+            return;
         } else {
             // Rendezvous targets: every awake one of these could give
             // some node with work a receiver. Crashed nodes are masked
             // (never active); the mask is stable across the span
             // because churn bounds it.
-            let nw = self.state.node_words;
-            let mut targets = std::mem::take(&mut self.reach_buf);
-            let mut summary = std::mem::take(&mut self.reach_summary_buf);
+            let nw = self.core.state.node_words;
+            let mut targets = std::mem::take(&mut self.core.reach_buf);
+            let mut summary = std::mem::take(&mut self.core.reach_summary_buf);
             targets.clear();
             targets.resize(nw, 0);
-            for u in self.state.nodes_with_work() {
-                match self.state.topo.neighbor_words(u) {
+            for u in self.core.state.nodes_with_work() {
+                match self.core.state.topo.neighbor_words(u) {
                     Some(row) => {
                         for k in 0..nw {
                             targets[k] |= row[k];
                         }
                     }
                     None => {
-                        for &(v, _) in self.state.topo.neighbors(u) {
+                        for &(v, _) in self.core.state.topo.neighbors(u) {
                             bitset::set_bit(&mut targets, v.index());
                         }
                     }
                 }
             }
-            for (t, d) in targets.iter_mut().zip(&self.state.down) {
+            for (t, d) in targets.iter_mut().zip(&self.core.state.down) {
                 *t &= !d;
             }
             summary.clear();
             summary.resize(bitset::words_for(nw), 0);
             bitset::summarize_into(&targets, &mut summary);
             let rendezvous = self
+                .core
                 .state
                 .schedules
                 .next_rendezvous(now, &targets, &summary);
-            self.reach_buf = targets;
-            self.reach_summary_buf = summary;
+            self.core.reach_buf = targets;
+            self.core.reach_summary_buf = summary;
             match rendezvous {
                 Some(t) => t.min(bound),
                 // No offset of the whole period wakes a target: the
@@ -1362,28 +1349,29 @@ impl<P: FloodingProtocol, O: SimObserver, F: FaultPlan, Pr: SimProfiler> Engine<
             // dispatch follows) stays unattributed, like the tail past
             // any run's last `slot_end`.
             let t = Instant::now();
-            if let Some(prev) = self.slot_anchor.replace(t) {
-                if target < self.state.cfg.max_slots {
+            if let Some(prev) = self.core.slot_anchor.replace(t) {
+                if target < self.core.state.cfg.max_slots {
                     let dt = t.duration_since(prev).as_nanos() as u64;
                     self.profiler.record(Phase::IdleSkip, dt);
-                    self.skip_carry_ns += dt;
+                    self.core.skip_carry_ns += dt;
                 }
             }
         }
     }
 
-    /// Book every slot in `[self.state.now, to)` exactly as dispatching
+    /// Book every slot in `[self.core.state.now, to)` exactly as dispatching
     /// it dead would have: duty-cycle energy (crashed nodes asleep),
     /// one `SlotEnd` per slot when observed, and the slot counters.
     /// Without an observer the span aggregates per calendar offset —
     /// O(period × words) however long the jump.
     fn settle_idle_span(&mut self, to: u64) {
-        let from = self.state.now;
+        let from = self.core.state.now;
         debug_assert!(to > from);
-        let n = self.state.n_nodes() as u64;
-        let down = &self.state.down;
+        let n = self.core.state.n_nodes() as u64;
+        let down = &self.core.state.down;
         let active_at = |t: u64| -> u64 {
             let row = self
+                .core
                 .state
                 .schedules
                 .active_words(t)
@@ -1395,11 +1383,11 @@ impl<P: FloodingProtocol, O: SimObserver, F: FaultPlan, Pr: SimProfiler> Engine<
         };
         if O::ENABLED {
             // Queue contents are frozen across a dead span.
-            let queued: u64 = self.state.queues.iter().map(|q| q.len() as u64).sum();
+            let queued: u64 = self.core.state.queues.iter().map(|q| q.len() as u64).sum();
             for t in from..to {
                 let active_now = active_at(t);
-                self.energy.active_slots += active_now;
-                self.energy.sleep_slots += n - active_now;
+                self.core.energy.active_slots += active_now;
+                self.core.energy.sleep_slots += n - active_now;
                 self.obs.on_event(&SimEvent::SlotEnd {
                     slot: t,
                     queued,
@@ -1412,6 +1400,7 @@ impl<P: FloodingProtocol, O: SimObserver, F: FaultPlan, Pr: SimProfiler> Engine<
             // any span length.
             let span = to - from;
             let period = self
+                .core
                 .state
                 .schedules
                 .calendar_period()
@@ -1423,11 +1412,11 @@ impl<P: FloodingProtocol, O: SimObserver, F: FaultPlan, Pr: SimProfiler> Engine<
                 let occ = full + u64::from(i < rem);
                 active_total += active_at(from + i) * occ;
             }
-            self.energy.active_slots += active_total;
-            self.energy.sleep_slots += n * span - active_total;
+            self.core.energy.active_slots += active_total;
+            self.core.energy.sleep_slots += n * span - active_total;
         }
-        self.state.now = to;
-        self.report.slots_elapsed = to;
+        self.core.state.now = to;
+        self.core.report.slots_elapsed = to;
     }
 
     /// Run to termination and return the report.
@@ -1440,7 +1429,7 @@ impl<P: FloodingProtocol, O: SimObserver, F: FaultPlan, Pr: SimProfiler> Engine<
     /// (a [`ldcf_obs::JsonlSink`] to flush, a
     /// [`ldcf_obs::MetricsObserver`] to snapshot, ...).
     pub fn run_traced(mut self) -> (SimReport, EnergyLedger, O) {
-        match self.kind {
+        match self.core.kind {
             EngineKind::Slot => while self.step() {},
             EngineKind::Event => {
                 // Slot 0 is always dispatched (protocol/fault/observer
@@ -1453,11 +1442,12 @@ impl<P: FloodingProtocol, O: SimObserver, F: FaultPlan, Pr: SimProfiler> Engine<
             }
         }
         // Final holder counts.
-        for p in 0..self.state.cfg.n_packets {
-            self.report.packets[p as usize].final_holders = self.state.holders[p as usize];
+        for p in 0..self.core.state.cfg.n_packets {
+            self.core.report.packets[p as usize].final_holders =
+                self.core.state.holders[p as usize];
         }
         self.obs.on_finish();
-        (self.report, self.energy, self.obs)
+        (self.core.report, self.core.energy, self.obs)
     }
 }
 
@@ -1952,10 +1942,10 @@ mod tests {
     ) {
         let (ra, ea, oa) = mk()
             .with_observer(crate::VecObserver::default())
+            .with_engine_kind(EngineKind::Slot)
             .run_traced();
         let (rb, eb, ob) = mk()
             .with_observer(crate::VecObserver::default())
-            .with_engine_kind(EngineKind::Event)
             .run_traced();
         assert_eq!(
             serde_json::to_string(&ra).unwrap(),

@@ -206,63 +206,6 @@ pub enum Overhearing {
     Enabled,
 }
 
-/// Resolve one slot's transmission intents.
-///
-/// `is_active(r)` tells whether node `r` can receive this slot (own
-/// active slot, per its working schedule); `wants(r, p)` tells whether
-/// node `r` still lacks packet `p` (used for overhearing).
-pub fn resolve_slot<R: Rng + ?Sized>(
-    topo: &Topology,
-    intents: &[TxIntent],
-    overhearing: Overhearing,
-    is_active: impl FnMut(NodeId) -> bool,
-    wants: impl FnMut(NodeId, PacketId) -> bool,
-    rng: &mut R,
-) -> SlotResolution {
-    resolve_slot_with(
-        topo,
-        intents,
-        overhearing,
-        is_active,
-        wants,
-        |_, _, base| base,
-        rng,
-    )
-}
-
-/// [`resolve_slot`] with a per-link PRR override hook.
-///
-/// `link_prr(sender, receiver, base)` returns the effective PRR to use
-/// for each loss draw, given the topology's static `base` PRR — fault
-/// injection modulates links here (burst loss, episodic degradation)
-/// without touching the draw count or order, so a hook returning `base`
-/// reproduces [`resolve_slot`] exactly.
-#[allow(clippy::too_many_arguments)]
-pub fn resolve_slot_with<R: Rng + ?Sized>(
-    topo: &Topology,
-    intents: &[TxIntent],
-    overhearing: Overhearing,
-    is_active: impl FnMut(NodeId) -> bool,
-    wants: impl FnMut(NodeId, PacketId) -> bool,
-    link_prr: impl FnMut(NodeId, NodeId, f64) -> f64,
-    rng: &mut R,
-) -> SlotResolution {
-    let mut scratch = MacScratch::default();
-    let mut res = SlotResolution::default();
-    resolve_slot_into(
-        topo,
-        intents,
-        overhearing,
-        is_active,
-        wants,
-        link_prr,
-        rng,
-        &mut scratch,
-        &mut res,
-    );
-    res
-}
-
 /// Resolve one slot's intents into `res`, reusing `scratch` — the
 /// engine's hot path.
 ///
@@ -730,7 +673,31 @@ mod tests {
         seed: u64,
     ) -> SlotResolution {
         let mut rng = StdRng::seed_from_u64(seed);
-        resolve_slot(topo, intents, over, |_| true, |_, _| true, &mut rng)
+        resolve_with(topo, intents, over, |_| true, |_, _| true, &mut rng)
+    }
+
+    /// [`resolve_slot_into`] into fresh buffers, static link PRRs.
+    fn resolve_with(
+        topo: &Topology,
+        intents: &[TxIntent],
+        over: Overhearing,
+        is_active: impl FnMut(NodeId) -> bool,
+        wants: impl FnMut(NodeId, PacketId) -> bool,
+        rng: &mut StdRng,
+    ) -> SlotResolution {
+        let mut res = SlotResolution::default();
+        resolve_slot_into(
+            topo,
+            intents,
+            over,
+            is_active,
+            wants,
+            |_, _, base| base,
+            rng,
+            &mut MacScratch::default(),
+            &mut res,
+        );
+        res
     }
 
     #[test]
@@ -821,7 +788,7 @@ mod tests {
         let topo = Topology::complete(3, LinkQuality::PERFECT);
         let mut rng = StdRng::seed_from_u64(1);
         // Node 2 already has the packet -> no overhear event.
-        let res = resolve_slot(
+        let res = resolve_with(
             &topo,
             &[intent(0, 1, 7, 0)],
             Overhearing::Enabled,
@@ -831,7 +798,7 @@ mod tests {
         );
         assert_eq!(res.events.len(), 1);
         // Node 2 dormant -> no overhear event.
-        let res = resolve_slot(
+        let res = resolve_with(
             &topo,
             &[intent(0, 1, 7, 0)],
             Overhearing::Enabled,

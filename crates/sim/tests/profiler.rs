@@ -3,7 +3,9 @@
 //! outcome (same RNG stream, same report, same energy ledger).
 
 use ldcf_net::{LinkQuality, NodeId, Topology};
-use ldcf_sim::{Engine, FloodingProtocol, Phase, PhaseProfiler, SimConfig, SimState, TxIntent};
+use ldcf_sim::{
+    Engine, EngineKind, FloodingProtocol, Phase, PhaseProfiler, SimConfig, SimState, TxIntent,
+};
 
 /// A minimal correct protocol (mirror of the engine's unit-test flood):
 /// every node holding a packet unicasts the FCFS-first packet some
@@ -60,7 +62,10 @@ fn cfg(m: u32) -> SimConfig {
 fn phase_times_sum_to_slot_total_exactly() {
     let topo = Topology::grid(5, 5, LinkQuality::new(0.8));
     let mut prof = PhaseProfiler::new();
+    // The slot-stepped oracle dispatches every slot, so the profile's
+    // slot count (dispatched slots) equals the slots elapsed.
     let (report, _) = Engine::new(topo, cfg(4), GreedyFlood)
+        .with_engine_kind(EngineKind::Slot)
         .with_profiler(&mut prof)
         .run();
     assert!(report.all_covered());
@@ -108,7 +113,6 @@ fn event_engine_phase_times_still_telescope() {
     };
     let mut prof = PhaseProfiler::new();
     let (report, _) = Engine::new(topo.clone(), c.clone(), GreedyFlood)
-        .with_engine_kind(ldcf_sim::EngineKind::Event)
         .with_profiler(&mut prof)
         .run();
     assert!(report.all_covered());
@@ -136,7 +140,9 @@ fn event_engine_phase_times_still_telescope() {
     }
     // Profiling the event engine changes no outcome either: same
     // report as the unprofiled slot-stepped reference.
-    let (reference, _) = Engine::new(topo, c, GreedyFlood).run();
+    let (reference, _) = Engine::new(topo, c, GreedyFlood)
+        .with_engine_kind(EngineKind::Slot)
+        .run();
     assert_eq!(report.slots_elapsed, reference.slots_elapsed);
     assert_eq!(report.transmissions, reference.transmissions);
     assert_eq!(
@@ -148,9 +154,12 @@ fn event_engine_phase_times_still_telescope() {
 #[test]
 fn profiling_does_not_change_outcomes() {
     let topo = Topology::grid(4, 4, LinkQuality::new(0.8));
-    let (plain, plain_energy) = Engine::new(topo.clone(), cfg(4), GreedyFlood).run();
+    let (plain, plain_energy) = Engine::new(topo.clone(), cfg(4), GreedyFlood)
+        .with_engine_kind(EngineKind::Slot)
+        .run();
     let mut prof = PhaseProfiler::new();
     let (profiled, profiled_energy) = Engine::new(topo, cfg(4), GreedyFlood)
+        .with_engine_kind(EngineKind::Slot)
         .with_profiler(&mut prof)
         .run();
     // Profiling reads clocks but never touches state or RNG: outcomes
@@ -175,10 +184,13 @@ fn lent_profilers_merge_across_runs() {
     // Two runs into two profilers, merged; versus both runs into one.
     let mut a = PhaseProfiler::new();
     let mut b = PhaseProfiler::new();
+    // Slot-stepped, so every elapsed slot is a dispatched, profiled one.
     let (ra, _) = Engine::new(topo.clone(), cfg(2), GreedyFlood)
+        .with_engine_kind(EngineKind::Slot)
         .with_profiler(&mut a)
         .run();
     let (rb, _) = Engine::new(topo, SimConfig { seed: 43, ..cfg(2) }, GreedyFlood)
+        .with_engine_kind(EngineKind::Slot)
         .with_profiler(&mut b)
         .run();
     a.merge(&b);

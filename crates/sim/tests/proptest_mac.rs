@@ -2,8 +2,8 @@
 
 use ldcf_net::{LinkQuality, NodeId, PacketId, Topology};
 use ldcf_sim::mac::{
-    resolve_slot, resolve_slot_into, resolve_slot_reference, MacScratch, Outcome, Overhearing,
-    SlotResolution, TxIntent,
+    resolve_slot_into, resolve_slot_reference, MacScratch, Outcome, Overhearing, SlotResolution,
+    TxIntent,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -55,12 +55,13 @@ proptest! {
     #[test]
     fn mac_invariants((topo, intents) in arb_case(), seed in 0u64..1000) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let res = resolve_slot(
+        let res = resolve_slot_reference(
             &topo,
             &intents,
             Overhearing::Enabled,
             |_| true,
             |_, _| true,
+            |_, _, base| base,
             &mut rng,
         );
 
@@ -189,8 +190,14 @@ proptest! {
                 bypass_mac: false,
             });
         }
-        let res = resolve_slot(
-            &topo, &intents, Overhearing::Disabled, |_| true, |_, _| true, &mut rng,
+        let res = resolve_slot_reference(
+            &topo,
+            &intents,
+            Overhearing::Disabled,
+            |_| true,
+            |_, _| true,
+            |_, _, base| base,
+            &mut rng,
         );
         // Complete graph: carrier sense serialises everything to exactly
         // one transmission, which must deliver.
