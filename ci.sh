@@ -26,6 +26,8 @@
 #                  byte-identity of campaign-stats.md / campaign.json
 #   service        campaign job server smoke (submit/fetch/dedupe)
 #   bench-compile  criterion benches compile
+#   benchmark      benchmark/ harness tests + test-size workloads
+#                  (outcome digests vs benchmark/expected.json)
 #
 # Per-stage wall-clock durations are printed to stderr at the end, and
 # appended as a markdown table to $GITHUB_STEP_SUMMARY when that is set
@@ -39,7 +41,7 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 STAGES=(fmt clippy shellcheck build test alloc-gate artefacts forensics
-    bintrace perf digests campaign stats service bench-compile)
+    bintrace perf digests campaign stats service bench-compile benchmark)
 
 ART_DIR="$(mktemp -d)"
 SRV_PID=""
@@ -276,6 +278,13 @@ stage_service() {
 stage_bench_compile() {
     step "criterion benches compile"
     cargo bench --workspace --no-run
+}
+
+stage_benchmark() {
+    step "benchmark harness tests + test-size workloads (pinned outcome digests)"
+    # The benchmark is a package of its own (own workspace and lock
+    # file), so the workspace stages above never build or test it.
+    cargo test -q --manifest-path benchmark/Cargo.toml
 }
 
 run_stage() {

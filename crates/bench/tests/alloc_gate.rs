@@ -4,8 +4,8 @@
 //! and the engine is stepped manually: warm-up slots first (first-touch
 //! buffer growth, schedule draws, protocol state), then a measured
 //! window in which the allocation counter must not move at all for
-//! every protocol (OPT / DBAO / OF / naive), clean and under
-//! burst+drift faults. Churn is the one sanctioned exception — a
+//! every protocol (OPT / DBAO / OF / naive, and OPT again without the
+//! dense adjacency rows), clean and under burst+drift faults. Churn is the one sanctioned exception — a
 //! rebooted node redraws its working schedule — so the churn window
 //! asserts a small amortized budget instead of zero.
 //!
@@ -35,9 +35,12 @@ const MIN_MEASURED: u64 = 80;
 /// Upper cap on the measured window, so one case can't run away.
 const MEASURE_CAP: u64 = 2_000;
 
-fn grid_cfg() -> (Topology, SimConfig) {
-    let topo = Topology::grid(12, 12, LinkQuality::new(0.85));
-    let cfg = SimConfig {
+fn grid() -> Topology {
+    Topology::grid(12, 12, LinkQuality::new(0.85))
+}
+
+fn grid_cfg() -> SimConfig {
+    SimConfig {
         period: 20,
         active_per_period: 1,
         n_packets: 24,
@@ -45,8 +48,7 @@ fn grid_cfg() -> (Topology, SimConfig) {
         max_slots: 1_000_000,
         seed: 7,
         mistiming_prob: 0.0,
-    };
-    (topo, cfg)
+    }
 }
 
 /// Step the engine through warm-up, then count heap allocations over
@@ -107,8 +109,8 @@ fn churn_faults(seed: u64) -> FaultConfig {
     fc
 }
 
-fn gate_protocol<P: FloodingProtocol>(name: &str, mk: impl Fn() -> P) {
-    let (topo, cfg) = grid_cfg();
+fn gate_protocol<P: FloodingProtocol>(name: &str, topo: Topology, mk: impl Fn() -> P) {
+    let cfg = grid_cfg();
 
     // Clean: the PR contract — zero heap allocations per slot.
     let (delta, slots) = steady_state_allocs(Engine::new(topo.clone(), cfg.clone(), mk()));
@@ -141,8 +143,11 @@ fn gate_protocol<P: FloodingProtocol>(name: &str, mk: impl Fn() -> P) {
 
 #[test]
 fn hot_path_is_allocation_free_for_every_protocol() {
-    gate_protocol("opt", Opt::new);
-    gate_protocol("dbao", Dbao::new);
-    gate_protocol("of", OpportunisticFlooding::new);
-    gate_protocol("naive", NaiveFlood::new);
+    gate_protocol("opt", grid(), Opt::new);
+    // Without the dense adjacency rows — the large-network layout —
+    // OPT's frontier scan and the MAC take their adjacency-list paths.
+    gate_protocol("opt/list-only", grid().without_dense_mirror(), Opt::new);
+    gate_protocol("dbao", grid(), Dbao::new);
+    gate_protocol("of", grid(), OpportunisticFlooding::new);
+    gate_protocol("naive", grid(), NaiveFlood::new);
 }

@@ -53,7 +53,14 @@ fn ci_workflow_parses_and_fans_out_over_the_stages() {
     assert!(text.contains("actions/cache@v4"));
     assert!(text.contains("hashFiles('**/Cargo.lock')"));
     assert!(text.contains("restore-keys:"));
-    for key in ["lint-", "test-", "artefacts-", "perf-", "campaign-"] {
+    for key in [
+        "lint-",
+        "test-",
+        "artefacts-",
+        "perf-",
+        "campaign-",
+        "benchmark-",
+    ] {
         assert!(
             text.contains(&format!("key: {key}")),
             "ci.yml: cache key prefix `{key}` missing"
@@ -68,6 +75,7 @@ fn ci_workflow_parses_and_fans_out_over_the_stages() {
         "./ci.sh build artefacts forensics bintrace",
         "./ci.sh build perf digests",
         "./ci.sh build campaign stats service",
+        "./ci.sh benchmark",
     ] {
         assert!(
             text.contains(invocation),
@@ -97,6 +105,7 @@ fn ci_script_carries_the_load_bearing_gates() {
         "stats",
         "service",
         "bench-compile",
+        "benchmark",
     ] {
         let fn_name = format!("stage_{}()", stage.replace('-', "_"));
         assert!(text.contains(&fn_name), "ci.sh: {fn_name} missing");
@@ -112,6 +121,7 @@ fn ci_script_carries_the_load_bearing_gates() {
     assert!(text.contains("fig9 --quick --profile"));
     assert!(text.contains("--validate-profile"));
     assert!(text.contains("--test alloc_gate"));
+    assert!(text.contains("cargo test -q --manifest-path benchmark/Cargo.toml"));
     assert!(text.contains("--no-progress"));
     assert!(text.contains("campaign-telemetry.jsonl"));
     // The statistics stage: thousand-seed rerun + checkpoint recompute

@@ -21,9 +21,13 @@ pub struct Opt {
     /// Scratch, reused across slots: candidate receptions
     /// (prr, receiver, sender, packet).
     candidates: Vec<(f64, NodeId, NodeId, PacketId)>,
-    /// Scratch: senders already matched this slot, packed.
+    /// Scratch: injected packets still short of coverage, ascending.
+    live: Vec<PacketId>,
+    /// Scratch: senders already matched this slot, packed. All zero
+    /// between slots: `propose` clears exactly the bits it set.
     sender_busy: Vec<u64>,
-    /// Scratch: receivers already matched this slot, packed.
+    /// Scratch: receivers already matched this slot, packed; all zero
+    /// between slots like `sender_busy`.
     receiver_busy: Vec<u64>,
 }
 
@@ -31,6 +35,57 @@ impl Opt {
     /// Create the oracle protocol.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The best reception awake receiver `r` can get this slot: its
+    /// earliest (FCFS) live packet it is missing that a neighbor holds,
+    /// served by the best-quality holding neighbor.
+    fn best_reception(&mut self, state: &SimState, r: NodeId) {
+        let nw = state.topo.words_per_row();
+        let nbrs = state.topo.neighbor_words(r);
+        for &p in &self.live {
+            if state.has(r, p) {
+                continue;
+            }
+            // Holding neighbors = one word-AND per 64 nodes; crashed
+            // nodes never appear (their possession is revoked).
+            let holders = state.holder_words(p);
+            let mut best: Option<(f64, NodeId)> = None;
+            // Quality of the *incoming* direction s -> r; `>=` keeps
+            // the last maximum, exactly as `max_by` did over the
+            // same ascending-id scan. Without a dense mirror the
+            // sorted adjacency list walks the identical id order.
+            match nbrs {
+                Some(nbrs) => {
+                    for si in bitset::iter_ones_and(&nbrs[..nw], &holders[..nw]) {
+                        let s = NodeId::from(si);
+                        if let Some(q) = state.topo.quality(s, r) {
+                            let prr = q.prr();
+                            if best.is_none_or(|(bq, _)| prr >= bq) {
+                                best = Some((prr, s));
+                            }
+                        }
+                    }
+                }
+                None => {
+                    for &(s, _) in state.topo.neighbors(r) {
+                        if !bitset::test_bit(holders, s.index()) {
+                            continue;
+                        }
+                        if let Some(q) = state.topo.quality(s, r) {
+                            let prr = q.prr();
+                            if best.is_none_or(|(bq, _)| prr >= bq) {
+                                best = Some((prr, s));
+                            }
+                        }
+                    }
+                }
+            }
+            if let Some((prr, s)) = best {
+                self.candidates.push((prr, r, s, p));
+                return; // one reception per receiver per slot (semi-duplex)
+            }
+        }
     }
 }
 
@@ -49,71 +104,50 @@ impl FloodingProtocol for Opt {
 
     fn on_start(&mut self, state: &SimState) {
         // Scratch high-water marks, known up front: at most one candidate
-        // per receiver per slot, one matched-bit word row per 64 nodes.
-        // Reserving here keeps the slot loop allocation-free even as the
-        // flood wave widens.
+        // per receiver per slot, one live entry per packet, one
+        // matched-bit word row per 64 nodes. Reserving here keeps the
+        // slot loop allocation-free even as the flood wave widens.
         let nw = state.topo.words_per_row();
         self.candidates.reserve(state.n_nodes());
+        self.live.reserve(state.cfg.n_packets as usize);
         self.sender_busy.reserve(nw);
         self.receiver_busy.reserve(nw);
     }
 
     fn propose(&mut self, state: &SimState, out: &mut Vec<TxIntent>) {
         let nw = state.topo.words_per_row();
-        // Candidate receptions: (prr, receiver, sender, packet), collected
-        // for every active sensor that misses a packet some neighbor has.
-        // The wake calendar hands us exactly the awake nodes in ascending
-        // id order, so sleepers cost nothing.
+        self.live.clear();
+        self.live
+            .extend((0..state.n_injected()).filter(|&p| !state.is_covered(p)));
+        // Candidate receptions: (prr, receiver, sender, packet). Only an
+        // awake, live sensor on some live packet's frontier and missing
+        // that packet can have one — every other node either holds each
+        // live packet or has no neighbor holding it — so the scan walks
+        // the frontier words, not every awake node. Ascending id order,
+        // as a scan of all awake nodes would visit them.
         self.candidates.clear();
-        for r in state.schedules.all_active(state.now) {
-            if r.index() == 0 || state.is_down(r) {
-                continue; // the source only sends; crashed nodes are dark
+        let awake = state.schedules.active_words(state.now);
+        let down = state.down_words();
+        for w in 0..nw {
+            let mut bits = 0;
+            for &p in &self.live {
+                bits |= state.reach_words(p)[w] & !state.holder_words(p)[w];
             }
-            let nbrs = state.topo.neighbor_words(r);
-            // Earliest (FCFS) packet r is missing that a neighbor holds,
-            // served by the best-quality holding neighbor.
-            for p in 0..state.n_injected() {
-                if state.has(r, p) || state.is_covered(p) {
+            bits &= !down[w];
+            if let Some(awake) = awake {
+                bits &= awake[w];
+            }
+            if w == 0 {
+                bits &= !1; // the source only sends
+            }
+            while bits != 0 {
+                let r = NodeId::from(w * 64 + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+                // Without a wake calendar, ask the schedule per node.
+                if awake.is_none() && !state.schedules.is_active(r, state.now) {
                     continue;
                 }
-                // Holding neighbors = one word-AND per 64 nodes; crashed
-                // nodes never appear (their possession is revoked).
-                let holders = state.holder_words(p);
-                let mut best: Option<(f64, NodeId)> = None;
-                // Quality of the *incoming* direction s -> r; `>=` keeps
-                // the last maximum, exactly as `max_by` did over the
-                // same ascending-id scan. Without a dense mirror the
-                // sorted adjacency list walks the identical id order.
-                match nbrs {
-                    Some(nbrs) => {
-                        for si in bitset::iter_ones_and(&nbrs[..nw], &holders[..nw]) {
-                            let s = NodeId::from(si);
-                            if let Some(q) = state.topo.quality(s, r) {
-                                let prr = q.prr();
-                                if best.is_none_or(|(bq, _)| prr >= bq) {
-                                    best = Some((prr, s));
-                                }
-                            }
-                        }
-                    }
-                    None => {
-                        for &(s, _) in state.topo.neighbors(r) {
-                            if !bitset::test_bit(holders, s.index()) {
-                                continue;
-                            }
-                            if let Some(q) = state.topo.quality(s, r) {
-                                let prr = q.prr();
-                                if best.is_none_or(|(bq, _)| prr >= bq) {
-                                    best = Some((prr, s));
-                                }
-                            }
-                        }
-                    }
-                }
-                if let Some((prr, s)) = best {
-                    self.candidates.push((prr, r, s, p));
-                    break; // one reception per receiver per slot (semi-duplex)
-                }
+                self.best_reception(state, r);
             }
         }
         // Greedy matching, best links first: each sender serves one
@@ -127,10 +161,13 @@ impl FloodingProtocol for Opt {
                 .expect("PRR is finite")
                 .then_with(|| a.1.cmp(&b.1))
         });
-        self.sender_busy.clear();
-        self.sender_busy.resize(nw, 0);
-        self.receiver_busy.clear();
-        self.receiver_busy.resize(nw, 0);
+        if self.sender_busy.len() != nw {
+            self.sender_busy.clear();
+            self.sender_busy.resize(nw, 0);
+            self.receiver_busy.clear();
+            self.receiver_busy.resize(nw, 0);
+        }
+        let first = out.len();
         for &(_, r, s, p) in &self.candidates {
             if bitset::test_bit(&self.sender_busy, s.index())
                 || bitset::test_bit(&self.receiver_busy, r.index())
@@ -150,6 +187,12 @@ impl FloodingProtocol for Opt {
                 backoff_rank: 0,
                 bypass_mac: true,
             });
+        }
+        // Every set bit belongs to an intent just pushed: clearing those
+        // leaves both rows zero without touching the other N/64 words.
+        for it in &out[first..] {
+            bitset::clear_bit(&mut self.sender_busy, it.sender.index());
+            bitset::clear_bit(&mut self.receiver_busy, it.receiver.index());
         }
     }
 }

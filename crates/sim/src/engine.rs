@@ -83,9 +83,16 @@ pub struct SimState {
     /// `have`; lets churn repair and queue pruning reason about *who
     /// holds a packet* with word algebra instead of per-node probes.
     holder_bits: Vec<u64>,
-    /// Words per packet row of `holder_bits` (and per node of the
-    /// adjacency/down/work bitsets).
+    /// Words per packet row of `holder_bits` and `reach` (and per
+    /// node of the adjacency/down/work bitsets).
     node_words: usize,
+    /// Packet-major flood frontier, laid out like `holder_bits`: bit
+    /// `v` of packet `p`'s row is set whenever `v` has a neighbor that
+    /// holds `p` — a superset, since [`SimState::revoke`] never clears
+    /// bits. Each grant sets the granted node's neighbors, so keeping
+    /// it costs O(degree) per grant; a stale bit costs a reader one
+    /// node visit, never a wrong answer.
+    reach: Vec<u64>,
     /// Per-node FCFS forwarding queues.
     queues: Vec<FcfsQueue>,
     /// Per-packet count of *sensors* (source excluded) holding it.
@@ -123,6 +130,16 @@ impl SimState {
     #[inline]
     pub fn holder_words(&self, packet: PacketId) -> &[u64] {
         &self.holder_bits[packet as usize * self.node_words..][..self.node_words]
+    }
+
+    /// Packed frontier row of `packet`: bit `v` is set for every `v`
+    /// with a neighbor holding `packet` (source included). A superset —
+    /// crash wipes leave their bits behind — so readers must still test
+    /// real possession; what it buys is that no node *outside* the row
+    /// can be one hop from a holder. Indexed like [`Self::holder_words`].
+    #[inline]
+    pub fn reach_words(&self, packet: PacketId) -> &[u64] {
+        &self.reach[packet as usize * self.node_words..][..self.node_words]
     }
 
     /// Packed bitset of nodes whose forwarding queue is non-empty.
@@ -220,7 +237,8 @@ impl SimState {
     }
 
     /// Mark `node` as holding `packet` in both orientations of the
-    /// possession matrix.
+    /// possession matrix, and put its neighbors on the packet's
+    /// frontier row.
     #[inline]
     fn grant(&mut self, node: NodeId, packet: PacketId) {
         bitset::set_bit(
@@ -231,9 +249,15 @@ impl SimState {
             &mut self.holder_bits[packet as usize * self.node_words..],
             node.index(),
         );
+        let reach = &mut self.reach[packet as usize * self.node_words..][..self.node_words];
+        for &(v, _) in self.topo.neighbors(node) {
+            bitset::set_bit(reach, v.index());
+        }
     }
 
-    /// Erase `node`'s copy of `packet` (crash wipe).
+    /// Erase `node`'s copy of `packet` (crash wipe). The frontier row
+    /// keeps its bits: clearing them would need every other holder's
+    /// adjacency, and a stale bit is harmless (see `reach`).
     #[inline]
     fn revoke(&mut self, node: NodeId, packet: PacketId) {
         bitset::clear_bit(
@@ -497,6 +521,7 @@ impl<P: FloodingProtocol> Engine<P> {
             packet_words,
             holder_bits: vec![0; m * node_words],
             node_words,
+            reach: vec![0; m * node_words],
             // Queue capacity is bounded by the packet count; reserving it
             // up front keeps the slot loop free of first-touch Vec growth
             // (the allocation gate asserts zero heap allocs per slot).
@@ -1817,6 +1842,66 @@ mod tests {
             report.node_crashes,
             report.source_retries
         );
+    }
+
+    /// `reach[p]` ⊇ the neighbors of every holder of `p`.
+    fn assert_reach_covers_holders(s: &SimState) {
+        for p in 0..s.cfg.n_packets {
+            for u in bitset::iter_ones(s.holder_words(p)) {
+                for &(v, _) in s.topo.neighbors(NodeId::from(u)) {
+                    assert!(
+                        bitset::test_bit(s.reach_words(p), v.index()),
+                        "slot {}: {v} neighbors holder {u} of packet {p} but is off its frontier",
+                        s.now
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn reach_rows_cover_live_holders_through_grants_crashes_and_recoveries() {
+        // Two origins, one deferred injection, and churn aggressive
+        // enough to wipe and reboot nodes mid-flood, on a dense and a
+        // list-only copy of the same grid.
+        let grid = Topology::grid(6, 6, LinkQuality::new(0.8));
+        for topo in [grid.clone(), grid.without_dense_mirror()] {
+            let cfg = SimConfig {
+                n_packets: 3,
+                max_slots: 20_000,
+                ..line_cfg(3)
+            };
+            let plan = [
+                Injection::at_source(),
+                Injection {
+                    origin: NodeId(35),
+                    slot: 0,
+                },
+                Injection {
+                    origin: NodeId(17),
+                    slot: 40,
+                },
+            ];
+            let schedules = drawn_schedules(&topo, &cfg);
+            let faults = ldcf_faults::FaultConfig {
+                churn: Some(ldcf_faults::ChurnConfig {
+                    mean_uptime: 80.0,
+                    mean_downtime: 20.0,
+                    retry_backoff: 30,
+                }),
+                ..ldcf_faults::FaultConfig::none(5)
+            };
+            let mut engine =
+                Engine::with_injections(topo, cfg, schedules, &plan, OracleGreedy(GreedyFlood))
+                    .with_faults(faults.build());
+            assert_reach_covers_holders(engine.state());
+            while engine.step() {
+                assert_reach_covers_holders(engine.state());
+            }
+            let report = engine.report();
+            assert!(report.node_crashes > 0 && report.node_recoveries > 0);
+            assert!(report.packets.iter().all(|p| p.deliveries > 0));
+        }
     }
 
     fn drawn_schedules(topo: &Topology, cfg: &SimConfig) -> NeighborTable {

@@ -136,6 +136,11 @@ impl SlotResolution {
 /// here instead, cleared (not freed) between slots; the membership
 /// scans become single-word bitset probes, and carrier sense becomes
 /// one intersection against the committed senders' adjacency rows.
+///
+/// Clearing is proportional to the slot, not to the network: every
+/// node whose bit or counter a slot sets is recorded once in `touched`,
+/// and the next reset zeroes just those nodes. Only a change of node
+/// count falls back to rebuilding the rows.
 #[derive(Clone, Debug, Default)]
 pub struct MacScratch {
     /// Intent indices in (backoff_rank, sender) order.
@@ -156,6 +161,10 @@ pub struct MacScratch {
     seen: Vec<u64>,
     /// Per-node count of committed non-bypass intents targeting it.
     targeting: Vec<u32>,
+    /// Nodes listed in `touched` (so each is listed once).
+    marked: Vec<u64>,
+    /// Nodes with state set since the last reset, in first-touch order.
+    touched: Vec<u32>,
 }
 
 impl MacScratch {
@@ -174,26 +183,54 @@ impl MacScratch {
             busy_rx: Vec::with_capacity(words),
             seen: Vec::with_capacity(words),
             targeting: Vec::with_capacity(n),
+            marked: Vec::with_capacity(words),
+            touched: Vec::with_capacity(n),
         }
     }
 
-    fn reset(&mut self, n_nodes: usize) {
-        let words = bitset::words_for(n_nodes);
-        self.order.clear();
-        self.contended.clear();
-        self.bypassed.clear();
-        for bits in [
+    /// The per-node bit rows, every one indexed by node id.
+    fn bit_rows(&mut self) -> [&mut Vec<u64>; 6] {
+        [
             &mut self.committed,
             &mut self.deferred,
             &mut self.carrier,
             &mut self.busy_rx,
             &mut self.seen,
-        ] {
-            bits.clear();
-            bits.resize(words, 0);
+            &mut self.marked,
+        ]
+    }
+
+    fn reset(&mut self, n_nodes: usize) {
+        self.order.clear();
+        self.contended.clear();
+        self.bypassed.clear();
+        if self.targeting.len() == n_nodes {
+            for k in 0..self.touched.len() {
+                let i = self.touched[k] as usize;
+                for bits in self.bit_rows() {
+                    bitset::clear_bit(bits, i);
+                }
+                self.targeting[i] = 0;
+            }
+        } else {
+            // First use, or a network of another size: rebuild the rows.
+            let words = bitset::words_for(n_nodes);
+            for bits in self.bit_rows() {
+                bits.clear();
+                bits.resize(words, 0);
+            }
+            self.targeting.clear();
+            self.targeting.resize(n_nodes, 0);
         }
-        self.targeting.clear();
-        self.targeting.resize(n_nodes, 0);
+        self.touched.clear();
+    }
+
+    /// Record that node `i` has state to clear at the next reset.
+    #[inline]
+    fn touch(&mut self, i: usize) {
+        if bitset::set_bit(&mut self.marked, i) {
+            self.touched.push(i as u32);
+        }
     }
 }
 
@@ -243,7 +280,8 @@ pub fn resolve_slot_into<R: Rng + ?Sized>(
         .order
         .sort_unstable_by_key(|&i| (intents[i].backoff_rank, intents[i].sender, i));
 
-    for &i in &scratch.order {
+    for k in 0..scratch.order.len() {
+        let i = scratch.order[k];
         let it = &intents[i];
         debug_assert!(
             topo.are_neighbors(it.sender, it.receiver),
@@ -258,6 +296,7 @@ pub fn resolve_slot_into<R: Rng + ?Sized>(
         if bitset::test_bit(&scratch.committed, si) || bitset::test_bit(&scratch.deferred, si) {
             continue;
         }
+        scratch.touch(si);
         if it.bypass_mac {
             res.committed.push(i);
             res.transmitted.push(it.sender);
@@ -282,6 +321,7 @@ pub fn resolve_slot_into<R: Rng + ?Sized>(
             bitset::set_bit(&mut scratch.committed, si);
             bitset::set_bit(&mut scratch.carrier, si);
             scratch.contended.push(i);
+            scratch.touch(it.receiver.index());
             scratch.targeting[it.receiver.index()] += 1;
         }
     }
@@ -352,8 +392,10 @@ pub fn resolve_slot_into<R: Rng + ?Sized>(
     if overhearing == Overhearing::Enabled {
         // Intended receivers are busy receiving their own unicast and
         // cannot also capture an overheard one.
-        for &i in &scratch.bypassed {
-            bitset::set_bit(&mut scratch.busy_rx, intents[i].receiver.index());
+        for k in 0..scratch.bypassed.len() {
+            let ri = intents[scratch.bypassed[k]].receiver.index();
+            scratch.touch(ri);
+            bitset::set_bit(&mut scratch.busy_rx, ri);
         }
         for k in 0..res.transmitted.len() {
             let s = res.transmitted[k];
@@ -366,6 +408,7 @@ pub fn resolve_slot_into<R: Rng + ?Sized>(
                 {
                     continue;
                 }
+                scratch.touch(ri);
                 bitset::set_bit(&mut scratch.seen, ri);
                 // Oracle transmissions are collision-free by fiat, and
                 // that fiat extends to overhearing: a bystander captures

@@ -171,6 +171,42 @@ proptest! {
         prop_assert_eq!(rng_opt.random::<u64>(), rng_ref.random::<u64>());
     }
 
+    /// The same differential oracle, with the scratch last used on a
+    /// network of another size (larger or smaller): the reset must
+    /// rebuild its rows instead of clearing only the nodes the previous
+    /// slot touched.
+    #[test]
+    fn optimized_mac_matches_reference_after_node_count_change(
+        (topo, intents) in arb_case(),
+        (other, other_intents) in arb_case(),
+        seed in any::<u64>(),
+        over_enabled in any::<bool>(),
+    ) {
+        prop_assume!(topo.n_nodes() != other.n_nodes());
+        let over = if over_enabled { Overhearing::Enabled } else { Overhearing::Disabled };
+        let mut rng_ref = StdRng::seed_from_u64(seed);
+        let expected = resolve_slot_reference(
+            &topo, &intents, over, |_| true, |_, _| true, |_, _, b| b, &mut rng_ref,
+        );
+
+        let mut scratch = MacScratch::for_nodes(other.n_nodes());
+        let mut got = SlotResolution::default();
+        let mut rng_dirty = StdRng::seed_from_u64(seed ^ 0xDEAD_BEEF);
+        resolve_slot_into(
+            &other, &other_intents, Overhearing::Enabled, |_| true, |_, _| true, |_, _, b| b,
+            &mut rng_dirty, &mut scratch, &mut got,
+        );
+
+        let mut rng_opt = StdRng::seed_from_u64(seed);
+        resolve_slot_into(
+            &topo, &intents, over, |_| true, |_, _| true, |_, _, b| b,
+            &mut rng_opt, &mut scratch, &mut got,
+        );
+
+        prop_assert_eq!(&got, &expected);
+        prop_assert_eq!(rng_opt.random::<u64>(), rng_ref.random::<u64>());
+    }
+
     /// With perfect links, no bypass, and all receivers distinct, every
     /// committed transmission delivers.
     #[test]
