@@ -10,8 +10,8 @@
 #
 # Stages (./ci.sh list is authoritative):
 #
-#   fmt            cargo fmt --check
-#   clippy         cargo clippy -D warnings
+#   fmt            cargo fmt --check (workspace + benchmark/)
+#   clippy         cargo clippy -D warnings (workspace + benchmark/)
 #   shellcheck     shellcheck ci.sh (skips when the tool is absent)
 #   build          cargo build --workspace --release
 #   test           cargo test --workspace
@@ -62,14 +62,19 @@ ensure_built() {
         || cargo build --release -p ldcf-bench --bins
 }
 
+# benchmark/ is a package of its own, outside the workspace, so the
+# workspace invocations never see it: fmt and clippy name it explicitly.
 stage_fmt() {
     step "cargo fmt --check"
     cargo fmt --all -- --check
+    cargo fmt --manifest-path benchmark/Cargo.toml -- --check
 }
 
 stage_clippy() {
     step "cargo clippy (workspace, all targets, -D warnings)"
     cargo clippy --workspace --all-targets -- -D warnings
+    step "cargo clippy (benchmark/, all targets, -D warnings)"
+    cargo clippy --manifest-path benchmark/Cargo.toml --all-targets -- -D warnings
 }
 
 stage_shellcheck() {

@@ -90,7 +90,7 @@ fn prewarmed_burst_drift(topo: &Topology, seed: u64) -> FaultInjector {
         .build();
     for ni in 0..topo.n_nodes() {
         let u = NodeId::from(ni);
-        for &(v, q) in topo.neighbors(u) {
+        for (v, q) in topo.neighbors(u) {
             inj.link_prr(u, v, q.prr(), 0);
         }
     }

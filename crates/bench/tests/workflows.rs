@@ -122,6 +122,11 @@ fn ci_script_carries_the_load_bearing_gates() {
     assert!(text.contains("--validate-profile"));
     assert!(text.contains("--test alloc_gate"));
     assert!(text.contains("cargo test -q --manifest-path benchmark/Cargo.toml"));
+    // benchmark/ sits outside the workspace: fmt and clippy must name it.
+    assert!(text.contains("cargo fmt --manifest-path benchmark/Cargo.toml -- --check"));
+    assert!(text.contains(
+        "cargo clippy --manifest-path benchmark/Cargo.toml --all-targets -- -D warnings"
+    ));
     assert!(text.contains("--no-progress"));
     assert!(text.contains("campaign-telemetry.jsonl"));
     // The statistics stage: thousand-seed rerun + checkpoint recompute

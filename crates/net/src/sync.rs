@@ -253,9 +253,9 @@ impl NeighborTable {
         u: NodeId,
         t: u64,
     ) -> impl Iterator<Item = NodeId> + 'a {
-        topo.neighbors(u)
+        topo.neighbor_ids(u)
             .iter()
-            .map(|&(v, _)| v)
+            .copied()
             .filter(move |&v| self.is_active(v, t))
     }
 

@@ -12,30 +12,58 @@ use crate::node::{NodeId, Position};
 use serde::{Deserialize, Serialize, Value};
 use std::collections::BinaryHeap;
 
+/// One undirected edge: its endpoints and the quality of each
+/// direction, `a → b` then `b → a`.
+pub type Edge = (NodeId, NodeId, LinkQuality, LinkQuality);
+
 /// An undirected-connectivity, directed-quality network graph.
 ///
-/// Adjacency is stored per node as `(neighbor, quality)` lists sorted by
-/// neighbor id. Qualities are directional (`quality(a→b)` may differ from
+/// Qualities are directional (`quality(a→b)` may differ from
 /// `quality(b→a)`), but an edge is present in both directions whenever it
 /// is present in one — real deployments have asymmetric PRR but symmetric
 /// audibility at the carrier-sense level, which the MAC model relies on.
 ///
-/// Beside the quality lists, adjacency is mirrored into packed per-node
-/// bitset rows so [`Topology::are_neighbors`] (the MAC's carrier-sense
-/// probe, asked `O(intents²)` times per slot) is a single word test
-/// instead of a binary search. The rows are maintained by every
-/// mutation path (all of which funnel through [`Topology::set_quality`])
-/// and rebuilt on deserialization; they are never serialized.
+/// Adjacency is one compressed-sparse-row table in struct-of-arrays
+/// form. Node `u`'s row is the index range `offsets[u]..offsets[u + 1]`
+/// into three parallel arrays:
+///
+/// * `targets` — neighbor ids, ascending, so walks visit neighbors in id
+///   order and [`Topology::quality`] is a binary search in one
+///   contiguous row. A walk over ids alone ([`Topology::neighbor_ids`])
+///   reads 4 B per neighbor.
+/// * `q_out` — the quality of `u → target`.
+/// * `q_in` — the quality of `target → u`: the reverse edge's quality
+///   carried inline, so a receiver reads every incoming link quality
+///   ([`Topology::in_neighbors`]) without a search into its senders'
+///   rows.
+///
+/// Every constructor builds the table in one pass: count degrees, take
+/// prefix sums, fill (see [`Topology::from_edges`]). The table is meant
+/// to be frozen once built: [`Topology::set_quality`] rewrites an
+/// existing edge in place, while [`Topology::add_edge`] on a new pair
+/// shifts the arrays (`O(E)`), which only small hand-built graphs do.
+///
+/// Beside the table, adjacency is mirrored into packed per-node bitset
+/// rows so [`Topology::are_neighbors`] (the MAC's carrier-sense probe,
+/// asked `O(intents²)` times per slot) is a single word test instead of
+/// a binary search. The rows are maintained by every mutation path and
+/// rebuilt on deserialization; they are never serialized.
 ///
 /// The mirror is dense — `n² / 8` bytes — so it exists only up to
 /// [`Topology::DENSE_MIRROR_MAX`] nodes (16 GiB at 1M nodes would dwarf
 /// the graph itself). Above that, [`Topology::neighbor_words`] returns
-/// `None` and every caller falls back to the sorted adjacency lists;
+/// `None` and every caller falls back to the sorted id rows;
 /// [`Topology::are_neighbors`] becomes a binary search.
 #[derive(Clone, Debug)]
 pub struct Topology {
-    /// `adj[i]` = outgoing links of node `i`, sorted by target id.
-    adj: Vec<Vec<(NodeId, LinkQuality)>>,
+    /// Row bounds: node `u`'s entries are `offsets[u]..offsets[u + 1]`.
+    offsets: Vec<u32>,
+    /// Neighbor ids, each row sorted ascending.
+    targets: Vec<NodeId>,
+    /// `q_out[k]` = quality of `u → targets[k]` for `k` in `u`'s row.
+    q_out: Vec<LinkQuality>,
+    /// `q_in[k]` = quality of `targets[k] → u` for `k` in `u`'s row.
+    q_in: Vec<LinkQuality>,
     /// Optional node positions (used by geometric generators / traces).
     positions: Option<Vec<Position>>,
     /// `words[i]` = bitset over target ids of node `i`'s outgoing links
@@ -50,24 +78,107 @@ impl Topology {
     /// Largest node count for which the dense adjacency mirror is kept
     /// (32 MiB of rows at this size; the mirror grows as `n²/8` bytes,
     /// which at 100k–1M nodes would cost gigabytes to terabytes for a
-    /// graph whose lists fit in megabytes).
+    /// graph whose rows fit in megabytes).
     pub const DENSE_MIRROR_MAX: usize = 16_384;
 
     /// An edgeless topology over `n_nodes` nodes (source + sensors).
     pub fn empty(n_nodes: usize) -> Self {
-        assert!(n_nodes >= 1, "topology needs at least the source node");
-        let words_per_row = bitset::words_for(n_nodes);
-        let words = if n_nodes <= Self::DENSE_MIRROR_MAX {
-            vec![0; n_nodes * words_per_row]
-        } else {
-            Vec::new()
-        };
-        Self {
-            adj: vec![Vec::new(); n_nodes],
-            positions: None,
-            words,
-            words_per_row,
+        Self::from_sorted_edges(n_nodes, &[])
+    }
+
+    /// Build from undirected edges, each with its two directed
+    /// qualities. A pair listed more than once keeps its first listing;
+    /// endpoints may come in either order.
+    pub fn from_edges(n_nodes: usize, edges: impl IntoIterator<Item = Edge>) -> Self {
+        let mut edges: Vec<Edge> = edges
+            .into_iter()
+            .map(|(a, b, q_ab, q_ba)| {
+                assert_ne!(a, b, "self-links are not allowed");
+                if a < b {
+                    (a, b, q_ab, q_ba)
+                } else {
+                    (b, a, q_ba, q_ab)
+                }
+            })
+            .collect();
+        // Generators emit pairs in ascending order already; only other
+        // inputs pay for the (stable, so first-listing-wins) sort.
+        if !edges.is_sorted_by(|x, y| (x.0, x.1) < (y.0, y.1)) {
+            edges.sort_by_key(|e| (e.0, e.1));
+            edges.dedup_by_key(|e| (e.0, e.1));
         }
+        Self::from_sorted_edges(n_nodes, &edges)
+    }
+
+    /// The one-pass CSR build from edges with `a < b`, strictly
+    /// ascending in `(a, b)`. Row `u` receives its lower neighbors from
+    /// the pairs `(a, u)` and then its higher ones from `(u, b)`, both
+    /// ascending, so rows come out sorted with no per-row sort.
+    fn from_sorted_edges(n_nodes: usize, edges: &[Edge]) -> Self {
+        assert!(n_nodes >= 1, "topology needs at least the source node");
+        let n_entries = 2 * edges.len();
+        assert!(
+            u32::try_from(n_entries).is_ok(),
+            "more directed links than a u32 row offset can address"
+        );
+        // Count degrees, then inclusive prefix sums: `offsets[u]` ends
+        // u's row. Filling back to front moves each `offsets[u]` down to
+        // the start of u's row.
+        let mut offsets = vec![0u32; n_nodes + 1];
+        for &(a, b, _, _) in edges {
+            assert!(b.index() < n_nodes, "edge endpoint {b} out of range");
+            offsets[a.index()] += 1;
+            offsets[b.index()] += 1;
+        }
+        let mut end = 0;
+        for o in &mut offsets[..n_nodes] {
+            end += *o;
+            *o = end;
+        }
+        offsets[n_nodes] = end;
+        let mut targets = vec![NodeId(0); n_entries];
+        let mut q_out = vec![LinkQuality::PERFECT; n_entries];
+        let mut q_in = vec![LinkQuality::PERFECT; n_entries];
+        for &(a, b, q_ab, q_ba) in edges.iter().rev() {
+            for (u, v, out, inn) in [(a, b, q_ab, q_ba), (b, a, q_ba, q_ab)] {
+                offsets[u.index()] -= 1;
+                let k = offsets[u.index()] as usize;
+                targets[k] = v;
+                q_out[k] = out;
+                q_in[k] = inn;
+            }
+        }
+        Self::from_csr(offsets, targets, q_out, q_in)
+    }
+
+    /// Wrap filled CSR arrays, adding the dense mirror for small `n`.
+    fn from_csr(
+        offsets: Vec<u32>,
+        targets: Vec<NodeId>,
+        q_out: Vec<LinkQuality>,
+        q_in: Vec<LinkQuality>,
+    ) -> Self {
+        let n_nodes = offsets.len() - 1;
+        let words_per_row = bitset::words_for(n_nodes);
+        let mut topo = Self {
+            offsets,
+            targets,
+            q_out,
+            q_in,
+            positions: None,
+            words: Vec::new(),
+            words_per_row,
+        };
+        if n_nodes <= Self::DENSE_MIRROR_MAX {
+            topo.words = vec![0; n_nodes * words_per_row];
+            for u in 0..n_nodes {
+                let row = &mut topo.words[u * words_per_row..(u + 1) * words_per_row];
+                for v in &topo.targets[topo.offsets[u] as usize..topo.offsets[u + 1] as usize] {
+                    bitset::set_bit(row, v.index());
+                }
+            }
+        }
+        topo
     }
 
     /// Drop the dense adjacency mirror, forcing every word-row query
@@ -80,18 +191,20 @@ impl Topology {
     }
 
     /// Build from a list of directed links; missing reverse directions are
-    /// added with the same quality (symmetric default).
+    /// added with the same quality (symmetric default). The first link
+    /// naming a pair sets both of its directions.
     pub fn from_links(n_nodes: usize, links: impl IntoIterator<Item = Link>) -> Self {
-        let mut topo = Self::empty(n_nodes);
-        for l in links {
-            topo.add_symmetric_if_absent(l.from, l.to, l.quality);
-        }
-        topo
+        Self::from_edges(
+            n_nodes,
+            links
+                .into_iter()
+                .map(|l| (l.from, l.to, l.quality, l.quality)),
+        )
     }
 
     /// Attach node positions (same length as node count).
     pub fn with_positions(mut self, positions: Vec<Position>) -> Self {
-        assert_eq!(positions.len(), self.adj.len());
+        assert_eq!(positions.len(), self.n_nodes());
         self.positions = Some(positions);
         self
     }
@@ -99,13 +212,13 @@ impl Topology {
     /// Total number of nodes including the source.
     #[inline]
     pub fn n_nodes(&self) -> usize {
-        self.adj.len()
+        self.offsets.len() - 1
     }
 
     /// Number of nominal sensors `N` (all nodes except the source).
     #[inline]
     pub fn n_sensors(&self) -> usize {
-        self.adj.len() - 1
+        self.n_nodes() - 1
     }
 
     /// Node positions, if the topology is geometric.
@@ -113,41 +226,70 @@ impl Topology {
         self.positions.as_deref()
     }
 
-    /// Set the directed quality `from → to`, inserting the edge if absent.
+    /// Index range of `node`'s row in the parallel arrays.
+    #[inline]
+    fn row(&self, node: NodeId) -> std::ops::Range<usize> {
+        self.offsets[node.index()] as usize..self.offsets[node.index() + 1] as usize
+    }
+
+    /// Index of the entry `from → to`, if the link exists.
+    #[inline]
+    fn entry(&self, from: NodeId, to: NodeId) -> Option<usize> {
+        let row = self.row(from);
+        self.targets[row.clone()]
+            .binary_search(&to)
+            .ok()
+            .map(|i| row.start + i)
+    }
+
+    /// Set the directed quality `from → to` of an existing link, in
+    /// place. Panics if the link is absent: new links come from
+    /// [`Topology::add_edge`], which adds both directions.
     pub fn set_quality(&mut self, from: NodeId, to: NodeId, q: LinkQuality) {
         assert_ne!(from, to, "self-links are not allowed");
-        let list = &mut self.adj[from.index()];
-        match list.binary_search_by_key(&to, |&(n, _)| n) {
-            Ok(i) => list[i].1 = q,
-            Err(i) => list.insert(i, (to, q)),
-        }
-        if !self.words.is_empty() {
-            bitset::set_bit(self.neighbor_words_mut(from), to.index());
-        }
+        let (Some(k), Some(rev)) = (self.entry(from, to), self.entry(to, from)) else {
+            panic!("no link {from} → {to}: add it with add_edge");
+        };
+        self.q_out[k] = q;
+        self.q_in[rev] = q;
     }
 
     /// Add an edge in both directions with the given per-direction
-    /// qualities, overwriting existing entries.
+    /// qualities, overwriting existing entries. A new pair shifts the
+    /// arrays (`O(E)`): build large graphs with [`Topology::from_edges`].
     pub fn add_edge(&mut self, a: NodeId, b: NodeId, q_ab: LinkQuality, q_ba: LinkQuality) {
+        assert_ne!(a, b, "self-links are not allowed");
+        if self.entry(a, b).is_none() {
+            self.insert_entry(a, b);
+            self.insert_entry(b, a);
+        }
         self.set_quality(a, b, q_ab);
         self.set_quality(b, a, q_ba);
     }
 
-    fn add_symmetric_if_absent(&mut self, a: NodeId, b: NodeId, q: LinkQuality) {
-        if self.quality(a, b).is_none() {
-            self.set_quality(a, b, q);
+    /// Insert `to` into `from`'s row at its sorted position, qualities
+    /// left for the caller to set.
+    fn insert_entry(&mut self, from: NodeId, to: NodeId) {
+        let row = self.row(from);
+        let k = row.start + self.targets[row].partition_point(|&v| v < to);
+        self.targets.insert(k, to);
+        self.q_out.insert(k, LinkQuality::PERFECT);
+        self.q_in.insert(k, LinkQuality::PERFECT);
+        for o in &mut self.offsets[from.index() + 1..] {
+            *o += 1;
         }
-        if self.quality(b, a).is_none() {
-            self.set_quality(b, a, q);
+        if !self.words.is_empty() {
+            let start = from.index() * self.words_per_row;
+            bitset::set_bit(
+                &mut self.words[start..start + self.words_per_row],
+                to.index(),
+            );
         }
     }
 
     /// Directed link quality `from → to`, if the link exists.
     pub fn quality(&self, from: NodeId, to: NodeId) -> Option<LinkQuality> {
-        let list = &self.adj[from.index()];
-        list.binary_search_by_key(&to, |&(n, _)| n)
-            .ok()
-            .map(|i| list[i].1)
+        self.entry(from, to).map(|k| self.q_out[k])
     }
 
     /// Whether `a` and `b` are neighbors (audible to each other).
@@ -155,24 +297,51 @@ impl Topology {
     pub fn are_neighbors(&self, a: NodeId, b: NodeId) -> bool {
         match self.neighbor_words(a) {
             Some(row) => bitset::test_bit(row, b.index()),
-            None => self.adj[a.index()]
-                .binary_search_by_key(&b, |&(n, _)| n)
-                .is_ok(),
+            None => self.neighbor_ids(a).binary_search(&b).is_ok(),
         }
     }
 
-    /// Outgoing neighbors of `node` with link qualities, sorted by id.
-    pub fn neighbors(&self, node: NodeId) -> &[(NodeId, LinkQuality)] {
-        &self.adj[node.index()]
+    /// Neighbor ids of `node`, ascending.
+    #[inline]
+    pub fn neighbor_ids(&self, node: NodeId) -> &[NodeId] {
+        &self.targets[self.row(node)]
+    }
+
+    /// Neighbors of `node` with the quality of each outgoing link
+    /// `node → v`, ascending by id.
+    #[inline]
+    pub fn neighbors(
+        &self,
+        node: NodeId,
+    ) -> impl ExactSizeIterator<Item = (NodeId, LinkQuality)> + Clone + '_ {
+        let row = self.row(node);
+        self.targets[row.clone()]
+            .iter()
+            .copied()
+            .zip(self.q_out[row].iter().copied())
+    }
+
+    /// Neighbors of `node` with the quality of each incoming link
+    /// `v → node`, ascending by id — read inline from `node`'s own row.
+    #[inline]
+    pub fn in_neighbors(
+        &self,
+        node: NodeId,
+    ) -> impl ExactSizeIterator<Item = (NodeId, LinkQuality)> + Clone + '_ {
+        let row = self.row(node);
+        self.targets[row.clone()]
+            .iter()
+            .copied()
+            .zip(self.q_in[row].iter().copied())
     }
 
     /// Packed bitset row over the target ids of `node`'s outgoing links
     /// ([`crate::bitset::words_for`]`(n_nodes)` words). Hot paths
     /// intersect this with awake/possession sets instead of scanning
-    /// [`Topology::neighbors`]. `None` when the dense mirror is absent
+    /// [`Topology::neighbor_ids`]. `None` when the dense mirror is absent
     /// (more than [`Topology::DENSE_MIRROR_MAX`] nodes, or explicitly
-    /// dropped) — callers must then walk the sorted adjacency list,
-    /// which visits the same ids in the same ascending order.
+    /// dropped) — callers must then walk the sorted id row, which
+    /// visits the same ids in the same ascending order.
     #[inline]
     pub fn neighbor_words(&self, node: NodeId) -> Option<&[u64]> {
         if self.words.is_empty() {
@@ -188,43 +357,29 @@ impl Topology {
         self.words_per_row
     }
 
-    #[inline]
-    fn neighbor_words_mut(&mut self, node: NodeId) -> &mut [u64] {
-        let start = node.index() * self.words_per_row;
-        &mut self.words[start..start + self.words_per_row]
-    }
-
     /// Degree of `node`.
+    #[inline]
     pub fn degree(&self, node: NodeId) -> usize {
-        self.adj[node.index()].len()
+        self.row(node).len()
     }
 
     /// Total number of undirected edges.
     pub fn n_edges(&self) -> usize {
-        self.adj.iter().map(Vec::len).sum::<usize>() / 2
+        self.targets.len() / 2
     }
 
     /// Mean PRR over all directed links; `None` for an edgeless graph.
     pub fn mean_link_quality(&self) -> Option<f64> {
-        let mut sum = 0.0;
-        let mut count = 0usize;
-        for list in &self.adj {
-            for &(_, q) in list {
-                sum += q.prr();
-                count += 1;
-            }
-        }
-        (count > 0).then(|| sum / count as f64)
+        let sum = self.q_out.iter().fold(0.0, |sum, q| sum + q.prr());
+        (!self.q_out.is_empty()).then(|| sum / self.q_out.len() as f64)
     }
 
-    /// Iterate over all directed links.
+    /// Iterate over all directed links, by source id then target id.
     pub fn links(&self) -> impl Iterator<Item = Link> + '_ {
-        self.adj.iter().enumerate().flat_map(|(i, list)| {
-            list.iter().map(move |&(to, quality)| Link {
-                from: NodeId::from(i),
-                to,
-                quality,
-            })
+        (0..self.n_nodes()).flat_map(move |i| {
+            let from = NodeId::from(i);
+            self.neighbors(from)
+                .map(move |(to, quality)| Link { from, to, quality })
         })
     }
 
@@ -236,7 +391,7 @@ impl Topology {
         queue.push_back(root);
         while let Some(u) = queue.pop_front() {
             let d = dist[u.index()];
-            for &(v, _) in self.neighbors(u) {
+            for &v in self.neighbor_ids(u) {
                 if dist[v.index()] == u32::MAX {
                     dist[v.index()] = d + 1;
                     queue.push_back(v);
@@ -281,7 +436,7 @@ impl Topology {
             if c > cost[u.index()] {
                 continue; // stale entry
             }
-            for &(v, q) in self.neighbors(u) {
+            for (v, q) in self.neighbors(u) {
                 let nc = c + q.etx();
                 if nc < cost[v.index()] {
                     cost[v.index()] = nc;
@@ -297,29 +452,29 @@ impl Topology {
 
     /// A line (path) topology `0 - 1 - ... - n-1` with uniform quality.
     pub fn line(n_nodes: usize, quality: LinkQuality) -> Self {
-        let mut topo = Self::empty(n_nodes);
-        for i in 1..n_nodes {
-            topo.add_edge(NodeId::from(i - 1), NodeId::from(i), quality, quality);
-        }
-        topo
+        Self::from_edges(
+            n_nodes,
+            (1..n_nodes).map(|i| (NodeId::from(i - 1), NodeId::from(i), quality, quality)),
+        )
     }
 
     /// A `rows × cols` grid with the source at cell (0,0) and uniform
     /// quality; 4-neighborhood.
     pub fn grid(rows: usize, cols: usize, quality: LinkQuality) -> Self {
         assert!(rows >= 1 && cols >= 1);
-        let mut topo = Self::empty(rows * cols);
         let id = |r: usize, c: usize| NodeId::from(r * cols + c);
+        let mut edges = Vec::new();
         for r in 0..rows {
             for c in 0..cols {
                 if c + 1 < cols {
-                    topo.add_edge(id(r, c), id(r, c + 1), quality, quality);
+                    edges.push((id(r, c), id(r, c + 1), quality, quality));
                 }
                 if r + 1 < rows {
-                    topo.add_edge(id(r, c), id(r + 1, c), quality, quality);
+                    edges.push((id(r, c), id(r + 1, c), quality, quality));
                 }
             }
         }
+        let topo = Self::from_edges(rows * cols, edges);
         let positions = (0..rows * cols)
             .map(|i| Position::new((i % cols) as f64 * 10.0, (i / cols) as f64 * 10.0))
             .collect();
@@ -345,7 +500,6 @@ impl Topology {
         assert!(rows >= 1 && cols >= 1);
         assert!(reach >= 1);
         assert!(q_adjacent >= q_at_reach && q_at_reach > 0.0 && q_adjacent <= 1.0);
-        let mut topo = Self::empty(rows * cols);
         let id = |r: usize, c: usize| NodeId::from(r * cols + c);
         let q_of = |k: usize| {
             let frac = if reach == 1 {
@@ -355,18 +509,20 @@ impl Topology {
             };
             LinkQuality::clamped(q_adjacent + (q_at_reach - q_adjacent) * frac, 0.05)
         };
+        let mut edges = Vec::new();
         for r in 0..rows {
             for c in 0..cols {
                 for k in 1..=reach {
                     if c + k < cols {
-                        topo.add_edge(id(r, c), id(r, c + k), q_of(k), q_of(k));
+                        edges.push((id(r, c), id(r, c + k), q_of(k), q_of(k)));
                     }
                     if r + k < rows {
-                        topo.add_edge(id(r, c), id(r + k, c), q_of(k), q_of(k));
+                        edges.push((id(r, c), id(r + k, c), q_of(k), q_of(k)));
                     }
                 }
             }
         }
+        let topo = Self::from_edges(rows * cols, edges);
         let positions = (0..rows * cols)
             .map(|i| Position::new((i % cols) as f64 * 10.0, (i / cols) as f64 * 10.0))
             .collect();
@@ -376,13 +532,13 @@ impl Topology {
     /// A complete graph with uniform quality (useful for theory tests
     /// where every pair can communicate, matching Algorithm 1's setting).
     pub fn complete(n_nodes: usize, quality: LinkQuality) -> Self {
-        let mut topo = Self::empty(n_nodes);
-        for a in 0..n_nodes {
-            for b in (a + 1)..n_nodes {
-                topo.add_edge(NodeId::from(a), NodeId::from(b), quality, quality);
-            }
-        }
-        topo
+        Self::from_edges(
+            n_nodes,
+            (0..n_nodes).flat_map(|a| {
+                ((a + 1)..n_nodes)
+                    .map(move |b| (NodeId::from(a), NodeId::from(b), quality, quality))
+            }),
+        )
     }
 
     /// Random geometric graph: `n_nodes` uniform positions in a
@@ -396,7 +552,8 @@ impl Topology {
     /// the old all-pairs sweep: positions first, then exactly one jitter
     /// draw per in-radius pair in ascending `(a, b)` lexicographic
     /// order, so every seeded topology (and every scenario digest pinned
-    /// in CI) reproduces byte-for-byte.
+    /// in CI) reproduces byte-for-byte. That ascending order is also
+    /// the one [`Topology::from_edges`] builds from without sorting.
     pub fn random_geometric<R: rand::Rng + ?Sized>(
         n_nodes: usize,
         side: f64,
@@ -422,7 +579,7 @@ impl Topology {
         for (i, p) in positions.iter().enumerate() {
             cells[cell_of(p)].push(i as u32);
         }
-        let mut topo = Self::empty(n_nodes);
+        let mut edges: Vec<Edge> = Vec::new();
         let mut cands: Vec<u32> = Vec::new();
         for a in 0..n_nodes {
             let pa = &positions[a];
@@ -450,63 +607,120 @@ impl Topology {
                     let jitter = 0.05 * (rng.random::<f64>() - 0.5);
                     let q_ab = LinkQuality::clamped(q + jitter, 0.05);
                     let q_ba = LinkQuality::clamped(q - jitter, 0.05);
-                    topo.add_edge(NodeId::from(a), NodeId::from(b), q_ab, q_ba);
+                    edges.push((NodeId::from(a), NodeId::from(b), q_ab, q_ba));
                 }
             }
         }
-        topo.with_positions(positions)
+        Self::from_edges(n_nodes, edges).with_positions(positions)
     }
 }
 
-// Manual serde impls: the wire format carries only `adj` and
-// `positions` (exactly what the former derive emitted); the packed
-// adjacency rows are derived state, rebuilt on deserialization.
+// Manual serde impls: the wire format carries only `adj` (each node's
+// `(neighbor, quality)` list, the former derive's layout) and
+// `positions`; `q_in` and the packed adjacency rows are derived state,
+// rebuilt on deserialization.
 impl Serialize for Topology {
     fn to_value(&self) -> Value {
+        let adj = (0..self.n_nodes())
+            .map(|u| {
+                Value::Array(
+                    self.neighbors(NodeId::from(u))
+                        .map(|e| e.to_value())
+                        .collect(),
+                )
+            })
+            .collect();
         Value::Object(vec![
-            ("adj".into(), self.adj.to_value()),
+            ("adj".into(), Value::Array(adj)),
             ("positions".into(), self.positions.to_value()),
         ])
     }
 }
 
 impl Deserialize for Topology {
+    /// Rejects input that would break the table's invariants: neighbor
+    /// ids out of range, rows not strictly ascending (unsorted or
+    /// duplicate entries), self-links, qualities outside `(0, 1]`, and
+    /// links without their reverse direction. Each error names the
+    /// offending node.
     fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        let adj: Vec<Vec<(NodeId, LinkQuality)>> = Deserialize::from_value(
-            v.get("adj")
-                .ok_or_else(|| serde::Error::custom("Topology: missing field 'adj'"))?,
-        )?;
+        let rows = match v.get("adj") {
+            Some(Value::Array(rows)) => rows,
+            Some(_) => return Err(serde::Error::expected("array", "Topology.adj")),
+            None => return Err(serde::Error::custom("Topology: missing field 'adj'")),
+        };
         let positions: Option<Vec<Position>> = match v.get("positions") {
             Some(p) => Deserialize::from_value(p)?,
             None => None,
         };
-        let n = adj.len();
+        let n = rows.len();
         if n == 0 {
             return Err(serde::Error::custom("Topology: empty adjacency"));
         }
-        for list in &adj {
-            for &(to, _) in list {
+        if positions.as_ref().is_some_and(|p| p.len() != n) {
+            return Err(serde::Error::custom(format!(
+                "Topology: {} positions for {n} nodes",
+                positions.as_ref().map_or(0, Vec::len)
+            )));
+        }
+        let err =
+            |u: usize, what: String| serde::Error::custom(format!("Topology: node {u}: {what}"));
+        // Rows straight into the flat arrays, each checked as it lands.
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0u32);
+        let mut targets = Vec::new();
+        let mut q_out = Vec::new();
+        for (u, row) in rows.iter().enumerate() {
+            let Value::Array(entries) = row else {
+                return Err(err(u, "neighbor list is not an array".into()));
+            };
+            let start = targets.len();
+            for entry in entries {
+                let (to, q): (NodeId, LinkQuality) = Deserialize::from_value(entry)?;
                 if to.index() >= n {
-                    return Err(serde::Error::custom("Topology: neighbor id out of range"));
+                    return Err(err(u, format!("neighbor id {} out of range", to.0)));
                 }
+                if to.index() == u {
+                    return Err(err(u, "self-link".into()));
+                }
+                if targets[start..].last().is_some_and(|&prev| prev >= to) {
+                    return Err(err(
+                        u,
+                        format!("neighbors not strictly ascending at id {}", to.0),
+                    ));
+                }
+                if !(q.prr() > 0.0 && q.prr() <= 1.0) {
+                    return Err(err(
+                        u,
+                        format!("quality {} to {} outside (0, 1]", q.prr(), to.0),
+                    ));
+                }
+                targets.push(to);
+                q_out.push(q);
+            }
+            let end = u32::try_from(targets.len())
+                .map_err(|_| serde::Error::custom("Topology: too many links"))?;
+            offsets.push(end);
+        }
+        // Every row is sorted and in range: look each link's reverse up
+        // in the target's row for its inline incoming quality.
+        let mut q_in = Vec::with_capacity(targets.len());
+        for u in 0..n {
+            for &v in &targets[offsets[u] as usize..offsets[u + 1] as usize] {
+                let row = offsets[v.index()] as usize..offsets[v.index() + 1] as usize;
+                let Ok(i) = targets[row.clone()].binary_search(&NodeId::from(u)) else {
+                    return Err(err(
+                        v.index(),
+                        format!("missing the reverse link to node {u}"),
+                    ));
+                };
+                q_in.push(q_out[row.start + i]);
             }
         }
-        let words_per_row = bitset::words_for(n);
-        let mut words = Vec::new();
-        if n <= Self::DENSE_MIRROR_MAX {
-            words = vec![0u64; n * words_per_row];
-            for (i, list) in adj.iter().enumerate() {
-                let row = &mut words[i * words_per_row..(i + 1) * words_per_row];
-                for &(to, _) in list {
-                    bitset::set_bit(row, to.index());
-                }
-            }
-        }
-        Ok(Self {
-            adj,
-            positions,
-            words,
-            words_per_row,
+        let topo = Self::from_csr(offsets, targets, q_out, q_in);
+        Ok(match positions {
+            Some(p) => topo.with_positions(p),
+            None => topo,
         })
     }
 }
@@ -713,8 +927,7 @@ mod tests {
                 let from_words: Vec<usize> =
                     crate::bitset::iter_ones(t.neighbor_words(a).expect("small graph is mirrored"))
                         .collect();
-                let from_lists: Vec<usize> =
-                    t.neighbors(a).iter().map(|&(v, _)| v.index()).collect();
+                let from_lists: Vec<usize> = t.neighbor_ids(a).iter().map(|v| v.index()).collect();
                 assert_eq!(from_words, from_lists);
                 for b in 0..t.n_nodes() {
                     let b = NodeId::from(b);
@@ -733,7 +946,7 @@ mod tests {
         assert_eq!(sparse.words_per_row(), dense.words_per_row());
         for a in 0..dense.n_nodes() {
             let a = NodeId::from(a);
-            assert_eq!(sparse.neighbors(a), dense.neighbors(a));
+            assert!(sparse.neighbors(a).eq(dense.neighbors(a)));
             for b in 0..dense.n_nodes() {
                 let b = NodeId::from(b);
                 assert_eq!(sparse.are_neighbors(a, b), dense.are_neighbors(a, b));
@@ -786,7 +999,14 @@ mod tests {
             assert_eq!(got.n_edges(), want.n_edges(), "seed {seed}");
             for a in 0..got.n_nodes() {
                 let a = NodeId::from(a);
-                assert_eq!(got.neighbors(a), want.neighbors(a), "seed {seed} node {a}");
+                assert!(
+                    got.neighbors(a).eq(want.neighbors(a)),
+                    "seed {seed} node {a}"
+                );
+                assert!(
+                    got.in_neighbors(a).eq(want.in_neighbors(a)),
+                    "seed {seed} node {a}"
+                );
             }
             assert_eq!(got.positions(), want.positions());
             // Both consumed the same number of draws.
@@ -813,7 +1033,8 @@ mod tests {
                 back.neighbor_words(a).expect("small graph is mirrored"),
                 t.neighbor_words(a).expect("small graph is mirrored")
             );
-            assert_eq!(back.neighbors(a), t.neighbors(a));
+            assert!(back.neighbors(a).eq(t.neighbors(a)));
+            assert!(back.in_neighbors(a).eq(t.in_neighbors(a)));
         }
         assert!(back.positions().is_some());
     }

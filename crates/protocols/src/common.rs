@@ -25,17 +25,16 @@ pub fn fcfs_candidate_filtered(
     let entry = state.queue(u).first_with_work(|p| {
         state
             .topo
-            .neighbors(u)
+            .neighbor_ids(u)
             .iter()
-            .any(|&(v, _)| state.is_active(v) && !state.has(v, p) && allow(v))
+            .any(|&v| state.is_active(v) && !state.has(v, p) && allow(v))
     })?;
     let (v, _) = state
         .topo
         .neighbors(u)
-        .iter()
-        .filter(|&&(v, _)| state.is_active(v) && !state.has(v, entry.packet) && allow(v))
+        .filter(|&(v, _)| state.is_active(v) && !state.has(v, entry.packet) && allow(v))
         .max_by(|a, b| a.1.prr().partial_cmp(&b.1.prr()).expect("PRR is finite"))?;
-    Some((entry.packet, *v))
+    Some((entry.packet, v))
 }
 
 /// Randomized retransmission back-off after collisions.
@@ -105,9 +104,8 @@ pub fn all_candidates(state: &SimState, u: NodeId) -> Vec<(PacketId, NodeId)> {
         let mut targets: Vec<(NodeId, f64)> = state
             .topo
             .neighbors(u)
-            .iter()
-            .filter(|&&(v, _)| state.is_active(v) && !state.has(v, e.packet))
-            .map(|&(v, q)| (v, q.prr()))
+            .filter(|&(v, _)| state.is_active(v) && !state.has(v, e.packet))
+            .map(|(v, q)| (v, q.prr()))
             .collect();
         targets.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("PRR is finite"));
         out.extend(targets.into_iter().map(|(v, _)| (e.packet, v)));
@@ -132,7 +130,7 @@ pub fn all_candidates_into(
     for e in state.queue(u).iter() {
         let holders = state.holder_words(e.packet);
         targets.clear();
-        for &(v, q) in state.topo.neighbors(u) {
+        for (v, q) in state.topo.neighbors(u) {
             if bitset::test_bit(avail, v.index()) && !bitset::test_bit(holders, v.index()) {
                 targets.push((v, q.prr()));
             }

@@ -96,11 +96,8 @@ impl Dbao {
         for ri in 0..n {
             let r = NodeId::from(ri);
             // Neighbors of r sorted by incoming quality (best first).
-            let mut inbound: Vec<(NodeId, f64)> = topo
-                .neighbors(r)
-                .iter()
-                .filter_map(|&(s, _)| topo.quality(s, r).map(|q| (s, q.prr())))
-                .collect();
+            let mut inbound: Vec<(NodeId, f64)> =
+                topo.in_neighbors(r).map(|(s, q)| (s, q.prr())).collect();
             inbound.sort_by(|a, b| {
                 b.1.partial_cmp(&a.1)
                     .expect("PRR is finite")
@@ -210,7 +207,7 @@ impl FloodingProtocol for Dbao {
                 }
                 None => {
                     avail.fill(0);
-                    for &(v, _) in state.topo.neighbors(u) {
+                    for &v in state.topo.neighbor_ids(u) {
                         let vi = v.index();
                         let w = (1u64 << (vi % 64)) & active[vi / 64] & !down[vi / 64];
                         avail[vi / 64] |= w;
@@ -280,7 +277,7 @@ impl FloodingProtocol for Dbao {
                     continue;
                 }
                 let mut best: Option<(f64, NodeId)> = None;
-                for &(v, q) in state.topo.neighbors(u) {
+                for (v, q) in state.topo.neighbors(u) {
                     if bitset::test_bit(avail, v.index())
                         && !bitset::test_bit(holders, v.index())
                         && best.is_none_or(|(bq, _)| q.prr() > bq)

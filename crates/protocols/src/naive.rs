@@ -76,7 +76,7 @@ impl FloodingProtocol for NaiveFlood {
             let row = active.expect("invert implies a calendar row");
             self.cands.fill(0);
             for v in bitset::iter_ones(row) {
-                for &(u, _) in state.topo.neighbors(NodeId::from(v)) {
+                for &u in state.topo.neighbor_ids(NodeId::from(v)) {
                     if bitset::test_bit(work, u.index()) {
                         bitset::set_bit(&mut self.cands, u.index());
                     }

@@ -166,7 +166,7 @@ impl FloodingProtocol for OpportunisticFlooding {
                     // No dense mirror: rebuild the row from the sorted
                     // adjacency list (same bits, same order).
                     self.avail_buf.fill(0);
-                    for &(v, _) in state.topo.neighbors(u) {
+                    for &v in state.topo.neighbor_ids(u) {
                         let vi = v.index();
                         let w = (1u64 << (vi % 64)) & active[vi / 64] & !down[vi / 64];
                         self.avail_buf[vi / 64] |= w;
@@ -241,8 +241,7 @@ impl FloodingProtocol for OpportunisticFlooding {
                 let competitors = state
                     .topo
                     .neighbors(receiver)
-                    .iter()
-                    .filter(|&&(s, q)| state.has(s, packet) && q.prr() >= self.cfg.min_link_quality)
+                    .filter(|&(s, q)| state.has(s, packet) && q.prr() >= self.cfg.min_link_quality)
                     .count()
                     .max(1);
                 // Opportunistic streams for *different* packets can also

@@ -41,44 +41,24 @@ impl Opt {
     /// earliest (FCFS) live packet it is missing that a neighbor holds,
     /// served by the best-quality holding neighbor.
     fn best_reception(&mut self, state: &SimState, r: NodeId) {
-        let nw = state.topo.words_per_row();
-        let nbrs = state.topo.neighbor_words(r);
         for &p in &self.live {
             if state.has(r, p) {
                 continue;
             }
-            // Holding neighbors = one word-AND per 64 nodes; crashed
-            // nodes never appear (their possession is revoked).
+            // Holding neighbors, in ascending id order; crashed nodes
+            // never hold (their possession is revoked). The quality of
+            // the *incoming* direction s -> r sits inline in r's row, and
+            // `>=` keeps the last maximum, exactly as `max_by` did over
+            // the same ascending-id scan.
             let holders = state.holder_words(p);
             let mut best: Option<(f64, NodeId)> = None;
-            // Quality of the *incoming* direction s -> r; `>=` keeps
-            // the last maximum, exactly as `max_by` did over the
-            // same ascending-id scan. Without a dense mirror the
-            // sorted adjacency list walks the identical id order.
-            match nbrs {
-                Some(nbrs) => {
-                    for si in bitset::iter_ones_and(&nbrs[..nw], &holders[..nw]) {
-                        let s = NodeId::from(si);
-                        if let Some(q) = state.topo.quality(s, r) {
-                            let prr = q.prr();
-                            if best.is_none_or(|(bq, _)| prr >= bq) {
-                                best = Some((prr, s));
-                            }
-                        }
-                    }
+            for (s, q) in state.topo.in_neighbors(r) {
+                if !bitset::test_bit(holders, s.index()) {
+                    continue;
                 }
-                None => {
-                    for &(s, _) in state.topo.neighbors(r) {
-                        if !bitset::test_bit(holders, s.index()) {
-                            continue;
-                        }
-                        if let Some(q) = state.topo.quality(s, r) {
-                            let prr = q.prr();
-                            if best.is_none_or(|(bq, _)| prr >= bq) {
-                                best = Some((prr, s));
-                            }
-                        }
-                    }
+                let prr = q.prr();
+                if best.is_none_or(|(bq, _)| prr >= bq) {
+                    best = Some((prr, s));
                 }
             }
             if let Some((prr, s)) = best {

@@ -32,10 +32,10 @@ fn reference_propose(state: &SimState, out: &mut Vec<TxIntent>) {
             }
             let best = state
                 .topo
-                .neighbors(r)
+                .neighbor_ids(r)
                 .iter()
-                .filter(|&&(s, _)| state.has(s, p))
-                .map(|&(s, _)| (state.topo.quality(s, r).expect("symmetric").prr(), s))
+                .filter(|&&s| state.has(s, p))
+                .map(|&s| (state.topo.quality(s, r).expect("symmetric").prr(), s))
                 // Ties go to the later (higher-id) holder.
                 .fold(None, |best: Option<(f64, NodeId)>, (prr, s)| match best {
                     Some((bq, _)) if prr < bq => best,

@@ -93,6 +93,12 @@ pub struct SimState {
     /// it costs O(degree) per grant; a stale bit costs a reader one
     /// node visit, never a wrong answer.
     reach: Vec<u64>,
+    /// Packet-major count of missing neighbors: entry `p * n + u` is the
+    /// number of `u`'s neighbors (crashed ones included) that do not
+    /// hold `p`. Starts at `u`'s degree; [`SimState::grant`] decrements
+    /// it at every neighbor of the granted node, [`SimState::revoke`]
+    /// increments it back. Queue pruning drops `(u, p)` once it is 0.
+    missing: Vec<u32>,
     /// Per-node FCFS forwarding queues.
     queues: Vec<FcfsQueue>,
     /// Per-packet count of *sensors* (source excluded) holding it.
@@ -171,7 +177,7 @@ impl SimState {
                     .zip(awake)
                     .zip(&self.down)
                     .any(|((r, a), d)| r & a & !d != 0),
-                None => self.topo.neighbors(u).iter().any(|&(v, _)| {
+                None => self.topo.neighbor_ids(u).iter().any(|&v| {
                     bitset::test_bit(awake, v.index()) && !bitset::test_bit(&self.down, v.index())
                 }),
             })
@@ -237,29 +243,38 @@ impl SimState {
     }
 
     /// Mark `node` as holding `packet` in both orientations of the
-    /// possession matrix, and put its neighbors on the packet's
-    /// frontier row.
+    /// possession matrix, put its neighbors on the packet's frontier
+    /// row, and count it out of their missing neighbors.
     #[inline]
     fn grant(&mut self, node: NodeId, packet: PacketId) {
+        if !bitset::set_bit(
+            &mut self.holder_bits[packet as usize * self.node_words..],
+            node.index(),
+        ) {
+            return;
+        }
         bitset::set_bit(
             &mut self.have[node.index() * self.packet_words..],
             packet as usize,
         );
-        bitset::set_bit(
-            &mut self.holder_bits[packet as usize * self.node_words..],
-            node.index(),
-        );
+        let n = self.topo.n_nodes();
         let reach = &mut self.reach[packet as usize * self.node_words..][..self.node_words];
-        for &(v, _) in self.topo.neighbors(node) {
+        let missing = &mut self.missing[packet as usize * n..][..n];
+        for &v in self.topo.neighbor_ids(node) {
             bitset::set_bit(reach, v.index());
+            missing[v.index()] -= 1;
         }
     }
 
-    /// Erase `node`'s copy of `packet` (crash wipe). The frontier row
-    /// keeps its bits: clearing them would need every other holder's
-    /// adjacency, and a stale bit is harmless (see `reach`).
+    /// Erase `node`'s copy of `packet` (crash wipe) and count it back
+    /// into its neighbors' missing neighbors. The frontier row keeps its
+    /// bits: clearing them would need every other holder's adjacency,
+    /// and a stale bit is harmless (see `reach`).
     #[inline]
     fn revoke(&mut self, node: NodeId, packet: PacketId) {
+        if !self.has(node, packet) {
+            return;
+        }
         bitset::clear_bit(
             &mut self.have[node.index() * self.packet_words..],
             packet as usize,
@@ -268,6 +283,10 @@ impl SimState {
             &mut self.holder_bits[packet as usize * self.node_words..],
             node.index(),
         );
+        let n = self.topo.n_nodes();
+        for &v in self.topo.neighbor_ids(node) {
+            self.missing[packet as usize * n + v.index()] += 1;
+        }
     }
 
     /// Queue `packet` at `node`, keeping the work bitset exact.
@@ -307,7 +326,7 @@ impl SimState {
                 }
                 let needy = match topo.neighbor_words(NodeId::from(ui)) {
                     Some(adj) => (0..nw).any(|k| adj[k] & !down[k] & !holders[k] != 0),
-                    None => topo.neighbors(NodeId::from(ui)).iter().any(|&(v, _)| {
+                    None => topo.neighbor_ids(NodeId::from(ui)).iter().any(|&v| {
                         !bitset::test_bit(down, v.index()) && !bitset::test_bit(holders, v.index())
                     }),
                 };
@@ -512,6 +531,10 @@ impl<P: FloodingProtocol> Engine<P> {
             SimReport::new(protocol.name(), n_sensors, cfg.duty_ratio(), cfg.n_packets);
         let packet_words = bitset::words_for(m);
         let node_words = bitset::words_for(n);
+        // Nobody holds anything yet: every neighbor is missing.
+        let missing = (0..m)
+            .flat_map(|_| (0..n).map(|u| topo.degree(NodeId::from(u)) as u32))
+            .collect();
         let mut state = SimState {
             cfg,
             topo,
@@ -522,6 +545,7 @@ impl<P: FloodingProtocol> Engine<P> {
             holder_bits: vec![0; m * node_words],
             node_words,
             reach: vec![0; m * node_words],
+            missing,
             // Queue capacity is bounded by the packet count; reserving it
             // up front keeps the slot loop free of first-touch Vec growth
             // (the allocation gate asserts zero heap allocs per slot).
@@ -1155,39 +1179,20 @@ impl<P: FloodingProtocol, O: SimObserver, F: FaultPlan, Pr: SimProfiler> Engine<
         // Prune exhausted queue entries: once every neighbor of `u` holds
         // packet `p`, `u` can never again have forwarding work for `p`
         // (possession is monotone), so drop it from `u`'s FCFS queue.
-        // Triggered incrementally by fresh deliveries to keep this cheap;
-        // "all neighbors hold it" is a word-wise subset test of the
-        // adjacency row against the packet's possession row.
+        // Triggered incrementally by fresh deliveries to keep this cheap:
+        // only the receiver and its neighbors can have just become
+        // exhausted, and "all neighbors hold it" is a zero count of
+        // missing neighbors, kept by `grant`/`revoke`.
+        let state = &mut self.core.state;
+        let n = state.topo.n_nodes();
         for &(r, p) in &newly_delivered {
-            let nw = self.core.state.node_words;
-            let holders = &self.core.state.holder_bits[p as usize * nw..][..nw];
-            for u in self
-                .core
-                .state
-                .topo
-                .neighbors(r)
-                .iter()
-                .map(|&(u, _)| u)
-                .chain(std::iter::once(r))
-            {
+            let missing = &state.missing[p as usize * n..][..n];
+            for &u in state.topo.neighbor_ids(r).iter().chain(std::iter::once(&r)) {
                 let ui = u.index();
-                if !self.core.state.queues[ui].contains(p) {
-                    continue;
-                }
-                let exhausted = match self.core.state.topo.neighbor_words(u) {
-                    Some(adj) => adj.iter().zip(holders).all(|(adj, have)| adj & !have == 0),
-                    None => self
-                        .core
-                        .state
-                        .topo
-                        .neighbors(u)
-                        .iter()
-                        .all(|&(v, _)| bitset::test_bit(holders, v.index())),
-                };
-                if exhausted {
-                    self.core.state.queues[ui].remove(p);
-                    if self.core.state.queues[ui].is_empty() {
-                        bitset::clear_bit(&mut self.core.state.work, ui);
+                if missing[ui] == 0 && state.queues[ui].contains(p) {
+                    state.queues[ui].remove(p);
+                    if state.queues[ui].is_empty() {
+                        bitset::clear_bit(&mut state.work, ui);
                     }
                 }
             }
@@ -1335,7 +1340,7 @@ impl<P: FloodingProtocol, O: SimObserver, F: FaultPlan, Pr: SimProfiler> Engine<
                         }
                     }
                     None => {
-                        for &(v, _) in self.core.state.topo.neighbors(u) {
+                        for &v in self.core.state.topo.neighbor_ids(u) {
                             bitset::set_bit(&mut targets, v.index());
                         }
                     }
@@ -1495,19 +1500,18 @@ mod tests {
                 let u = NodeId::from(ni);
                 let entry = s.queue(u).first_with_work(|p| {
                     s.topo
-                        .neighbors(u)
+                        .neighbor_ids(u)
                         .iter()
-                        .any(|&(v, _)| s.is_active(v) && !s.has(v, p))
+                        .any(|&v| s.is_active(v) && !s.has(v, p))
                 });
                 if let Some(e) = entry {
                     // Best active neighbor missing the packet.
                     let target = s
                         .topo
                         .neighbors(u)
-                        .iter()
-                        .filter(|&&(v, _)| s.is_active(v) && !s.has(v, e.packet))
+                        .filter(|&(v, _)| s.is_active(v) && !s.has(v, e.packet))
                         .max_by(|a, b| a.1.prr().partial_cmp(&b.1.prr()).unwrap());
-                    if let Some(&(v, _)) = target {
+                    if let Some((v, _)) = target {
                         out.push(TxIntent {
                             sender: u,
                             receiver: v,
@@ -1848,7 +1852,7 @@ mod tests {
     fn assert_reach_covers_holders(s: &SimState) {
         for p in 0..s.cfg.n_packets {
             for u in bitset::iter_ones(s.holder_words(p)) {
-                for &(v, _) in s.topo.neighbors(NodeId::from(u)) {
+                for &v in s.topo.neighbor_ids(NodeId::from(u)) {
                     assert!(
                         bitset::test_bit(s.reach_words(p), v.index()),
                         "slot {}: {v} neighbors holder {u} of packet {p} but is off its frontier",
@@ -1859,11 +1863,33 @@ mod tests {
         }
     }
 
+    /// `missing[p][u]` = the number of `u`'s neighbors not holding `p`.
+    fn assert_missing_counts_exact(s: &SimState) {
+        let n = s.n_nodes();
+        for p in 0..s.cfg.n_packets {
+            for u in 0..n {
+                let lacking = s
+                    .topo
+                    .neighbor_ids(NodeId::from(u))
+                    .iter()
+                    .filter(|v| !bitset::test_bit(s.holder_words(p), v.index()))
+                    .count();
+                assert_eq!(
+                    s.missing[p as usize * n + u] as usize,
+                    lacking,
+                    "slot {}: missing count of node {u} for packet {p}",
+                    s.now
+                );
+            }
+        }
+    }
+
     #[test]
     fn reach_rows_cover_live_holders_through_grants_crashes_and_recoveries() {
         // Two origins, one deferred injection, and churn aggressive
         // enough to wipe and reboot nodes mid-flood, on a dense and a
-        // list-only copy of the same grid.
+        // list-only copy of the same grid; the missing-neighbor counts
+        // must stay exact through the same steps.
         let grid = Topology::grid(6, 6, LinkQuality::new(0.8));
         for topo in [grid.clone(), grid.without_dense_mirror()] {
             let cfg = SimConfig {
@@ -1895,8 +1921,10 @@ mod tests {
                 Engine::with_injections(topo, cfg, schedules, &plan, OracleGreedy(GreedyFlood))
                     .with_faults(faults.build());
             assert_reach_covers_holders(engine.state());
+            assert_missing_counts_exact(engine.state());
             while engine.step() {
                 assert_reach_covers_holders(engine.state());
+                assert_missing_counts_exact(engine.state());
             }
             let report = engine.report();
             assert!(report.node_crashes > 0 && report.node_recoveries > 0);

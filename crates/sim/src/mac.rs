@@ -308,9 +308,9 @@ pub fn resolve_slot_into<R: Rng + ?Sized>(
         let audible_busy = match topo.neighbor_words(it.sender) {
             Some(row) => bitset::intersects(row, &scratch.carrier),
             None => topo
-                .neighbors(it.sender)
+                .neighbor_ids(it.sender)
                 .iter()
-                .any(|&(v, _)| bitset::test_bit(&scratch.carrier, v.index())),
+                .any(|&v| bitset::test_bit(&scratch.carrier, v.index())),
         };
         if audible_busy {
             res.deferred.push(i);
@@ -399,7 +399,7 @@ pub fn resolve_slot_into<R: Rng + ?Sized>(
         }
         for k in 0..res.transmitted.len() {
             let s = res.transmitted[k];
-            for &(r, _) in topo.neighbors(s) {
+            for &r in topo.neighbor_ids(s) {
                 let ri = r.index();
                 if bitset::test_bit(&scratch.seen, ri)
                     || bitset::test_bit(&scratch.busy_rx, ri)
@@ -624,7 +624,7 @@ pub fn resolve_slot_reference<R: Rng + ?Sized>(
         }
         let mut seen: Vec<NodeId> = Vec::new();
         for &s in &committed_senders {
-            for &(r, _) in topo.neighbors(s) {
+            for &r in topo.neighbor_ids(s) {
                 if seen.contains(&r)
                     || busy_receivers.contains(&r)
                     || committed_senders.contains(&r)

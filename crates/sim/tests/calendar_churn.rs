@@ -86,18 +86,17 @@ impl FloodingProtocol for GreedyFlood {
             let u = NodeId::from(ni);
             let entry = s.queue(u).first_with_work(|p| {
                 s.topo
-                    .neighbors(u)
+                    .neighbor_ids(u)
                     .iter()
-                    .any(|&(v, _)| s.is_active(v) && !s.has(v, p))
+                    .any(|&v| s.is_active(v) && !s.has(v, p))
             });
             if let Some(e) = entry {
                 let target = s
                     .topo
                     .neighbors(u)
-                    .iter()
-                    .filter(|&&(v, _)| s.is_active(v) && !s.has(v, e.packet))
+                    .filter(|&(v, _)| s.is_active(v) && !s.has(v, e.packet))
                     .max_by(|a, b| a.1.prr().partial_cmp(&b.1.prr()).unwrap());
-                if let Some(&(v, _)) = target {
+                if let Some((v, _)) = target {
                     out.push(TxIntent {
                         sender: u,
                         receiver: v,

@@ -31,11 +31,11 @@ fn arb_case() -> impl Strategy<Value = (Topology, Vec<TxIntent>)> {
         let mut intents = Vec::new();
         for _ in 0..n_intents {
             let s = NodeId::from(rng.random_range(0..n));
-            let nbrs = topo.neighbors(s);
+            let nbrs = topo.neighbor_ids(s);
             if nbrs.is_empty() {
                 continue;
             }
-            let (r, _) = nbrs[rng.random_range(0..nbrs.len())];
+            let r = nbrs[rng.random_range(0..nbrs.len())];
             intents.push(TxIntent {
                 sender: s,
                 receiver: r,

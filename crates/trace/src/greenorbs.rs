@@ -75,7 +75,7 @@ pub fn generate<R: Rng + ?Sized>(cfg: &GreenOrbsConfig, rng: &mut R) -> Topology
 fn generate_once<R: Rng + ?Sized>(cfg: &GreenOrbsConfig, rng: &mut R) -> Topology {
     let positions = sample_positions(&cfg.deploy, rng);
     let n = positions.len();
-    let mut topo = Topology::empty(n);
+    let mut edges = Vec::new();
     for a in 0..n {
         for b in (a + 1)..n {
             let d = positions[a].distance(&positions[b]);
@@ -93,16 +93,16 @@ fn generate_once<R: Rng + ?Sized>(cfg: &GreenOrbsConfig, rng: &mut R) -> Topolog
                 cfg.prr
                     .long_term_prr(&cfg.propagation, shadowed, cfg.opts.rssi_samples, rng);
             if p_ab >= cfg.opts.min_prr && p_ba >= cfg.opts.min_prr {
-                topo.add_edge(
+                edges.push((
                     NodeId::from(a),
                     NodeId::from(b),
                     LinkQuality::new(p_ab.min(1.0)),
                     LinkQuality::new(p_ba.min(1.0)),
-                );
+                ));
             }
         }
     }
-    topo.with_positions(positions)
+    Topology::from_edges(n, edges).with_positions(positions)
 }
 
 /// Convenience: the paper's default 298-sensor trace from a seed.
