@@ -16,7 +16,8 @@
 #   build          cargo build --workspace --release
 #   test           cargo test --workspace
 #   alloc-gate     hot-path allocation gate
-#   artefacts      fig9 + resilience byte-identity vs pinned baselines
+#   artefacts      fig9 + resilience + OF/DBAO ablation byte-identity
+#                  vs pinned baselines
 #   forensics      theory checks over every fig9 trace (+ faulted)
 #   bintrace       binary trace container: export identity + ratio
 #   perf           perf campaign + schema validation + regression gate
@@ -103,7 +104,7 @@ stage_alloc_gate() {
 }
 
 stage_artefacts() {
-    step "regenerate fig9 + resilience (--quick, --profile) and gate byte-identity vs pinned baselines"
+    step "regenerate fig9 + resilience (--quick, --profile) and the OF/DBAO ablations, and gate byte-identity vs pinned baselines"
     ensure_built
     # Run with the phase profiler ON: telemetry must be observational
     # only, so even instrumented runs reproduce every pinned byte.
@@ -111,6 +112,10 @@ stage_artefacts() {
         --trace-events "$ART_DIR/traces" > /dev/null
     ./target/release/experiments resilience --quick --profile --out "$ART_DIR" \
         --trace-events "$ART_DIR/traces" > /dev/null
+    # The ablations hold OF's pure-tree mode and DBAO without
+    # overhearing to pinned bytes too.
+    ./target/release/experiments ablation-opportunistic --quick --out "$ART_DIR" > /dev/null
+    ./target/release/experiments ablation-overhearing --quick --out "$ART_DIR" > /dev/null
     # Performance work must not move a single byte of any artefact:
     # tables and event traces are diffed against
     # crates/bench/baselines/quick/, which the slot-stepped oracle
@@ -120,6 +125,9 @@ stage_artefacts() {
     # contract and never diffed.)
     diff -u crates/bench/baselines/quick/fig9.md "$ART_DIR/fig9.md"
     diff -u crates/bench/baselines/quick/resilience.md "$ART_DIR/resilience.md"
+    for table in ablation-opportunistic ablation-overhearing; do
+        diff -u "crates/bench/baselines/quick/$table.md" "$ART_DIR/$table.md"
+    done
     (cd "$ART_DIR/traces" \
         && sha256sum --check --quiet "$OLDPWD/crates/bench/baselines/quick/traces.sha256")
     echo "byte-identical (with profiling enabled)"

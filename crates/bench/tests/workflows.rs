@@ -119,6 +119,11 @@ fn ci_script_carries_the_load_bearing_gates() {
     assert!(text.contains("campaign --spec scenarios/demo-quick.toml"));
     assert!(text.contains("0/6 cells run, 6 resumed"));
     assert!(text.contains("fig9 --quick --profile"));
+    // OF's pure-tree mode and DBAO without overhearing run only in the
+    // ablations: their tables are pinned too.
+    assert!(text.contains("ablation-opportunistic --quick"));
+    assert!(text.contains("ablation-overhearing --quick"));
+    assert!(text.contains("for table in ablation-opportunistic ablation-overhearing"));
     assert!(text.contains("--validate-profile"));
     assert!(text.contains("--test alloc_gate"));
     assert!(text.contains("cargo test -q --manifest-path benchmark/Cargo.toml"));

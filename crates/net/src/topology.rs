@@ -256,7 +256,9 @@ impl Topology {
 
     /// Add an edge in both directions with the given per-direction
     /// qualities, overwriting existing entries. A new pair shifts the
-    /// arrays (`O(E)`): build large graphs with [`Topology::from_edges`].
+    /// arrays (`O(E)`), which renumbers every link behind it (see
+    /// [`Topology::link_index`]): build large graphs with
+    /// [`Topology::from_edges`].
     pub fn add_edge(&mut self, a: NodeId, b: NodeId, q_ab: LinkQuality, q_ba: LinkQuality) {
         assert_ne!(a, b, "self-links are not allowed");
         if self.entry(a, b).is_none() {
@@ -285,6 +287,41 @@ impl Topology {
                 to.index(),
             );
         }
+    }
+
+    /// Number of directed links: `2 × n_edges`, one per row entry.
+    #[inline]
+    pub fn n_links(&self) -> usize {
+        self.targets.len()
+    }
+
+    /// Index of the directed link `from → to` in `0..n_links()`, if
+    /// the link exists: `to`'s position in `from`'s row, counted from
+    /// the start of the table. Links are numbered by sender, then by
+    /// receiver id, so a node's outgoing links are one contiguous
+    /// range and per-link state can live in a flat `Vec` indexed by
+    /// link. [`Topology::add_edge`] on a new pair renumbers the links
+    /// behind the insertion point; per-link state is therefore sized
+    /// and filled only once the topology is built.
+    #[inline]
+    pub fn link_index(&self, from: NodeId, to: NodeId) -> Option<usize> {
+        self.entry(from, to)
+    }
+
+    /// Outgoing links of `node` in row order (ascending neighbor id):
+    /// `(link, neighbor, quality of node → neighbor)`, with `link` as
+    /// in [`Topology::link_index`].
+    #[inline]
+    pub fn out_links(
+        &self,
+        node: NodeId,
+    ) -> impl ExactSizeIterator<Item = (usize, NodeId, LinkQuality)> + Clone + '_ {
+        let row = self.row(node);
+        self.targets[row.clone()]
+            .iter()
+            .zip(&self.q_out[row.clone()])
+            .zip(row)
+            .map(|((&v, &q), k)| (k, v, q))
     }
 
     /// Directed link quality `from → to`, if the link exists.

@@ -74,6 +74,34 @@ fn check(t: &Topology, r: &Reference, n: u32) -> Result<(), TestCaseError> {
             prop_assert_eq!(Some(q_in), t.quality(v, u));
         }
     }
+    check_links(t, r, n)
+}
+
+/// The link index: links are numbered `0..n_links` by sender, then by
+/// receiver id, so `link_index(u, v)` is `v`'s position in `u`'s row
+/// counted from the start of the table, and `None` for non-links.
+fn check_links(t: &Topology, r: &Reference, n: u32) -> Result<(), TestCaseError> {
+    prop_assert_eq!(t.n_links(), 2 * t.n_edges());
+    prop_assert_eq!(t.n_links(), r.len());
+    let mut next = 0;
+    for a in 0..n {
+        let u = NodeId(a);
+        prop_assert_eq!(t.out_links(u).len(), t.degree(u));
+        for (pos, (link, v, q)) in t.out_links(u).enumerate() {
+            prop_assert_eq!(link, next, "links are numbered in row order");
+            prop_assert_eq!(v, t.neighbor_ids(u)[pos]);
+            prop_assert_eq!(Some(q), t.quality(u, v));
+            prop_assert_eq!(t.link_index(u, v), Some(link));
+            next += 1;
+        }
+        for b in 0..n {
+            let v = NodeId(b);
+            if !r.contains_key(&(a, b)) {
+                prop_assert_eq!(t.link_index(u, v), None);
+            }
+        }
+    }
+    prop_assert_eq!(next, t.n_links());
     Ok(())
 }
 
@@ -143,6 +171,23 @@ fn fixture() -> Topology {
 /// The wire format is each node's `(neighbor, quality)` list plus the
 /// positions — pinned byte for byte, since traces and campaign
 /// artefacts carry it.
+/// `add_edge` on a new pair inserts into two rows, so every link behind
+/// the first insertion point moves: per-link state must be sized after
+/// the topology is built.
+#[test]
+fn add_edge_renumbers_links() {
+    let q = LinkQuality::new(0.5);
+    let mut t = Topology::line(3, q);
+    assert_eq!(t.n_links(), 4);
+    assert_eq!(t.link_index(NodeId(1), NodeId(2)), Some(2));
+    assert_eq!(t.link_index(NodeId(0), NodeId(2)), None);
+    t.add_edge(NodeId(0), NodeId(2), q, q);
+    assert_eq!(t.n_links(), 6);
+    assert_eq!(t.link_index(NodeId(0), NodeId(2)), Some(1));
+    assert_eq!(t.link_index(NodeId(1), NodeId(2)), Some(3));
+    assert_eq!(t.link_index(NodeId(2), NodeId(1)), Some(5));
+}
+
 #[test]
 fn wire_format_is_pinned() {
     let want = r#"{"adj":[[[2,0.9],[3,0.625]],[[2,0.5]],[[0,0.4],[1,0.75]],[[0,0.3]]],"positions":[{"x":0,"y":0},{"x":1.5,"y":-2},{"x":10,"y":0.25},{"x":3,"y":4}]}"#;

@@ -1,11 +1,10 @@
 //! Shared helpers for protocol implementations.
 
-use ldcf_net::{bitset, NodeId, PacketId};
+use ldcf_net::{bitset, NodeId, PacketId, Topology};
 use ldcf_sim::mac::{DeliveryEvent, Outcome};
 use ldcf_sim::SimState;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
 
 /// The FCFS-earliest packet at `u` for which some active neighbor of `u`
 /// is still missing it, together with the best such neighbor (highest
@@ -15,25 +14,25 @@ pub fn fcfs_candidate(state: &SimState, u: NodeId) -> Option<(PacketId, NodeId)>
     fcfs_candidate_filtered(state, u, |_| true)
 }
 
-/// [`fcfs_candidate`] restricted to receivers passing `allow` (used to
-/// honour per-receiver collision back-off windows).
+/// [`fcfs_candidate`] restricted to the links `u → receiver` whose
+/// index (see [`Topology::link_index`]) passes `allow` (used to honour
+/// per-link collision back-off windows).
 pub fn fcfs_candidate_filtered(
     state: &SimState,
     u: NodeId,
-    mut allow: impl FnMut(NodeId) -> bool,
+    mut allow: impl FnMut(usize) -> bool,
 ) -> Option<(PacketId, NodeId)> {
     let entry = state.queue(u).first_with_work(|p| {
         state
             .topo
-            .neighbor_ids(u)
-            .iter()
-            .any(|&v| state.is_active(v) && !state.has(v, p) && allow(v))
+            .out_links(u)
+            .any(|(link, v, _)| state.is_active(v) && !state.has(v, p) && allow(link))
     })?;
-    let (v, _) = state
+    let (_, v, _) = state
         .topo
-        .neighbors(u)
-        .filter(|&(v, _)| state.is_active(v) && !state.has(v, entry.packet) && allow(v))
-        .max_by(|a, b| a.1.prr().partial_cmp(&b.1.prr()).expect("PRR is finite"))?;
+        .out_links(u)
+        .filter(|&(link, v, _)| state.is_active(v) && !state.has(v, entry.packet) && allow(link))
+        .max_by(|a, b| a.2.prr().partial_cmp(&b.2.prr()).expect("PRR is finite"))?;
     Some((entry.packet, v))
 }
 
@@ -42,11 +41,14 @@ pub fn fcfs_candidate_filtered(
 /// Two senders hidden from each other that keep retrying the same
 /// receiver at its every active slot would collide forever under any
 /// deterministic policy. Real link layers detect the missing ACK and
-/// back off a random number of retry opportunities; this helper tracks a
-/// per-`(sender, receiver)` skip window doing exactly that.
+/// back off a random number of retry opportunities; this helper keeps a
+/// skip window per directed link `sender → receiver` doing exactly
+/// that, in a flat table indexed by [`Topology::link_index`].
 #[derive(Debug)]
 pub struct CollisionBackoff {
-    blocked_until: HashMap<(NodeId, NodeId), u64>,
+    /// `blocked_until[link]`: the first slot at which the link's sender
+    /// may target its receiver again (0: never blocked).
+    blocked_until: Vec<u64>,
     rng: StdRng,
     window: u32,
 }
@@ -58,98 +60,131 @@ impl CollisionBackoff {
     pub fn new(seed: u64, window: u32) -> Self {
         assert!(window >= 1);
         Self {
-            blocked_until: HashMap::new(),
+            blocked_until: Vec::new(),
             rng: StdRng::seed_from_u64(seed),
             window,
         }
     }
 
-    /// Reserve room for `pairs` distinct `(sender, receiver)` keys.
-    /// Collision keys are always neighbor pairs, so reserving the
-    /// topology's directed edge count up front means the map never
-    /// rehashes mid-run — the allocation gate counts on that.
-    pub fn reserve(&mut self, pairs: usize) {
-        self.blocked_until.reserve(pairs);
+    /// Size the table to `topo`'s links, every window open. Called from
+    /// the protocol's `on_start`, so the slot loop never allocates.
+    pub fn on_start(&mut self, topo: &Topology) {
+        self.blocked_until.clear();
+        self.blocked_until.resize(topo.n_links(), 0);
     }
 
-    /// Whether `sender` is still backing off from `receiver` at `now`.
-    pub fn blocked(&self, sender: NodeId, receiver: NodeId, now: u64) -> bool {
-        self.blocked_until
-            .get(&(sender, receiver))
-            .is_some_and(|&until| now < until)
+    /// Whether the sender of `link` is still backing off from its
+    /// receiver at `now`.
+    #[inline]
+    pub fn blocked(&self, link: usize, now: u64) -> bool {
+        now < self.blocked_until[link]
     }
 
     /// Digest a slot's outcomes: each collision blocks its sender from
     /// that receiver for a random number of periods.
-    pub fn observe(&mut self, events: &[DeliveryEvent], now: u64, period: u32) {
+    pub fn observe(&mut self, topo: &Topology, events: &[DeliveryEvent], now: u64, period: u32) {
         for e in events {
             if e.outcome == Outcome::Collision {
                 let periods = self.rng.random_range(1..=self.window) as u64;
-                self.blocked_until
-                    .insert((e.sender, e.receiver), now + periods * period as u64 + 1);
+                let link = topo
+                    .link_index(e.sender, e.receiver)
+                    .expect("a collision is on a link");
+                self.blocked_until[link] = now + periods * period as u64 + 1;
             }
         }
-        // Drop stale entries occasionally to bound memory.
-        if self.blocked_until.len() > 4096 {
-            self.blocked_until.retain(|_, &mut until| until > now);
+    }
+}
+
+/// One receiver a sender could serve this slot, reached over `link`
+/// (the sender → `node` entry of [`Topology::link_index`]).
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Receiver {
+    /// The receiving neighbor.
+    pub node: NodeId,
+    /// Index of the link sender → `node`.
+    pub link: usize,
+    /// PRR of that link.
+    pub prr: f64,
+}
+
+/// This slot's packed row of awake, live nodes, written into `buf`:
+/// the wake calendar's row — or, when the schedule table has no
+/// calendar (heterogeneous periods), a scan of every schedule — minus
+/// the crashed nodes.
+pub(crate) fn awake_row<'a>(state: &SimState, buf: &'a mut Vec<u64>) -> &'a [u64] {
+    buf.clear();
+    match state.schedules.active_words(state.now) {
+        Some(w) => buf.extend_from_slice(w),
+        None => {
+            buf.resize(state.topo.words_per_row(), 0);
+            for v in state.schedules.all_active(state.now) {
+                bitset::set_bit(buf, v.index());
+            }
         }
     }
-}
-
-/// All `(packet, receiver)` pairs `u` could serve this slot, FCFS-ordered
-/// by packet and quality-ordered by receiver within a packet.
-pub fn all_candidates(state: &SimState, u: NodeId) -> Vec<(PacketId, NodeId)> {
-    let mut out = Vec::new();
-    for e in state.queue(u).iter() {
-        let mut targets: Vec<(NodeId, f64)> = state
-            .topo
-            .neighbors(u)
-            .filter(|&(v, _)| state.is_active(v) && !state.has(v, e.packet))
-            .map(|(v, q)| (v, q.prr()))
-            .collect();
-        targets.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("PRR is finite"));
-        out.extend(targets.into_iter().map(|(v, _)| (e.packet, v)));
+    for (w, d) in buf.iter_mut().zip(state.down_words()) {
+        *w &= !d;
     }
-    out
+    buf
 }
 
-/// Allocation-free [`all_candidates`]: same pairs in the same order, but
-/// the active-receiver filter arrives as a packed availability row
-/// (`avail` = neighbors(u) ∩ active ∩ ¬down, one bit per node) and both
-/// vectors are caller-owned scratch reused across slots. The possession
-/// filter is a word probe into the holder bitset instead of a matrix
-/// lookup.
-pub fn all_candidates_into(
+/// Fill `out` with the receivers `u` can serve this slot: neighbors in
+/// `awake` (see [`awake_row`]) that `u` is not backing off from, best
+/// link first (PRR descending, ties to the lower id). Built once per
+/// sender per slot; a queue scan then takes the first entry missing
+/// each packet, which is that packet's best receiver.
+pub(crate) fn awake_receivers(
     state: &SimState,
     u: NodeId,
-    avail: &[u64],
-    targets: &mut Vec<(NodeId, f64)>,
-    out: &mut Vec<(PacketId, NodeId)>,
+    awake: &[u64],
+    backoff: &CollisionBackoff,
+    out: &mut Vec<Receiver>,
 ) {
     out.clear();
-    for e in state.queue(u).iter() {
-        let holders = state.holder_words(e.packet);
-        targets.clear();
-        for (v, q) in state.topo.neighbors(u) {
-            if bitset::test_bit(avail, v.index()) && !bitset::test_bit(holders, v.index()) {
-                targets.push((v, q.prr()));
-            }
+    for (link, node, q) in state.topo.out_links(u) {
+        if bitset::test_bit(awake, node.index()) && !backoff.blocked(link, state.now) {
+            out.push(Receiver {
+                node,
+                link,
+                prr: q.prr(),
+            });
         }
-        // Each receiver appears once and is pushed in ascending id order,
-        // so an id tie-break reproduces the stable order exactly without
-        // the merge-sort scratch a stable sort would allocate per call.
-        targets.sort_unstable_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .expect("PRR is finite")
-                .then_with(|| a.0.cmp(&b.0))
-        });
-        out.extend(targets.iter().map(|&(v, _)| (e.packet, v)));
     }
+    // The row is in ascending id order, so sorting on (PRR, id) is the
+    // stable PRR sort without the scratch a stable sort allocates.
+    out.sort_unstable_by(|a, b| {
+        b.prr
+            .partial_cmp(&a.prr)
+            .expect("PRR is finite")
+            .then_with(|| a.node.cmp(&b.node))
+    });
+}
+
+/// The largest degree in `topo`: the capacity an [`awake_receivers`]
+/// list needs so that filling it never allocates.
+pub(crate) fn max_degree(topo: &Topology) -> usize {
+    (0..topo.n_nodes())
+        .map(|i| topo.degree(NodeId::from(i)))
+        .max()
+        .unwrap_or(0)
 }
 
 #[cfg(test)]
 mod backoff_tests {
     use super::*;
+    use ldcf_net::LinkQuality;
+
+    /// Four mutually audible nodes: every ordered pair is a link.
+    fn backoff_on_k4(seed: u64, window: u32) -> (CollisionBackoff, Topology) {
+        let topo = Topology::complete(4, LinkQuality::PERFECT);
+        let mut b = CollisionBackoff::new(seed, window);
+        b.on_start(&topo);
+        (b, topo)
+    }
+
+    fn link(topo: &Topology, s: u32, r: u32) -> usize {
+        topo.link_index(NodeId(s), NodeId(r)).unwrap()
+    }
 
     fn collision_event(s: u32, r: u32) -> DeliveryEvent {
         DeliveryEvent {
@@ -162,29 +197,32 @@ mod backoff_tests {
 
     #[test]
     fn collision_opens_a_window_then_expires() {
-        let mut b = CollisionBackoff::new(1, 1); // exactly one period
+        let (mut b, topo) = backoff_on_k4(1, 1); // exactly one period
         let period = 10;
-        b.observe(&[collision_event(1, 2)], 100, period);
+        let l12 = link(&topo, 1, 2);
+        b.observe(&topo, &[collision_event(1, 2)], 100, period);
         // Blocked through the receiver's next active slot (t=110)...
-        assert!(b.blocked(NodeId(1), NodeId(2), 100));
-        assert!(b.blocked(NodeId(1), NodeId(2), 110));
+        assert!(b.blocked(l12, 100));
+        assert!(b.blocked(l12, 110));
         // ...but free by the one after.
-        assert!(!b.blocked(NodeId(1), NodeId(2), 111));
+        assert!(!b.blocked(l12, 111));
     }
 
     #[test]
     fn window_is_per_pair() {
-        let mut b = CollisionBackoff::new(2, 3);
-        b.observe(&[collision_event(1, 2)], 50, 5);
-        assert!(b.blocked(NodeId(1), NodeId(2), 51));
-        assert!(!b.blocked(NodeId(1), NodeId(3), 51));
-        assert!(!b.blocked(NodeId(2), NodeId(1), 51));
+        let (mut b, topo) = backoff_on_k4(2, 3);
+        b.observe(&topo, &[collision_event(1, 2)], 50, 5);
+        assert!(b.blocked(link(&topo, 1, 2), 51));
+        assert!(!b.blocked(link(&topo, 1, 3), 51));
+        // The reverse link is a different entry.
+        assert!(!b.blocked(link(&topo, 2, 1), 51));
     }
 
     #[test]
     fn non_collision_outcomes_do_not_block() {
-        let mut b = CollisionBackoff::new(3, 3);
+        let (mut b, topo) = backoff_on_k4(3, 3);
         b.observe(
+            &topo,
             &[DeliveryEvent {
                 sender: NodeId(1),
                 receiver: NodeId(2),
@@ -194,18 +232,19 @@ mod backoff_tests {
             10,
             5,
         );
-        assert!(!b.blocked(NodeId(1), NodeId(2), 10));
+        assert!(!b.blocked(link(&topo, 1, 2), 10));
     }
 
     #[test]
     fn windows_are_bounded_by_the_configured_maximum() {
-        let mut b = CollisionBackoff::new(4, 3);
+        let (mut b, topo) = backoff_on_k4(4, 3);
         let period = 7u32;
+        let l12 = link(&topo, 1, 2);
         for trial in 0..50u64 {
             let now = trial * 1000;
-            b.observe(&[collision_event(1, 2)], now, period);
+            b.observe(&topo, &[collision_event(1, 2)], now, period);
             // Must expire within `window` periods (+1 slot).
-            assert!(!b.blocked(NodeId(1), NodeId(2), now + 3 * period as u64 + 1));
+            assert!(!b.blocked(l12, now + 3 * period as u64 + 1));
         }
     }
 }
@@ -258,17 +297,17 @@ mod tests {
         assert_eq!(p, 0, "FCFS: earliest packet first");
         assert_eq!(v, NodeId(1), "best link first");
 
-        let all = all_candidates(state, NodeId(0));
+        let mut backoff = CollisionBackoff::new(1, 1);
+        backoff.on_start(&state.topo);
+        let mut buf = Vec::new();
+        let awake = awake_row(state, &mut buf);
+        let mut list = Vec::new();
+        awake_receivers(state, NodeId(0), awake, &backoff, &mut list);
+        let order: Vec<(NodeId, usize)> = list.iter().map(|r| (r.node, r.link)).collect();
         assert_eq!(
-            all,
-            vec![
-                (0, NodeId(1)),
-                (0, NodeId(2)),
-                (1, NodeId(1)),
-                (1, NodeId(2)),
-                (2, NodeId(1)),
-                (2, NodeId(2)),
-            ]
+            order,
+            vec![(NodeId(1), 0), (NodeId(2), 1)],
+            "best link first"
         );
     }
 
@@ -292,6 +331,12 @@ mod tests {
         let engine = Engine::with_schedules(topo, cfg, schedules, Idle);
         // At slot 0, node 1 is dormant: no candidate.
         assert!(fcfs_candidate(engine.state(), NodeId(0)).is_none());
-        assert!(all_candidates(engine.state(), NodeId(0)).is_empty());
+        let mut backoff = CollisionBackoff::new(1, 1);
+        backoff.on_start(&engine.state().topo);
+        let mut buf = Vec::new();
+        let awake = awake_row(engine.state(), &mut buf);
+        let mut list = Vec::new();
+        awake_receivers(engine.state(), NodeId(0), awake, &backoff, &mut list);
+        assert!(list.is_empty());
     }
 }

@@ -19,7 +19,7 @@
 //! other's carrier-sense range still collide at the receiver. The paper
 //! attributes the entire remaining DBAO↔OPT gap to exactly this.
 
-use crate::common::CollisionBackoff;
+use crate::common::{awake_receivers, awake_row, max_degree, CollisionBackoff, Receiver};
 use ldcf_net::{bitset, NodeId, Topology};
 use ldcf_sim::mac::{DeliveryEvent, Overhearing};
 use ldcf_sim::{FloodingProtocol, SimState, TxIntent};
@@ -42,29 +42,27 @@ impl Default for DbaoConfig {
 #[derive(Debug)]
 pub struct Dbao {
     cfg: DbaoConfig,
-    /// `rank[r][s]` = deterministic back-off of sender `s` when targeting
-    /// receiver `r` (dense per-receiver maps, built at start). Ranks
-    /// `0..clique_size[r]` are r's mutually-audible forwarder clique;
-    /// larger ranks are the remaining inbound neighbors by quality.
-    rank: Vec<Vec<u32>>,
-    /// Number of clique (mutually audible, priority) forwarders per
-    /// receiver.
-    clique_size: Vec<u32>,
-    /// Per-receiver clique members in rank order (`clique_members[r][k]`
-    /// holds rank `k`), so the clique-priority election scans only the
-    /// few better-ranked members instead of every neighbor.
-    clique_members: Vec<Vec<NodeId>>,
-    /// Per-receiver sorted non-clique ranks, precomputed once — the
-    /// license rotation used to allocate + sort this list on every
-    /// eligibility query.
-    non_clique_ranks: Vec<Vec<u32>>,
+    /// `rank_out[link s → r]` = deterministic back-off of sender `s`
+    /// when targeting receiver `r` (indexed by
+    /// [`Topology::link_index`], built at start). Ranks
+    /// `0..clique size of r` are r's mutually-audible forwarder clique;
+    /// larger ranks are the remaining inbound neighbors by quality, up
+    /// to `degree(r) - 1`.
+    rank_out: Vec<u32>,
+    /// Receiver `r`'s forwarder clique in rank order is
+    /// `clique_nodes[clique_offsets[r]..clique_offsets[r + 1]]`, so the
+    /// clique-priority election scans only the few better-ranked
+    /// members instead of every neighbor.
+    clique_offsets: Vec<u32>,
+    /// Clique members of every receiver, concatenated (see
+    /// `clique_offsets`).
+    clique_nodes: Vec<NodeId>,
     /// Randomized retry back-off after hidden-terminal collisions.
     backoff: CollisionBackoff,
-    /// Scratch: this slot's active nodes, packed (only filled when the
-    /// schedule table cannot supply a calendar row itself).
-    active_buf: Vec<u64>,
-    /// Scratch: awake, live neighbors of the sender under consideration.
-    avail_buf: Vec<u64>,
+    /// Scratch: this slot's awake, live nodes, packed.
+    awake: Vec<u64>,
+    /// Scratch: the sender's awake receivers, best link first.
+    receivers: Vec<Receiver>,
 }
 
 impl Dbao {
@@ -77,27 +75,30 @@ impl Dbao {
     pub fn with_config(cfg: DbaoConfig) -> Self {
         Self {
             cfg,
-            rank: Vec::new(),
-            clique_size: Vec::new(),
-            clique_members: Vec::new(),
-            non_clique_ranks: Vec::new(),
+            rank_out: Vec::new(),
+            clique_offsets: Vec::new(),
+            clique_nodes: Vec::new(),
             backoff: CollisionBackoff::new(0xDBA0, 4),
-            active_buf: Vec::new(),
-            avail_buf: Vec::new(),
+            awake: Vec::new(),
+            receivers: Vec::new(),
         }
     }
 
     fn build_ranks(&mut self, topo: &Topology) {
         let n = topo.n_nodes();
-        self.rank = vec![Vec::new(); n];
-        self.clique_size.clear();
-        self.clique_members = vec![Vec::new(); n];
-        self.non_clique_ranks = vec![Vec::new(); n];
+        self.rank_out.clear();
+        self.rank_out.resize(topo.n_links(), u32::MAX);
+        self.clique_offsets.clear();
+        self.clique_offsets.reserve(n + 1);
+        self.clique_offsets.push(0);
+        self.clique_nodes.clear();
+        // `(sender, PRR into r, in r's clique)`, one receiver at a time.
+        let mut inbound: Vec<(NodeId, f64, bool)> = Vec::with_capacity(max_degree(topo));
         for ri in 0..n {
             let r = NodeId::from(ri);
             // Neighbors of r sorted by incoming quality (best first).
-            let mut inbound: Vec<(NodeId, f64)> =
-                topo.in_neighbors(r).map(|(s, q)| (s, q.prr())).collect();
+            inbound.clear();
+            inbound.extend(topo.in_neighbors(r).map(|(s, q)| (s, q.prr(), false)));
             inbound.sort_by(|a, b| {
                 b.1.partial_cmp(&a.1)
                     .expect("PRR is finite")
@@ -111,27 +112,25 @@ impl Dbao {
             // forwarders; what remains is cross-receiver interference —
             // the hidden-terminal residue the paper attributes the
             // DBAO↔OPT gap to.
-            let mut clique: Vec<NodeId> = Vec::new();
-            let mut rest: Vec<NodeId> = Vec::new();
-            for (s, _) in inbound {
-                if clique.iter().all(|&c| topo.are_neighbors(c, s)) {
-                    clique.push(s);
-                } else {
-                    rest.push(s);
+            let start = self.clique_nodes.len();
+            for (s, _, in_clique) in &mut inbound {
+                if self.clique_nodes[start..]
+                    .iter()
+                    .all(|&c| topo.are_neighbors(c, *s))
+                {
+                    self.clique_nodes.push(*s);
+                    *in_clique = true;
                 }
             }
-            let mut map = vec![u32::MAX; n];
-            let csize = clique.len();
-            self.clique_size.push(csize as u32);
-            self.clique_members[ri] = clique.clone();
-            for (rank, s) in clique.into_iter().chain(rest).enumerate() {
-                map[s.index()] = rank as u32;
-                if rank >= csize {
-                    self.non_clique_ranks[ri].push(rank as u32);
-                }
+            self.clique_offsets.push(self.clique_nodes.len() as u32);
+            // Clique members take ranks `0..csize` in clique order, the
+            // rest follow in inbound order.
+            let clique = &self.clique_nodes[start..];
+            let rest = inbound.iter().filter(|e| !e.2).map(|e| e.0);
+            for (rank, s) in clique.iter().copied().chain(rest).enumerate() {
+                let link = topo.link_index(s, r).expect("links are symmetric");
+                self.rank_out[link] = rank as u32;
             }
-            debug_assert!(self.non_clique_ranks[ri].is_sorted());
-            self.rank[ri] = map;
         }
     }
 }
@@ -157,65 +156,26 @@ impl FloodingProtocol for Dbao {
 
     fn on_start(&mut self, state: &SimState) {
         self.build_ranks(&state.topo);
-        // Collision keys are directed neighbor pairs; reserving them all
-        // keeps the back-off map from rehashing mid-run.
-        self.backoff.reserve(state.topo.n_edges() * 2);
+        self.backoff.on_start(&state.topo);
+        self.receivers.reserve(max_degree(&state.topo));
     }
 
     fn propose(&mut self, state: &SimState, out: &mut Vec<TxIntent>) {
         let now = state.now;
-        let nw = state.topo.words_per_row();
-        let down = state.down_words();
         let work = state.work_words();
         let period = state.cfg.period as u64;
-        // One packed row of this slot's active nodes, straight from the
-        // wake calendar; fall back to a scan when the schedule table has
-        // no calendar (heterogeneous periods).
-        let active: &[u64] = match state.schedules.active_words(now) {
-            Some(w) => w,
-            None => {
-                self.active_buf.clear();
-                self.active_buf.resize(nw, 0);
-                for v in state.schedules.all_active(now) {
-                    bitset::set_bit(&mut self.active_buf, v.index());
-                }
-                &self.active_buf
-            }
-        };
-        let backoff = &self.backoff;
-        let rank = &self.rank;
-        let clique_size = &self.clique_size;
-        let clique_members = &self.clique_members;
-        let non_clique_ranks = &self.non_clique_ranks;
-        let avail = &mut self.avail_buf;
-        avail.clear();
-        avail.resize(nw, 0);
+        let awake = awake_row(state, &mut self.awake);
+        let rank_out = &self.rank_out;
+        let clique_offsets = &self.clique_offsets;
+        let clique_nodes = &self.clique_nodes;
         // Only nodes with queued work can produce an intent; everyone
         // else falls through the queue scan without effect, so skip them
         // wholesale via the work bitset.
         for u in state.nodes_with_work() {
-            // avail = neighbors(u) ∩ active ∩ ¬down: the only receivers
-            // this slot can serve. Empty ⇒ no candidate, next node.
-            let mut any = 0u64;
-            match state.topo.neighbor_words(u) {
-                Some(nbrs) => {
-                    for k in 0..nw {
-                        let w = nbrs[k] & active[k] & !down[k];
-                        avail[k] = w;
-                        any |= w;
-                    }
-                }
-                None => {
-                    avail.fill(0);
-                    for &v in state.topo.neighbor_ids(u) {
-                        let vi = v.index();
-                        let w = (1u64 << (vi % 64)) & active[vi / 64] & !down[vi / 64];
-                        avail[vi / 64] |= w;
-                        any |= w;
-                    }
-                }
-            }
-            if any == 0 {
+            // The only receivers this slot can serve: awake, live and
+            // not backed off from. Empty ⇒ no candidate, next node.
+            awake_receivers(state, u, awake, &self.backoff, &mut self.receivers);
+            if self.receivers.is_empty() {
                 continue;
             }
             // A receiver r is eligible for u if u wins the deterministic
@@ -226,27 +186,23 @@ impl FloodingProtocol for Dbao {
             // non-clique* holders are invisible to u — both elect
             // themselves and collide at r: the residual hidden-terminal
             // gap to OPT the paper calls out.
-            let eligible = |r: NodeId, p: u32| -> bool {
-                let my_rank = rank[r.index()][u.index()];
-                if my_rank == u32::MAX || backoff.blocked(u, r, now) {
-                    return false;
-                }
-                let csize = clique_size[r.index()];
+            let eligible = |r: NodeId, my_rank: u32, p: u32| -> bool {
+                let clique = &clique_nodes
+                    [clique_offsets[r.index()] as usize..clique_offsets[r.index() + 1] as usize];
+                let csize = clique.len() as u32;
                 if my_rank < csize {
                     // Clique member: yield only to a better-ranked clique
                     // holder of this packet. Clique members are mutually
                     // audible, so whatever contention remains is resolved
                     // by carrier sense, never by collision. Ranks below
-                    // `my_rank` are exactly `clique_members[r][..my_rank]`.
-                    !clique_members[r.index()][..my_rank as usize]
-                        .iter()
-                        .any(|&s| state.has(s, p))
+                    // `my_rank` are exactly `clique[..my_rank]`.
+                    !clique[..my_rank as usize].iter().any(|&s| state.has(s, p))
                 } else {
                     // Non-clique (bootstrap) forwarder. The clique has
                     // absolute priority: stay silent whenever any clique
                     // member has pending work for r (it may serve r this
                     // very slot, and u cannot hear it coming).
-                    let clique_busy = clique_members[r.index()].iter().any(|&s| {
+                    let clique_busy = clique.iter().any(|&s| {
                         bitset::test_bit(work, s.index())
                             && state.queue(s).iter().any(|e| !state.has(r, e.packet))
                     });
@@ -256,44 +212,32 @@ impl FloodingProtocol for Dbao {
                     // Hidden non-clique contenders cannot elect among
                     // themselves on the air, so r's broadcast assignment
                     // licenses exactly one of them per period (a static
-                    // rotation over the non-clique ranks). One licensed
-                    // sender per receiver per period ⇒ no sustained
-                    // collisions, at the price of idle bootstrap slots.
-                    let ncr = &non_clique_ranks[r.index()];
-                    debug_assert!(ncr.binary_search(&my_rank).is_ok());
-                    let pick = (now / period) as usize % ncr.len();
-                    ncr[pick] == my_rank
+                    // rotation over the non-clique ranks
+                    // `csize..degree(r)`). One licensed sender per
+                    // receiver per period ⇒ no sustained collisions, at
+                    // the price of idle bootstrap slots.
+                    let non_clique = state.topo.degree(r) as u64 - csize as u64;
+                    debug_assert!(my_rank as u64 - (csize as u64) < non_clique);
+                    csize as u64 + (now / period) % non_clique == my_rank as u64
                 }
             };
             // FCFS packet scan with the election folded into the
-            // receiver filter.
-            let mut cand: Option<(u32, NodeId)> = None;
+            // receiver filter: the first awake receiver missing the
+            // packet that u wins is that packet's best one.
+            let mut cand: Option<(u32, NodeId, u32)> = None;
             'queue: for e in state.queue(u).iter() {
                 let holders = state.holder_words(e.packet);
-                // Word-level pre-check: someone awake must be missing
-                // the packet before the per-neighbor election is worth
-                // running at all.
-                if !(0..nw).any(|k| (avail[k] & !holders[k]) != 0) {
-                    continue;
-                }
-                let mut best: Option<(f64, NodeId)> = None;
-                for (v, q) in state.topo.neighbors(u) {
-                    if bitset::test_bit(avail, v.index())
-                        && !bitset::test_bit(holders, v.index())
-                        && best.is_none_or(|(bq, _)| q.prr() > bq)
-                        && eligible(v, e.packet)
+                for r in &self.receivers {
+                    let my_rank = rank_out[r.link];
+                    if !bitset::test_bit(holders, r.node.index())
+                        && eligible(r.node, my_rank, e.packet)
                     {
-                        best = Some((q.prr(), v));
+                        cand = Some((e.packet, r.node, my_rank));
+                        break 'queue;
                     }
                 }
-                if let Some((_, v)) = best {
-                    cand = Some((e.packet, v));
-                    break 'queue;
-                }
             }
-            if let Some((packet, receiver)) = cand {
-                let my_rank = rank[receiver.index()][u.index()];
-                debug_assert_ne!(my_rank, u32::MAX, "sender must be a neighbor");
+            if let Some((packet, receiver, my_rank)) = cand {
                 out.push(TxIntent {
                     sender: u,
                     receiver,
@@ -306,7 +250,8 @@ impl FloodingProtocol for Dbao {
     }
 
     fn on_events(&mut self, state: &SimState, events: &[DeliveryEvent]) {
-        self.backoff.observe(events, state.now, state.cfg.period);
+        self.backoff
+            .observe(&state.topo, events, state.now, state.cfg.period);
     }
 }
 
@@ -360,8 +305,9 @@ mod tests {
 
         let mut dbao = Dbao::new();
         dbao.build_ranks(&topo);
+        let rank_at_3 = |s: u32| dbao.rank_out[topo.link_index(NodeId(s), NodeId(3)).unwrap()];
         assert!(
-            dbao.rank[3][1] < dbao.rank[3][2],
+            rank_at_3(1) < rank_at_3(2),
             "better inbound link gets the smaller back-off"
         );
     }

@@ -45,9 +45,7 @@ impl FloodingProtocol for NaiveFlood {
     }
 
     fn on_start(&mut self, state: &SimState) {
-        // Collision keys are directed neighbor pairs; reserving them all
-        // keeps the back-off map from rehashing mid-run.
-        self.backoff.reserve(state.topo.n_edges() * 2);
+        self.backoff.on_start(&state.topo);
         self.cands.resize(bitset::words_for(state.n_nodes()), 0);
     }
 
@@ -83,7 +81,7 @@ impl FloodingProtocol for NaiveFlood {
                 }
             }
             for u in bitset::iter_ones(&self.cands).map(NodeId::from) {
-                let cand = fcfs_candidate_filtered(state, u, |r| !backoff.blocked(u, r, now));
+                let cand = fcfs_candidate_filtered(state, u, |link| !backoff.blocked(link, now));
                 if let Some((packet, receiver)) = cand {
                     out.push(TxIntent {
                         sender: u,
@@ -99,7 +97,7 @@ impl FloodingProtocol for NaiveFlood {
         // Nodes with empty queues can never yield a candidate; the work
         // bitset skips them in bulk.
         for u in state.nodes_with_work() {
-            let cand = fcfs_candidate_filtered(state, u, |r| !backoff.blocked(u, r, now));
+            let cand = fcfs_candidate_filtered(state, u, |link| !backoff.blocked(link, now));
             if let Some((packet, receiver)) = cand {
                 out.push(TxIntent {
                     sender: u,
@@ -113,7 +111,8 @@ impl FloodingProtocol for NaiveFlood {
     }
 
     fn on_events(&mut self, state: &SimState, events: &[DeliveryEvent]) {
-        self.backoff.observe(events, state.now, state.cfg.period);
+        self.backoff
+            .observe(&state.topo, events, state.now, state.cfg.period);
     }
 }
 
@@ -134,13 +133,13 @@ mod tests {
             "NAIVE"
         }
         fn on_start(&mut self, state: &SimState) {
-            self.backoff.reserve(state.topo.n_edges() * 2);
+            self.backoff.on_start(&state.topo);
         }
         fn propose(&mut self, state: &SimState, out: &mut Vec<TxIntent>) {
             let backoff = &self.backoff;
             let now = state.now;
             for u in state.nodes_with_work() {
-                let cand = fcfs_candidate_filtered(state, u, |r| !backoff.blocked(u, r, now));
+                let cand = fcfs_candidate_filtered(state, u, |link| !backoff.blocked(link, now));
                 if let Some((packet, receiver)) = cand {
                     out.push(TxIntent {
                         sender: u,
@@ -153,7 +152,8 @@ mod tests {
             }
         }
         fn on_events(&mut self, state: &SimState, events: &[DeliveryEvent]) {
-            self.backoff.observe(events, state.now, state.cfg.period);
+            self.backoff
+                .observe(&state.topo, events, state.now, state.cfg.period);
         }
     }
 

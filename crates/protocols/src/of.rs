@@ -21,9 +21,9 @@
 //!   OF therefore suffers both more collisions and tree detours, landing
 //!   below DBAO and OPT exactly as in Figs. 9–10.
 
-use crate::common::{all_candidates_into, CollisionBackoff};
+use crate::common::{awake_receivers, awake_row, max_degree, CollisionBackoff, Receiver};
 use crate::tree::EnergyTree;
-use ldcf_net::{bitset, NodeId, PacketId};
+use ldcf_net::{bitset, NodeId};
 use ldcf_sim::mac::DeliveryEvent;
 use ldcf_sim::{FloodingProtocol, SimState, TxIntent};
 use rand::rngs::StdRng;
@@ -60,16 +60,10 @@ pub struct OpportunisticFlooding {
     tree: Option<EnergyTree>,
     rng: StdRng,
     backoff: CollisionBackoff,
-    /// Scratch: this slot's active nodes, packed (only filled when the
-    /// schedule table cannot supply a calendar row itself).
-    active_buf: Vec<u64>,
-    /// Scratch: awake, live neighbors of the sender under consideration.
-    avail_buf: Vec<u64>,
-    /// Scratch for the per-packet receiver sort inside the candidate
-    /// enumeration.
-    targets_buf: Vec<(NodeId, f64)>,
-    /// Scratch: the sender's full FCFS candidate list this slot.
-    cand_buf: Vec<(PacketId, NodeId)>,
+    /// Scratch: this slot's awake, live nodes, packed.
+    awake: Vec<u64>,
+    /// Scratch: the sender's awake receivers, best link first.
+    receivers: Vec<Receiver>,
 }
 
 impl OpportunisticFlooding {
@@ -85,10 +79,8 @@ impl OpportunisticFlooding {
             backoff: CollisionBackoff::new(cfg.seed ^ 0x0F0F, 4),
             cfg,
             tree: None,
-            active_buf: Vec::new(),
-            avail_buf: Vec::new(),
-            targets_buf: Vec::new(),
-            cand_buf: Vec::new(),
+            awake: Vec::new(),
+            receivers: Vec::new(),
         }
     }
 
@@ -111,152 +103,102 @@ impl FloodingProtocol for OpportunisticFlooding {
 
     fn on_start(&mut self, state: &SimState) {
         self.tree = Some(EnergyTree::build(&state.topo));
-        // Scratch high-water marks, known up front: collision keys are
-        // directed neighbor pairs, a per-packet receiver list is bounded
-        // by the max degree, and a sender's candidate list by queue ×
-        // degree. Reserving here keeps the slot loop allocation-free.
-        let topo = &state.topo;
-        self.backoff.reserve(topo.n_edges() * 2);
-        let max_degree = (0..topo.n_nodes())
-            .map(|i| topo.degree(NodeId::from(i)))
-            .max()
-            .unwrap_or(0);
-        self.targets_buf.reserve(max_degree);
-        self.cand_buf
-            .reserve(state.cfg.n_packets as usize * max_degree);
+        self.backoff.on_start(&state.topo);
+        self.receivers.reserve(max_degree(&state.topo));
     }
 
     fn propose(&mut self, state: &SimState, out: &mut Vec<TxIntent>) {
         let tree = self.tree.as_ref().expect("on_start ran");
-        let nw = state.topo.words_per_row();
-        let down = state.down_words();
-        // One packed row of this slot's active nodes, straight from the
-        // wake calendar; fall back to a scan when the schedule table has
-        // no calendar (heterogeneous periods).
-        let active: &[u64] = match state.schedules.active_words(state.now) {
-            Some(w) => w,
-            None => {
-                self.active_buf.clear();
-                self.active_buf.resize(nw, 0);
-                for v in state.schedules.all_active(state.now) {
-                    bitset::set_bit(&mut self.active_buf, v.index());
-                }
-                &self.active_buf
-            }
-        };
-        self.avail_buf.clear();
-        self.avail_buf.resize(nw, 0);
+        let awake = awake_row(state, &mut self.awake);
         // Only nodes with queued work can propose; the work bitset hands
         // them over directly. The decision RNG is only ever consulted
         // inside the candidate loop, so skipping nodes with no candidates
         // leaves the draw sequence untouched.
         for u in state.nodes_with_work() {
-            // avail = neighbors(u) ∩ active ∩ ¬down: no awake receiver ⇒
-            // no candidates ⇒ nothing to decide.
-            let mut any = 0u64;
-            match state.topo.neighbor_words(u) {
-                Some(nbrs) => {
-                    for k in 0..nw {
-                        let w = nbrs[k] & active[k] & !down[k];
-                        self.avail_buf[k] = w;
-                        any |= w;
-                    }
-                }
-                None => {
-                    // No dense mirror: rebuild the row from the sorted
-                    // adjacency list (same bits, same order).
-                    self.avail_buf.fill(0);
-                    for &v in state.topo.neighbor_ids(u) {
-                        let vi = v.index();
-                        let w = (1u64 << (vi % 64)) & active[vi / 64] & !down[vi / 64];
-                        self.avail_buf[vi / 64] |= w;
-                        any |= w;
-                    }
-                }
-            }
-            if any == 0 {
+            awake_receivers(state, u, awake, &self.backoff, &mut self.receivers);
+            if self.receivers.is_empty() {
                 continue;
             }
-            all_candidates_into(
-                state,
-                u,
-                &self.avail_buf,
-                &mut self.targets_buf,
-                &mut self.cand_buf,
-            );
-            // FCFS over (packet, receiver) candidates. Tree forwarding has
-            // absolute priority; an opportunistic forward only fills a
-            // slot in which the sender has no tree child to serve.
+            // FCFS over (packet, receiver) candidates: queue × receiver
+            // pairs in that order, minus receivers holding the packet.
+            // Tree forwarding has absolute priority; an opportunistic
+            // forward only fills a slot in which the sender has no tree
+            // child to serve.
             let mut chosen: Option<(u32, NodeId)> = None;
             let mut fallback: Option<(u32, NodeId)> = None;
-            for ci in 0..self.cand_buf.len() {
-                let (packet, receiver) = self.cand_buf[ci];
-                if self.backoff.blocked(u, receiver, state.now) {
-                    continue;
-                }
-                if tree.is_child(u, receiver) {
-                    // Tree edge: always forward.
-                    chosen = Some((packet, receiver));
-                    break;
-                }
-                if !self.cfg.opportunistic || fallback.is_some() {
-                    continue;
-                }
-                let q = state
-                    .topo
-                    .quality(u, receiver)
-                    .expect("candidate uses an existing link")
-                    .prr();
-                if q < self.cfg.min_link_quality {
-                    continue;
-                }
-                // "Early packet" test against the expected tree delivery:
-                // the opportunistic copy is worthwhile only while the
-                // receiver's tree parent has not caught up — then the
-                // receiver would otherwise wait at least one more period,
-                // and the unicast cannot contend with the parent's own
-                // transmission. (In real OF this is what the delay
-                // distribution along the energy tree establishes; here the
-                // possession bit plays the role of a sharp distribution.)
-                // The copy is "early" only if the receiver's tree parent
-                // neither holds this packet nor has *any* pending packet
-                // the receiver misses — otherwise the parent will serve
-                // this same active slot and the opportunistic unicast
-                // would collide with it.
-                let parent_clear = tree.parent(receiver).is_some_and(|par| {
-                    !state.has(par, packet)
-                        && !state
-                            .queue(par)
-                            .iter()
-                            .any(|e| !state.has(receiver, e.packet))
-                });
-                if !parent_clear {
-                    continue;
-                }
-                // Thin redundant senders: split the forwarding
-                // probability across the holders that would make the same
-                // opportunistic decision, so the *expected* sender count
-                // per receiver stays ~forward_probability. This is the
-                // role OF's per-link p-values play.
-                let competitors = state
-                    .topo
-                    .neighbors(receiver)
-                    .filter(|&(s, q)| state.has(s, packet) && q.prr() >= self.cfg.min_link_quality)
-                    .count()
-                    .max(1);
-                // Opportunistic streams for *different* packets can also
-                // converge on the receiver, so thin additionally by the
-                // number of packets u itself could offer r (a local proxy
-                // for the frontier width at this receiver).
-                let my_overlap = state
-                    .queue(u)
-                    .iter()
-                    .filter(|e| !state.has(receiver, e.packet))
-                    .count()
-                    .max(1);
-                let p_send = self.cfg.forward_probability / (competitors * my_overlap) as f64;
-                if self.rng.random::<f64>() < p_send {
-                    fallback = Some((packet, receiver));
+            'queue: for e in state.queue(u).iter() {
+                let packet = e.packet;
+                let holders = state.holder_words(packet);
+                for &Receiver {
+                    node: receiver,
+                    prr: q,
+                    ..
+                } in &self.receivers
+                {
+                    if bitset::test_bit(holders, receiver.index()) {
+                        continue;
+                    }
+                    if tree.is_child(u, receiver) {
+                        // Tree edge: always forward.
+                        chosen = Some((packet, receiver));
+                        break 'queue;
+                    }
+                    if !self.cfg.opportunistic || fallback.is_some() {
+                        continue;
+                    }
+                    if q < self.cfg.min_link_quality {
+                        continue;
+                    }
+                    // "Early packet" test against the expected tree delivery:
+                    // the opportunistic copy is worthwhile only while the
+                    // receiver's tree parent has not caught up — then the
+                    // receiver would otherwise wait at least one more period,
+                    // and the unicast cannot contend with the parent's own
+                    // transmission. (In real OF this is what the delay
+                    // distribution along the energy tree establishes; here the
+                    // possession bit plays the role of a sharp distribution.)
+                    // The copy is "early" only if the receiver's tree parent
+                    // neither holds this packet nor has *any* pending packet
+                    // the receiver misses — otherwise the parent will serve
+                    // this same active slot and the opportunistic unicast
+                    // would collide with it.
+                    let parent_clear = tree.parent(receiver).is_some_and(|par| {
+                        !state.has(par, packet)
+                            && !state
+                                .queue(par)
+                                .iter()
+                                .any(|e| !state.has(receiver, e.packet))
+                    });
+                    if !parent_clear {
+                        continue;
+                    }
+                    // Thin redundant senders: split the forwarding
+                    // probability across the holders that would make the same
+                    // opportunistic decision, so the *expected* sender count
+                    // per receiver stays ~forward_probability. This is the
+                    // role OF's per-link p-values play.
+                    let competitors = state
+                        .topo
+                        .neighbors(receiver)
+                        .filter(|&(s, q)| {
+                            state.has(s, packet) && q.prr() >= self.cfg.min_link_quality
+                        })
+                        .count()
+                        .max(1);
+                    // Opportunistic streams for *different* packets can also
+                    // converge on the receiver, so thin additionally by the
+                    // number of packets u itself could offer r (a local proxy
+                    // for the frontier width at this receiver).
+                    let my_overlap = state
+                        .queue(u)
+                        .iter()
+                        .filter(|e| !state.has(receiver, e.packet))
+                        .count()
+                        .max(1);
+                    let p_send = self.cfg.forward_probability / (competitors * my_overlap) as f64;
+                    if self.rng.random::<f64>() < p_send {
+                        fallback = Some((packet, receiver));
+                    }
                 }
             }
             let chosen = chosen.or(fallback);
@@ -273,7 +215,8 @@ impl FloodingProtocol for OpportunisticFlooding {
     }
 
     fn on_events(&mut self, state: &SimState, events: &[DeliveryEvent]) {
-        self.backoff.observe(events, state.now, state.cfg.period);
+        self.backoff
+            .observe(&state.topo, events, state.now, state.cfg.period);
     }
 }
 
