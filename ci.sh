@@ -22,7 +22,8 @@
 #   bintrace       binary trace container: export identity + ratio
 #   perf           perf campaign + schema validation + regression gate
 #   digests        scenario generator digests vs scenarios.sha256
-#   campaign       demo campaign: run twice, byte-identity + resume
+#   campaign       demo campaign: run twice, byte-identity + resume;
+#                  campaign-nightly (mixed periods) vs its pinned tables
 #   stats          stats-quick campaign: rerun + checkpoint-recompute
 #                  byte-identity of campaign-stats.md / campaign.json
 #   service        campaign job server smoke (submit/fetch/dedupe)
@@ -234,7 +235,14 @@ stage_campaign() {
         --quick --out "$ART_DIR/camp1" 2>&1 > /dev/null \
         | grep -q '0/6 cells run, 6 resumed' || { echo "resume FAILED"; exit 1; }
     diff -u "$ART_DIR/camp1/campaign.md" "$ART_DIR/camp2/campaign.md"
-    echo "campaign deterministic + resumable (telemetry ignored by diffs)"
+    # The one mixed-period spec (periods 10, 20, 40): its wake calendar
+    # spans their LCM, and its quick tables are pinned.
+    ./target/release/experiments campaign --spec scenarios/campaign-nightly.toml \
+        --quick --no-progress --out "$ART_DIR/nightly" > /dev/null
+    for f in campaign.md campaign.json; do
+        diff -u "crates/bench/baselines/quick/campaign-nightly/$f" "$ART_DIR/nightly/$f"
+    done
+    echo "campaign deterministic + resumable (telemetry ignored by diffs); nightly pinned"
 }
 
 stage_stats() {

@@ -4,8 +4,7 @@
 //! and the engine is stepped manually: warm-up slots first (first-touch
 //! buffer growth, schedule draws, protocol state), then a measured
 //! window in which the allocation counter must not move at all for
-//! every protocol (OPT / DBAO / OF / naive, and OPT, DBAO and OF again
-//! without the dense adjacency rows), clean and under burst+drift
+//! every protocol (OPT / DBAO / OF / naive), clean and under burst+drift
 //! faults. Churn is the one sanctioned exception — a rebooted node
 //! redraws its working schedule — so the churn window asserts a small
 //! amortized budget instead of zero.
@@ -145,18 +144,7 @@ fn gate_protocol<P: FloodingProtocol>(name: &str, topo: Topology, mk: impl Fn() 
 #[test]
 fn hot_path_is_allocation_free_for_every_protocol() {
     gate_protocol("opt", grid(), Opt::new);
-    // Without the dense adjacency rows — the large-network layout —
-    // OPT's frontier scan and the MAC take their adjacency-list paths.
-    // DBAO and OF build their receiver lists from the link rows either
-    // way; the list-only cases hold the MAC's list path under them.
-    gate_protocol("opt/list-only", grid().without_dense_mirror(), Opt::new);
     gate_protocol("dbao", grid(), Dbao::new);
-    gate_protocol("dbao/list-only", grid().without_dense_mirror(), Dbao::new);
     gate_protocol("of", grid(), OpportunisticFlooding::new);
-    gate_protocol(
-        "of/list-only",
-        grid().without_dense_mirror(),
-        OpportunisticFlooding::new,
-    );
     gate_protocol("naive", grid(), NaiveFlood::new);
 }

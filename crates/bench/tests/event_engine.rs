@@ -2,16 +2,17 @@
 //! randomized workloads (topology shape, duty, faults, staggered
 //! injections, mistiming) the event engine must produce artefacts
 //! byte-identical to the slot-stepped reference — same `SimReport`
-//! JSON, same `EnergyLedger` JSON, same event stream — and on
-//! heterogeneous-period schedules (no wake calendar) it must degrade to
-//! plain slot stepping instead of erroring.
+//! JSON, same `EnergyLedger` JSON, same event stream — whether the
+//! schedules share one period or mix several (the wake calendar then
+//! spans their LCM, and the event engine still skips).
 
-use ldcf_net::{LinkQuality, NeighborTable, NodeId, Topology};
+use ldcf_net::{LinkQuality, NeighborTable, NodeId, Topology, WorkingSchedule};
 use ldcf_protocols::{Dbao, NaiveFlood, OpportunisticFlooding};
 use ldcf_scenarios::{BuiltScenario, ScenarioSpec};
 use ldcf_sim::energy::EnergyLedger;
 use ldcf_sim::{
-    Engine, EngineKind, FaultConfig, FloodingProtocol, Injection, SimConfig, SimReport, VecObserver,
+    Engine, EngineKind, FaultConfig, FloodingProtocol, Injection, PhaseProfiler, SimConfig,
+    SimReport, VecObserver,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -20,6 +21,7 @@ use rand::SeedableRng;
 /// Run the same workload under both engine kinds and require artefact
 /// byte-identity. `fault_intensity` switches the composed fault stack
 /// (loss bursts, degradation, drift, churn) on at the given intensity.
+/// Returns the event engine's dispatched and elapsed slot counts.
 fn assert_engines_agree<P: FloodingProtocol>(
     mk: impl Fn() -> P,
     topo: &Topology,
@@ -27,21 +29,25 @@ fn assert_engines_agree<P: FloodingProtocol>(
     schedules: &NeighborTable,
     plan: &[Injection],
     fault_intensity: Option<f64>,
-) {
-    let run = |kind: EngineKind| -> (SimReport, EnergyLedger, VecObserver) {
+) -> (u64, u64) {
+    let run = |kind: EngineKind| -> (SimReport, EnergyLedger, VecObserver, u64) {
+        // The profiler counts dispatched slots; it reads clocks only.
+        let mut prof = PhaseProfiler::new();
         let engine =
             Engine::with_injections(topo.clone(), cfg.clone(), schedules.clone(), plan, mk())
                 .with_observer(VecObserver::default())
-                .with_engine_kind(kind);
-        match fault_intensity {
+                .with_engine_kind(kind)
+                .with_profiler(&mut prof);
+        let (report, energy, obs) = match fault_intensity {
             Some(i) => engine
                 .with_faults(FaultConfig::at_intensity(cfg.seed, i).build())
                 .run_traced(),
             None => engine.run_traced(),
-        }
+        };
+        (report, energy, obs, prof.slots())
     };
-    let (r_slot, e_slot, o_slot) = run(EngineKind::Slot);
-    let (r_event, e_event, o_event) = run(EngineKind::Event);
+    let (r_slot, e_slot, o_slot, _) = run(EngineKind::Slot);
+    let (r_event, e_event, o_event, dispatched) = run(EngineKind::Event);
     assert_eq!(
         serde_json::to_string(&r_slot).unwrap(),
         serde_json::to_string(&r_event).unwrap(),
@@ -61,16 +67,17 @@ fn assert_engines_agree<P: FloodingProtocol>(
         o_slot.events, o_event.events,
         "event streams must be identical"
     );
+    (dispatched, r_event.slots_elapsed)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The differential contract over a randomized workload space. Each
-    /// case draws a topology shape (with or without dense adjacency
-    /// rows), a duty cycle, a protocol, an injection cadence, and
-    /// optionally the full fault stack; the two engines must agree byte
-    /// for byte.
+    /// case draws a topology shape, a duty cycle (one period, or each
+    /// node's period from `period`, `2 × period` and `3 × period`), a
+    /// protocol, an injection cadence, and optionally the full fault
+    /// stack; the two engines must agree byte for byte.
     #[test]
     fn event_engine_is_byte_identical_to_slot_engine(
         rows in 2usize..5,
@@ -82,15 +89,12 @@ proptest! {
         mist_i in 0usize..2,
         proto in 0usize..3,
         fault_i in 0usize..3,
-        sparse in 0usize..2,
+        mixed in any::<bool>(),
     ) {
         let gap = [0u64, 7, 300, 1_500][gap_i];
         let mistiming = [0.0f64, 0.05][mist_i];
         let fault_intensity = [None, Some(0.4), Some(1.0)][fault_i];
         let topo = Topology::grid(rows, cols, LinkQuality::new(0.85));
-        // Large networks have no dense adjacency rows; the skip logic
-        // then walks neighbor lists instead.
-        let topo = if sparse == 1 { topo.without_dense_mirror() } else { topo };
         let cfg = SimConfig {
             period,
             active_per_period: 1,
@@ -101,7 +105,15 @@ proptest! {
             mistiming_prob: mistiming,
         };
         let mut rng = StdRng::seed_from_u64(seed ^ 0xD1FF);
-        let schedules = NeighborTable::random_single_slot(topo.n_nodes(), period, &mut rng);
+        let schedules = if mixed {
+            NeighborTable::new(
+                (0..topo.n_nodes())
+                    .map(|i| WorkingSchedule::single_random(period * (1 + i as u32 % 3), &mut rng))
+                    .collect(),
+            )
+        } else {
+            NeighborTable::random_single_slot(topo.n_nodes(), period, &mut rng)
+        };
         let plan: Vec<Injection> = (0..m as u64)
             .map(|k| Injection { origin: NodeId(0), slot: k * gap })
             .collect();
@@ -109,23 +121,23 @@ proptest! {
             0 => assert_engines_agree(NaiveFlood::new, &topo, &cfg, &schedules, &plan, fault_intensity),
             1 => assert_engines_agree(OpportunisticFlooding::new, &topo, &cfg, &schedules, &plan, fault_intensity),
             _ => assert_engines_agree(Dbao::new, &topo, &cfg, &schedules, &plan, fault_intensity),
-        }
+        };
     }
 }
 
-/// Heterogeneous-period schedules have no wake calendar
-/// (`active_words` is `None` for every slot), so the event engine
-/// cannot compute a skip target. The contract is graceful degradation:
-/// it silently runs slot-stepped and still matches the reference byte
-/// for byte. The schedules come from a seeded ldcf-scenarios spec with
-/// the `heterogeneous` schedule model, as a campaign would draw them.
+/// Heterogeneous-period schedules get a wake calendar over the LCM of
+/// their periods, so the event engine skips on them as on equal
+/// periods: it matches the slot-stepped reference byte for byte while
+/// dispatching fewer slots than it elapses. The schedules come from a
+/// seeded ldcf-scenarios spec with the `heterogeneous` schedule model,
+/// as a campaign would draw them.
 #[test]
-fn event_engine_degrades_to_slot_stepping_on_heterogeneous_schedules() {
+fn event_engine_skips_on_heterogeneous_schedules() {
     let spec = ScenarioSpec::from_toml_str(
         r#"
         [scenario]
-        name = "hetero-fallback"
-        description = "mixed periods disable the wake calendar"
+        name = "hetero-calendar"
+        description = "mixed periods share one LCM wake calendar"
 
         [topology]
         kind = "grid"
@@ -152,11 +164,7 @@ fn event_engine_degrades_to_slot_stepping_on_heterogeneous_schedules() {
     .expect("spec parses");
     let built = BuiltScenario::build(spec).expect("scenario builds");
     let schedules = built.schedules(0.1, 3);
-    assert!(
-        !schedules.has_calendar(),
-        "mixed periods must disable the calendar"
-    );
-    assert!(schedules.active_words(0).is_none());
+    assert_eq!(schedules.calendar_period(), 32, "lcm(8, 16, 32)");
     let cfg = SimConfig {
         period: 16,
         active_per_period: 1,
@@ -166,7 +174,7 @@ fn event_engine_degrades_to_slot_stepping_on_heterogeneous_schedules() {
         seed: 3,
         mistiming_prob: 0.02,
     };
-    assert_engines_agree(
+    let (dispatched, elapsed) = assert_engines_agree(
         NaiveFlood::new,
         &built.topology,
         &cfg,
@@ -174,14 +182,22 @@ fn event_engine_degrades_to_slot_stepping_on_heterogeneous_schedules() {
         &built.injections,
         None,
     );
-    // Under the full fault stack too — churn recoveries re-randomize
-    // single schedules, which must not conjure a calendar into being.
-    assert_engines_agree(
+    assert!(
+        dispatched < elapsed,
+        "mixed periods must skip: {dispatched} of {elapsed} slots dispatched"
+    );
+    // Under the full fault stack too; churn recoveries redraw schedules
+    // within each node's own period, so the calendar period stands.
+    let (dispatched, elapsed) = assert_engines_agree(
         NaiveFlood::new,
         &built.topology,
         &cfg,
         &schedules,
         &built.injections,
         Some(0.6),
+    );
+    assert!(
+        dispatched < elapsed,
+        "mixed periods must skip under faults: {dispatched} of {elapsed} slots dispatched"
     );
 }

@@ -168,6 +168,43 @@ fn invalid_specs_get_http_400_with_parser_location() {
     let _ = std::fs::remove_dir_all(&data);
 }
 
+/// A spec whose schedule periods would size the wake calendar (and the
+/// schedule draw) beyond the cap is refused at submit with a 400 naming
+/// the field, before anything is built; the server keeps serving.
+#[test]
+fn oversized_schedule_periods_get_http_400() {
+    let data = tmpdir("bigperiod");
+    let handle = start_server(&data);
+    let client = Client::new(&handle.addr().to_string());
+
+    let hetero = "model = \"heterogeneous\"\nperiods = [20, 4294967298]";
+    for (from, to, field) in [
+        ("period = 20", "period = 4294967298", "schedule.period"),
+        ("period = 20", "period = 10001", "schedule.period"),
+        (
+            "model = \"homogeneous\"\nperiod = 20",
+            hetero,
+            "schedule.periods",
+        ),
+    ] {
+        let text = spec_text().replace(from, to);
+        assert_ne!(text, spec_text(), "{to}: the edit must land");
+        let (status, body) = client
+            .request("POST", "/campaigns?quick=1", Some(text.as_bytes()))
+            .unwrap();
+        let body = String::from_utf8(body).unwrap();
+        assert_eq!(status, 400, "{to}: {body}");
+        assert!(body.contains(field), "{to}: {body}");
+    }
+
+    let submitted = client.submit(&spec_text(), true).unwrap();
+    let id = submitted.get("id").and_then(Value::as_str).expect("job id");
+    poll_state(&client, id, "done", Duration::from_secs(120));
+
+    handle.stop();
+    let _ = std::fs::remove_dir_all(&data);
+}
+
 /// The spawned-binary path: `experiments serve` must shut down
 /// gracefully on SIGTERM (exit 0, no torn artefacts, interrupted job
 /// persisted as queued) and a restarted server must resume the job to

@@ -117,6 +117,9 @@ fn ci_script_carries_the_load_bearing_gates() {
     assert!(text.contains("--baseline BENCH_baseline.json"));
     assert!(text.contains("baselines/scenarios.sha256"));
     assert!(text.contains("campaign --spec scenarios/demo-quick.toml"));
+    // The mixed-period spec's quick tables are pinned and diffed.
+    assert!(text.contains("campaign --spec scenarios/campaign-nightly.toml"));
+    assert!(text.contains("baselines/quick/campaign-nightly/"));
     assert!(text.contains("0/6 cells run, 6 resumed"));
     assert!(text.contains("fig9 --quick --profile"));
     // OF's pure-tree mode and DBAO without overhearing run only in the

@@ -4,14 +4,15 @@
 //! (means `mean_uptime` / `mean_downtime` slots). A crash wipes the
 //! node's RAM — packets and forwarding queue — and takes it off the
 //! air; a reboot re-enters the duty-cycle lottery with a *fresh random
-//! working schedule* (rebooted motes do not resume their old wake
-//! pattern). The source node never crashes (the paper's flood
-//! originator is the one mains-powered device); instead, the model
+//! working schedule* of its own period and active-slot count (rebooted
+//! motes do not resume their old wake pattern). The source node never
+//! crashes (the paper's flood originator is the one mains-powered
+//! device); instead, the model
 //! supplies a source-side retry backoff so floods interrupted by
 //! crashes degrade instead of wedging.
 
 use crate::plan::ChurnAction;
-use ldcf_net::{NodeId, WorkingSchedule, SOURCE};
+use ldcf_net::{NeighborTable, NodeId, WorkingSchedule, SOURCE};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
@@ -48,8 +49,6 @@ enum Transition {
 pub struct NodeChurn {
     cfg: ChurnConfig,
     rng: StdRng,
-    period: u32,
-    active_per_period: u32,
     /// Min-heap of pending transitions `(slot, node, kind)`.
     pending: BinaryHeap<Reverse<(u64, u32, Transition)>>,
 }
@@ -62,8 +61,6 @@ impl NodeChurn {
         Self {
             cfg,
             rng: StdRng::seed_from_u64(seed),
-            period: 1,
-            active_per_period: 1,
             pending: BinaryHeap::new(),
         }
     }
@@ -81,11 +78,8 @@ impl NodeChurn {
         (-u.ln() * mean).ceil().max(1.0) as u64
     }
 
-    /// Schedule every sensor's first crash. `period`/`active_per_period`
-    /// parameterize the fresh schedules drawn at recovery.
-    pub fn on_start(&mut self, n_nodes: usize, period: u32, active_per_period: u32) {
-        self.period = period;
-        self.active_per_period = active_per_period;
+    /// Schedule every sensor's first crash.
+    pub fn on_start(&mut self, n_nodes: usize) {
         self.pending.clear();
         for ni in 0..n_nodes {
             let node = NodeId::from(ni);
@@ -98,8 +92,11 @@ impl NodeChurn {
     }
 
     /// Pop every transition due at or before `slot` into `out`,
-    /// scheduling each node's next transition as it goes.
-    pub fn actions(&mut self, slot: u64, out: &mut Vec<ChurnAction>) {
+    /// scheduling each node's next transition as it goes. A recovering
+    /// node redraws its schedule with the period and active-slot count
+    /// of its current one in `schedules`, so the table's wake-calendar
+    /// period stands.
+    pub fn actions(&mut self, slot: u64, schedules: &NeighborTable, out: &mut Vec<ChurnAction>) {
         while let Some(&Reverse((at, node, kind))) = self.pending.peek() {
             if at > slot {
                 break;
@@ -117,14 +114,12 @@ impl NodeChurn {
                     let next_crash = slot + self.exp_slots(self.cfg.mean_uptime);
                     self.pending
                         .push(Reverse((next_crash, node, Transition::Crash)));
-                    let schedule = if self.active_per_period <= 1 {
-                        WorkingSchedule::single_random(self.period, &mut self.rng)
+                    let old = schedules.schedule(node_id);
+                    let (period, active) = (old.period(), old.active_per_period());
+                    let schedule = if active <= 1 {
+                        WorkingSchedule::single_random(period, &mut self.rng)
                     } else {
-                        WorkingSchedule::multi_random(
-                            self.period,
-                            self.active_per_period,
-                            &mut self.rng,
-                        )
+                        WorkingSchedule::multi_random(period, active, &mut self.rng)
                     };
                     out.push(ChurnAction::Recover(node_id, schedule));
                 }
@@ -149,6 +144,12 @@ impl NodeChurn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::SeedableRng;
+
+    /// Ten nodes waking once per 20 slots.
+    fn table() -> NeighborTable {
+        NeighborTable::random_single_slot(10, 20, &mut StdRng::seed_from_u64(1))
+    }
 
     fn churn(mean_up: f64, mean_down: f64) -> NodeChurn {
         let mut c = NodeChurn::new(
@@ -159,17 +160,18 @@ mod tests {
             },
             3,
         );
-        c.on_start(10, 20, 1);
+        c.on_start(10);
         c
     }
 
-    /// Drain all actions over `slots` slots.
+    /// Drain all actions over `slots` slots against `table()`.
     fn drain(c: &mut NodeChurn, slots: u64) -> Vec<(u64, ChurnAction)> {
+        let schedules = table();
         let mut all = Vec::new();
         let mut buf = Vec::new();
         for t in 0..slots {
             buf.clear();
-            c.actions(t, &mut buf);
+            c.actions(t, &schedules, &mut buf);
             for a in buf.drain(..) {
                 all.push((t, a));
             }

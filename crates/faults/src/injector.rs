@@ -6,7 +6,7 @@ use crate::degradation::{DegradationConfig, KClassDegradation};
 use crate::drift::{ClockDrift, DriftConfig};
 use crate::gilbert_elliott::{GilbertElliott, GilbertElliottConfig};
 use crate::plan::{ChurnAction, FaultPlan};
-use ldcf_net::NodeId;
+use ldcf_net::{NeighborTable, NodeId};
 
 /// Declarative description of the faults to inject into one run.
 ///
@@ -156,12 +156,12 @@ impl FaultInjector {
 }
 
 impl FaultPlan for FaultInjector {
-    fn on_start(&mut self, n_nodes: usize, period: u32, active_per_period: u32) {
+    fn on_start(&mut self, n_nodes: usize) {
         if let Some(d) = &mut self.drift {
             d.on_start(n_nodes);
         }
         if let Some(c) = &mut self.churn {
-            c.on_start(n_nodes, period, active_per_period);
+            c.on_start(n_nodes);
         }
     }
 
@@ -190,9 +190,9 @@ impl FaultPlan for FaultInjector {
             .unwrap_or(false)
     }
 
-    fn churn_actions(&mut self, slot: u64, out: &mut Vec<ChurnAction>) {
+    fn churn_actions(&mut self, slot: u64, schedules: &NeighborTable, out: &mut Vec<ChurnAction>) {
         if let Some(c) = &mut self.churn {
-            c.actions(slot, out);
+            c.actions(slot, schedules, out);
         }
     }
 
@@ -214,16 +214,21 @@ impl FaultPlan for FaultInjector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::{rngs::StdRng, SeedableRng};
+
+    fn table() -> NeighborTable {
+        NeighborTable::random_single_slot(10, 20, &mut StdRng::seed_from_u64(1))
+    }
 
     #[test]
     fn none_config_is_inert() {
         let mut inj = FaultConfig::none(7).build();
-        inj.on_start(10, 20, 1);
+        inj.on_start(10);
         assert_eq!(inj.link_prr(NodeId(0), NodeId(1), 0.8, 5), 0.8);
         assert!(!inj.in_burst(NodeId(0), NodeId(1)));
         assert!(!inj.drift_miss(NodeId(0), 5));
         let mut out = Vec::new();
-        inj.churn_actions(5, &mut out);
+        inj.churn_actions(5, &table(), &mut out);
         assert!(out.is_empty());
         assert_eq!(inj.source_retry_backoff(), None);
     }
@@ -248,7 +253,7 @@ mod tests {
     #[test]
     fn full_intensity_reduces_effective_prr() {
         let mut inj = FaultConfig::at_intensity(3, 1.0).build();
-        inj.on_start(20, 100, 5);
+        inj.on_start(20);
         // Average the effective PRR over many slots of one link: the
         // degradation episodes plus burst states must pull it below
         // the static base.
@@ -284,15 +289,15 @@ mod tests {
     #[test]
     fn churn_horizon_tracks_the_next_pending_transition() {
         let mut inj = FaultConfig::none(7).build();
-        inj.on_start(10, 20, 1);
+        inj.on_start(10);
         assert_eq!(inj.churn_horizon(), u64::MAX, "no churn model: skip freely");
 
         let mut inj = FaultConfig::at_intensity(1, 1.0).churn_only().build();
-        inj.on_start(10, 20, 1);
+        inj.on_start(10);
         let h = inj.churn_horizon();
         assert!(h > 0 && h < u64::MAX, "pending transitions bound the skip");
         let mut out = Vec::new();
-        inj.churn_actions(h, &mut out);
+        inj.churn_actions(h, &table(), &mut out);
         assert!(!out.is_empty(), "the horizon slot itself carries an action");
         assert!(inj.churn_horizon() > h, "popping advances the horizon");
     }
@@ -301,7 +306,7 @@ mod tests {
     fn seeded_builds_are_deterministic() {
         let mk = || {
             let mut inj = FaultConfig::at_intensity(11, 0.7).build();
-            inj.on_start(15, 50, 2);
+            inj.on_start(15);
             (0..500)
                 .map(|t| inj.link_prr(NodeId(2), NodeId(3), 0.7, t))
                 .collect::<Vec<f64>>()

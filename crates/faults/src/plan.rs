@@ -1,6 +1,6 @@
 //! The engine-facing fault-plan trait and its zero-cost null plan.
 
-use ldcf_net::{NodeId, WorkingSchedule};
+use ldcf_net::{NeighborTable, NodeId, WorkingSchedule};
 
 /// A churn event the engine must apply at the start of a slot.
 #[derive(Clone, Debug)]
@@ -32,9 +32,9 @@ pub trait FaultPlan {
     /// Implementations that inject faults leave this `true`.
     const ENABLED: bool = true;
 
-    /// Called once at slot 0 with the network shape; draw per-node
+    /// Called once at slot 0 with the network size; draw per-node
     /// parameters (drift rates, first crash times, ...) here.
-    fn on_start(&mut self, n_nodes: usize, period: u32, active_per_period: u32);
+    fn on_start(&mut self, n_nodes: usize);
 
     /// Effective delivery probability for one loss draw on the link
     /// `sender → receiver` at `slot`, given the static `base` PRR.
@@ -59,8 +59,16 @@ pub trait FaultPlan {
     }
 
     /// Append the churn actions due at `slot` to `out`, in
-    /// deterministic order.
-    fn churn_actions(&mut self, _slot: u64, _out: &mut Vec<ChurnAction>) {}
+    /// deterministic order. `schedules` is the current schedule table:
+    /// a [`ChurnAction::Recover`] schedule must keep the recovering
+    /// node's period.
+    fn churn_actions(
+        &mut self,
+        _slot: u64,
+        _schedules: &NeighborTable,
+        _out: &mut Vec<ChurnAction>,
+    ) {
+    }
 
     /// Base backoff (in slots) for the source-side retry of packets
     /// whose dissemination a crash interrupted; the engine doubles it
@@ -93,7 +101,7 @@ impl FaultPlan for NullFaultPlan {
     const ENABLED: bool = false;
 
     #[inline(always)]
-    fn on_start(&mut self, _n_nodes: usize, _period: u32, _active_per_period: u32) {}
+    fn on_start(&mut self, _n_nodes: usize) {}
 
     #[inline(always)]
     fn link_prr(&mut self, _sender: NodeId, _receiver: NodeId, base: f64, _slot: u64) -> f64 {
@@ -110,12 +118,13 @@ mod tests {
     fn null_plan_is_disabled_and_inert() {
         assert!(!NullFaultPlan::ENABLED);
         let mut plan = NullFaultPlan;
-        plan.on_start(10, 100, 5);
+        plan.on_start(10);
         assert_eq!(plan.link_prr(NodeId(0), NodeId(1), 0.73, 42), 0.73);
         assert!(!plan.in_burst(NodeId(0), NodeId(1)));
         assert!(!plan.drift_miss(NodeId(0), 42));
         let mut out = Vec::new();
-        plan.churn_actions(42, &mut out);
+        let schedules = NeighborTable::new(vec![WorkingSchedule::always_on()]);
+        plan.churn_actions(42, &schedules, &mut out);
         assert!(out.is_empty());
         assert_eq!(plan.source_retry_backoff(), None);
         assert_eq!(plan.churn_horizon(), 0, "default horizon forbids skipping");

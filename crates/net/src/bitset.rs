@@ -52,13 +52,6 @@ pub fn count_ones(words: &[u64]) -> usize {
     words.iter().map(|w| w.count_ones() as usize).sum()
 }
 
-/// Whether `a ∩ b` is non-empty (slices may differ in length; missing
-/// words are zero).
-#[inline]
-pub fn intersects(a: &[u64], b: &[u64]) -> bool {
-    a.iter().zip(b).any(|(x, y)| x & y != 0)
-}
-
 /// Word-occupancy summary of `words` into `out`: bit `w` of `out` is
 /// set iff `words[w] != 0`. `out` must hold `words_for(words.len())`
 /// words. Summaries let a scan over many candidate rows reject
@@ -201,10 +194,6 @@ mod tests {
         }
         let got: Vec<usize> = iter_ones_and(&a, &b).collect();
         assert_eq!(got, vec![3, 64, 127]);
-        assert!(intersects(&a, &b));
-        assert!(!intersects(&a, &[0, 0]));
-        // Length-mismatched `intersects` treats the tail as zeros.
-        assert_eq!(intersects(&a, &b[..1]), (a[0] & b[0]) != 0);
     }
 
     #[test]

@@ -13,12 +13,14 @@ use crate::schedule::WorkingSchedule;
 use crate::topology::Topology;
 use crate::NodeId;
 
-/// Precomputed wake calendar: for each slot offset of the shared period
-/// `T`, the set of nodes active at that offset, as both a packed bitset
-/// (for word-level intersection with adjacency rows) and a sorted id
-/// list (for "who is awake now" iteration). Exists only when every
-/// schedule shares one period — the simulator's normal configuration —
-/// and is maintained incrementally when churn re-randomizes a schedule.
+/// Precomputed wake calendar: for each slot offset of the calendar
+/// period `L` — the least common multiple of every schedule's period —
+/// the set of nodes active at that offset, as both a packed bitset (for
+/// word-level intersection with awake/possession rows) and a sorted id
+/// list (for "who is awake now" iteration). A node with period `T` and
+/// active offset `a` sits at every offset `a + kT`, `k < L / T`, so the
+/// whole wake pattern repeats with period `L`. Maintained incrementally
+/// when churn re-randomizes a schedule.
 #[derive(Clone, Debug)]
 struct WakeCalendar {
     period: u32,
@@ -42,12 +44,8 @@ struct WakeCalendar {
 }
 
 impl WakeCalendar {
-    /// Build from homogeneous-period schedules; `None` if periods mix.
-    fn build(schedules: &[WorkingSchedule]) -> Option<Self> {
-        let period = schedules[0].period();
-        if schedules.iter().any(|s| s.period() != period) {
-            return None;
-        }
+    /// Build over `period` offsets (the LCM of the schedules' periods).
+    fn build(schedules: &[WorkingSchedule], period: u32) -> Self {
         let words_per_offset = bitset::words_for(schedules.len());
         let summary_words = bitset::words_for(words_per_offset);
         let mut cal = Self {
@@ -60,9 +58,9 @@ impl WakeCalendar {
         };
         for (i, s) in schedules.iter().enumerate() {
             // Ascending node order keeps every offset list sorted.
-            cal.insert(NodeId::from(i), s.active_slots());
+            cal.insert(NodeId::from(i), s);
         }
-        Some(cal)
+        cal
     }
 
     #[inline]
@@ -85,10 +83,23 @@ impl WakeCalendar {
         bitset::test_bit(self.words(self.offset_of(t)), node.index())
     }
 
-    /// Add `node` at each given offset (keeps lists sorted).
-    fn insert(&mut self, node: NodeId, offsets: &[u32]) {
-        for &o in offsets {
-            let o = o as usize;
+    /// Every calendar offset at which `schedule` is active: each active
+    /// slot `a` of its period `T` at `a + kT` for `k < period / T`.
+    fn offsets(period: u32, schedule: &WorkingSchedule) -> impl Iterator<Item = usize> + '_ {
+        (0..period as usize)
+            .step_by(schedule.period() as usize)
+            .flat_map(move |base| {
+                schedule
+                    .active_slots()
+                    .iter()
+                    .map(move |&a| base + a as usize)
+            })
+    }
+
+    /// Add `node` at every calendar offset of `schedule` (keeps lists
+    /// sorted).
+    fn insert(&mut self, node: NodeId, schedule: &WorkingSchedule) {
+        for o in Self::offsets(self.period, schedule) {
             let row = &mut self.bits[o * self.words_per_offset..(o + 1) * self.words_per_offset];
             if bitset::set_bit(row, node.index()) {
                 // The node's word is now non-zero; mark it occupied.
@@ -101,10 +112,9 @@ impl WakeCalendar {
         }
     }
 
-    /// Remove `node` from each given offset.
-    fn remove(&mut self, node: NodeId, offsets: &[u32]) {
-        for &o in offsets {
-            let o = o as usize;
+    /// Remove `node` from every calendar offset of `schedule`.
+    fn remove(&mut self, node: NodeId, schedule: &WorkingSchedule) {
+        for o in Self::offsets(self.period, schedule) {
             let row = &mut self.bits[o * self.words_per_offset..(o + 1) * self.words_per_offset];
             bitset::clear_bit(row, node.index());
             if row[node.index() / 64] == 0 {
@@ -132,58 +142,67 @@ impl WakeCalendar {
     }
 }
 
-/// Iterator over the nodes active at one slot, from either a calendar
-/// list or a schedule scan (see [`NeighborTable::all_active`]).
-#[derive(Clone, Debug)]
-pub enum ActiveNodes<'a> {
-    /// Calendar-backed: a precomputed sorted slice.
-    Calendar(std::slice::Iter<'a, NodeId>),
-    /// Fallback: filter-scan over heterogeneous-period schedules.
-    Scan {
-        /// Remaining `(index, schedule)` pairs to filter.
-        schedules: std::iter::Enumerate<std::slice::Iter<'a, WorkingSchedule>>,
-        /// The queried slot.
-        t: u64,
-    },
-}
-
-impl Iterator for ActiveNodes<'_> {
-    type Item = NodeId;
-
-    #[inline]
-    fn next(&mut self) -> Option<NodeId> {
-        match self {
-            ActiveNodes::Calendar(it) => it.next().copied(),
-            ActiveNodes::Scan { schedules, t } => schedules
-                .by_ref()
-                .find(|(_, s)| s.is_active(*t))
-                .map(|(i, _)| NodeId::from(i)),
-        }
-    }
-}
-
 /// Per-network table of working schedules with neighbor-aware queries.
 ///
 /// This models the state each node accumulates via low-cost local
 /// synchronization protocols; we keep it network-global for simulation
 /// convenience (each node only ever queries its own neighborhood).
 ///
-/// When all schedules share one period (the normal case), the table
-/// carries a [`WakeCalendar`] making [`NeighborTable::is_active`] an
-/// O(1) bit probe and [`NeighborTable::all_active`] a precomputed-slice
-/// walk; [`NeighborTable::set_schedule`] keeps the calendar in sync when
-/// churn re-randomizes a rebooted node's schedule.
+/// The table carries a [`WakeCalendar`] over the least common multiple
+/// of the schedules' periods, at most
+/// [`NeighborTable::MAX_CALENDAR_SLOTS`] offsets: equal periods give a
+/// calendar of one period, mixed periods one of their LCM. That makes
+/// [`NeighborTable::is_active`] an O(1) bit probe,
+/// [`NeighborTable::all_active`] a precomputed-slice walk and
+/// [`NeighborTable::next_rendezvous`] a scan of at most one calendar
+/// period; [`NeighborTable::set_schedule`] keeps the calendar in sync
+/// when churn re-randomizes a rebooted node's schedule.
 #[derive(Clone, Debug)]
 pub struct NeighborTable {
     schedules: Vec<WorkingSchedule>,
-    calendar: Option<WakeCalendar>,
+    calendar: WakeCalendar,
 }
 
 impl NeighborTable {
-    /// Build from one schedule per node.
+    /// Largest wake-calendar period, in slots: the LCM of a table's
+    /// schedule periods may not exceed it. The calendar holds one
+    /// active row of `n / 8` bytes per offset, so this bounds it at
+    /// `10 000 × n / 8` bytes — 100× the largest period any shipped
+    /// experiment, scenario or benchmark workload uses.
+    pub const MAX_CALENDAR_SLOTS: u32 = 10_000;
+
+    /// The wake-calendar period for schedules with these periods: their
+    /// least common multiple, or `None` when it exceeds
+    /// [`NeighborTable::MAX_CALENDAR_SLOTS`] (or a period is 0).
+    pub fn calendar_period_of(periods: impl IntoIterator<Item = u32>) -> Option<u32> {
+        let cap = u64::from(Self::MAX_CALENDAR_SLOTS);
+        let mut lcm = 1u64;
+        for p in periods {
+            let p = u64::from(p);
+            if p == 0 || p > cap {
+                return None;
+            }
+            let (mut a, mut b) = (lcm, p);
+            while b != 0 {
+                (a, b) = (b, a % b);
+            }
+            lcm = lcm / a * p;
+            if lcm > cap {
+                return None;
+            }
+        }
+        Some(lcm as u32)
+    }
+
+    /// Build from one schedule per node. Panics when the LCM of the
+    /// periods exceeds [`NeighborTable::MAX_CALENDAR_SLOTS`]; untrusted
+    /// input is checked against [`NeighborTable::calendar_period_of`]
+    /// first.
     pub fn new(schedules: Vec<WorkingSchedule>) -> Self {
         assert!(!schedules.is_empty());
-        let calendar = WakeCalendar::build(&schedules);
+        let period = Self::calendar_period_of(schedules.iter().map(WorkingSchedule::period))
+            .expect("the LCM of the schedule periods exceeds the calendar cap");
+        let calendar = WakeCalendar::build(&schedules, period);
         Self {
             schedules,
             calendar,
@@ -217,27 +236,22 @@ impl NeighborTable {
     /// Whether `node` is active at slot `t`.
     #[inline]
     pub fn is_active(&self, node: NodeId, t: u64) -> bool {
-        match &self.calendar {
-            Some(cal) => cal.is_active(node, t),
-            None => self.schedules[node.index()].is_active(t),
-        }
+        self.calendar.is_active(node, t)
     }
 
     /// Replace the schedule of `node` (a rebooted mote re-enters the
     /// duty-cycle lottery with a fresh working schedule). The new
-    /// schedule must keep the network-wide period. The wake calendar is
-    /// updated incrementally: the node moves from its old offsets to the
-    /// new ones.
+    /// schedule must keep the node's period, so the calendar period
+    /// stands. The calendar is updated incrementally: the node moves
+    /// from its old offsets to the new ones.
     pub fn set_schedule(&mut self, node: NodeId, schedule: WorkingSchedule) {
         assert_eq!(
             schedule.period(),
             self.schedules[node.index()].period(),
             "replacement schedule must keep the period"
         );
-        if let Some(cal) = &mut self.calendar {
-            cal.remove(node, self.schedules[node.index()].active_slots());
-            cal.insert(node, schedule.active_slots());
-        }
+        self.calendar.remove(node, &self.schedules[node.index()]);
+        self.calendar.insert(node, &schedule);
         self.schedules[node.index()] = schedule;
     }
 
@@ -261,75 +275,55 @@ impl NeighborTable {
 
     /// All nodes active at slot `t`, in ascending id order.
     #[inline]
-    pub fn all_active(&self, t: u64) -> ActiveNodes<'_> {
-        match &self.calendar {
-            Some(cal) => ActiveNodes::Calendar(cal.lists[cal.offset_of(t)].iter()),
-            None => ActiveNodes::Scan {
-                schedules: self.schedules.iter().enumerate(),
-                t,
-            },
-        }
+    pub fn all_active(&self, t: u64) -> impl Iterator<Item = NodeId> + '_ {
+        self.calendar.lists[self.calendar.offset_of(t)]
+            .iter()
+            .copied()
     }
 
-    /// Number of nodes active at slot `t` (O(1) with a calendar).
+    /// Number of nodes active at slot `t`.
     #[inline]
     pub fn active_count(&self, t: u64) -> usize {
-        match &self.calendar {
-            Some(cal) => cal.lists[cal.offset_of(t)].len(),
-            None => self.all_active(t).count(),
-        }
+        self.calendar.lists[self.calendar.offset_of(t)].len()
     }
 
     /// Packed bitset over the nodes active at slot `t`
-    /// ([`crate::bitset::words_for`]`(n_nodes)` words), when the table
-    /// has a wake calendar. Hot paths intersect this with
-    /// [`Topology::neighbor_words`] to enumerate awake neighbors.
+    /// ([`crate::bitset::words_for`]`(n_nodes)` words). Hot paths
+    /// intersect this with possession and crash rows to enumerate awake
+    /// receivers word by word.
     #[inline]
-    pub fn active_words(&self, t: u64) -> Option<&[u64]> {
-        self.calendar
-            .as_ref()
-            .map(|cal| cal.words(cal.offset_of(t)))
+    pub fn active_words(&self, t: u64) -> &[u64] {
+        self.calendar.words(self.calendar.offset_of(t))
     }
 
-    /// Whether the table carries a wake calendar (homogeneous periods).
-    /// Without one there is no packed active row per slot and no
-    /// [`NeighborTable::next_rendezvous`] query; callers wanting to
-    /// skip dead slots must fall back to stepping.
+    /// The calendar period: the LCM of the schedules' periods. The wake
+    /// pattern — and so every per-slot active count — repeats with
+    /// exactly this period.
     #[inline]
-    pub fn has_calendar(&self) -> bool {
-        self.calendar.is_some()
-    }
-
-    /// The calendar's common schedule period (`None` without a
-    /// calendar). The wake pattern — and so every per-slot active
-    /// count — repeats with exactly this period.
-    #[inline]
-    pub fn calendar_period(&self) -> Option<u32> {
-        self.calendar.as_ref().map(|cal| cal.period)
+    pub fn calendar_period(&self) -> u32 {
+        self.calendar.period
     }
 
     /// Number of `u64` words in each summary row the calendar keeps per
     /// offset (`words_for(words_for(n_nodes))`), i.e. the length
     /// `targets_summary` must have in [`NeighborTable::next_rendezvous`].
-    /// `None` without a calendar.
     #[inline]
-    pub fn summary_words(&self) -> Option<usize> {
-        self.calendar.as_ref().map(|cal| cal.summary_words)
+    pub fn summary_words(&self) -> usize {
+        self.calendar.summary_words
     }
 
     /// Smallest slot `t >= from` at which any node of `targets` (a
     /// packed bitset over node ids, `words_for(n_nodes)` words) is
-    /// active, or `None` when no offset of the whole period wakes one
-    /// (or when the table has no calendar — gate on
-    /// [`NeighborTable::has_calendar`] to tell the cases apart).
+    /// active, or `None` when no offset of the whole calendar period
+    /// wakes one.
     ///
     /// `targets_summary` must be the word-occupancy summary of
     /// `targets` — bit `w` set ⇔ `targets[w] != 0`, as produced by
     /// [`bitset::summarize_into`] — sized per
     /// [`NeighborTable::summary_words`]. The scan visits at most
-    /// `period` offsets, each rejected via its occupancy summary
-    /// (1/64th of the row words) with full words probed only on
-    /// summary collisions, so a miss costs O(period × n/4096) words
+    /// `calendar_period` offsets, each rejected via its occupancy
+    /// summary (1/64th of the row words) with full words probed only
+    /// on summary collisions, so a miss costs O(period × n/4096) words
     /// rather than O(period × n/64).
     pub fn next_rendezvous(
         &self,
@@ -337,7 +331,7 @@ impl NeighborTable {
         targets: &[u64],
         targets_summary: &[u64],
     ) -> Option<u64> {
-        let cal = self.calendar.as_ref()?;
+        let cal = &self.calendar;
         (from..from + cal.period as u64)
             .find(|&t| cal.rendezvous_at(cal.offset_of(t), targets, targets_summary))
     }
@@ -443,11 +437,10 @@ mod tests {
                     "is_active({i}, {slot})"
                 );
             }
-            if let Some(words) = t.active_words(slot) {
-                let from_words: Vec<NodeId> =
-                    crate::bitset::iter_ones(words).map(NodeId::from).collect();
-                assert_eq!(from_words, scan, "active_words at slot {slot}");
-            }
+            let from_words: Vec<NodeId> = crate::bitset::iter_ones(t.active_words(slot))
+                .map(NodeId::from)
+                .collect();
+            assert_eq!(from_words, scan, "active_words at slot {slot}");
         }
     }
 
@@ -459,27 +452,58 @@ mod tests {
                 .map(|_| WorkingSchedule::multi_random(12, 3, &mut rng))
                 .collect(),
         );
-        assert!(
-            t.active_words(0).is_some(),
-            "homogeneous periods ⇒ calendar"
+        assert_eq!(
+            t.calendar_period(),
+            12,
+            "equal periods ⇒ one-period calendar"
         );
         assert_queries_match_scan(&t, 30);
     }
 
     #[test]
-    fn mixed_periods_fall_back_to_scan() {
-        let t = NeighborTable::new(vec![
+    fn mixed_periods_build_an_lcm_calendar() {
+        let mut t = NeighborTable::new(vec![
             WorkingSchedule::new(5, vec![0]),
             WorkingSchedule::new(3, vec![1]),
             WorkingSchedule::always_on(),
+            WorkingSchedule::new(6, vec![2, 5]),
         ]);
-        assert!(t.active_words(0).is_none(), "mixed periods ⇒ no calendar");
-        assert_queries_match_scan(&t, 20);
+        assert_eq!(t.calendar_period(), 30, "lcm(5, 3, 1, 6)");
+        assert_queries_match_scan(&t, 70);
+        // A replacement keeps the node's own period and moves every one
+        // of its calendar copies.
+        t.set_schedule(NodeId(1), WorkingSchedule::new(3, vec![0, 2]));
+        t.set_schedule(NodeId(3), WorkingSchedule::new(6, vec![4]));
+        assert_queries_match_scan(&t, 70);
+    }
+
+    #[test]
+    fn calendar_period_is_the_capped_lcm() {
+        assert_eq!(NeighborTable::calendar_period_of([10, 20, 40]), Some(40));
+        assert_eq!(NeighborTable::calendar_period_of([4, 6, 9]), Some(36));
+        assert_eq!(NeighborTable::calendar_period_of([7]), Some(7));
+        let cap = NeighborTable::MAX_CALENDAR_SLOTS;
+        assert_eq!(NeighborTable::calendar_period_of([cap]), Some(cap));
+        assert_eq!(NeighborTable::calendar_period_of([cap + 1]), None);
+        assert_eq!(NeighborTable::calendar_period_of([99, 101]), Some(9_999));
+        assert_eq!(NeighborTable::calendar_period_of([100, 101]), None);
+        assert_eq!(NeighborTable::calendar_period_of([0]), None);
+        assert_eq!(NeighborTable::calendar_period_of([u32::MAX, 2]), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "calendar cap")]
+    fn rejects_a_calendar_above_the_cap() {
+        // lcm(9 999, 10 000) ≈ 10⁸: refused before anything is allocated.
+        let _ = NeighborTable::new(vec![
+            WorkingSchedule::new(9_999, vec![0]),
+            WorkingSchedule::new(10_000, vec![0]),
+        ]);
     }
 
     /// Brute-force reference for `next_rendezvous`: scan slot by slot.
     fn brute_next_rendezvous(t: &NeighborTable, from: u64, targets: &[NodeId]) -> Option<u64> {
-        let period = t.schedule(NodeId(0)).period() as u64;
+        let period = t.calendar_period() as u64;
         (from..from + period).find(|&slot| targets.iter().any(|&v| t.is_active(v, slot)))
     }
 
@@ -490,7 +514,7 @@ mod tests {
         for &v in targets {
             bitset::set_bit(&mut words, v.index());
         }
-        let mut summary = vec![0u64; t.summary_words().expect("calendar exists")];
+        let mut summary = vec![0u64; t.summary_words()];
         bitset::summarize_into(&words, &mut summary);
         t.next_rendezvous(from, &words, &summary)
     }
@@ -541,14 +565,29 @@ mod tests {
     }
 
     #[test]
-    fn next_rendezvous_is_none_without_calendar() {
-        let t = NeighborTable::new(vec![
-            WorkingSchedule::new(5, vec![0]),
-            WorkingSchedule::new(3, vec![1]),
-        ]);
-        assert!(!t.has_calendar());
-        assert_eq!(t.summary_words(), None);
-        assert_eq!(t.next_rendezvous(0, &[u64::MAX], &[u64::MAX]), None);
+    fn next_rendezvous_spans_the_lcm() {
+        // Periods 6 and 10 share no wake offset below slot 30: a target
+        // set of one node of each answers only within the LCM.
+        let mut rng = StdRng::seed_from_u64(31);
+        let t = NeighborTable::new(
+            (0..150)
+                .map(|i| WorkingSchedule::single_random([6, 10, 15][i % 3], &mut rng))
+                .collect(),
+        );
+        assert_eq!(t.calendar_period(), 30);
+        let mut pick = StdRng::seed_from_u64(6);
+        for from in 0..70u64 {
+            use rand::Rng;
+            let k = pick.random_range(0..4usize);
+            let targets: Vec<NodeId> = (0..k)
+                .map(|_| NodeId(pick.random_range(0..150u32)))
+                .collect();
+            assert_eq!(
+                query_rendezvous(&t, from, &targets),
+                brute_next_rendezvous(&t, from, &targets),
+                "from={from} targets={targets:?}"
+            );
+        }
     }
 
     #[test]

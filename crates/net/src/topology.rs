@@ -43,17 +43,11 @@ pub type Edge = (NodeId, NodeId, LinkQuality, LinkQuality);
 /// existing edge in place, while [`Topology::add_edge`] on a new pair
 /// shifts the arrays (`O(E)`), which only small hand-built graphs do.
 ///
-/// Beside the table, adjacency is mirrored into packed per-node bitset
-/// rows so [`Topology::are_neighbors`] (the MAC's carrier-sense probe,
-/// asked `O(intents²)` times per slot) is a single word test instead of
-/// a binary search. The rows are maintained by every mutation path and
-/// rebuilt on deserialization; they are never serialized.
-///
-/// The mirror is dense — `n² / 8` bytes — so it exists only up to
-/// [`Topology::DENSE_MIRROR_MAX`] nodes (16 GiB at 1M nodes would dwarf
-/// the graph itself). Above that, [`Topology::neighbor_words`] returns
-/// `None` and every caller falls back to the sorted id rows;
-/// [`Topology::are_neighbors`] becomes a binary search.
+/// The table is the only adjacency: [`Topology::are_neighbors`] is a
+/// binary search of one sorted row, and word-wise readers (carrier
+/// sense, skip targets) walk [`Topology::neighbor_ids`] and test bits of
+/// their own packed node rows, which are [`Topology::words_per_row`]
+/// words long.
 #[derive(Clone, Debug)]
 pub struct Topology {
     /// Row bounds: node `u`'s entries are `offsets[u]..offsets[u + 1]`.
@@ -66,21 +60,9 @@ pub struct Topology {
     q_in: Vec<LinkQuality>,
     /// Optional node positions (used by geometric generators / traces).
     positions: Option<Vec<Position>>,
-    /// `words[i]` = bitset over target ids of node `i`'s outgoing links
-    /// (`words_per_row` words per node, flattened). Empty when the
-    /// dense mirror is disabled (large `n`).
-    words: Vec<u64>,
-    /// Row stride of `words`.
-    words_per_row: usize,
 }
 
 impl Topology {
-    /// Largest node count for which the dense adjacency mirror is kept
-    /// (32 MiB of rows at this size; the mirror grows as `n²/8` bytes,
-    /// which at 100k–1M nodes would cost gigabytes to terabytes for a
-    /// graph whose rows fit in megabytes).
-    pub const DENSE_MIRROR_MAX: usize = 16_384;
-
     /// An edgeless topology over `n_nodes` nodes (source + sensors).
     pub fn empty(n_nodes: usize) -> Self {
         Self::from_sorted_edges(n_nodes, &[])
@@ -151,43 +133,20 @@ impl Topology {
         Self::from_csr(offsets, targets, q_out, q_in)
     }
 
-    /// Wrap filled CSR arrays, adding the dense mirror for small `n`.
+    /// Wrap filled CSR arrays.
     fn from_csr(
         offsets: Vec<u32>,
         targets: Vec<NodeId>,
         q_out: Vec<LinkQuality>,
         q_in: Vec<LinkQuality>,
     ) -> Self {
-        let n_nodes = offsets.len() - 1;
-        let words_per_row = bitset::words_for(n_nodes);
-        let mut topo = Self {
+        Self {
             offsets,
             targets,
             q_out,
             q_in,
             positions: None,
-            words: Vec::new(),
-            words_per_row,
-        };
-        if n_nodes <= Self::DENSE_MIRROR_MAX {
-            topo.words = vec![0; n_nodes * words_per_row];
-            for u in 0..n_nodes {
-                let row = &mut topo.words[u * words_per_row..(u + 1) * words_per_row];
-                for v in &topo.targets[topo.offsets[u] as usize..topo.offsets[u + 1] as usize] {
-                    bitset::set_bit(row, v.index());
-                }
-            }
         }
-        topo
-    }
-
-    /// Drop the dense adjacency mirror, forcing every word-row query
-    /// down the sparse fallback path. Differential tests use this to
-    /// prove the fallbacks byte-identical to the mirrored paths on
-    /// small graphs; at scale the mirror is absent to begin with.
-    pub fn without_dense_mirror(mut self) -> Self {
-        self.words = Vec::new();
-        self
     }
 
     /// Build from a list of directed links; missing reverse directions are
@@ -280,13 +239,6 @@ impl Topology {
         for o in &mut self.offsets[from.index() + 1..] {
             *o += 1;
         }
-        if !self.words.is_empty() {
-            let start = from.index() * self.words_per_row;
-            bitset::set_bit(
-                &mut self.words[start..start + self.words_per_row],
-                to.index(),
-            );
-        }
     }
 
     /// Number of directed links: `2 × n_edges`, one per row entry.
@@ -332,10 +284,7 @@ impl Topology {
     /// Whether `a` and `b` are neighbors (audible to each other).
     #[inline]
     pub fn are_neighbors(&self, a: NodeId, b: NodeId) -> bool {
-        match self.neighbor_words(a) {
-            Some(row) => bitset::test_bit(row, b.index()),
-            None => self.neighbor_ids(a).binary_search(&b).is_ok(),
-        }
+        self.neighbor_ids(a).binary_search(&b).is_ok()
     }
 
     /// Neighbor ids of `node`, ascending.
@@ -372,26 +321,12 @@ impl Topology {
             .zip(self.q_in[row].iter().copied())
     }
 
-    /// Packed bitset row over the target ids of `node`'s outgoing links
-    /// ([`crate::bitset::words_for`]`(n_nodes)` words). Hot paths
-    /// intersect this with awake/possession sets instead of scanning
-    /// [`Topology::neighbor_ids`]. `None` when the dense mirror is absent
-    /// (more than [`Topology::DENSE_MIRROR_MAX`] nodes, or explicitly
-    /// dropped) — callers must then walk the sorted id row, which
-    /// visits the same ids in the same ascending order.
-    #[inline]
-    pub fn neighbor_words(&self, node: NodeId) -> Option<&[u64]> {
-        if self.words.is_empty() {
-            return None;
-        }
-        let start = node.index() * self.words_per_row;
-        Some(&self.words[start..start + self.words_per_row])
-    }
-
-    /// Words per [`Topology::neighbor_words`] row.
+    /// Words in a packed row over node ids
+    /// ([`crate::bitset::words_for`]`(n_nodes)`), the stride of every
+    /// per-node bitset the simulator keeps (awake, crashed, holders).
     #[inline]
     pub fn words_per_row(&self) -> usize {
-        self.words_per_row
+        bitset::words_for(self.n_nodes())
     }
 
     /// Degree of `node`.
@@ -654,8 +589,7 @@ impl Topology {
 
 // Manual serde impls: the wire format carries only `adj` (each node's
 // `(neighbor, quality)` list, the former derive's layout) and
-// `positions`; `q_in` and the packed adjacency rows are derived state,
-// rebuilt on deserialization.
+// `positions`; `q_in` is derived state, rebuilt on deserialization.
 impl Serialize for Topology {
     fn to_value(&self) -> Value {
         let adj = (0..self.n_nodes())
@@ -951,49 +885,27 @@ mod tests {
     }
 
     #[test]
-    fn neighbor_words_mirror_adjacency() {
+    fn are_neighbors_matches_the_rows() {
         let mut rng = StdRng::seed_from_u64(5);
-        for t in [
+        for mut t in [
             Topology::line(70, Q),
             Topology::grid(9, 9, Q),
             Topology::complete(65, Q),
             Topology::random_geometric(80, 100.0, 25.0, 0.9, 0.3, &mut rng),
         ] {
-            for a in 0..t.n_nodes() {
+            let n = t.n_nodes();
+            for a in 0..n {
                 let a = NodeId::from(a);
-                let from_words: Vec<usize> =
-                    crate::bitset::iter_ones(t.neighbor_words(a).expect("small graph is mirrored"))
-                        .collect();
-                let from_lists: Vec<usize> = t.neighbor_ids(a).iter().map(|v| v.index()).collect();
-                assert_eq!(from_words, from_lists);
-                for b in 0..t.n_nodes() {
+                for b in 0..n {
                     let b = NodeId::from(b);
                     assert_eq!(t.are_neighbors(a, b), t.quality(a, b).is_some());
                 }
             }
+            // A new edge is audible both ways at once.
+            let (a, b) = (NodeId(0), NodeId::from(n - 1));
+            t.add_edge(a, b, Q, Q);
+            assert!(t.are_neighbors(a, b) && t.are_neighbors(b, a));
         }
-    }
-
-    #[test]
-    fn sparse_fallback_matches_dense_mirror() {
-        let mut rng = StdRng::seed_from_u64(17);
-        let dense = Topology::random_geometric(90, 100.0, 25.0, 0.9, 0.3, &mut rng);
-        let sparse = dense.clone().without_dense_mirror();
-        assert!(sparse.neighbor_words(NodeId(0)).is_none());
-        assert_eq!(sparse.words_per_row(), dense.words_per_row());
-        for a in 0..dense.n_nodes() {
-            let a = NodeId::from(a);
-            assert!(sparse.neighbors(a).eq(dense.neighbors(a)));
-            for b in 0..dense.n_nodes() {
-                let b = NodeId::from(b);
-                assert_eq!(sparse.are_neighbors(a, b), dense.are_neighbors(a, b));
-            }
-        }
-        // Mutation keeps working without the mirror.
-        let mut sparse = sparse;
-        sparse.add_edge(NodeId(0), NodeId(89), Q, Q);
-        assert!(sparse.are_neighbors(NodeId(0), NodeId(89)));
-        assert!(sparse.are_neighbors(NodeId(89), NodeId(0)));
     }
 
     /// The old all-pairs generator, kept verbatim as the reference the
@@ -1066,10 +978,7 @@ mod tests {
         assert_eq!(back.n_edges(), t.n_edges());
         for a in 0..t.n_nodes() {
             let a = NodeId::from(a);
-            assert_eq!(
-                back.neighbor_words(a).expect("small graph is mirrored"),
-                t.neighbor_words(a).expect("small graph is mirrored")
-            );
+            assert_eq!(back.neighbor_ids(a), t.neighbor_ids(a));
             assert!(back.neighbors(a).eq(t.neighbors(a)));
             assert!(back.in_neighbors(a).eq(t.in_neighbors(a)));
         }

@@ -108,20 +108,10 @@ pub(crate) struct Receiver {
 }
 
 /// This slot's packed row of awake, live nodes, written into `buf`:
-/// the wake calendar's row — or, when the schedule table has no
-/// calendar (heterogeneous periods), a scan of every schedule — minus
-/// the crashed nodes.
+/// the wake calendar's row minus the crashed nodes.
 pub(crate) fn awake_row<'a>(state: &SimState, buf: &'a mut Vec<u64>) -> &'a [u64] {
     buf.clear();
-    match state.schedules.active_words(state.now) {
-        Some(w) => buf.extend_from_slice(w),
-        None => {
-            buf.resize(state.topo.words_per_row(), 0);
-            for v in state.schedules.all_active(state.now) {
-                bitset::set_bit(buf, v.index());
-            }
-        }
-    }
+    buf.extend_from_slice(state.schedules.active_words(state.now));
     for (w, d) in buf.iter_mut().zip(state.down_words()) {
         *w &= !d;
     }

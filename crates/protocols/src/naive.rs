@@ -57,23 +57,16 @@ impl FloodingProtocol for NaiveFlood {
         // a packet, so the proposers are always a subset of
         // work ∩ neighbors(scheduled-awake). At low duty cycles on large
         // graphs the awake set is far smaller than the work set (work
-        // lingers until a whole neighborhood saturates), so when a wake
-        // calendar exists and work outnumbers the awake set it is
-        // cheaper to walk the awake nodes' neighborhoods than to probe
-        // every queue. Both strategies evaluate the identical per-node
-        // rule over the same ascending node order, so they propose
-        // byte-identical intents (`awake_first_scan_matches_direct_scan`
-        // pins this differentially).
-        let active = state.schedules.active_words(now);
-        let invert = active.is_some_and(|row| {
-            let work_count: u32 = work.iter().map(|w| w.count_ones()).sum();
-            let active_count: u32 = row.iter().map(|w| w.count_ones()).sum();
-            work_count > active_count
-        });
-        if invert {
-            let row = active.expect("invert implies a calendar row");
+        // lingers until a whole neighborhood saturates), so when work
+        // outnumbers the wake calendar's awake row it is cheaper to walk
+        // the awake nodes' neighborhoods than to probe every queue. Both
+        // strategies evaluate the identical per-node rule over the same
+        // ascending node order, so they propose byte-identical intents
+        // (`awake_first_scan_matches_direct_scan` pins this
+        // differentially).
+        if bitset::count_ones(work) > state.schedules.active_count(now) {
             self.cands.fill(0);
-            for v in bitset::iter_ones(row) {
+            for v in bitset::iter_ones(state.schedules.active_words(now)) {
                 for &u in state.topo.neighbor_ids(NodeId::from(v)) {
                     if bitset::test_bit(work, u.index()) {
                         bitset::set_bit(&mut self.cands, u.index());

@@ -113,20 +113,13 @@ impl FloodingProtocol for Opt {
             for &p in &self.live {
                 bits |= state.reach_words(p)[w] & !state.holder_words(p)[w];
             }
-            bits &= !down[w];
-            if let Some(awake) = awake {
-                bits &= awake[w];
-            }
+            bits &= awake[w] & !down[w];
             if w == 0 {
                 bits &= !1; // the source only sends
             }
             while bits != 0 {
                 let r = NodeId::from(w * 64 + bits.trailing_zeros() as usize);
                 bits &= bits - 1;
-                // Without a wake calendar, ask the schedule per node.
-                if awake.is_none() && !state.schedules.is_active(r, state.now) {
-                    continue;
-                }
                 self.best_reception(state, r);
             }
         }

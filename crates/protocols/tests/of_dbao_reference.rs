@@ -4,8 +4,8 @@
 //! reference that enumerates every queued packet × awake neighbor pair,
 //! keys its back-off windows by `(sender, receiver)` in a hash map and
 //! keeps DBAO's ranks in a dense `n × n` matrix — at every slot of
-//! random floods on lossy links, dense and list-only topologies, with
-//! and without a wake calendar, under churn, in both the default and
+//! random floods on lossy links, with equal and mixed wake periods,
+//! under churn, in both the default and
 //! the ablated configurations. Collisions open back-off windows; where
 //! the MAC never collides, spoofed collisions open them instead.
 
@@ -393,9 +393,9 @@ impl<P: FloodingProtocol> FloodingProtocol for Checked<P> {
 /// links draw each direction's quality from a few levels — every
 /// receiver's neighbors are hidden from one another there, and equal
 /// qualities exercise the id tie-break.
-fn network(n: usize, seed: u64, grid: bool, dense: bool) -> Topology {
+fn network(n: usize, seed: u64, grid: bool) -> Topology {
     let mut rng = StdRng::seed_from_u64(seed);
-    let topo = if grid {
+    if grid {
         let rows = (n as f64).sqrt() as usize;
         let cols = n / rows;
         let levels = [0.45, 0.6, 0.75, 0.9];
@@ -414,16 +414,11 @@ fn network(n: usize, seed: u64, grid: bool, dense: bool) -> Topology {
                 break topo;
             }
         }
-    };
-    if dense {
-        topo
-    } else {
-        topo.without_dense_mirror()
     }
 }
 
 /// Single-slot schedules; with `mixed` periods half the nodes wake
-/// every `2 * period` slots, so the table has no wake calendar.
+/// every `2 * period` slots, so the wake calendar spans `2 * period`.
 fn schedules(n: usize, period: u32, mixed: bool, rng: &mut StdRng) -> NeighborTable {
     NeighborTable::new(
         (0..n)
@@ -447,7 +442,6 @@ struct Case {
     period: u32,
     m: u32,
     grid: bool,
-    dense: bool,
     mixed: bool,
     churn: bool,
     spoof: bool,
@@ -456,11 +450,12 @@ struct Case {
 /// Flood `case` with `fast` checked against `reference`; returns the
 /// tally.
 fn run_checked<P: FloodingProtocol>(case: Case, fast: P, reference: Reference) -> Tally {
-    let topo = network(case.n, case.seed, case.grid, case.dense);
+    let topo = network(case.n, case.seed, case.grid);
     let n = topo.n_nodes();
     let mut rng = StdRng::seed_from_u64(case.seed ^ 0x5eed);
     let table = schedules(n, case.period, case.mixed, &mut rng);
-    assert_eq!(table.has_calendar(), !case.mixed);
+    let lcm = if case.mixed { 2 } else { 1 } * case.period;
+    assert_eq!(table.calendar_period(), lcm);
     let cfg = SimConfig {
         period: case.period,
         active_per_period: 1,
@@ -479,9 +474,7 @@ fn run_checked<P: FloodingProtocol>(case: Case, fast: P, reference: Reference) -
         tally: Rc::clone(&tally),
     };
     let engine = Engine::with_schedules(topo, cfg, table, proto);
-    // Churn recoveries redraw schedules at the configured period,
-    // which a mixed-period table cannot take.
-    if case.churn && !case.mixed {
+    if case.churn {
         let mut fc = FaultConfig::at_intensity(case.seed, 1.0).churn_only();
         if let Some(c) = fc.churn.as_mut() {
             c.mean_uptime = 200.0;
@@ -531,13 +524,12 @@ proptest! {
         period in 2u32..10,
         m in 1u32..5,
         grid in any::<bool>(),
-        dense in any::<bool>(),
         mixed in any::<bool>(),
         churn in any::<bool>(),
         spoof in any::<bool>(),
         opportunistic in any::<bool>(),
     ) {
-        let case = Case { n, seed, period, m, grid, dense, mixed, churn, spoof };
+        let case = Case { n, seed, period, m, grid, mixed, churn, spoof };
         let tally = check_of(case, opportunistic);
         if let Some(msg) = &tally.mismatch {
             prop_assert!(false, "{}", msg);
@@ -554,13 +546,12 @@ proptest! {
         period in 2u32..10,
         m in 1u32..5,
         grid in any::<bool>(),
-        dense in any::<bool>(),
         mixed in any::<bool>(),
         churn in any::<bool>(),
         spoof in any::<bool>(),
         overhearing in any::<bool>(),
     ) {
-        let case = Case { n, seed, period, m, grid, dense, mixed, churn, spoof };
+        let case = Case { n, seed, period, m, grid, mixed, churn, spoof };
         let tally = check_dbao(case, overhearing);
         if let Some(msg) = &tally.mismatch {
             prop_assert!(false, "{}", msg);
@@ -583,35 +574,32 @@ proptest! {
 /// spoofed collisions. Either way the intents still agree.
 #[test]
 fn back_off_windows_are_exercised() {
-    for dense in [true, false] {
-        for spoof in [false, true] {
-            let case = Case {
-                n: 50,
-                seed: 1,
-                period: 5,
-                m: 4,
-                grid: true,
-                dense,
-                mixed: false,
-                churn: false,
-                spoof,
-            };
-            for flag in [true, false] {
-                for (name, tally) in [
-                    ("OF", check_of(case, flag)),
-                    ("DBAO", check_dbao(case, flag)),
-                ] {
-                    let what = format!("{name} flag={flag} dense={dense} spoof={spoof}");
-                    assert_eq!(tally.mismatch, None, "{what}");
-                    let live = spoof || (name == "OF" && flag);
-                    assert_eq!(
-                        live,
-                        tally.collisions > 0 && tally.blocked_hits > 0,
-                        "{what}: {} collisions, {} blocked candidates",
-                        tally.collisions,
-                        tally.blocked_hits
-                    );
-                }
+    for spoof in [false, true] {
+        let case = Case {
+            n: 50,
+            seed: 1,
+            period: 5,
+            m: 4,
+            grid: true,
+            mixed: false,
+            churn: false,
+            spoof,
+        };
+        for flag in [true, false] {
+            for (name, tally) in [
+                ("OF", check_of(case, flag)),
+                ("DBAO", check_dbao(case, flag)),
+            ] {
+                let what = format!("{name} flag={flag} spoof={spoof}");
+                assert_eq!(tally.mismatch, None, "{what}");
+                let live = spoof || (name == "OF" && flag);
+                assert_eq!(
+                    live,
+                    tally.collisions > 0 && tally.blocked_hits > 0,
+                    "{what}: {} collisions, {} blocked candidates",
+                    tally.collisions,
+                    tally.blocked_hits
+                );
             }
         }
     }

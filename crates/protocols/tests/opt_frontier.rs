@@ -1,10 +1,9 @@
 //! Differential test for OPT's receiver filter: the frontier-driven
 //! `propose` (which visits only awake nodes on some live packet's
 //! `reach` row) must emit exactly the intents of a reference that walks
-//! every awake node, at every slot of random floods — dense and
-//! list-only topologies, with and without a wake calendar, under churn
-//! (crash wipes, revocations, recoveries with fresh schedules) and with
-//! deferred multi-origin injection plans.
+//! every awake node, at every slot of random floods — with equal and
+//! mixed wake periods, under churn (crash wipes, revocations, recoveries
+//! with fresh schedules) and with deferred multi-origin injection plans.
 
 use ldcf_net::{NeighborTable, NodeId, PacketId, Topology, WorkingSchedule};
 use ldcf_protocols::Opt;
@@ -120,24 +119,20 @@ impl FloodingProtocol for Checked {
 }
 
 /// A connected random geometric network of `n` nodes.
-fn network(n: usize, seed: u64, dense: bool) -> Topology {
+fn network(n: usize, seed: u64) -> Topology {
     let side = (n as f64).sqrt() * 1.2;
     for k in 0.. {
         let mut rng = StdRng::seed_from_u64(seed.wrapping_add(k));
         let topo = Topology::random_geometric(n, side, 2.0, 0.95, 0.4, &mut rng);
         if topo.is_connected() {
-            return if dense {
-                topo
-            } else {
-                topo.without_dense_mirror()
-            };
+            return topo;
         }
     }
     unreachable!()
 }
 
 /// Single-slot schedules; with `mixed` periods half the nodes wake
-/// every `2 * period` slots, so the table has no wake calendar.
+/// every `2 * period` slots, so the wake calendar spans `2 * period`.
 fn schedules(n: usize, period: u32, mixed: bool, rng: &mut StdRng) -> NeighborTable {
     NeighborTable::new(
         (0..n)
@@ -163,16 +158,15 @@ proptest! {
         seed in any::<u64>(),
         period in 2u32..12,
         m in 1u32..5,
-        dense in any::<bool>(),
         mixed in any::<bool>(),
         churn in any::<bool>(),
         deferred in any::<bool>(),
         full_coverage in any::<bool>(),
     ) {
-        let topo = network(n, seed, dense);
+        let topo = network(n, seed);
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
         let table = schedules(n, period, mixed, &mut rng);
-        prop_assert_eq!(table.has_calendar(), !mixed);
+        prop_assert_eq!(table.calendar_period(), if mixed { 2 * period } else { period });
         // Deferred plans spread the packets over random origins and
         // non-decreasing slots; the default plan injects all at the
         // source at slot 0.
@@ -206,9 +200,7 @@ proptest! {
             tally: Rc::clone(&tally),
         };
         let engine = Engine::with_injections(topo, cfg, table, &plan, proto);
-        // Churn recoveries redraw schedules at the configured period,
-        // which a mixed-period table cannot take.
-        if churn && !mixed {
+        if churn {
             let mut fc = FaultConfig::at_intensity(seed, 1.0).churn_only();
             if let Some(c) = fc.churn.as_mut() {
                 c.mean_uptime = 200.0;

@@ -44,12 +44,19 @@ impl BuiltScenario {
         })
     }
 
-    /// Draw the working schedules of one `(duty, seed)` cell.
+    /// The schedule table of one `(duty, seed)` cell, wake calendar
+    /// included.
     pub fn schedules(&self, duty: f64, seed: u64) -> NeighborTable {
+        NeighborTable::new(self.draw_schedules(duty, seed))
+    }
+
+    /// Draw the working schedules of one `(duty, seed)` cell, one per
+    /// node, without building their wake calendar.
+    pub fn draw_schedules(&self, duty: f64, seed: u64) -> Vec<WorkingSchedule> {
         let mut rng =
             StdRng::seed_from_u64(mix(mix(self.spec.topology_seed, seed), duty.to_bits()));
         let n = self.topology.n_nodes();
-        let schedules = match &self.spec.schedule {
+        match &self.spec.schedule {
             ScheduleModel::Homogeneous { period } => (0..n)
                 .map(|_| draw_schedule(*period, duty, &mut rng))
                 .collect(),
@@ -59,8 +66,7 @@ impl BuiltScenario {
                     draw_schedule(period, duty, &mut rng)
                 })
                 .collect(),
-        };
-        NeighborTable::new(schedules)
+        }
     }
 
     /// Canonical digest over topology links, the injection plan, and
@@ -92,9 +98,7 @@ impl BuiltScenario {
         for &duty in &self.spec.matrix.duties {
             for &seed in &self.spec.matrix.seeds {
                 line(format!("cell {:016x} {seed}", duty.to_bits()));
-                let table = self.schedules(duty, seed);
-                for node in 0..table.n_nodes() {
-                    let s = table.schedule(NodeId::from(node));
+                for (node, s) in self.draw_schedules(duty, seed).iter().enumerate() {
                     let slots: Vec<String> = s.active_slots().iter().map(u32::to_string).collect();
                     line(format!("sched {node} {} {}", s.period(), slots.join(",")));
                 }

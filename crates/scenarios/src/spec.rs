@@ -7,6 +7,7 @@
 //! typo'd knob that silently falls back to a default would change the
 //! campaign while leaving the spec looking correct.
 
+use ldcf_net::NeighborTable;
 use serde::Value;
 
 /// How node positions and connectivity are produced.
@@ -433,25 +434,46 @@ fn parse_links(t: &Value) -> Result<LinkModel, String> {
     }
 }
 
+/// Periods are untrusted: each is checked in 64 bits before it is
+/// narrowed (so 2^32 + 2 is refused, not wrapped to 2), and the wake
+/// calendar they imply — their LCM — must fit
+/// [`NeighborTable::MAX_CALENDAR_SLOTS`], which also bounds what a
+/// schedule draw allocates.
 fn parse_schedule(t: &Value) -> Result<ScheduleModel, String> {
+    let cap = NeighborTable::MAX_CALENDAR_SLOTS;
     let model = req_str(t, "schedule", "model")?;
     match model.as_str() {
         "homogeneous" => {
             check_keys(t, "schedule", &["model", "period"])?;
-            let period = req_u64(t, "schedule", "period")? as u32;
+            let period = req_u64(t, "schedule", "period")?;
             if period < 2 {
                 return Err("schedule.period must be >= 2".into());
             }
-            Ok(ScheduleModel::Homogeneous { period })
+            if period > u64::from(cap) {
+                return Err(format!(
+                    "schedule.period {period} exceeds the {cap}-slot wake-calendar cap"
+                ));
+            }
+            Ok(ScheduleModel::Homogeneous {
+                period: period as u32,
+            })
         }
         "heterogeneous" => {
             check_keys(t, "schedule", &["model", "periods"])?;
-            let periods: Vec<u32> = req_u64_array(t, "schedule", "periods")?
-                .into_iter()
-                .map(|p| p as u32)
-                .collect();
-            if periods.is_empty() || periods.iter().any(|&p| p < 2) {
+            let raw = req_u64_array(t, "schedule", "periods")?;
+            if raw.is_empty() || raw.iter().any(|&p| p < 2) {
                 return Err("schedule.periods must be a non-empty list of values >= 2".into());
+            }
+            // Saturate: a value past u32 is past the cap as well.
+            let periods: Vec<u32> = raw
+                .iter()
+                .map(|&p| u32::try_from(p).unwrap_or(u32::MAX))
+                .collect();
+            if NeighborTable::calendar_period_of(periods.iter().copied()).is_none() {
+                return Err(format!(
+                    "schedule.periods {raw:?}: their least common multiple exceeds the \
+                     {cap}-slot wake-calendar cap"
+                ));
             }
             Ok(ScheduleModel::Heterogeneous { periods })
         }
@@ -848,6 +870,41 @@ mod tests {
                 "should reject: {why}"
             );
         }
+    }
+
+    #[test]
+    fn schedule_periods_are_bounded_by_the_calendar_cap() {
+        let hetero = |periods: &str| {
+            demo_text().replace(
+                "model = \"homogeneous\"\n        period = 20",
+                &format!("model = \"heterogeneous\"\n        periods = {periods}"),
+            )
+        };
+        for (text, field) in [
+            // 2^32 + 2 would wrap to a valid-looking 2 in 32 bits.
+            (
+                demo_text().replace("period = 20", "period = 4294967298"),
+                "schedule.period",
+            ),
+            (
+                demo_text().replace("period = 20", "period = 10001"),
+                "schedule.period",
+            ),
+            (hetero("[10, 4294967298]"), "schedule.periods"),
+            (hetero("[10, 10001]"), "schedule.periods"),
+            // Each period fits; their LCM (10 100) does not.
+            (hetero("[100, 101]"), "schedule.periods"),
+        ] {
+            let err = ScenarioSpec::from_toml_str(&text).unwrap_err();
+            assert!(err.contains(field), "{field}: got {err}");
+            assert!(err.contains("10000-slot"), "{field}: got {err}");
+        }
+        // At the cap, and an LCM just under it, still parse.
+        let at_cap = demo_text()
+            .replace("period = 20", "period = 10000")
+            .replace("duties = [0.05, 0.1]", "duties = [0.0001]");
+        assert!(ScenarioSpec::from_toml_str(&at_cap).is_ok());
+        assert!(ScenarioSpec::from_toml_str(&hetero("[99, 101]")).is_ok());
     }
 
     #[test]

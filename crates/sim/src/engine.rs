@@ -54,9 +54,8 @@ pub enum EngineKind {
     /// After each quiet slot, jump straight to the next slot where any
     /// node with forwarding work has an awake, live neighbor (or where
     /// an injection, churn transition or source retry is due), booking
-    /// the skipped span's energy, metrics and trace events in batch.
-    /// Requires a wake calendar (homogeneous periods); without one the
-    /// engine degrades to slot stepping.
+    /// the skipped span's energy, metrics and trace events in batch,
+    /// for equal and mixed schedule periods alike.
     #[default]
     Event,
 }
@@ -131,8 +130,8 @@ impl SimState {
 
     /// Packed row of nodes (source included) holding `packet`, bit `u`
     /// set iff node `u` holds it. Indexed like
-    /// [`Topology::neighbor_words`], so "do all my neighbors have it"
-    /// is a word-wise subset test.
+    /// [`NeighborTable::active_words`], so "awake and missing it" is
+    /// word algebra.
     #[inline]
     pub fn holder_words(&self, packet: PacketId) -> &[u64] {
         &self.holder_bits[packet as usize * self.node_words..][..self.node_words]
@@ -164,23 +163,23 @@ impl SimState {
 
     /// Whether some node with forwarding work has a live neighbor awake
     /// at slot `t` — exactly when the event engine's rendezvous query
-    /// from `t` would answer `t`. Needs a wake calendar.
+    /// from `t` would answer `t`. Adjacency is symmetric, so this walks
+    /// the rows of the awake, live nodes (at low duty far fewer than
+    /// the nodes with work) looking for a neighbor with work.
     fn work_has_awake_neighbor(&self, t: u64) -> bool {
-        let awake = self
-            .schedules
-            .active_words(t)
-            .expect("skipping is gated on a wake calendar");
-        self.nodes_with_work()
-            .any(|u| match self.topo.neighbor_words(u) {
-                Some(row) => row
-                    .iter()
-                    .zip(awake)
-                    .zip(&self.down)
-                    .any(|((r, a), d)| r & a & !d != 0),
-                None => self.topo.neighbor_ids(u).iter().any(|&v| {
-                    bitset::test_bit(awake, v.index()) && !bitset::test_bit(&self.down, v.index())
-                }),
-            })
+        let awake = self.schedules.active_words(t);
+        for (w, (&a, &d)) in awake.iter().zip(&self.down).enumerate() {
+            let mut live = a & !d;
+            while live != 0 {
+                let v = NodeId::from(w * 64 + live.trailing_zeros() as usize);
+                live &= live - 1;
+                let row = self.topo.neighbor_ids(v);
+                if row.iter().any(|u| bitset::test_bit(&self.work, u.index())) {
+                    return true;
+                }
+            }
+        }
+        false
     }
 
     /// The FCFS queue of `node`.
@@ -324,12 +323,9 @@ impl SimState {
                 if queues[ui].contains(p) {
                     continue;
                 }
-                let needy = match topo.neighbor_words(NodeId::from(ui)) {
-                    Some(adj) => (0..nw).any(|k| adj[k] & !down[k] & !holders[k] != 0),
-                    None => topo.neighbor_ids(NodeId::from(ui)).iter().any(|&v| {
-                        !bitset::test_bit(down, v.index()) && !bitset::test_bit(holders, v.index())
-                    }),
-                };
+                let needy = topo.neighbor_ids(NodeId::from(ui)).iter().any(|&v| {
+                    !bitset::test_bit(down, v.index()) && !bitset::test_bit(holders, v.index())
+                });
                 if needy {
                     queues[ui].push(p, now);
                     bitset::set_bit(work, ui);
@@ -721,7 +717,8 @@ impl<P: FloodingProtocol, O: SimObserver, F: FaultPlan, Pr: SimProfiler> Engine<
         let now = self.core.state.now;
         let mut actions = std::mem::take(&mut self.core.churn_buf);
         actions.clear();
-        self.faults.churn_actions(now, &mut actions);
+        self.faults
+            .churn_actions(now, &self.core.state.schedules, &mut actions);
         let churned = !actions.is_empty();
         let backoff = self.faults.source_retry_backoff();
         for a in actions.drain(..) {
@@ -901,11 +898,7 @@ impl<P: FloodingProtocol, O: SimObserver, F: FaultPlan, Pr: SimProfiler> Engine<
                 }
             }
             if F::ENABLED {
-                self.faults.on_start(
-                    self.core.state.n_nodes(),
-                    self.core.state.cfg.period,
-                    self.core.state.cfg.active_per_period,
-                );
+                self.faults.on_start(self.core.state.n_nodes());
             }
             self.protocol.on_start(&self.core.state);
         }
@@ -1206,21 +1199,14 @@ impl<P: FloodingProtocol, O: SimObserver, F: FaultPlan, Pr: SimProfiler> Engine<
         // ledger identity `active + sleep == slots * n` under churn.
         let n = self.core.state.n_nodes() as u64;
         let active_now = if F::ENABLED {
-            let down = &self.core.state.down;
-            match self.core.state.schedules.active_words(now) {
-                Some(active) => active
-                    .iter()
-                    .zip(down)
-                    .map(|(a, d)| (a & !d).count_ones() as u64)
-                    .sum(),
-                None => self
-                    .core
-                    .state
-                    .schedules
-                    .all_active(now)
-                    .filter(|r| !bitset::test_bit(down, r.index()))
-                    .count() as u64,
-            }
+            self.core
+                .state
+                .schedules
+                .active_words(now)
+                .iter()
+                .zip(&self.core.state.down)
+                .map(|(a, d)| (a & !d).count_ones() as u64)
+                .sum()
         } else {
             self.core.state.schedules.active_count(now) as u64
         };
@@ -1281,6 +1267,10 @@ impl<P: FloodingProtocol, O: SimObserver, F: FaultPlan, Pr: SimProfiler> Engine<
     /// so the skip target only ever errs toward dispatching: the first
     /// rendezvous slot found may turn out idle (the awake neighbor
     /// already holds everything), but never the other way around.
+    ///
+    /// Every schedule table has a wake calendar over the LCM of its
+    /// periods, so the rendezvous query — at most one calendar period
+    /// of offsets — serves equal and mixed periods alike.
     fn maybe_skip(&mut self) {
         if self.core.report.all_covered() {
             return;
@@ -1290,11 +1280,6 @@ impl<P: FloodingProtocol, O: SimObserver, F: FaultPlan, Pr: SimProfiler> Engine<
         // protocol state (backoffs) or coverage; the next slot must be
         // dispatched normally.
         if !self.core.intents_buf.is_empty() || !self.core.res_buf.events.is_empty() {
-            return;
-        }
-        // Heterogeneous periods: no wake calendar, no rendezvous query
-        // — degrade to plain slot stepping.
-        if !self.core.state.schedules.has_calendar() {
             return;
         }
         let now = self.core.state.now;
@@ -1333,17 +1318,8 @@ impl<P: FloodingProtocol, O: SimObserver, F: FaultPlan, Pr: SimProfiler> Engine<
             targets.clear();
             targets.resize(nw, 0);
             for u in self.core.state.nodes_with_work() {
-                match self.core.state.topo.neighbor_words(u) {
-                    Some(row) => {
-                        for k in 0..nw {
-                            targets[k] |= row[k];
-                        }
-                    }
-                    None => {
-                        for &v in self.core.state.topo.neighbor_ids(u) {
-                            bitset::set_bit(&mut targets, v.index());
-                        }
-                    }
+                for &v in self.core.state.topo.neighbor_ids(u) {
+                    bitset::set_bit(&mut targets, v.index());
                 }
             }
             for (t, d) in targets.iter_mut().zip(&self.core.state.down) {
@@ -1400,13 +1376,11 @@ impl<P: FloodingProtocol, O: SimObserver, F: FaultPlan, Pr: SimProfiler> Engine<
         let n = self.core.state.n_nodes() as u64;
         let down = &self.core.state.down;
         let active_at = |t: u64| -> u64 {
-            let row = self
-                .core
+            self.core
                 .state
                 .schedules
                 .active_words(t)
-                .expect("skipping is gated on a wake calendar");
-            row.iter()
+                .iter()
                 .zip(down)
                 .map(|(a, d)| (a & !d).count_ones() as u64)
                 .sum()
@@ -1429,12 +1403,7 @@ impl<P: FloodingProtocol, O: SimObserver, F: FaultPlan, Pr: SimProfiler> Engine<
             // down set is frozen, so one pass over the offsets covers
             // any span length.
             let span = to - from;
-            let period = self
-                .core
-                .state
-                .schedules
-                .calendar_period()
-                .expect("skipping is gated on a wake calendar") as u64;
+            let period = self.core.state.schedules.calendar_period() as u64;
             let full = span / period;
             let rem = span % period;
             let mut active_total = 0u64;
@@ -1887,49 +1856,46 @@ mod tests {
     #[test]
     fn reach_rows_cover_live_holders_through_grants_crashes_and_recoveries() {
         // Two origins, one deferred injection, and churn aggressive
-        // enough to wipe and reboot nodes mid-flood, on a dense and a
-        // list-only copy of the same grid; the missing-neighbor counts
-        // must stay exact through the same steps.
-        let grid = Topology::grid(6, 6, LinkQuality::new(0.8));
-        for topo in [grid.clone(), grid.without_dense_mirror()] {
-            let cfg = SimConfig {
-                n_packets: 3,
-                max_slots: 20_000,
-                ..line_cfg(3)
-            };
-            let plan = [
-                Injection::at_source(),
-                Injection {
-                    origin: NodeId(35),
-                    slot: 0,
-                },
-                Injection {
-                    origin: NodeId(17),
-                    slot: 40,
-                },
-            ];
-            let schedules = drawn_schedules(&topo, &cfg);
-            let faults = ldcf_faults::FaultConfig {
-                churn: Some(ldcf_faults::ChurnConfig {
-                    mean_uptime: 80.0,
-                    mean_downtime: 20.0,
-                    retry_backoff: 30,
-                }),
-                ..ldcf_faults::FaultConfig::none(5)
-            };
-            let mut engine =
-                Engine::with_injections(topo, cfg, schedules, &plan, OracleGreedy(GreedyFlood))
-                    .with_faults(faults.build());
+        // enough to wipe and reboot nodes mid-flood; the missing-neighbor
+        // counts must stay exact through the same steps.
+        let topo = Topology::grid(6, 6, LinkQuality::new(0.8));
+        let cfg = SimConfig {
+            n_packets: 3,
+            max_slots: 20_000,
+            ..line_cfg(3)
+        };
+        let plan = [
+            Injection::at_source(),
+            Injection {
+                origin: NodeId(35),
+                slot: 0,
+            },
+            Injection {
+                origin: NodeId(17),
+                slot: 40,
+            },
+        ];
+        let schedules = drawn_schedules(&topo, &cfg);
+        let faults = ldcf_faults::FaultConfig {
+            churn: Some(ldcf_faults::ChurnConfig {
+                mean_uptime: 80.0,
+                mean_downtime: 20.0,
+                retry_backoff: 30,
+            }),
+            ..ldcf_faults::FaultConfig::none(5)
+        };
+        let mut engine =
+            Engine::with_injections(topo, cfg, schedules, &plan, OracleGreedy(GreedyFlood))
+                .with_faults(faults.build());
+        assert_reach_covers_holders(engine.state());
+        assert_missing_counts_exact(engine.state());
+        while engine.step() {
             assert_reach_covers_holders(engine.state());
             assert_missing_counts_exact(engine.state());
-            while engine.step() {
-                assert_reach_covers_holders(engine.state());
-                assert_missing_counts_exact(engine.state());
-            }
-            let report = engine.report();
-            assert!(report.node_crashes > 0 && report.node_recoveries > 0);
-            assert!(report.packets.iter().all(|p| p.deliveries > 0));
         }
+        let report = engine.report();
+        assert!(report.node_crashes > 0 && report.node_recoveries > 0);
+        assert!(report.packets.iter().all(|p| p.deliveries > 0));
     }
 
     fn drawn_schedules(topo: &Topology, cfg: &SimConfig) -> NeighborTable {

@@ -305,13 +305,12 @@ pub fn resolve_slot_into<R: Rng + ?Sized>(
             continue;
         }
         // Carrier sense: defer if an audible sender already committed.
-        let audible_busy = match topo.neighbor_words(it.sender) {
-            Some(row) => bitset::intersects(row, &scratch.carrier),
-            None => topo
-                .neighbor_ids(it.sender)
-                .iter()
-                .any(|&v| bitset::test_bit(&scratch.carrier, v.index())),
-        };
+        // The sender's row is short (its degree); the walk stops at the
+        // first committed neighbor.
+        let audible_busy = topo
+            .neighbor_ids(it.sender)
+            .iter()
+            .any(|&v| bitset::test_bit(&scratch.carrier, v.index()));
         if audible_busy {
             res.deferred.push(i);
             bitset::set_bit(&mut scratch.deferred, si);
@@ -421,11 +420,14 @@ pub fn resolve_slot_into<R: Rng + ?Sized>(
                 let mut best_prr = 0.0f64;
                 for &i in &scratch.bypassed {
                     let it = &intents[i];
-                    if topo.are_neighbors(it.sender, r) && wants(r, it.packet) {
-                        let q = topo.quality(it.sender, r).expect("neighbors").prr();
-                        if chosen.is_none() || q >= best_prr {
+                    if !wants(r, it.packet) {
+                        continue;
+                    }
+                    // One row search answers both "audible?" and "how well?".
+                    if let Some(q) = topo.quality(it.sender, r) {
+                        if chosen.is_none() || q.prr() >= best_prr {
                             chosen = Some(i);
-                            best_prr = q;
+                            best_prr = q.prr();
                         }
                     }
                 }

@@ -2,12 +2,13 @@
 //! re-randomized working schedule, the calendar must serve the *new*
 //! schedule (not the stale pre-crash one), `SimState::is_active` must
 //! agree, and the calendar accounting identities must keep holding for
-//! every offset of the period.
+//! every offset of the period — equal periods or mixed ones, whose
+//! calendar spans their LCM.
 
 use ldcf_net::{bitset, LinkQuality, NeighborTable, NodeId, Topology, WorkingSchedule};
 use ldcf_sim::{
-    ChurnAction, Engine, EngineKind, FaultPlan, FloodingProtocol, Injection, SimConfig, SimState,
-    TxIntent, VecObserver,
+    ChurnAction, Engine, EngineKind, FaultConfig, FaultPlan, FloodingProtocol, Injection,
+    SimConfig, SimState, TxIntent, VecObserver,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -35,13 +36,13 @@ impl ScriptedChurn {
 }
 
 impl FaultPlan for ScriptedChurn {
-    fn on_start(&mut self, _n_nodes: usize, _period: u32, _active_per_period: u32) {}
+    fn on_start(&mut self, _n_nodes: usize) {}
 
     fn link_prr(&mut self, _s: NodeId, _r: NodeId, base: f64, _slot: u64) -> f64 {
         base
     }
 
-    fn churn_actions(&mut self, slot: u64, out: &mut Vec<ChurnAction>) {
+    fn churn_actions(&mut self, slot: u64, _: &NeighborTable, out: &mut Vec<ChurnAction>) {
         if slot == CRASH_AT {
             out.push(ChurnAction::Crash(VICTIM));
             self.next = RECOVER_AT;
@@ -126,11 +127,9 @@ fn assert_calendar_identities(state: &SimState, t: u64) {
         from_pred.len(),
         "active_count at t={t}"
     );
-    let words = state
-        .schedules
-        .active_words(t)
-        .expect("homogeneous periods have a calendar row");
-    let from_words: Vec<NodeId> = bitset::iter_ones(words).map(NodeId::from).collect();
+    let from_words: Vec<NodeId> = bitset::iter_ones(state.schedules.active_words(t))
+        .map(NodeId::from)
+        .collect();
     assert_eq!(from_words, from_pred, "active_words at t={t}");
 }
 
@@ -195,13 +194,7 @@ fn recovered_schedule_is_reflected_in_calendar_and_is_active() {
             expect,
             "recovered schedule at t={t}"
         );
-        let in_row = bitset::test_bit(
-            state
-                .schedules
-                .active_words(t)
-                .expect("calendar row exists"),
-            VICTIM.index(),
-        );
+        let in_row = bitset::test_bit(state.schedules.active_words(t), VICTIM.index());
         assert_eq!(in_row, expect, "calendar row at t={t}");
         assert_calendar_identities(state, t);
     }
@@ -310,10 +303,7 @@ fn next_wake_query_stays_exact_after_rerandomization() {
     let state = engine.state();
     let n = state.n_nodes();
     let nw = bitset::words_for(n);
-    let sw = state
-        .schedules
-        .summary_words()
-        .expect("homogeneous periods have a calendar");
+    let sw = state.schedules.summary_words();
     for v in 0..n {
         let mut targets = vec![0u64; nw];
         bitset::set_bit(&mut targets, v);
@@ -336,4 +326,93 @@ fn next_wake_query_stays_exact_after_rerandomization() {
         .next_rendezvous(state.now, &targets, &summary)
         .expect("the recovered victim wakes every period");
     assert_eq!(t % PERIOD as u64, NEW_SLOT as u64);
+}
+
+/// Mixed wake periods 4, 8 and 12 (a 24-slot calendar), with one or
+/// two active slots per period.
+const MIXED: [u32; 3] = [4, 8, 12];
+
+fn mixed_shape(node: usize) -> (u32, u32) {
+    (MIXED[node % 3], 1 + node as u32 % 2)
+}
+
+fn mixed_table() -> NeighborTable {
+    let mut rng = StdRng::seed_from_u64(11);
+    NeighborTable::new(
+        (0..25)
+            .map(|i| {
+                let (period, active) = mixed_shape(i);
+                WorkingSchedule::multi_random(period, active, &mut rng)
+            })
+            .collect(),
+    )
+}
+
+/// Real churn on mixed periods: each recovering node redraws a schedule
+/// of its own period and active-slot count (the configured ones are
+/// only representative), so the calendar keeps its LCM span and its
+/// identities, and the event engine stays byte-identical to the
+/// slot-stepped one through every crash and recovery.
+#[test]
+fn churn_on_mixed_periods_redraws_within_each_nodes_period() {
+    let cfg = SimConfig {
+        period: 12,
+        active_per_period: 1,
+        n_packets: 3,
+        coverage: 1.0,
+        max_slots: 20_000,
+        seed: 5,
+        mistiming_prob: 0.0,
+    };
+    let churn = || {
+        let mut fc = FaultConfig::at_intensity(cfg.seed, 1.0).churn_only();
+        if let Some(c) = fc.churn.as_mut() {
+            c.mean_uptime = 150.0;
+            c.mean_downtime = 30.0;
+            c.retry_backoff = 20;
+        }
+        fc.build()
+    };
+    let topo = Topology::grid(5, 5, LinkQuality::new(0.9));
+
+    let mut engine = Engine::with_schedules(topo.clone(), cfg.clone(), mixed_table(), GreedyFlood)
+        .with_faults(churn());
+    while engine.step() {}
+    assert!(
+        engine.report().node_recoveries >= 10,
+        "only {} recoveries",
+        engine.report().node_recoveries
+    );
+    let state = engine.state();
+    assert_eq!(state.schedules.calendar_period(), 24);
+    for v in 0..state.n_nodes() {
+        let s = state.schedules.schedule(NodeId::from(v));
+        assert_eq!(
+            (s.period(), s.active_per_period()),
+            mixed_shape(v),
+            "node {v} kept its shape"
+        );
+    }
+    for t in 0..24 {
+        assert_calendar_identities(state, t);
+    }
+
+    let run = |kind: EngineKind| {
+        Engine::with_schedules(topo.clone(), cfg.clone(), mixed_table(), GreedyFlood)
+            .with_faults(churn())
+            .with_observer(VecObserver::default())
+            .with_engine_kind(kind)
+            .run_traced()
+    };
+    let (r_slot, e_slot, o_slot) = run(EngineKind::Slot);
+    let (r_event, e_event, o_event) = run(EngineKind::Event);
+    assert_eq!(
+        serde_json::to_string(&r_slot).unwrap(),
+        serde_json::to_string(&r_event).unwrap()
+    );
+    assert_eq!(
+        serde_json::to_string(&e_slot).unwrap(),
+        serde_json::to_string(&e_event).unwrap()
+    );
+    assert_eq!(o_slot.events, o_event.events);
 }
