@@ -162,7 +162,9 @@ stage_bintrace() {
     # The same fig9 cases traced to the columnar binary container must
     # (a) export back to JSONL byte-identical to the pinned baselines,
     # (b) compress at least 4x over JSONL, and (c) feed forensics
-    # directly.
+    # directly, (d) with a JSON report identical to the one forensics
+    # writes from the exported JSONL twin: the binary and JSONL decoders
+    # agree end to end.
     ./target/release/experiments fig9 --quick --out "$ART_DIR/bin-run" \
         --trace-events "$ART_DIR/bin-run/traces" --trace-format bin > /dev/null
     for bin in "$ART_DIR"/bin-run/traces/*.events.bin; do
@@ -174,10 +176,15 @@ stage_bintrace() {
             "$OLDPWD/crates/bench/baselines/quick/traces.sha256" \
         | sha256sum --check --quiet)
     for bin in "$ART_DIR"/bin-run/traces/*.events.bin; do
-        echo "forensics (bin): $(basename "$bin")"
-        ./target/release/experiments forensics --trace "$bin" > /dev/null
+        echo "forensics (bin and jsonl): $(basename "$bin")"
+        ./target/release/experiments forensics --trace "$bin" \
+            --out "$ART_DIR/bin-run/forensics-bin" > /dev/null
+        ./target/release/experiments forensics --trace "${bin%.bin}.jsonl" \
+            --out "$ART_DIR/bin-run/forensics-jsonl" > /dev/null
     done
-    echo "binary traces export byte-identical, compress >= 4x, replay forensics"
+    diff -r "$ART_DIR/bin-run/forensics-bin" "$ART_DIR/bin-run/forensics-jsonl"
+    echo "binary traces export byte-identical, compress >= 4x, replay forensics" \
+        "identical to their JSONL twins"
 }
 
 stage_perf() {

@@ -322,11 +322,12 @@ mod tests {
                 holders: 3,
             },
         ];
-        let text: String = events
-            .iter()
-            .map(|e| serde_json::to_string(e).unwrap() + "\n")
-            .collect();
-        let r = ReplayReport::from_jsonl(&text).unwrap();
+        let mut text = Vec::new();
+        for e in &events {
+            e.write_jsonl(&mut text);
+            text.push(b'\n');
+        }
+        let r = ReplayReport::from_jsonl(std::str::from_utf8(&text).unwrap()).unwrap();
         assert_eq!(r, ReplayReport::from_events(&events));
         assert_eq!(r.mean_flooding_delay(), Some(10.0));
     }

@@ -5,13 +5,14 @@
 //!   bytes) plus the measured compression ratio binary enjoys over
 //!   JSONL for the same stream. For a binary trace the count and span
 //!   come straight from the trailing index; the JSONL-equivalent size
-//!   is measured by re-serializing the stream. For a JSONL trace the
-//!   binary-equivalent size is measured by encoding the stream into a
-//!   counting sink — so the ratio is comparable from either side.
+//!   is measured by encoding the stream into a JSONL sink over
+//!   `io::sink()`. For a JSONL trace the binary-equivalent size is
+//!   measured the same way with a binary sink — so the ratio is
+//!   comparable from either side.
 //! * `export` — binary → JSONL, byte-identical to what a `--trace-format
-//!   jsonl` run of the same case writes (both paths serialize each
-//!   event with `serde_json::to_string` + `\n`). CI diffs exported
-//!   fig9 traces against the pinned JSONL baselines.
+//!   jsonl` run of the same case writes: both go through [`JsonlSink`],
+//!   which encodes each event with [`SimEvent::write_jsonl`] + `\n`. CI
+//!   diffs exported fig9 traces against the pinned JSONL baselines.
 //! * `query` — slot-range scan (`--slot A..B`, `B` exclusive) with
 //!   optional `--node` / `--packet` filters. On a binary trace the
 //!   trailing index skips every frame outside the range; the scanned /
@@ -20,9 +21,9 @@
 use ldcf_analysis::EventSource;
 use ldcf_net::NodeId;
 use ldcf_obs::binlog::{BinReader, BIN_MAGIC};
-use ldcf_obs::{BinSink, SimEvent, SimObserver};
+use ldcf_obs::{BinSink, JsonlSink, SimEvent, SimObserver};
 use std::fs::File;
-use std::io::{BufWriter, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// Facts `trace info` prints.
@@ -76,13 +77,6 @@ impl TraceInfo {
     }
 }
 
-fn jsonl_len(ev: &SimEvent) -> u64 {
-    serde_json::to_string(ev)
-        .expect("SimEvent serializes")
-        .len() as u64
-        + 1
-}
-
 /// Measure a trace (either format). Streams the file once.
 pub fn info(path: &Path) -> Result<TraceInfo, String> {
     let bytes = std::fs::metadata(path)
@@ -98,12 +92,11 @@ pub fn info(path: &Path) -> Result<TraceInfo, String> {
             let events = reader.n_events();
             let slot_span = reader.slot_span();
             let frames = reader.frames().len();
-            let mut jsonl_bytes = 0u64;
-            let mut seen = 0u64;
+            let mut probe = JsonlSink::new(std::io::sink());
             for ev in src {
-                jsonl_bytes += jsonl_len(&ev.map_err(|e| e.to_string())?);
-                seen += 1;
+                probe.on_event(&ev.map_err(|e| e.to_string())?);
             }
+            let (seen, jsonl_bytes) = (probe.lines(), probe.bytes());
             if seen != events {
                 return Err(format!(
                     "{}: index claims {events} events, stream decoded {seen}",
@@ -181,18 +174,15 @@ pub fn export(path: &Path, out: &Path) -> Result<(u64, u64), String> {
     }
     let reader = BinReader::open_path(path).map_err(|e| e.to_string())?;
     let file = File::create(out).map_err(|e| format!("{}: {e}", out.display()))?;
-    let mut w = BufWriter::new(file);
-    let mut events = 0u64;
-    let mut bytes = 0u64;
+    let mut sink = JsonlSink::new(file);
     for ev in reader.events() {
-        let ev = ev.map_err(|e| e.to_string())?;
-        let line = serde_json::to_string(&ev).expect("SimEvent serializes");
-        writeln!(w, "{line}").map_err(|e| format!("{}: {e}", out.display()))?;
-        events += 1;
-        bytes += line.len() as u64 + 1;
+        sink.on_event(&ev.map_err(|e| e.to_string())?);
     }
-    w.flush().map_err(|e| format!("{}: {e}", out.display()))?;
-    Ok((events, bytes))
+    sink.on_finish();
+    let written = (sink.lines(), sink.bytes());
+    sink.into_result()
+        .map_err(|e| format!("{}: {e}", out.display()))?;
+    Ok(written)
 }
 
 /// Filters and results of one `trace query`.
@@ -240,7 +230,8 @@ pub fn query(
     packet: Option<u32>,
     out: &mut impl Write,
 ) -> Result<QueryStats, String> {
-    let emit = |ev: &SimEvent, out: &mut dyn Write, matched: &mut u64| -> Result<(), String> {
+    let mut line = Vec::new();
+    let mut emit = |ev: &SimEvent, out: &mut dyn Write, matched: &mut u64| -> Result<(), String> {
         if let Some(n) = node {
             if !ev.involves(NodeId(n)) {
                 return Ok(());
@@ -251,8 +242,10 @@ pub fn query(
                 return Ok(());
             }
         }
-        let line = serde_json::to_string(ev).expect("SimEvent serializes");
-        writeln!(out, "{line}").map_err(|e| e.to_string())?;
+        line.clear();
+        ev.write_jsonl(&mut line);
+        line.push(b'\n');
+        out.write_all(&line).map_err(|e| e.to_string())?;
         *matched += 1;
         Ok(())
     };

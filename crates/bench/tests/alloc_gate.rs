@@ -9,16 +9,20 @@
 //! redraws its working schedule — so the churn window asserts a small
 //! amortized budget instead of zero.
 //!
+//! Tracing is held to the same bar: a run observed by a [`JsonlSink`]
+//! encodes every event into one reused buffer, so its window is zero
+//! too, and a [`JsonlReader`] parses every line after its first without
+//! touching the heap.
+//!
 //! Deliberately a single `#[test]`: the counter is process-global, and
 //! a second test thread allocating concurrently would poison the
 //! measured windows. Keep it that way.
 
 use ldcf_net::{LinkQuality, NodeId, Topology};
-use ldcf_obs::CountingAlloc;
+use ldcf_obs::{CountingAlloc, JsonlReader, JsonlSink, SimObserver};
 use ldcf_protocols::{Dbao, NaiveFlood, OpportunisticFlooding, Opt};
-use ldcf_sim::{
-    Engine, FaultConfig, FaultInjector, FaultPlan, FloodingProtocol, NullObserver, SimConfig,
-};
+use ldcf_sim::{Engine, FaultConfig, FaultInjector, FaultPlan, FloodingProtocol, SimConfig};
+use std::io;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -53,9 +57,10 @@ fn grid_cfg() -> SimConfig {
 
 /// Step the engine through warm-up, then count heap allocations over
 /// the measured window. Returns `(allocations, slots_measured)`.
-fn steady_state_allocs<P, F>(mut engine: Engine<P, NullObserver, F>) -> (u64, u64)
+fn steady_state_allocs<P, O, F>(engine: &mut Engine<P, O, F>) -> (u64, u64)
 where
     P: FloodingProtocol,
+    O: SimObserver,
     F: FaultPlan,
 {
     let mut warmed = 0;
@@ -113,16 +118,16 @@ fn gate_protocol<P: FloodingProtocol>(name: &str, topo: Topology, mk: impl Fn() 
     let cfg = grid_cfg();
 
     // Clean: the PR contract — zero heap allocations per slot.
-    let (delta, slots) = steady_state_allocs(Engine::new(topo.clone(), cfg.clone(), mk()));
+    let (delta, slots) = steady_state_allocs(&mut Engine::new(topo.clone(), cfg.clone(), mk()));
     assert_eq!(
         delta, 0,
         "{name}/clean allocated {delta} times in {slots} steady-state slots"
     );
 
     // Burst + drift: still zero once the per-link burst state exists.
-    let engine =
+    let mut engine =
         Engine::new(topo.clone(), cfg.clone(), mk()).with_faults(prewarmed_burst_drift(&topo, 5));
-    let (delta, slots) = steady_state_allocs(engine);
+    let (delta, slots) = steady_state_allocs(&mut engine);
     assert_eq!(
         delta, 0,
         "{name}/burst+drift allocated {delta} times in {slots} steady-state slots"
@@ -131,8 +136,8 @@ fn gate_protocol<P: FloodingProtocol>(name: &str, topo: Topology, mk: impl Fn() 
     // Churn: recoveries redraw schedules, so allow a small amortized
     // budget — well under one allocation per slot, so a per-slot leak
     // anywhere in the engine still trips the gate.
-    let engine = Engine::new(topo.clone(), cfg, mk()).with_faults(churn_faults(5).build());
-    let (delta, slots) = steady_state_allocs(engine);
+    let mut engine = Engine::new(topo.clone(), cfg, mk()).with_faults(churn_faults(5).build());
+    let (delta, slots) = steady_state_allocs(&mut engine);
     let budget = slots / 2 + 256;
     assert!(
         delta <= budget,
@@ -141,10 +146,55 @@ fn gate_protocol<P: FloodingProtocol>(name: &str, topo: Topology, mk: impl Fn() 
     eprintln!("alloc-gate {name}: clean 0, burst+drift 0, churn {delta}/{slots} slots");
 }
 
+/// A DBAO run traced to JSONL (DBAO's floods emit every kind of
+/// reception event): the encoding window must not allocate. Then the
+/// same run's trace is read back from memory, its longest line first so
+/// the reader's line buffer reaches full size on that line: no later
+/// line may allocate.
+fn gate_tracing() {
+    let mut engine =
+        Engine::new(grid(), grid_cfg(), Dbao::new()).with_observer(JsonlSink::new(io::sink()));
+    let (delta, slots) = steady_state_allocs(&mut engine);
+    assert_eq!(
+        delta, 0,
+        "dbao traced to JSONL allocated {delta} times in {slots} steady-state slots"
+    );
+
+    let engine =
+        Engine::new(grid(), grid_cfg(), Dbao::new()).with_observer(JsonlSink::new(Vec::new()));
+    let text = String::from_utf8(engine.run_traced().2.into_result().unwrap()).unwrap();
+    let mut lines: Vec<&str> = text.lines().collect();
+    let longest = (0..lines.len()).max_by_key(|&i| lines[i].len()).unwrap();
+    lines.swap(0, longest);
+    let trace = lines.join("\n") + "\n";
+
+    let mut reader = JsonlReader::new(trace.as_bytes());
+    reader.next().expect("a first line").expect("it parses");
+    let before = CountingAlloc::allocations();
+    let mut read = 1;
+    for ev in reader.by_ref() {
+        ev.expect("every line parses");
+        read += 1;
+    }
+    let delta = CountingAlloc::allocations() - before;
+    assert_eq!(read, lines.len());
+    assert_eq!(
+        delta,
+        0,
+        "JsonlReader allocated {delta} times over {} lines after its first",
+        read - 1
+    );
+    eprintln!(
+        "alloc-gate tracing: jsonl encode 0 in {slots} slots, jsonl read 0 in {} lines",
+        read - 1
+    );
+}
+
 #[test]
 fn hot_path_is_allocation_free_for_every_protocol() {
     gate_protocol("opt", grid(), Opt::new);
     gate_protocol("dbao", grid(), Dbao::new);
     gate_protocol("of", grid(), OpportunisticFlooding::new);
     gate_protocol("naive", grid(), NaiveFlood::new);
+    gate_tracing();
 }

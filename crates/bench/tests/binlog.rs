@@ -45,11 +45,16 @@ fn verify_pipeline<P: FloodingProtocol>(protocol: P) {
     // Export identity: decoding the binary container and re-serializing
     // line by line reproduces the JSONL sink's bytes exactly.
     let reader = BinReader::new(Cursor::new(bin.clone())).expect("container opens");
-    let exported: String = reader
-        .events()
-        .map(|ev| serde_json::to_string(&ev.expect("frame decodes")).unwrap() + "\n")
-        .collect();
-    assert_eq!(exported, jsonl, "binary export must be byte-identical");
+    let mut exported = Vec::new();
+    for ev in reader.events() {
+        ev.expect("frame decodes").write_jsonl(&mut exported);
+        exported.push(b'\n');
+    }
+    assert_eq!(
+        String::from_utf8(exported).unwrap(),
+        jsonl,
+        "binary export must be byte-identical"
+    );
 
     // Compression: the acceptance bar is ≥ 4× smaller than JSONL.
     let ratio = jsonl.len() as f64 / bin.len() as f64;

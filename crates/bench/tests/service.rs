@@ -205,6 +205,30 @@ fn oversized_schedule_periods_get_http_400() {
     let _ = std::fs::remove_dir_all(&data);
 }
 
+/// A packet count past `u32` is refused at submit with a 400 naming
+/// the field; 2^32 + 8 must not pass as the demo's own 8 packets (and
+/// so as the demo's job id).
+#[test]
+fn oversized_workload_packets_get_http_400() {
+    let data = tmpdir("bigpackets");
+    let handle = start_server(&data);
+    let client = Client::new(&handle.addr().to_string());
+
+    let text = spec_text().replace("packets = 8", "packets = 4294967304");
+    assert_ne!(text, spec_text(), "the edit must land");
+    for _ in 0..2 {
+        let (status, body) = client
+            .request("POST", "/campaigns?quick=1", Some(text.as_bytes()))
+            .unwrap();
+        let body = String::from_utf8(body).unwrap();
+        assert_eq!(status, 400, "{body}");
+        assert!(body.contains("workload.packets"), "{body}");
+    }
+
+    handle.stop();
+    let _ = std::fs::remove_dir_all(&data);
+}
+
 /// The spawned-binary path: `experiments serve` must shut down
 /// gracefully on SIGTERM (exit 0, no torn artefacts, interrupted job
 /// persisted as queued) and a restarted server must resume the job to

@@ -128,6 +128,12 @@ fn ci_script_carries_the_load_bearing_gates() {
     assert!(text.contains("ablation-overhearing --quick"));
     assert!(text.contains("for table in ablation-opportunistic ablation-overhearing"));
     assert!(text.contains("--validate-profile"));
+    // bintrace: forensics over each binary trace and over its exported
+    // JSONL twin must write identical JSON reports.
+    assert!(text.contains("forensics --trace \"${bin%.bin}.jsonl\""));
+    assert!(text.contains(
+        "diff -r \"$ART_DIR/bin-run/forensics-bin\" \"$ART_DIR/bin-run/forensics-jsonl\""
+    ));
     assert!(text.contains("--test alloc_gate"));
     assert!(text.contains("cargo test -q --manifest-path benchmark/Cargo.toml"));
     // benchmark/ sits outside the workspace: fmt and clippy must name it.

@@ -46,9 +46,8 @@
 //! overlaps a query — `experiments trace query` never touches the rest
 //! of the file.
 
-use crate::event::SimEvent;
+use crate::event::{SimEvent, KINDS, MAX_FIELDS};
 use crate::observer::SimObserver;
-use ldcf_net::{NodeId, PacketId};
 use std::fmt;
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
@@ -207,290 +206,23 @@ fn get_delta(bytes: &[u8], pos: &mut usize, prev: &mut u64) -> Result<u64, BinEr
 }
 
 // ---------------------------------------------------------------------
-// Event <-> (kind id, slot, field tuple) mapping
+// Event <-> (kind id, slot, field tuple) mapping: the schema in
+// `event::KINDS`, shared with the JSONL codec.
 // ---------------------------------------------------------------------
 
 /// Number of event kinds (tag ids `0..N_KINDS`).
-const N_KINDS: usize = 16;
-/// Largest non-slot field count of any kind.
-const MAX_FIELDS: usize = 4;
+const N_KINDS: usize = KINDS.len();
 
-/// Non-slot field count per kind id, in the same order as
-/// [`SimEvent`]'s variants.
-const FIELD_COUNT: [usize; N_KINDS] = [
-    4, // TxAttempt: sender, receiver, packet, bypass_mac
-    4, // Delivered: sender, receiver, packet, fresh
-    4, // Overheard: sender, receiver, packet, fresh
-    3, // LinkLoss: sender, receiver, packet
-    3, // Collision
-    3, // ReceiverBusy
-    3, // Mistimed
-    3, // Deferred
-    2, // CoverageReached: packet, holders
-    2, // SlotEnd: queued, active_nodes
-    3, // BurstLoss
-    1, // NodeCrashed: node
-    1, // NodeRecovered: node
-    1, // SourceRetry: packet
-    3, // ScheduleSlot: node, period, offset
-    2, // PacketInjected: node, packet
-];
-
-/// Stable kind id of an event (index into [`FIELD_COUNT`]).
-fn kind_id(ev: &SimEvent) -> u8 {
-    match ev {
-        SimEvent::TxAttempt { .. } => 0,
-        SimEvent::Delivered { .. } => 1,
-        SimEvent::Overheard { .. } => 2,
-        SimEvent::LinkLoss { .. } => 3,
-        SimEvent::Collision { .. } => 4,
-        SimEvent::ReceiverBusy { .. } => 5,
-        SimEvent::Mistimed { .. } => 6,
-        SimEvent::Deferred { .. } => 7,
-        SimEvent::CoverageReached { .. } => 8,
-        SimEvent::SlotEnd { .. } => 9,
-        SimEvent::BurstLoss { .. } => 10,
-        SimEvent::NodeCrashed { .. } => 11,
-        SimEvent::NodeRecovered { .. } => 12,
-        SimEvent::SourceRetry { .. } => 13,
-        SimEvent::ScheduleSlot { .. } => 14,
-        SimEvent::PacketInjected { .. } => 15,
-    }
-}
-
-/// Decompose an event into its non-slot fields as `u64`s (bools as
-/// 0/1), in the fixed per-kind order [`FIELD_COUNT`] documents.
-fn fields_of(ev: &SimEvent) -> ([u64; MAX_FIELDS], usize) {
-    let mut f = [0u64; MAX_FIELDS];
-    let n = match *ev {
-        SimEvent::TxAttempt {
-            sender,
-            receiver,
-            packet,
-            bypass_mac,
-            ..
-        } => {
-            f[0] = sender.0 as u64;
-            f[1] = receiver.0 as u64;
-            f[2] = packet as u64;
-            f[3] = bypass_mac as u64;
-            4
-        }
-        SimEvent::Delivered {
-            sender,
-            receiver,
-            packet,
-            fresh,
-            ..
-        }
-        | SimEvent::Overheard {
-            sender,
-            receiver,
-            packet,
-            fresh,
-            ..
-        } => {
-            f[0] = sender.0 as u64;
-            f[1] = receiver.0 as u64;
-            f[2] = packet as u64;
-            f[3] = fresh as u64;
-            4
-        }
-        SimEvent::LinkLoss {
-            sender,
-            receiver,
-            packet,
-            ..
-        }
-        | SimEvent::Collision {
-            sender,
-            receiver,
-            packet,
-            ..
-        }
-        | SimEvent::ReceiverBusy {
-            sender,
-            receiver,
-            packet,
-            ..
-        }
-        | SimEvent::Mistimed {
-            sender,
-            receiver,
-            packet,
-            ..
-        }
-        | SimEvent::Deferred {
-            sender,
-            receiver,
-            packet,
-            ..
-        }
-        | SimEvent::BurstLoss {
-            sender,
-            receiver,
-            packet,
-            ..
-        } => {
-            f[0] = sender.0 as u64;
-            f[1] = receiver.0 as u64;
-            f[2] = packet as u64;
-            3
-        }
-        SimEvent::CoverageReached {
-            packet, holders, ..
-        } => {
-            f[0] = packet as u64;
-            f[1] = holders as u64;
-            2
-        }
-        SimEvent::SlotEnd {
-            queued,
-            active_nodes,
-            ..
-        } => {
-            f[0] = queued;
-            f[1] = active_nodes as u64;
-            2
-        }
-        SimEvent::NodeCrashed { node, .. } | SimEvent::NodeRecovered { node, .. } => {
-            f[0] = node.0 as u64;
-            1
-        }
-        SimEvent::SourceRetry { packet, .. } => {
-            f[0] = packet as u64;
-            1
-        }
-        SimEvent::ScheduleSlot {
-            node,
-            period,
-            offset,
-            ..
-        } => {
-            f[0] = node.0 as u64;
-            f[1] = period as u64;
-            f[2] = offset as u64;
-            3
-        }
-        SimEvent::PacketInjected { node, packet, .. } => {
-            f[0] = node.0 as u64;
-            f[1] = packet as u64;
-            2
-        }
-    };
-    (f, n)
-}
-
-fn node_field(v: u64, what: &str) -> Result<NodeId, BinError> {
-    u32::try_from(v)
-        .map(NodeId)
-        .map_err(|_| corrupt(format!("{what} {v} exceeds u32")))
-}
-
-fn u32_field(v: u64, what: &str) -> Result<u32, BinError> {
-    u32::try_from(v).map_err(|_| corrupt(format!("{what} {v} exceeds u32")))
-}
-
-fn packet_field(v: u64) -> Result<PacketId, BinError> {
-    u32_field(v, "packet id")
+/// Non-slot field count of a kind.
+fn field_count(kind: usize) -> usize {
+    KINDS[kind].1.len()
 }
 
 /// Rebuild an event from its kind id, slot, and field tuple.
-fn event_from(kind: u8, slot: u64, f: &[u64]) -> Result<SimEvent, BinError> {
-    let sender = || node_field(f[0], "sender id");
-    let receiver = || node_field(f[1], "receiver id");
-    Ok(match kind {
-        0 => SimEvent::TxAttempt {
-            slot,
-            sender: sender()?,
-            receiver: receiver()?,
-            packet: packet_field(f[2])?,
-            bypass_mac: f[3] != 0,
-        },
-        1 => SimEvent::Delivered {
-            slot,
-            sender: sender()?,
-            receiver: receiver()?,
-            packet: packet_field(f[2])?,
-            fresh: f[3] != 0,
-        },
-        2 => SimEvent::Overheard {
-            slot,
-            sender: sender()?,
-            receiver: receiver()?,
-            packet: packet_field(f[2])?,
-            fresh: f[3] != 0,
-        },
-        3 => SimEvent::LinkLoss {
-            slot,
-            sender: sender()?,
-            receiver: receiver()?,
-            packet: packet_field(f[2])?,
-        },
-        4 => SimEvent::Collision {
-            slot,
-            sender: sender()?,
-            receiver: receiver()?,
-            packet: packet_field(f[2])?,
-        },
-        5 => SimEvent::ReceiverBusy {
-            slot,
-            sender: sender()?,
-            receiver: receiver()?,
-            packet: packet_field(f[2])?,
-        },
-        6 => SimEvent::Mistimed {
-            slot,
-            sender: sender()?,
-            receiver: receiver()?,
-            packet: packet_field(f[2])?,
-        },
-        7 => SimEvent::Deferred {
-            slot,
-            sender: sender()?,
-            receiver: receiver()?,
-            packet: packet_field(f[2])?,
-        },
-        8 => SimEvent::CoverageReached {
-            slot,
-            packet: packet_field(f[0])?,
-            holders: u32_field(f[1], "holders")?,
-        },
-        9 => SimEvent::SlotEnd {
-            slot,
-            queued: f[0],
-            active_nodes: u32_field(f[1], "active_nodes")?,
-        },
-        10 => SimEvent::BurstLoss {
-            slot,
-            sender: sender()?,
-            receiver: receiver()?,
-            packet: packet_field(f[2])?,
-        },
-        11 => SimEvent::NodeCrashed {
-            slot,
-            node: node_field(f[0], "node id")?,
-        },
-        12 => SimEvent::NodeRecovered {
-            slot,
-            node: node_field(f[0], "node id")?,
-        },
-        13 => SimEvent::SourceRetry {
-            slot,
-            packet: packet_field(f[0])?,
-        },
-        14 => SimEvent::ScheduleSlot {
-            slot,
-            node: node_field(f[0], "node id")?,
-            period: u32_field(f[1], "period")?,
-            offset: u32_field(f[2], "offset")?,
-        },
-        15 => SimEvent::PacketInjected {
-            slot,
-            node: node_field(f[0], "node id")?,
-            packet: packet_field(f[1])?,
-        },
-        other => return Err(corrupt(format!("unknown event kind tag {other}"))),
+fn event_from(kind: usize, slot: u64, f: &[u64; MAX_FIELDS]) -> Result<SimEvent, BinError> {
+    SimEvent::from_fields(kind, slot, f).map_err(|i| {
+        let (name, _) = KINDS[kind].1[i];
+        corrupt(format!("{name} {} exceeds u32", f[i]))
     })
 }
 
@@ -529,13 +261,13 @@ fn encode_frame(events: &[SimEvent]) -> (Vec<u8>, FrameMeta) {
         let s = ev.slot();
         min_slot = min_slot.min(s);
         max_slot = max_slot.max(s);
-        counts[kind_id(ev) as usize] += 1;
+        counts[ev.kind_id()] += 1;
     }
 
     let mut payload = Vec::with_capacity(events.len() * 8);
     // Tag stream: the exact kind interleaving, one byte per event.
     for ev in events {
-        payload.push(kind_id(ev));
+        payload.push(ev.kind_id() as u8);
     }
     // Slot column: zigzag deltas against the previous event, starting
     // from the frame's min_slot.
@@ -544,16 +276,15 @@ fn encode_frame(events: &[SimEvent]) -> (Vec<u8>, FrameMeta) {
         put_delta(&mut payload, &mut prev, ev.slot());
     }
     // Per-kind field columns, each delta-coded within itself.
-    for kind in 0..N_KINDS {
-        if counts[kind] == 0 {
+    for (kind, &count) in counts.iter().enumerate() {
+        if count == 0 {
             continue;
         }
-        for field in 0..FIELD_COUNT[kind] {
+        for field in 0..field_count(kind) {
             let mut prev = 0u64;
             for ev in events {
-                if kind_id(ev) as usize == kind {
-                    let (f, _) = fields_of(ev);
-                    put_delta(&mut payload, &mut prev, f[field]);
+                if ev.kind_id() == kind {
+                    put_delta(&mut payload, &mut prev, ev.fields()[field]);
                 }
             }
         }
@@ -663,7 +394,7 @@ fn decode_frame<R: Read + Seek>(src: &mut R, meta: &FrameMeta) -> Result<Vec<Sim
         if counts[kind] == 0 {
             continue;
         }
-        for field in 0..FIELD_COUNT[kind] {
+        for field in 0..field_count(kind) {
             let col = &mut columns[kind * MAX_FIELDS + field];
             col.reserve(counts[kind]);
             let mut prev = 0u64;
@@ -685,7 +416,7 @@ fn decode_frame<R: Read + Seek>(src: &mut R, meta: &FrameMeta) -> Result<Vec<Sim
     for (i, &tag) in tags.iter().enumerate() {
         let kind = tag as usize;
         let at = cursors[kind];
-        for (field, slot) in fields.iter_mut().enumerate().take(FIELD_COUNT[kind]) {
+        for (field, slot) in fields.iter_mut().enumerate().take(field_count(kind)) {
             *slot = columns[kind * MAX_FIELDS + field][at];
         }
         cursors[kind] += 1;
@@ -695,7 +426,7 @@ fn decode_frame<R: Read + Seek>(src: &mut R, meta: &FrameMeta) -> Result<Vec<Sim
                 "event slot {slot} outside the frame's declared range {min_slot}..={max_slot}"
             )));
         }
-        events.push(event_from(tag, slot, &fields[..FIELD_COUNT[kind]])?);
+        events.push(event_from(kind, slot, &fields)?);
     }
     Ok(events)
 }
@@ -1025,6 +756,7 @@ impl<R: Read + Seek> Iterator for BinEvents<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ldcf_net::{NodeId, PacketId};
     use std::io::Cursor;
 
     fn sample_events(n: usize) -> Vec<SimEvent> {
@@ -1256,7 +988,11 @@ mod tests {
         let bytes = write_trace(&events, FRAME_EVENTS);
         let jsonl: usize = events
             .iter()
-            .map(|e| serde_json::to_string(e).unwrap().len() + 1)
+            .map(|e| {
+                let mut line = Vec::new();
+                e.write_jsonl(&mut line);
+                line.len() + 1
+            })
             .sum();
         assert!(
             jsonl >= 4 * bytes.len(),

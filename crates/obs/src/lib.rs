@@ -18,7 +18,9 @@
 //! * [`MetricsRegistry`] / [`MetricsObserver`] — counters, fixed-bucket
 //!   histograms (flooding-delay distribution, per-node tx/rx load,
 //!   queue depth) and the coverage-growth curve X(t).
-//! * [`JsonlSink`] — one JSON object per event, one event per line.
+//! * [`JsonlSink`] / [`JsonlReader`] — one JSON object per event, one
+//!   event per line, through the direct codec
+//!   [`SimEvent::write_jsonl`] / [`SimEvent::parse_jsonl`].
 //! * [`binlog`] — the binary columnar trace format: [`BinSink`] writes
 //!   CRC-guarded varint+delta frames with a trailing slot index,
 //!   [`BinReader`] streams them back lazily or seeks by slot range.
@@ -39,6 +41,7 @@
 pub mod binlog;
 pub mod event;
 pub mod fsutil;
+mod jsonl;
 pub mod manifest;
 pub mod metrics;
 pub mod observer;

@@ -8,12 +8,15 @@ use std::path::Path;
 
 /// Streams every event as a line of JSON to any [`Write`] target.
 ///
-/// Writes are buffered; [`SimObserver::on_finish`] flushes. I/O errors
+/// Each line is encoded by [`SimEvent::write_jsonl`] into one reused
+/// buffer, so a run traced to JSONL allocates nothing per event. Writes
+/// are buffered; [`SimObserver::on_finish`] flushes. I/O errors
 /// are sticky: the first error is kept and later writes are skipped, so
 /// tracing failures never abort a simulation mid-run — check
 /// [`JsonlSink::into_result`] after the run.
 pub struct JsonlSink<W: Write> {
     out: BufWriter<W>,
+    line: Vec<u8>,
     error: Option<io::Error>,
     lines: u64,
     bytes: u64,
@@ -24,6 +27,7 @@ impl<W: Write> JsonlSink<W> {
     pub fn new(out: W) -> Self {
         Self {
             out: BufWriter::new(out),
+            line: Vec::new(),
             error: None,
             lines: 0,
             bytes: 0,
@@ -58,11 +62,13 @@ impl<W: Write> SimObserver for JsonlSink<W> {
         if self.error.is_some() {
             return;
         }
-        let line = serde_json::to_string(event).expect("SimEvent serializes");
-        match writeln!(self.out, "{line}") {
+        self.line.clear();
+        event.write_jsonl(&mut self.line);
+        self.line.push(b'\n');
+        match self.out.write_all(&self.line) {
             Ok(()) => {
                 self.lines += 1;
-                self.bytes += line.len() as u64 + 1;
+                self.bytes += self.line.len() as u64;
             }
             Err(e) => self.error = Some(e),
         }
@@ -81,8 +87,11 @@ impl<W: Write> SimObserver for JsonlSink<W> {
 /// [`BufRead`] source, holding one line in memory at a time — the
 /// counterpart of [`crate::BinReader`] for row-wise traces.
 ///
-/// Blank lines are skipped; the first malformed line stops the iterator
-/// with an error naming its 1-based line number.
+/// Each line is parsed by [`SimEvent::parse_jsonl`] out of one reused
+/// line buffer, so reading allocates nothing per line once the buffer
+/// has grown to the longest line. Blank lines are skipped; the first
+/// malformed line stops the iterator with an error naming its 1-based
+/// line number.
 pub struct JsonlReader<R: BufRead> {
     src: R,
     line: String,
@@ -134,7 +143,7 @@ impl<R: BufRead> Iterator for JsonlReader<R> {
             if line.is_empty() {
                 continue;
             }
-            return match serde_json::from_str::<SimEvent>(line) {
+            return match SimEvent::parse_jsonl(line.as_bytes()) {
                 Ok(ev) => Some(Ok(ev)),
                 Err(e) => {
                     self.failed = true;
@@ -221,6 +230,19 @@ mod tests {
             "{\"t\":\"deferred\",\"slot\":3,\"sender\":2,\"receiver\":5,\"packet\":1}\nnot json\n";
         let err = read_jsonl(bad).unwrap_err();
         assert!(err.to_string().contains("line 2"), "{err}");
+    }
+
+    #[test]
+    fn ids_past_u32_are_errors_with_their_line() {
+        // 2^32 would wrap to node 0 if narrowed.
+        let text = "{\"t\":\"node_crashed\",\"slot\":1,\"node\":7}\n\
+                    {\"t\":\"node_crashed\",\"slot\":2,\"node\":4294967296}\n";
+        let err = read_jsonl(text).unwrap_err().to_string();
+        assert!(err.contains("line 2"), "{err}");
+        assert!(
+            err.contains("`node`") && err.contains("exceeds u32"),
+            "{err}"
+        );
     }
 
     #[test]

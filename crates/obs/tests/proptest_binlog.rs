@@ -5,7 +5,7 @@
 
 use ldcf_net::NodeId;
 use ldcf_obs::binlog::BinReader;
-use ldcf_obs::{BinSink, SimEvent, SimObserver};
+use ldcf_obs::{BinSink, JsonlSink, SimEvent, SimObserver};
 use proptest::prelude::*;
 use std::io::Cursor;
 
@@ -139,15 +139,17 @@ proptest! {
     /// pinned baselines.
     #[test]
     fn export_is_line_identical_to_direct_jsonl(events in arb_events(300), frame in 1usize..128) {
-        let direct: String = events
-            .iter()
-            .map(|ev| serde_json::to_string(ev).unwrap() + "\n")
-            .collect();
-        let exported: String = decode(encode(&events, frame))
-            .expect("container decodes")
-            .iter()
-            .map(|ev| serde_json::to_string(ev).unwrap() + "\n")
-            .collect();
+        let mut sink = JsonlSink::new(Vec::new());
+        for ev in &events {
+            sink.on_event(ev);
+        }
+        sink.on_finish();
+        let direct = sink.into_result().expect("in-memory sink");
+        let mut exported = Vec::new();
+        for ev in decode(encode(&events, frame)).expect("container decodes") {
+            ev.write_jsonl(&mut exported);
+            exported.push(b'\n');
+        }
         prop_assert_eq!(exported, direct);
     }
 

@@ -518,10 +518,12 @@ fn parse_workload(t: &Value) -> Result<Workload, String> {
             "workload.kind {other:?} not one of single-flood | multi-source | periodic"
         ))?,
     };
-    let packets = opt_u64(t, "workload", "packets")?.unwrap_or(1) as u32;
+    let packets = opt_u64(t, "workload", "packets")?.unwrap_or(1);
     if packets == 0 {
         return Err("workload.packets must be >= 1".into());
     }
+    let packets = u32::try_from(packets)
+        .map_err(|_| format!("workload.packets {packets} exceeds {}", u32::MAX))?;
     if let WorkloadKind::MultiSource { sources } = kind {
         if (packets as usize) < sources {
             return Err("workload.packets must be >= workload.sources".into());
@@ -905,6 +907,22 @@ mod tests {
             .replace("duties = [0.05, 0.1]", "duties = [0.0001]");
         assert!(ScenarioSpec::from_toml_str(&at_cap).is_ok());
         assert!(ScenarioSpec::from_toml_str(&hetero("[99, 101]")).is_ok());
+    }
+
+    #[test]
+    fn workload_packets_must_fit_u32() {
+        // 2^32 + 8 would wrap to the demo's own 8 in 32 bits.
+        let err = ScenarioSpec::from_toml_str(
+            &demo_text().replace("packets = 8", "packets = 4294967304"),
+        )
+        .unwrap_err();
+        assert!(err.contains("workload.packets"), "got {err}");
+        assert!(err.contains("4294967304"), "got {err}");
+        let max = demo_text().replace("packets = 8", "packets = 4294967295");
+        assert_eq!(
+            ScenarioSpec::from_toml_str(&max).unwrap().workload.packets,
+            u32::MAX
+        );
     }
 
     #[test]
