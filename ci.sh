@@ -298,8 +298,25 @@ stage_service() {
         --spec scenarios/demo-quick.toml --quick 2>&1 > /dev/null \
         | grep -q 'deduplicated' || { echo "dedupe FAILED"; exit 1; }
     kill -TERM "$SRV_PID"
-    wait "$SRV_PID" || { echo "server did not exit 0 on SIGTERM"; exit 1; }
+    # A shutdown that never wakes the blocked accept must fail the
+    # stage, not hang the job: a watchdog kills the server after 30 s.
+    (
+        trap 'kill "$nap" 2> /dev/null; exit 0' TERM
+        sleep 30 &
+        nap=$!
+        wait "$nap"
+        kill -KILL "$SRV_PID" 2> /dev/null
+    ) &
+    WATCHDOG=$!
+    SRV_STATUS=0
+    wait "$SRV_PID" || SRV_STATUS=$?
+    kill "$WATCHDOG" 2> /dev/null || true
+    wait "$WATCHDOG" 2> /dev/null || true
     SRV_PID=""
+    if [[ "$SRV_STATUS" -ne 0 ]]; then
+        echo "server did not exit 0 within 30 s of SIGTERM (status $SRV_STATUS)"
+        exit 1
+    fi
     echo "service smoke: byte-identical fetch + dedupe + graceful shutdown"
 }
 

@@ -82,6 +82,47 @@ use ldcf_obs::RunManifest;
 use serde::Value;
 use std::path::PathBuf;
 
+/// Stdout for everything an artefact prints. A reader that closes the
+/// pipe early (`experiments … | head`) ends the process quietly with
+/// status 0 instead of a panic.
+struct Stdout;
+
+impl Stdout {
+    fn check<T>(result: std::io::Result<T>) -> std::io::Result<T> {
+        match result {
+            Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(0),
+            result => result,
+        }
+    }
+}
+
+impl std::io::Write for Stdout {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        Self::check(std::io::stdout().write(buf))
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Self::check(std::io::stdout().flush())
+    }
+}
+
+/// `print!` through [`Stdout`]; any other write error exits 1.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        if let Err(e) = std::io::Write::write_fmt(&mut Stdout, format_args!($($arg)*)) {
+            eprintln!("error: writing to stdout: {e}");
+            std::process::exit(1);
+        }
+    };
+}
+
+/// `println!` through [`Stdout`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        out!("{}\n", format_args!($($arg)*))
+    };
+}
+
 struct Cli {
     artefact: String,
     /// Second positional for `trace`: `info`, `export` or `query`.
@@ -417,7 +458,7 @@ fn run_forensics(cli: &Cli) -> ! {
             std::process::exit(2);
         }
     };
-    println!("{}", report.summary(5));
+    outln!("{}", report.summary(5));
     if let Some(dir) = &cli.out {
         std::fs::create_dir_all(dir).expect("create output dir");
         let stem = trace
@@ -464,7 +505,7 @@ fn run_trace(cli: &Cli) -> ! {
     match action {
         "info" => {
             let info = trace_cmd::info(trace).unwrap_or_else(|e| fail(e));
-            print!("{}", info.render(trace));
+            out!("{}", info.render(trace));
             if let Some(min) = cli.min_ratio {
                 if info.ratio() < min {
                     eprintln!(
@@ -497,8 +538,7 @@ fn run_trace(cli: &Cli) -> ! {
                 .as_deref()
                 .unwrap_or_else(|| usage("trace query needs --slot A..B"));
             let range = trace_cmd::parse_slot_range(range).unwrap_or_else(|e| usage(&e));
-            let stdout = std::io::stdout();
-            let mut out = std::io::BufWriter::new(stdout.lock());
+            let mut out = std::io::BufWriter::new(Stdout);
             let stats = trace_cmd::query(trace, range, cli.node, cli.packet, &mut out)
                 .unwrap_or_else(|e| fail(e));
             use std::io::Write;
@@ -536,7 +576,7 @@ fn run_perf(cli: &Cli) -> ! {
             .unwrap_or_else(|e| usage(&format!("--validate {}: {e}", file.display())));
         match perf::validate_bench_json(&text) {
             Ok(names) => {
-                println!(
+                outln!(
                     "{}: valid BENCH file ({} cases)",
                     file.display(),
                     names.len()
@@ -554,7 +594,7 @@ fn run_perf(cli: &Cli) -> ! {
             .unwrap_or_else(|e| usage(&format!("--validate-profile {}: {e}", file.display())));
         match perf::validate_profile_json(&text) {
             Ok(names) => {
-                println!(
+                outln!(
                     "{}: valid PROFILE file ({} cases)",
                     file.display(),
                     names.len()
@@ -577,7 +617,7 @@ fn run_perf(cli: &Cli) -> ! {
     // slot-stepped and event-driven engines side by side over the same
     // deterministic workload.
     report.cases.extend(perf::scale_perf(cli.quick, cli.reps));
-    println!("\n## perf\n\n{}", report.to_markdown());
+    outln!("\n## perf\n\n{}", report.to_markdown());
 
     let dir = cli.out.clone().unwrap_or_else(|| PathBuf::from("."));
     std::fs::create_dir_all(&dir).expect("create output dir");
@@ -594,7 +634,7 @@ fn run_perf(cli: &Cli) -> ! {
     // BENCH numbers never carry the ~9 clock reads/slot of profiling.
     if cli.profile {
         let prof_report = perf::profile(&cli.opts, cli.quick, &label);
-        println!("\n## perf profile\n\n{}", prof_report.to_markdown());
+        outln!("\n## perf profile\n\n{}", prof_report.to_markdown());
         let prof_path = dir.join(format!("PROFILE_{label}.json"));
         let prof_json = prof_report.to_json_pretty() + "\n";
         std::fs::write(&prof_path, &prof_json).expect("write PROFILE file");
@@ -623,7 +663,7 @@ fn run_perf(cli: &Cli) -> ! {
         };
         let mut failed = false;
         for v in &verdicts {
-            println!(
+            outln!(
                 "speedup vs baseline: {} {:.2}x (tolerance {:.0}%)",
                 v.name,
                 v.speedup,
@@ -642,7 +682,7 @@ fn run_perf(cli: &Cli) -> ! {
         if failed {
             std::process::exit(1);
         }
-        println!(
+        outln!(
             "perf: no case regressed beyond its noise-aware tolerance vs {}",
             file.display()
         );
@@ -655,7 +695,7 @@ fn run_perf(cli: &Cli) -> ! {
         match perf::gate_vs_baseline(&text, &report) {
             Ok(verdicts) => {
                 for v in verdicts {
-                    println!("speedup vs baseline: {} {:.2}x", v.name, v.speedup);
+                    outln!("speedup vs baseline: {} {:.2}x", v.name, v.speedup);
                 }
             }
             Err(e) => eprintln!("perf: baseline not comparable: {e}"),
@@ -694,7 +734,7 @@ fn run_campaign_cmd(cli: &Cli) -> ! {
                 std::process::exit(2);
             }
         };
-        println!("{}  {}", built.digest(), built.spec.name);
+        outln!("{}  {}", built.digest(), built.spec.name);
         std::process::exit(0);
     }
 
@@ -709,7 +749,7 @@ fn run_campaign_cmd(cli: &Cli) -> ! {
         }
     };
     let wall = t0.elapsed();
-    println!("{}", outcome.markdown);
+    outln!("{}", outcome.markdown);
 
     ldcf_bench::campaign::write_manifest(&out, &outcome.manifest(wall.as_millis() as u64))
         .unwrap_or_else(|e| {
@@ -755,7 +795,7 @@ fn run_stats_cmd(cli: &Cli) -> ! {
             std::process::exit(1);
         }
     };
-    println!("{}", outcome.markdown);
+    outln!("{}", outcome.markdown);
     if let Some(dir) = &cli.out {
         std::fs::create_dir_all(dir)
             .unwrap_or_else(|e| usage(&format!("--out {}: {e}", dir.display())));
@@ -853,7 +893,7 @@ fn with_chart(table: &ldcf_analysis::Table) -> String {
 }
 
 fn emit(out: &Option<PathBuf>, name: &str, body: &str) {
-    println!("\n## {name}\n\n{body}");
+    outln!("\n## {name}\n\n{body}");
     if let Some(dir) = out {
         std::fs::create_dir_all(dir).expect("create output dir");
         std::fs::write(dir.join(format!("{name}.md")), body).expect("write artefact");

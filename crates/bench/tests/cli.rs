@@ -269,3 +269,22 @@ fn campaign_digest_prints_sha256_and_name() {
     assert!(digest.chars().all(|c| c.is_ascii_hexdigit()));
     assert_eq!(name, "demo-quick");
 }
+
+#[test]
+fn closed_stdout_ends_quietly() {
+    use std::process::Stdio;
+    // `experiments table1 | head -0`: the reader is gone before the
+    // first line is written.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .arg("table1")
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn experiments binary");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("wait for experiments");
+    let err = stderr(&out);
+    assert!(!err.contains("panicked"), "stderr: {err}");
+    assert!(!err.contains("Broken pipe"), "stderr: {err}");
+    assert_eq!(out.status.code(), Some(0), "stderr: {err}");
+}

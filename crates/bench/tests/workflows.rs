@@ -155,6 +155,9 @@ fn ci_script_carries_the_load_bearing_gates() {
     // not leak the server process.
     assert!(text.contains("trap cleanup EXIT"));
     assert!(text.contains("kill -0 \"$SRV_PID\""));
+    // A SIGTERM that never wakes the server fails the stage at a
+    // deadline instead of hanging the job.
+    assert!(text.contains("kill -KILL \"$SRV_PID\""));
 }
 
 #[test]

@@ -276,6 +276,32 @@ impl Topology {
             .map(|((&v, &q), k)| (k, v, q))
     }
 
+    /// Incoming links of `node` in row order (ascending neighbor id):
+    /// `(link, neighbor, quality of neighbor → node)`. `link` is the
+    /// entry of `neighbor` in `node`'s row, i.e.
+    /// `link_index(node, neighbor)`, so per-link state kept for the
+    /// inbound direction is read where a receiver's walk already is.
+    #[inline]
+    pub fn in_links(
+        &self,
+        node: NodeId,
+    ) -> impl ExactSizeIterator<Item = (usize, NodeId, LinkQuality)> + Clone + '_ {
+        let row = self.row(node);
+        self.targets[row.clone()]
+            .iter()
+            .zip(&self.q_in[row.clone()])
+            .zip(row)
+            .map(|((&v, &q), k)| (k, v, q))
+    }
+
+    /// Quality of `link` read as an inbound link: for
+    /// `link = link_index(r, s)`, the quality of `s → r`, stored inline
+    /// in `r`'s row.
+    #[inline]
+    pub fn in_quality(&self, link: usize) -> LinkQuality {
+        self.q_in[link]
+    }
+
     /// Directed link quality `from → to`, if the link exists.
     pub fn quality(&self, from: NodeId, to: NodeId) -> Option<LinkQuality> {
         self.entry(from, to).map(|k| self.q_out[k])

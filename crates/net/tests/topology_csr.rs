@@ -89,6 +89,12 @@ fn check_links(t: &Topology, r: &Reference, n: u32) -> Result<(), TestCaseError>
             prop_assert_eq!(t.link_index(u, v), Some(link));
             next += 1;
         }
+        // The same entries read as inbound links: `v → u` at u's entry.
+        for ((link, v, q), (out_link, out_v, _)) in t.in_links(u).zip(t.out_links(u)) {
+            prop_assert_eq!((link, v), (out_link, out_v));
+            prop_assert_eq!(Some(q), t.quality(v, u));
+            prop_assert_eq!(t.in_quality(link), q);
+        }
         for b in 0..n {
             let v = NodeId(b);
             if !r.contains_key(&(a, b)) {

@@ -139,7 +139,11 @@ impl<R: BufRead> Iterator for JsonlReader<R> {
                 }
             }
             self.line_no += 1;
-            let line = self.line.trim();
+            // JSON whitespace only: `str::trim` would also strip Unicode
+            // spaces, which no JSON document may hold between tokens.
+            let line = self
+                .line
+                .trim_matches(|c| matches!(c, ' ' | '\t' | '\r' | '\n'));
             if line.is_empty() {
                 continue;
             }
@@ -243,6 +247,17 @@ mod tests {
             err.contains("`node`") && err.contains("exceeds u32"),
             "{err}"
         );
+    }
+
+    #[test]
+    fn only_json_whitespace_is_trimmed() {
+        let line = "{\"t\":\"source_retry\",\"slot\":1,\"packet\":0}";
+        let padded = format!(" \t{line}\r\n\n{line}\n");
+        assert_eq!(read_jsonl(&padded).unwrap().len(), 2);
+        // U+00A0 is whitespace to `str::trim` but not to JSON.
+        let wrapped = format!("{line}\n\u{a0}{line}\u{a0}\n");
+        let err = read_jsonl(&wrapped).unwrap_err().to_string();
+        assert!(err.contains("line 2"), "{err}");
     }
 
     #[test]

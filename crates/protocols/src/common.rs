@@ -14,25 +14,28 @@ pub fn fcfs_candidate(state: &SimState, u: NodeId) -> Option<(PacketId, NodeId)>
     fcfs_candidate_filtered(state, u, |_| true)
 }
 
-/// [`fcfs_candidate`] restricted to the links `u → receiver` whose
-/// index (see [`Topology::link_index`]) passes `allow` (used to honour
-/// per-link collision back-off windows).
+/// [`fcfs_candidate`] restricted to the receivers `v` whose inbound
+/// link from `u` (index [`Topology::link_index`]`(v, u)`, the key of
+/// [`CollisionBackoff`]) passes `allow` (used to honour per-link
+/// collision back-off windows).
 pub fn fcfs_candidate_filtered(
     state: &SimState,
     u: NodeId,
     mut allow: impl FnMut(usize) -> bool,
 ) -> Option<(PacketId, NodeId)> {
+    let mut open = |v: NodeId| allow(state.topo.link_index(v, u).expect("links are symmetric"));
     let entry = state.queue(u).first_with_work(|p| {
         state
             .topo
-            .out_links(u)
-            .any(|(link, v, _)| state.is_active(v) && !state.has(v, p) && allow(link))
+            .neighbor_ids(u)
+            .iter()
+            .any(|&v| state.is_active(v) && !state.has(v, p) && open(v))
     })?;
-    let (_, v, _) = state
+    let (v, _) = state
         .topo
-        .out_links(u)
-        .filter(|&(link, v, _)| state.is_active(v) && !state.has(v, entry.packet) && allow(link))
-        .max_by(|a, b| a.2.prr().partial_cmp(&b.2.prr()).expect("PRR is finite"))?;
+        .neighbors(u)
+        .filter(|&(v, _)| state.is_active(v) && !state.has(v, entry.packet) && open(v))
+        .max_by(|a, b| a.1.prr().partial_cmp(&b.1.prr()).expect("PRR is finite"))?;
     Some((entry.packet, v))
 }
 
@@ -43,11 +46,14 @@ pub fn fcfs_candidate_filtered(
 /// deterministic policy. Real link layers detect the missing ACK and
 /// back off a random number of retry opportunities; this helper keeps a
 /// skip window per directed link `sender → receiver` doing exactly
-/// that, in a flat table indexed by [`Topology::link_index`].
+/// that, in a flat table indexed by the link's entry in the
+/// *receiver's* row, [`Topology::link_index`]`(receiver, sender)` — the
+/// index a walk of the awake receivers' rows ([`ReceiverLists::build`])
+/// is already at.
 #[derive(Debug)]
 pub struct CollisionBackoff {
-    /// `blocked_until[link]`: the first slot at which the link's sender
-    /// may target its receiver again (0: never blocked).
+    /// `blocked_until[link_index(r, s)]`: the first slot at which `s`
+    /// may target `r` again (0: never blocked).
     blocked_until: Vec<u64>,
     rng: StdRng,
     window: u32,
@@ -73,7 +79,8 @@ impl CollisionBackoff {
         self.blocked_until.resize(topo.n_links(), 0);
     }
 
-    /// Whether the sender of `link` is still backing off from its
+    /// Whether the sender of the inbound `link`
+    /// (`link_index(receiver, sender)`) is still backing off from its
     /// receiver at `now`.
     #[inline]
     pub fn blocked(&self, link: usize, now: u64) -> bool {
@@ -87,7 +94,7 @@ impl CollisionBackoff {
             if e.outcome == Outcome::Collision {
                 let periods = self.rng.random_range(1..=self.window) as u64;
                 let link = topo
-                    .link_index(e.sender, e.receiver)
+                    .link_index(e.receiver, e.sender)
                     .expect("a collision is on a link");
                 self.blocked_until[link] = now + periods * period as u64 + 1;
             }
@@ -95,63 +102,215 @@ impl CollisionBackoff {
     }
 }
 
-/// One receiver a sender could serve this slot, reached over `link`
-/// (the sender → `node` entry of [`Topology::link_index`]).
+/// One receiver a sender could serve this slot: an entry of the
+/// sender's list in [`ReceiverLists`].
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Receiver {
     /// The receiving neighbor.
     pub node: NodeId,
-    /// Index of the link sender → `node`.
-    pub link: usize,
-    /// PRR of that link.
-    pub prr: f64,
+    /// Index of the link sender → `node` in `node`'s row,
+    /// `link_index(node, sender)`: the key of inbound per-link state,
+    /// and where [`Topology::in_quality`] reads its PRR.
+    pub link: u32,
 }
 
-/// This slot's packed row of awake, live nodes, written into `buf`:
-/// the wake calendar's row minus the crashed nodes.
-pub(crate) fn awake_row<'a>(state: &SimState, buf: &'a mut Vec<u64>) -> &'a [u64] {
-    buf.clear();
-    buf.extend_from_slice(state.schedules.active_words(state.now));
-    for (w, d) in buf.iter_mut().zip(state.down_words()) {
-        *w &= !d;
+/// This slot's sender → receiver lists, built from the awake side.
+///
+/// A sender can only serve a neighbor that is awake, live and not one
+/// it is backing off from, and at low duty far fewer nodes are awake
+/// than have work. So [`ReceiverLists::build`] walks the rows of the
+/// awake, live nodes only, and appends each awake node to the list of
+/// every neighbor with work. The lists lie one after another in sender
+/// order in one buffer of 8-byte entries: a first walk counts each
+/// sender's entries, a second appends them.
+///
+/// [`ReceiverLists::iter`] hands the lists out best link first (PRR
+/// descending, ties to the lower id): awake nodes arrive in ascending
+/// id order, so a stable insertion sort on PRR keeps the tie order. A
+/// queue scan then takes the first entry missing each packet, which is
+/// that packet's best receiver. The senders — the nodes whose list is
+/// non-empty — come out ascending, the order of the work bitset they
+/// are a subset of.
+#[derive(Debug, Default)]
+pub(crate) struct ReceiverLists {
+    /// Nodes whose list is non-empty, packed.
+    senders: Vec<u64>,
+    /// Per sender: its list's length while counting, then where its
+    /// next entry goes, which ends as where its list ends in `entries`.
+    /// Zero for every other node.
+    ends: Vec<u32>,
+    /// Every list, in sender order.
+    entries: Vec<Receiver>,
+}
+
+impl ReceiverLists {
+    /// Size the scratch for `state`'s network and wake calendar: an
+    /// entry per (awake node, neighbor) pair of the busiest calendar
+    /// offset, so building never allocates unless churn redraws
+    /// schedules into a busier offset.
+    pub fn on_start(&mut self, state: &SimState) {
+        let n = state.n_nodes();
+        self.senders.clear();
+        self.senders.resize(bitset::words_for(n), 0);
+        self.ends.clear();
+        self.ends.resize(n, 0);
+        let busiest = (0..u64::from(state.schedules.calendar_period()))
+            .map(|t| {
+                state
+                    .schedules
+                    .all_active(t)
+                    .map(|v| state.topo.degree(v))
+                    .sum::<usize>()
+            })
+            .max()
+            .unwrap_or(0);
+        self.entries.clear();
+        self.entries.reserve(busiest);
     }
-    buf
+
+    /// Build this slot's lists: every awake, live node `r`, in
+    /// ascending order, joins the list of each neighbor with work that
+    /// is not backing off from `r`.
+    pub fn build(&mut self, state: &SimState, backoff: &CollisionBackoff) {
+        for u in bitset::iter_ones(&self.senders) {
+            self.ends[u] = 0;
+        }
+        bitset::clear_all(&mut self.senders);
+        // Count each sender's receivers, then lay the lists out in
+        // sender order: `ends[u]` becomes where u's list starts.
+        for_each_pair(state, backoff, |u, _, _| {
+            self.ends[u.index()] += 1;
+            bitset::set_bit(&mut self.senders, u.index());
+        });
+        let mut at = 0;
+        for u in bitset::iter_ones(&self.senders) {
+            let len = self.ends[u];
+            self.ends[u] = at;
+            at += len;
+        }
+        let blank = Receiver {
+            node: NodeId(0),
+            link: 0,
+        };
+        self.entries.clear();
+        self.entries.resize(at as usize, blank);
+        for_each_pair(state, backoff, |u, node, link| {
+            let end = &mut self.ends[u.index()];
+            self.entries[*end as usize] = Receiver {
+                node,
+                link: link as u32,
+            };
+            *end += 1;
+        });
+    }
+
+    /// Every sender with its receivers, senders ascending. Each list is
+    /// put best link first as it is handed out.
+    pub fn iter<'a>(
+        &'a mut self,
+        topo: &'a Topology,
+    ) -> impl Iterator<Item = (NodeId, &'a [Receiver])> + 'a {
+        let Self {
+            senders,
+            ends,
+            entries,
+        } = self;
+        let prr = |r: &Receiver| topo.in_quality(r.link as usize).prr();
+        let mut rest = &mut entries[..];
+        let mut start = 0;
+        bitset::iter_ones(senders).map(move |u| {
+            let end = ends[u] as usize;
+            let (list, tail) = std::mem::take(&mut rest).split_at_mut(end - start);
+            rest = tail;
+            start = end;
+            // Stable insertion sort: an entry moves only past strictly
+            // worse links. Lists are a few entries long.
+            for i in 1..list.len() {
+                let r = list[i];
+                let mut j = i;
+                while j > 0 && prr(&list[j - 1]) < prr(&r) {
+                    list[j] = list[j - 1];
+                    j -= 1;
+                }
+                list[j] = r;
+            }
+            (NodeId::from(u), &*list)
+        })
+    }
 }
 
-/// Fill `out` with the receivers `u` can serve this slot: neighbors in
-/// `awake` (see [`awake_row`]) that `u` is not backing off from, best
-/// link first (PRR descending, ties to the lower id). Built once per
-/// sender per slot; a queue scan then takes the first entry missing
-/// each packet, which is that packet's best receiver.
-pub(crate) fn awake_receivers(
+/// Call `f(u, r, link)` for every awake, live node `r` in ascending
+/// order and every neighbor `u` of `r` with work that is not backing
+/// off from `r` over the inbound `link` (`link_index(r, u)`).
+#[inline]
+fn for_each_pair(
     state: &SimState,
-    u: NodeId,
-    awake: &[u64],
     backoff: &CollisionBackoff,
-    out: &mut Vec<Receiver>,
+    mut f: impl FnMut(NodeId, NodeId, usize),
 ) {
-    out.clear();
-    for (link, node, q) in state.topo.out_links(u) {
-        if bitset::test_bit(awake, node.index()) && !backoff.blocked(link, state.now) {
-            out.push(Receiver {
-                node,
-                link,
-                prr: q.prr(),
-            });
+    let now = state.now;
+    let work = state.work_words();
+    let awake = state.schedules.active_words(now);
+    for (w, (&a, &d)) in awake.iter().zip(state.down_words()).enumerate() {
+        let mut live = a & !d;
+        while live != 0 {
+            let r = NodeId::from(w * 64 + live.trailing_zeros() as usize);
+            live &= live - 1;
+            for (link, u, _) in state.topo.in_links(r) {
+                if bitset::test_bit(work, u.index()) && !backoff.blocked(link, now) {
+                    f(u, r, link);
+                }
+            }
         }
     }
-    // The row is in ascending id order, so sorting on (PRR, id) is the
-    // stable PRR sort without the scratch a stable sort allocates.
-    out.sort_unstable_by(|a, b| {
-        b.prr
-            .partial_cmp(&a.prr)
-            .expect("PRR is finite")
-            .then_with(|| a.node.cmp(&b.node))
-    });
 }
 
-/// The largest degree in `topo`: the capacity an [`awake_receivers`]
-/// list needs so that filling it never allocates.
+/// Per-node yes/no answers valid for one `propose` call. A stamp marks
+/// which entries were computed in the current call, so
+/// [`SlotMemo::advance`] forgets every answer without touching the
+/// table (a one-byte stamp wraps after 127 calls, and only then is the
+/// table cleared).
+#[derive(Debug, Default)]
+pub(crate) struct SlotMemo {
+    stamp: u8,
+    /// `marks[i] = stamp << 1 | answer` for entries computed at `stamp`.
+    marks: Vec<u8>,
+}
+
+impl SlotMemo {
+    /// One entry per node of `n`, none computed.
+    pub fn on_start(&mut self, n: usize) {
+        self.stamp = 0;
+        self.marks.clear();
+        self.marks.resize(n, 0);
+    }
+
+    /// Start a new call: forget every answer.
+    #[inline]
+    pub fn advance(&mut self) {
+        self.stamp += 1;
+        if self.stamp == 1 << 7 {
+            // The stamp would no longer fit beside the answer bit.
+            self.marks.fill(0);
+            self.stamp = 1;
+        }
+    }
+
+    /// The answer for node `i` in this call, computed by `f` the first
+    /// time it is asked for.
+    #[inline]
+    pub fn get_or(&mut self, i: usize, f: impl FnOnce() -> bool) -> bool {
+        let mark = self.marks[i];
+        if mark >> 1 == self.stamp {
+            return mark & 1 == 1;
+        }
+        let answer = f();
+        self.marks[i] = self.stamp << 1 | answer as u8;
+        answer
+    }
+}
+
+/// The largest degree in `topo`.
 pub(crate) fn max_degree(topo: &Topology) -> usize {
     (0..topo.n_nodes())
         .map(|i| topo.degree(NodeId::from(i)))
@@ -172,8 +331,9 @@ mod backoff_tests {
         (b, topo)
     }
 
+    /// The back-off key of `s → r`: its entry in `r`'s row.
     fn link(topo: &Topology, s: u32, r: u32) -> usize {
-        topo.link_index(NodeId(s), NodeId(r)).unwrap()
+        topo.link_index(NodeId(r), NodeId(s)).unwrap()
     }
 
     fn collision_event(s: u32, r: u32) -> DeliveryEvent {
@@ -289,16 +449,91 @@ mod tests {
 
         let mut backoff = CollisionBackoff::new(1, 1);
         backoff.on_start(&state.topo);
-        let mut buf = Vec::new();
-        let awake = awake_row(state, &mut buf);
-        let mut list = Vec::new();
-        awake_receivers(state, NodeId(0), awake, &backoff, &mut list);
-        let order: Vec<(NodeId, usize)> = list.iter().map(|r| (r.node, r.link)).collect();
+        let order = lists_of(state, &backoff);
+        // Rows: 0 → [1, 2] (links 0, 1), 1 → [0] (link 2), 2 → [0]
+        // (link 3); each entry carries the link in the receiver's row.
         assert_eq!(
             order,
-            vec![(NodeId(1), 0), (NodeId(2), 1)],
+            vec![(NodeId(0), vec![(NodeId(1), 2), (NodeId(2), 3)])],
             "best link first"
         );
+    }
+
+    /// Every sender's list after one build: `(sender, [(receiver,
+    /// inbound link)])`, senders ascending.
+    fn lists_of(
+        state: &SimState,
+        backoff: &CollisionBackoff,
+    ) -> Vec<(NodeId, Vec<(NodeId, usize)>)> {
+        let mut lists = ReceiverLists::default();
+        lists.on_start(state);
+        lists.build(state, backoff);
+        lists
+            .iter(&state.topo)
+            .map(|(u, rs)| (u, rs.iter().map(|r| (r.node, r.link as usize)).collect()))
+            .collect()
+    }
+
+    #[test]
+    fn lists_keep_prr_ties_in_id_order_and_skip_backed_off_links() {
+        // Star: source 0 with leaves 1..=4 at qualities 0.5, 0.9, 0.5,
+        // 0.9, every node awake every slot.
+        let mut topo = Topology::empty(5);
+        for (leaf, q) in [(1, 0.5), (2, 0.9), (3, 0.5), (4, 0.9)] {
+            let q = LinkQuality::new(q);
+            topo.add_edge(NodeId(0), NodeId(leaf), q, q);
+        }
+        let schedules = NeighborTable::new(vec![WorkingSchedule::always_on(); 5]);
+        let cfg = SimConfig {
+            period: 1,
+            active_per_period: 1,
+            n_packets: 1,
+            coverage: 1.0,
+            max_slots: 10,
+            seed: 1,
+            mistiming_prob: 0.0,
+        };
+        let engine = Engine::with_schedules(topo, cfg, schedules, Idle);
+        let state = engine.state();
+        let mut backoff = CollisionBackoff::new(1, 1);
+        backoff.on_start(&state.topo);
+        let receivers = |lists: Vec<(NodeId, Vec<(NodeId, usize)>)>| -> Vec<NodeId> {
+            assert_eq!(lists.len(), 1, "only the source has work");
+            lists[0].1.iter().map(|&(r, _)| r).collect()
+        };
+        assert_eq!(
+            receivers(lists_of(state, &backoff)),
+            [2, 4, 1, 3].map(NodeId),
+            "PRR descending, ties to the lower id"
+        );
+        // A collision 0 → 4 blocks that link only.
+        let collision = DeliveryEvent {
+            sender: NodeId(0),
+            receiver: NodeId(4),
+            packet: 0,
+            outcome: Outcome::Collision,
+        };
+        backoff.observe(&state.topo, &[collision], state.now, 1);
+        assert_eq!(receivers(lists_of(state, &backoff)), [2, 1, 3].map(NodeId));
+    }
+
+    #[test]
+    fn slot_memo_forgets_on_advance() {
+        let mut memo = SlotMemo::default();
+        memo.on_start(2);
+        memo.advance();
+        assert!(memo.get_or(0, || true));
+        assert!(memo.get_or(0, || false), "kept within a call");
+        assert!(!memo.get_or(1, || false));
+        memo.advance();
+        assert!(!memo.get_or(0, || false), "forgotten by the next call");
+        // 127 calls later the one-byte stamp is back to its value, but
+        // the wrap cleared the answer.
+        assert!(memo.get_or(1, || true));
+        for _ in 0..127 {
+            memo.advance();
+        }
+        assert!(!memo.get_or(1, || false), "forgotten across the wrap");
     }
 
     #[test]
@@ -323,10 +558,6 @@ mod tests {
         assert!(fcfs_candidate(engine.state(), NodeId(0)).is_none());
         let mut backoff = CollisionBackoff::new(1, 1);
         backoff.on_start(&engine.state().topo);
-        let mut buf = Vec::new();
-        let awake = awake_row(engine.state(), &mut buf);
-        let mut list = Vec::new();
-        awake_receivers(engine.state(), NodeId(0), awake, &backoff, &mut list);
-        assert!(list.is_empty());
+        assert!(lists_of(engine.state(), &backoff).is_empty());
     }
 }

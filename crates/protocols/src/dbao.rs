@@ -19,7 +19,7 @@
 //! other's carrier-sense range still collide at the receiver. The paper
 //! attributes the entire remaining DBAO↔OPT gap to exactly this.
 
-use crate::common::{awake_receivers, awake_row, max_degree, CollisionBackoff, Receiver};
+use crate::common::{max_degree, CollisionBackoff, ReceiverLists, SlotMemo};
 use ldcf_net::{bitset, NodeId, Topology};
 use ldcf_sim::mac::{DeliveryEvent, Overhearing};
 use ldcf_sim::{FloodingProtocol, SimState, TxIntent};
@@ -42,13 +42,12 @@ impl Default for DbaoConfig {
 #[derive(Debug)]
 pub struct Dbao {
     cfg: DbaoConfig,
-    /// `rank_out[link s → r]` = deterministic back-off of sender `s`
-    /// when targeting receiver `r` (indexed by
-    /// [`Topology::link_index`], built at start). Ranks
-    /// `0..clique size of r` are r's mutually-audible forwarder clique;
-    /// larger ranks are the remaining inbound neighbors by quality, up
-    /// to `degree(r) - 1`.
-    rank_out: Vec<u32>,
+    /// `rank_in[link_index(r, s)]` = deterministic back-off of sender
+    /// `s` when targeting receiver `r`, stored in `r`'s row (built at
+    /// start). Ranks `0..clique size of r` are r's mutually-audible
+    /// forwarder clique; larger ranks are the remaining inbound
+    /// neighbors by quality, up to `degree(r) - 1`.
+    rank_in: Vec<u32>,
     /// Receiver `r`'s forwarder clique in rank order is
     /// `clique_nodes[clique_offsets[r]..clique_offsets[r + 1]]`, so the
     /// clique-priority election scans only the few better-ranked
@@ -59,10 +58,11 @@ pub struct Dbao {
     clique_nodes: Vec<NodeId>,
     /// Randomized retry back-off after hidden-terminal collisions.
     backoff: CollisionBackoff,
-    /// Scratch: this slot's awake, live nodes, packed.
-    awake: Vec<u64>,
-    /// Scratch: the sender's awake receivers, best link first.
-    receivers: Vec<Receiver>,
+    /// Scratch: this slot's receiver list per sender.
+    lists: ReceiverLists,
+    /// Per receiver, this slot: whether a member of its clique has a
+    /// queued packet the receiver misses.
+    clique_busy: SlotMemo,
 }
 
 impl Dbao {
@@ -75,30 +75,34 @@ impl Dbao {
     pub fn with_config(cfg: DbaoConfig) -> Self {
         Self {
             cfg,
-            rank_out: Vec::new(),
+            rank_in: Vec::new(),
             clique_offsets: Vec::new(),
             clique_nodes: Vec::new(),
             backoff: CollisionBackoff::new(0xDBA0, 4),
-            awake: Vec::new(),
-            receivers: Vec::new(),
+            lists: ReceiverLists::default(),
+            clique_busy: SlotMemo::default(),
         }
     }
 
     fn build_ranks(&mut self, topo: &Topology) {
         let n = topo.n_nodes();
-        self.rank_out.clear();
-        self.rank_out.resize(topo.n_links(), u32::MAX);
+        self.rank_in.clear();
+        self.rank_in.resize(topo.n_links(), u32::MAX);
         self.clique_offsets.clear();
         self.clique_offsets.reserve(n + 1);
         self.clique_offsets.push(0);
         self.clique_nodes.clear();
-        // `(sender, PRR into r, in r's clique)`, one receiver at a time.
-        let mut inbound: Vec<(NodeId, f64, bool)> = Vec::with_capacity(max_degree(topo));
+        // `(sender, PRR into r, in r's clique, link in r's row)`, one
+        // receiver at a time.
+        let mut inbound: Vec<(NodeId, f64, bool, usize)> = Vec::with_capacity(max_degree(topo));
         for ri in 0..n {
             let r = NodeId::from(ri);
             // Neighbors of r sorted by incoming quality (best first).
             inbound.clear();
-            inbound.extend(topo.in_neighbors(r).map(|(s, q)| (s, q.prr(), false)));
+            inbound.extend(
+                topo.in_links(r)
+                    .map(|(link, s, q)| (s, q.prr(), false, link)),
+            );
             inbound.sort_by(|a, b| {
                 b.1.partial_cmp(&a.1)
                     .expect("PRR is finite")
@@ -113,7 +117,7 @@ impl Dbao {
             // the hidden-terminal residue the paper attributes the
             // DBAO↔OPT gap to.
             let start = self.clique_nodes.len();
-            for (s, _, in_clique) in &mut inbound {
+            for (s, _, in_clique, _) in &mut inbound {
                 if self.clique_nodes[start..]
                     .iter()
                     .all(|&c| topo.are_neighbors(c, *s))
@@ -123,15 +127,16 @@ impl Dbao {
                 }
             }
             self.clique_offsets.push(self.clique_nodes.len() as u32);
-            // Clique members take ranks `0..csize` in clique order, the
-            // rest follow in inbound order.
-            let clique = &self.clique_nodes[start..];
-            let rest = inbound.iter().filter(|e| !e.2).map(|e| e.0);
-            for (rank, s) in clique.iter().copied().chain(rest).enumerate() {
-                let link = topo.link_index(s, r).expect("links are symmetric");
-                self.rank_out[link] = rank as u32;
+            // Clique members take ranks `0..csize` in clique (= inbound)
+            // order, the rest follow in inbound order.
+            let clique = inbound.iter().filter(|e| e.2);
+            let rest = inbound.iter().filter(|e| !e.2);
+            for (rank, e) in clique.chain(rest).enumerate() {
+                self.rank_in[e.3] = rank as u32;
             }
         }
+        // Frozen from here on: drop the growth slack.
+        self.clique_nodes.shrink_to_fit();
     }
 }
 
@@ -157,78 +162,83 @@ impl FloodingProtocol for Dbao {
     fn on_start(&mut self, state: &SimState) {
         self.build_ranks(&state.topo);
         self.backoff.on_start(&state.topo);
-        self.receivers.reserve(max_degree(&state.topo));
+        self.lists.on_start(state);
+        self.clique_busy.on_start(state.n_nodes());
     }
 
     fn propose(&mut self, state: &SimState, out: &mut Vec<TxIntent>) {
         let now = state.now;
         let work = state.work_words();
         let period = state.cfg.period as u64;
-        let awake = awake_row(state, &mut self.awake);
-        let rank_out = &self.rank_out;
-        let clique_offsets = &self.clique_offsets;
-        let clique_nodes = &self.clique_nodes;
-        // Only nodes with queued work can produce an intent; everyone
-        // else falls through the queue scan without effect, so skip them
-        // wholesale via the work bitset.
-        for u in state.nodes_with_work() {
-            // The only receivers this slot can serve: awake, live and
-            // not backed off from. Empty ⇒ no candidate, next node.
-            awake_receivers(state, u, awake, &self.backoff, &mut self.receivers);
-            if self.receivers.is_empty() {
-                continue;
-            }
-            // A receiver r is eligible for u if u wins the deterministic
-            // back-off election: u yields to any better-ranked holder
-            // that is either in r's forwarder clique (its priority is
-            // common knowledge — r's clique assignment is broadcast) or
-            // audible to u (plain carrier sense). Better-ranked *hidden
-            // non-clique* holders are invisible to u — both elect
-            // themselves and collide at r: the residual hidden-terminal
-            // gap to OPT the paper calls out.
-            let eligible = |r: NodeId, my_rank: u32, p: u32| -> bool {
-                let clique = &clique_nodes
-                    [clique_offsets[r.index()] as usize..clique_offsets[r.index() + 1] as usize];
-                let csize = clique.len() as u32;
-                if my_rank < csize {
-                    // Clique member: yield only to a better-ranked clique
-                    // holder of this packet. Clique members are mutually
-                    // audible, so whatever contention remains is resolved
-                    // by carrier sense, never by collision. Ranks below
-                    // `my_rank` are exactly `clique[..my_rank]`.
-                    !clique[..my_rank as usize].iter().any(|&s| state.has(s, p))
-                } else {
-                    // Non-clique (bootstrap) forwarder. The clique has
-                    // absolute priority: stay silent whenever any clique
-                    // member has pending work for r (it may serve r this
-                    // very slot, and u cannot hear it coming).
-                    let clique_busy = clique.iter().any(|&s| {
+        let Self {
+            rank_in,
+            clique_offsets,
+            clique_nodes,
+            backoff,
+            lists,
+            clique_busy,
+            ..
+        } = self;
+        // The only senders that can produce an intent: nodes with work
+        // and an awake, live receiver they are not backing off from.
+        lists.build(state, backoff);
+        clique_busy.advance();
+        // A receiver r is eligible for u if u wins the deterministic
+        // back-off election: u yields to any better-ranked holder that
+        // is either in r's forwarder clique (its priority is common
+        // knowledge — r's clique assignment is broadcast) or audible to
+        // u (plain carrier sense). Better-ranked *hidden non-clique*
+        // holders are invisible to u — both elect themselves and
+        // collide at r: the residual hidden-terminal gap to OPT the
+        // paper calls out.
+        let mut eligible = |r: NodeId, my_rank: u32, p: u32| -> bool {
+            let clique = &clique_nodes
+                [clique_offsets[r.index()] as usize..clique_offsets[r.index() + 1] as usize];
+            let csize = clique.len() as u32;
+            if my_rank < csize {
+                // Clique member: yield only to a better-ranked clique
+                // holder of this packet. Clique members are mutually
+                // audible, so whatever contention remains is resolved
+                // by carrier sense, never by collision. Ranks below
+                // `my_rank` are exactly `clique[..my_rank]`.
+                !clique[..my_rank as usize].iter().any(|&s| state.has(s, p))
+            } else {
+                // Non-clique (bootstrap) forwarder. The clique has
+                // absolute priority: stay silent whenever any clique
+                // member has pending work for r (it may serve r this
+                // very slot, and u cannot hear it coming). That depends
+                // on neither u nor p, so it is computed once per
+                // receiver.
+                let busy = clique_busy.get_or(r.index(), || {
+                    clique.iter().any(|&s| {
                         bitset::test_bit(work, s.index())
                             && state.queue(s).iter().any(|e| !state.has(r, e.packet))
-                    });
-                    if clique_busy {
-                        return false;
-                    }
-                    // Hidden non-clique contenders cannot elect among
-                    // themselves on the air, so r's broadcast assignment
-                    // licenses exactly one of them per period (a static
-                    // rotation over the non-clique ranks
-                    // `csize..degree(r)`). One licensed sender per
-                    // receiver per period ⇒ no sustained collisions, at
-                    // the price of idle bootstrap slots.
-                    let non_clique = state.topo.degree(r) as u64 - csize as u64;
-                    debug_assert!(my_rank as u64 - (csize as u64) < non_clique);
-                    csize as u64 + (now / period) % non_clique == my_rank as u64
+                    })
+                });
+                if busy {
+                    return false;
                 }
-            };
+                // Hidden non-clique contenders cannot elect among
+                // themselves on the air, so r's broadcast assignment
+                // licenses exactly one of them per period (a static
+                // rotation over the non-clique ranks
+                // `csize..degree(r)`). One licensed sender per
+                // receiver per period ⇒ no sustained collisions, at
+                // the price of idle bootstrap slots.
+                let non_clique = state.topo.degree(r) as u64 - csize as u64;
+                debug_assert!(my_rank as u64 - (csize as u64) < non_clique);
+                csize as u64 + (now / period) % non_clique == my_rank as u64
+            }
+        };
+        for (u, receivers) in lists.iter(&state.topo) {
             // FCFS packet scan with the election folded into the
             // receiver filter: the first awake receiver missing the
             // packet that u wins is that packet's best one.
             let mut cand: Option<(u32, NodeId, u32)> = None;
             'queue: for e in state.queue(u).iter() {
                 let holders = state.holder_words(e.packet);
-                for r in &self.receivers {
-                    let my_rank = rank_out[r.link];
+                for r in receivers {
+                    let my_rank = rank_in[r.link as usize];
                     if !bitset::test_bit(holders, r.node.index())
                         && eligible(r.node, my_rank, e.packet)
                     {
@@ -305,7 +315,7 @@ mod tests {
 
         let mut dbao = Dbao::new();
         dbao.build_ranks(&topo);
-        let rank_at_3 = |s: u32| dbao.rank_out[topo.link_index(NodeId(s), NodeId(3)).unwrap()];
+        let rank_at_3 = |s: u32| dbao.rank_in[topo.link_index(NodeId(3), NodeId(s)).unwrap()];
         assert!(
             rank_at_3(1) < rank_at_3(2),
             "better inbound link gets the smaller back-off"

@@ -21,7 +21,7 @@
 //!   OF therefore suffers both more collisions and tree detours, landing
 //!   below DBAO and OPT exactly as in Figs. 9–10.
 
-use crate::common::{awake_receivers, awake_row, max_degree, CollisionBackoff, Receiver};
+use crate::common::{max_degree, CollisionBackoff, ReceiverLists, SlotMemo};
 use crate::tree::EnergyTree;
 use ldcf_net::{bitset, NodeId};
 use ldcf_sim::mac::DeliveryEvent;
@@ -60,10 +60,14 @@ pub struct OpportunisticFlooding {
     tree: Option<EnergyTree>,
     rng: StdRng,
     backoff: CollisionBackoff,
-    /// Scratch: this slot's awake, live nodes, packed.
-    awake: Vec<u64>,
-    /// Scratch: the sender's awake receivers, best link first.
-    receivers: Vec<Receiver>,
+    /// Scratch: this slot's receiver list per sender.
+    lists: ReceiverLists,
+    /// Per receiver, this slot: whether its tree parent has a queued
+    /// packet the receiver misses.
+    parent_busy: SlotMemo,
+    /// Per receiver of the current sender: how many of the sender's
+    /// queued packets it misses (0: not counted yet).
+    overlap: Vec<u32>,
 }
 
 impl OpportunisticFlooding {
@@ -79,8 +83,9 @@ impl OpportunisticFlooding {
             backoff: CollisionBackoff::new(cfg.seed ^ 0x0F0F, 4),
             cfg,
             tree: None,
-            awake: Vec::new(),
-            receivers: Vec::new(),
+            lists: ReceiverLists::default(),
+            parent_busy: SlotMemo::default(),
+            overlap: Vec::new(),
         }
     }
 
@@ -104,21 +109,29 @@ impl FloodingProtocol for OpportunisticFlooding {
     fn on_start(&mut self, state: &SimState) {
         self.tree = Some(EnergyTree::build(&state.topo));
         self.backoff.on_start(&state.topo);
-        self.receivers.reserve(max_degree(&state.topo));
+        self.lists.on_start(state);
+        self.parent_busy.on_start(state.n_nodes());
+        self.overlap.reserve(max_degree(&state.topo));
     }
 
     fn propose(&mut self, state: &SimState, out: &mut Vec<TxIntent>) {
-        let tree = self.tree.as_ref().expect("on_start ran");
-        let awake = awake_row(state, &mut self.awake);
-        // Only nodes with queued work can propose; the work bitset hands
-        // them over directly. The decision RNG is only ever consulted
-        // inside the candidate loop, so skipping nodes with no candidates
-        // leaves the draw sequence untouched.
-        for u in state.nodes_with_work() {
-            awake_receivers(state, u, awake, &self.backoff, &mut self.receivers);
-            if self.receivers.is_empty() {
-                continue;
-            }
+        let Self {
+            cfg,
+            tree,
+            rng,
+            backoff,
+            lists,
+            parent_busy,
+            overlap,
+        } = self;
+        let tree = tree.as_ref().expect("on_start ran");
+        // Only nodes with queued work and an awake receiver can propose.
+        // The decision RNG is only ever consulted inside the candidate
+        // loop, so skipping every other node leaves the draw sequence
+        // untouched.
+        lists.build(state, backoff);
+        parent_busy.advance();
+        for (u, receivers) in lists.iter(&state.topo) {
             // FCFS over (packet, receiver) candidates: queue × receiver
             // pairs in that order, minus receivers holding the packet.
             // Tree forwarding has absolute priority; an opportunistic
@@ -126,15 +139,13 @@ impl FloodingProtocol for OpportunisticFlooding {
             // child to serve.
             let mut chosen: Option<(u32, NodeId)> = None;
             let mut fallback: Option<(u32, NodeId)> = None;
+            overlap.clear();
+            overlap.resize(receivers.len(), 0);
             'queue: for e in state.queue(u).iter() {
                 let packet = e.packet;
                 let holders = state.holder_words(packet);
-                for &Receiver {
-                    node: receiver,
-                    prr: q,
-                    ..
-                } in &self.receivers
-                {
+                for (i, r) in receivers.iter().enumerate() {
+                    let receiver = r.node;
                     if bitset::test_bit(holders, receiver.index()) {
                         continue;
                     }
@@ -143,10 +154,10 @@ impl FloodingProtocol for OpportunisticFlooding {
                         chosen = Some((packet, receiver));
                         break 'queue;
                     }
-                    if !self.cfg.opportunistic || fallback.is_some() {
+                    if !cfg.opportunistic || fallback.is_some() {
                         continue;
                     }
-                    if q < self.cfg.min_link_quality {
+                    if state.topo.in_quality(r.link as usize).prr() < cfg.min_link_quality {
                         continue;
                     }
                     // "Early packet" test against the expected tree delivery:
@@ -161,13 +172,16 @@ impl FloodingProtocol for OpportunisticFlooding {
                     // neither holds this packet nor has *any* pending packet
                     // the receiver misses — otherwise the parent will serve
                     // this same active slot and the opportunistic unicast
-                    // would collide with it.
+                    // would collide with it. The second half does not depend
+                    // on the packet, so it is computed once per receiver.
                     let parent_clear = tree.parent(receiver).is_some_and(|par| {
                         !state.has(par, packet)
-                            && !state
-                                .queue(par)
-                                .iter()
-                                .any(|e| !state.has(receiver, e.packet))
+                            && !parent_busy.get_or(receiver.index(), || {
+                                state
+                                    .queue(par)
+                                    .iter()
+                                    .any(|e| !state.has(receiver, e.packet))
+                            })
                     });
                     if !parent_clear {
                         continue;
@@ -180,23 +194,26 @@ impl FloodingProtocol for OpportunisticFlooding {
                     let competitors = state
                         .topo
                         .neighbors(receiver)
-                        .filter(|&(s, q)| {
-                            state.has(s, packet) && q.prr() >= self.cfg.min_link_quality
-                        })
+                        .filter(|&(s, q)| state.has(s, packet) && q.prr() >= cfg.min_link_quality)
                         .count()
                         .max(1);
                     // Opportunistic streams for *different* packets can also
                     // converge on the receiver, so thin additionally by the
                     // number of packets u itself could offer r (a local proxy
-                    // for the frontier width at this receiver).
-                    let my_overlap = state
-                        .queue(u)
-                        .iter()
-                        .filter(|e| !state.has(receiver, e.packet))
-                        .count()
-                        .max(1);
-                    let p_send = self.cfg.forward_probability / (competitors * my_overlap) as f64;
-                    if self.rng.random::<f64>() < p_send {
+                    // for the frontier width at this receiver). It does not
+                    // depend on the packet either: counted once per
+                    // (sender, receiver).
+                    if overlap[i] == 0 {
+                        overlap[i] = state
+                            .queue(u)
+                            .iter()
+                            .filter(|e| !state.has(receiver, e.packet))
+                            .count()
+                            .max(1) as u32;
+                    }
+                    let my_overlap = overlap[i] as usize;
+                    let p_send = cfg.forward_probability / (competitors * my_overlap) as f64;
+                    if rng.random::<f64>() < p_send {
                         fallback = Some((packet, receiver));
                     }
                 }

@@ -71,8 +71,11 @@ fn dbao_start_up_state_is_linear_in_links() {
     let before = BYTES.load(Ordering::Relaxed);
     dbao.on_start(state);
     let bytes = BYTES.load(Ordering::Relaxed) - before;
-    // Per link: a rank (4 B), a back-off deadline (8 B) and at most one
-    // clique entry (4 B, with growth slack); per node a clique offset.
+    // Per link: a rank (4 B), a back-off deadline (8 B), at most one
+    // clique entry (4 B, with growth slack) and at most one 8 B
+    // receiver-list entry (reserved for the busiest wake offset, a
+    // twentieth of the links here); per node a clique offset, a list
+    // end and a memo byte.
     let bound = 32 * links as u64 + 8 * n as u64;
     eprintln!("DBAO on_start: {bytes} B for {n} nodes, {links} links (bound {bound} B)");
     assert!(

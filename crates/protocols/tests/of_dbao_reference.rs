@@ -1,13 +1,14 @@
 //! Differential test for OF's and DBAO's receiver selection: the
-//! link-indexed `propose` (one awake-receiver list per sender, per-link
-//! back-off windows and ranks) must emit exactly the intents of a
-//! reference that enumerates every queued packet × awake neighbor pair,
-//! keys its back-off windows by `(sender, receiver)` in a hash map and
-//! keeps DBAO's ranks in a dense `n × n` matrix — at every slot of
-//! random floods on lossy links, with equal and mixed wake periods,
-//! under churn, in both the default and
-//! the ablated configurations. Collisions open back-off windows; where
-//! the MAC never collides, spoofed collisions open them instead.
+//! link-indexed `propose` (receiver lists built from the awake nodes'
+//! rows, back-off windows and ranks keyed by the inbound link) must
+//! emit exactly the intents of a reference that enumerates every
+//! queued packet × awake neighbor pair from the sender's side, keys its
+//! back-off windows by `(sender, receiver)` in a hash map and keeps
+//! DBAO's ranks in a dense `n × n` matrix — at every slot of random
+//! floods on lossy links, with equal and mixed wake periods and with
+//! every node always awake, under churn, in both the default and the
+//! ablated configurations. Collisions open back-off windows; where the
+//! MAC never collides, spoofed collisions open them instead.
 
 use ldcf_net::{LinkQuality, NeighborTable, NodeId, PacketId, Topology, WorkingSchedule};
 use ldcf_protocols::{Dbao, DbaoConfig, EnergyTree, OfConfig, OpportunisticFlooding};
@@ -311,15 +312,29 @@ impl Reference {
 }
 
 /// What a checked run saw: slots and intents compared, collisions that
-/// opened back-off windows, candidates a window held back, and the
-/// first disagreement.
+/// opened back-off windows, candidates a window held back, slots in
+/// which a crashed node the schedule calls awake sat next to a node
+/// with work, and the first disagreement.
 #[derive(Default)]
 struct Tally {
     slots: u64,
     intents: u64,
     collisions: u64,
     blocked_hits: u64,
+    crashed_beside_senders: u64,
     mismatch: Option<String>,
+}
+
+/// Whether some node with work has a neighbor its schedule wakes now
+/// but churn has crashed: a receiver the awake-side walk must skip.
+fn crashed_beside_a_sender(state: &SimState) -> bool {
+    state.nodes_with_work().any(|u| {
+        state
+            .topo
+            .neighbor_ids(u)
+            .iter()
+            .any(|&v| state.is_down(v) && state.schedules.is_active(v, state.now))
+    })
 }
 
 /// Runs the real protocol (whose intents drive the flood) and the
@@ -357,6 +372,7 @@ impl<P: FloodingProtocol> FloodingProtocol for Checked<P> {
         let mut tally = self.tally.borrow_mut();
         tally.slots += 1;
         tally.intents += self.scratch.len() as u64;
+        tally.crashed_beside_senders += u64::from(crashed_beside_a_sender(state));
         tally.blocked_hits = self.reference.blocked_hits();
         if tally.mismatch.is_none() && out[first..] != self.scratch[..] {
             tally.mismatch = Some(format!(
@@ -417,21 +433,33 @@ fn network(n: usize, seed: u64, grid: bool) -> Topology {
     }
 }
 
-/// Single-slot schedules; with `mixed` periods half the nodes wake
-/// every `2 * period` slots, so the wake calendar spans `2 * period`.
-fn schedules(n: usize, period: u32, mixed: bool, rng: &mut StdRng) -> NeighborTable {
+/// How the nodes of a checked flood wake.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Wake {
+    /// One random slot per `period`.
+    Single,
+    /// As `Single`, but half the nodes wake every `2 * period` slots,
+    /// so the wake calendar spans `2 * period`.
+    Mixed,
+    /// Every node awake every slot: the awake side is the whole
+    /// network, and every row is walked.
+    AlwaysOn,
+}
+
+fn schedules(n: usize, period: u32, wake: Wake, rng: &mut StdRng) -> NeighborTable {
     NeighborTable::new(
         (0..n)
-            .map(|i| {
-                let p = if mixed && i % 2 == 1 {
-                    2 * period
-                } else {
-                    period
-                };
-                WorkingSchedule::single_random(p, rng)
+            .map(|i| match wake {
+                Wake::AlwaysOn => WorkingSchedule::always_on(),
+                Wake::Mixed if i % 2 == 1 => WorkingSchedule::single_random(2 * period, rng),
+                _ => WorkingSchedule::single_random(period, rng),
             })
             .collect(),
     )
+}
+
+fn wake_of(i: u8) -> Wake {
+    [Wake::Single, Wake::Mixed, Wake::AlwaysOn][i as usize % 3]
 }
 
 /// The knobs of one checked flood.
@@ -442,7 +470,7 @@ struct Case {
     period: u32,
     m: u32,
     grid: bool,
-    mixed: bool,
+    wake: Wake,
     churn: bool,
     spoof: bool,
 }
@@ -453,8 +481,12 @@ fn run_checked<P: FloodingProtocol>(case: Case, fast: P, reference: Reference) -
     let topo = network(case.n, case.seed, case.grid);
     let n = topo.n_nodes();
     let mut rng = StdRng::seed_from_u64(case.seed ^ 0x5eed);
-    let table = schedules(n, case.period, case.mixed, &mut rng);
-    let lcm = if case.mixed { 2 } else { 1 } * case.period;
+    let table = schedules(n, case.period, case.wake, &mut rng);
+    let lcm = match case.wake {
+        Wake::Single => case.period,
+        Wake::Mixed => 2 * case.period,
+        Wake::AlwaysOn => 1,
+    };
     assert_eq!(table.calendar_period(), lcm);
     let cfg = SimConfig {
         period: case.period,
@@ -524,12 +556,12 @@ proptest! {
         period in 2u32..10,
         m in 1u32..5,
         grid in any::<bool>(),
-        mixed in any::<bool>(),
+        wake in any::<u8>(),
         churn in any::<bool>(),
         spoof in any::<bool>(),
         opportunistic in any::<bool>(),
     ) {
-        let case = Case { n, seed, period, m, grid, mixed, churn, spoof };
+        let case = Case { n, seed, period, m, grid, wake: wake_of(wake), churn, spoof };
         let tally = check_of(case, opportunistic);
         if let Some(msg) = &tally.mismatch {
             prop_assert!(false, "{}", msg);
@@ -546,12 +578,12 @@ proptest! {
         period in 2u32..10,
         m in 1u32..5,
         grid in any::<bool>(),
-        mixed in any::<bool>(),
+        wake in any::<u8>(),
         churn in any::<bool>(),
         spoof in any::<bool>(),
         overhearing in any::<bool>(),
     ) {
-        let case = Case { n, seed, period, m, grid, mixed, churn, spoof };
+        let case = Case { n, seed, period, m, grid, wake: wake_of(wake), churn, spoof };
         let tally = check_dbao(case, overhearing);
         if let Some(msg) = &tally.mismatch {
             prop_assert!(false, "{}", msg);
@@ -562,7 +594,11 @@ proptest! {
         // whose source is outside both of its neighbors' cliques never
         // starts. Both sides agree on that; only calendar runs must
         // propose something.
-        prop_assert!(tally.slots > 0 && (mixed || tally.intents > 0), "vacuous run: {:?}", case);
+        prop_assert!(
+            tally.slots > 0 && (case.wake == Wake::Mixed || tally.intents > 0),
+            "vacuous run: {:?}",
+            case
+        );
     }
 }
 
@@ -581,7 +617,7 @@ fn back_off_windows_are_exercised() {
             period: 5,
             m: 4,
             grid: true,
-            mixed: false,
+            wake: Wake::Single,
             churn: false,
             spoof,
         };
@@ -599,6 +635,39 @@ fn back_off_windows_are_exercised() {
                     "{what}: {} collisions, {} blocked candidates",
                     tally.collisions,
                     tally.blocked_hits
+                );
+            }
+        }
+    }
+}
+
+/// Churn crashes nodes that the wake calendar still calls awake, next
+/// to nodes with work, so the awake-side walk has live and crashed
+/// rows to tell apart — at low duty and with every node always awake.
+#[test]
+fn churn_puts_crashed_nodes_beside_senders() {
+    for wake in [Wake::Single, Wake::AlwaysOn] {
+        for grid in [false, true] {
+            let case = Case {
+                n: 40,
+                seed: 3,
+                period: 4,
+                m: 4,
+                grid,
+                wake,
+                churn: true,
+                spoof: true,
+            };
+            for (name, tally) in [
+                ("OF", check_of(case, true)),
+                ("DBAO", check_dbao(case, true)),
+            ] {
+                let what = format!("{name} {case:?}");
+                assert_eq!(tally.mismatch, None, "{what}");
+                assert!(tally.intents > 0, "{what}: vacuous");
+                assert!(
+                    tally.crashed_beside_senders > 0,
+                    "{what}: no crashed node ever sat beside a sender"
                 );
             }
         }

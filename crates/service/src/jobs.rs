@@ -79,6 +79,9 @@ struct JobRecord {
     cells_run: usize,
     cells_resumed: usize,
     queue_wait_ms: u64,
+    /// The submitted spec while the job is queued; its lease takes it
+    /// (a job leased once is never leased again by this process, and
+    /// `spec.toml` keeps it for the next start).
     spec_text: String,
     progress: Arc<LatestProgress>,
     cancel: Arc<AtomicBool>,
@@ -293,6 +296,13 @@ impl JobStore {
                 // Failed/cancelled: a resubmit means "try again" — the
                 // checkpoints written so far make the retry cheap.
                 JobState::Failed | JobState::Cancelled => {
+                    if job.spec_text.is_empty() {
+                        // Its first lease took the text; `spec.toml`
+                        // holds the one the id was derived from.
+                        job.spec_text =
+                            std::fs::read_to_string(self.data_dir.join(&id).join("spec.toml"))
+                                .map_err(|e| SubmitError::Io(format!("read spec.toml: {e}")))?;
+                    }
                     job.state = JobState::Queued;
                     job.error.clear();
                     job.user_cancel = false;
@@ -360,7 +370,7 @@ impl JobStore {
                 let _ = persist_job(&data_dir, job);
                 return Some(RunningJob {
                     id: job.id.clone(),
-                    spec_text: job.spec_text.clone(),
+                    spec_text: std::mem::take(&mut job.spec_text),
                     quick: job.quick,
                     queue_wait_ms: job.queue_wait_ms,
                     cancel: Arc::clone(&job.cancel),
@@ -671,6 +681,7 @@ mod tests {
 
         let lease = store.next_job().expect("queued job leases");
         assert_eq!(lease.id, view.id);
+        assert_eq!(lease.spec_text, SPEC);
         assert_eq!(store.get(&view.id).unwrap().state, JobState::Running);
 
         // User cancel while running fires the token; the state flips
@@ -685,6 +696,7 @@ mod tests {
         assert!(!deduped);
         assert_eq!(view.state, JobState::Queued);
         let lease = store.next_job().unwrap();
+        assert_eq!(lease.spec_text, SPEC, "the retry leases the submitted spec");
         store.finish(
             &lease.id,
             Ok(ExecOutcome {

@@ -3,9 +3,13 @@
 //!
 //! Thread layout (all owned by [`ServerHandle`]):
 //!
-//! * one accept thread — non-blocking listener polled every few
-//!   milliseconds so shutdown (signal, `POST /shutdown`, or
-//!   [`ServerHandle::stop`]) is observed promptly;
+//! * one accept thread blocked in `accept`. Shutdown
+//!   ([`ServerHandle::stop`], `POST /shutdown`, or with
+//!   `watch_signals` a signal) sets the stop flag and wakes it with a
+//!   connection to its own address;
+//! * with `watch_signals`, one watcher thread polling the signal flag
+//!   (std's `accept` retries on `EINTR`, so a signal alone does not
+//!   return from it);
 //! * a small pool of connection workers draining an `mpsc` channel —
 //!   each connection is one request/response exchange;
 //! * `jobs` scheduler workers leasing from the [`JobStore`] and driving
@@ -22,7 +26,7 @@ use crate::http::{read_request, write_response, Request, Response};
 use crate::jobs::{JobStore, SubmitError};
 use crate::signal;
 use serde::Value;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
@@ -46,7 +50,7 @@ pub struct ServiceConfig {
     /// Enable `POST /shutdown` (tests and CI; off by default so a
     /// stray request cannot stop a production server).
     pub allow_remote_shutdown: bool,
-    /// Poll the process-wide SIGINT/SIGTERM flag (the `serve` CLI
+    /// Watch the process-wide SIGINT/SIGTERM flag (the `serve` CLI
     /// turns this on; in-process test servers leave it off so one
     /// test's signal cannot stop another test's server).
     pub watch_signals: bool,
@@ -71,7 +75,7 @@ impl ServiceConfig {
 /// call [`stop`](Self::stop) or [`wait`](Self::wait).
 pub struct ServerHandle {
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
+    stop: Arc<Stop>,
     store: Arc<JobStore>,
     threads: Vec<JoinHandle<()>>,
 }
@@ -90,7 +94,7 @@ impl ServerHandle {
     /// Request shutdown and block until every thread has drained:
     /// in-flight cells checkpoint, interrupted jobs persist as queued.
     pub fn stop(self) {
-        self.stop.store(true, Ordering::SeqCst);
+        self.stop.request();
         self.join();
     }
 
@@ -107,6 +111,28 @@ impl ServerHandle {
     }
 }
 
+/// The shutdown flag, and how to wake the accept thread blocked on the
+/// listener so it sees the flag.
+struct Stop {
+    requested: AtomicBool,
+    /// Where a self-connect reaches the listener.
+    wake_addr: SocketAddr,
+}
+
+impl Stop {
+    fn is_requested(&self) -> bool {
+        self.requested.load(Ordering::SeqCst)
+    }
+
+    /// Set the flag, then connect to the listener: the accept thread
+    /// returns from `accept`, sees the flag and winds down. A failed
+    /// connect means the listener is already gone.
+    fn request(&self) {
+        self.requested.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect_timeout(&self.wake_addr, Duration::from_secs(1));
+    }
+}
+
 /// Start a server: bind, rescan the data directory (resuming
 /// interrupted jobs), and spawn the thread pools.
 pub fn start(cfg: ServiceConfig, exec: Arc<dyn CampaignExec>) -> Result<ServerHandle, String> {
@@ -115,11 +141,18 @@ pub fn start(cfg: ServiceConfig, exec: Arc<dyn CampaignExec>) -> Result<ServerHa
     let addr = listener
         .local_addr()
         .map_err(|e| format!("local_addr: {e}"))?;
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| format!("set_nonblocking: {e}"))?;
-
-    let stop = Arc::new(AtomicBool::new(false));
+    // A wildcard bind is reached over loopback of the same family.
+    let mut wake_addr = addr;
+    if addr.ip().is_unspecified() {
+        wake_addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    let stop = Arc::new(Stop {
+        requested: AtomicBool::new(false),
+        wake_addr,
+    });
     let mut threads = Vec::new();
 
     // Connection workers.
@@ -174,22 +207,40 @@ pub fn start(cfg: ServiceConfig, exec: Arc<dyn CampaignExec>) -> Result<ServerHa
         );
     }
 
+    // Signal watcher: turns SIGINT/SIGTERM into a stop request.
+    if cfg.watch_signals {
+        let stop = Arc::clone(&stop);
+        threads.push(
+            std::thread::Builder::new()
+                .name("ldcf-signals".to_string())
+                .spawn(move || {
+                    while !stop.is_requested() {
+                        if signal::shutdown_requested() {
+                            stop.request();
+                            return;
+                        }
+                        std::thread::sleep(Duration::from_millis(20));
+                    }
+                })
+                .expect("spawn signal watcher"),
+        );
+    }
+
     // Accept loop: owns the listener and orchestrates shutdown.
     {
         let stop = Arc::clone(&stop);
         let store = Arc::clone(&store);
-        let watch_signals = cfg.watch_signals;
         threads.push(
             std::thread::Builder::new()
                 .name("ldcf-accept".to_string())
                 .spawn(move || {
                     loop {
-                        if stop.load(Ordering::SeqCst)
-                            || (watch_signals && signal::shutdown_requested())
-                        {
+                        let accepted = listener.accept();
+                        // The wake-up connection, or any that raced it.
+                        if stop.is_requested() {
                             break;
                         }
-                        match listener.accept() {
+                        match accepted {
                             Ok((stream, _)) => {
                                 let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
                                 let _ = stream.set_write_timeout(Some(Duration::from_secs(30)));
@@ -197,9 +248,8 @@ pub fn start(cfg: ServiceConfig, exec: Arc<dyn CampaignExec>) -> Result<ServerHa
                                     break;
                                 }
                             }
-                            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                                std::thread::sleep(Duration::from_millis(5));
-                            }
+                            // Out of descriptors and the like: back off
+                            // instead of spinning.
                             Err(_) => std::thread::sleep(Duration::from_millis(5)),
                         }
                     }
@@ -223,7 +273,7 @@ pub fn start(cfg: ServiceConfig, exec: Arc<dyn CampaignExec>) -> Result<ServerHa
 
 struct RouteCtx {
     store: Arc<JobStore>,
-    stop: Arc<AtomicBool>,
+    stop: Arc<Stop>,
     allow_remote_shutdown: bool,
 }
 
@@ -259,7 +309,7 @@ fn route(req: &Request, ctx: &RouteCtx) -> Response {
             None => Response::error(404, &format!("no campaign {id}"), vec![]),
         },
         ("POST", ["shutdown"]) if ctx.allow_remote_shutdown => {
-            ctx.stop.store(true, Ordering::SeqCst);
+            ctx.stop.request();
             Response::json(
                 200,
                 &Value::Object(vec![(

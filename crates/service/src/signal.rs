@@ -4,7 +4,7 @@
 //! target `std` already links the platform C library, so the C89
 //! `signal()` entry point can be declared directly. The handler does
 //! the only async-signal-safe thing there is to do: flip a static
-//! atomic, which the server's accept loop polls.
+//! atomic, which the server's signal watcher polls.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
