@@ -15,8 +15,12 @@ pub struct EnergyTree {
     /// `parent[i]` — tree parent of node `i` (`None` for the root and
     /// unreachable nodes).
     parent: Vec<Option<NodeId>>,
-    /// `children[i]` — tree children of node `i`.
-    children: Vec<Vec<NodeId>>,
+    /// Tree children of node `i`, ascending:
+    /// `children[child_offsets[i]..child_offsets[i + 1]]` — one flat
+    /// array instead of a `Vec` per node.
+    child_offsets: Vec<u32>,
+    /// Every node's children, concatenated (see `child_offsets`).
+    children: Vec<NodeId>,
     /// `cost[i]` — ETX distance from the root.
     cost: Vec<f64>,
 }
@@ -30,14 +34,26 @@ impl EnergyTree {
     /// Build the min-ETX tree rooted at an arbitrary node.
     pub fn build_rooted(topo: &Topology, root: NodeId) -> Self {
         let (cost, parent) = topo.etx_tree(root);
-        let mut children = vec![Vec::new(); topo.n_nodes()];
+        // Count each node's children, take prefix sums, then place the
+        // children in ascending id order.
+        let mut child_offsets = vec![0u32; topo.n_nodes() + 1];
+        for p in parent.iter().flatten() {
+            child_offsets[p.index() + 1] += 1;
+        }
+        for i in 1..child_offsets.len() {
+            child_offsets[i] += child_offsets[i - 1];
+        }
+        let mut fill = child_offsets.clone();
+        let mut children = vec![NodeId(0); parent.iter().flatten().count()];
         for (i, p) in parent.iter().enumerate() {
             if let Some(p) = p {
-                children[p.index()].push(NodeId::from(i));
+                children[fill[p.index()] as usize] = NodeId::from(i);
+                fill[p.index()] += 1;
             }
         }
         Self {
             parent,
+            child_offsets,
             children,
             cost,
         }
@@ -50,7 +66,8 @@ impl EnergyTree {
 
     /// Tree children of `node`.
     pub fn children(&self, node: NodeId) -> &[NodeId] {
-        &self.children[node.index()]
+        let i = node.index();
+        &self.children[self.child_offsets[i] as usize..self.child_offsets[i + 1] as usize]
     }
 
     /// ETX cost from the root to `node` (`inf` if unreachable).
