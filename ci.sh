@@ -20,14 +20,12 @@
 #                  vs pinned baselines
 #   forensics      theory checks over every fig9 trace (+ faulted)
 #   bintrace       binary trace container: export identity + ratio
-#   perf           perf campaign + schema validation + regression gate
 #   digests        scenario generator digests vs scenarios.sha256
 #   campaign       demo campaign: run twice, byte-identity + resume;
 #                  campaign-nightly (mixed periods) vs its pinned tables
 #   stats          stats-quick campaign: rerun + checkpoint-recompute
 #                  byte-identity of campaign-stats.md / campaign.json
 #   service        campaign job server smoke (submit/fetch/dedupe)
-#   bench-compile  criterion benches compile
 #   benchmark      benchmark/ harness tests + test-size workloads
 #                  (outcome digests vs benchmark/expected.json)
 #
@@ -43,7 +41,7 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 STAGES=(fmt clippy shellcheck build test alloc-gate artefacts forensics
-    bintrace perf digests campaign stats service bench-compile benchmark)
+    bintrace digests campaign stats service benchmark)
 
 ART_DIR="$(mktemp -d)"
 SRV_PID=""
@@ -187,25 +185,6 @@ stage_bintrace() {
         "identical to their JSONL twins"
 }
 
-stage_perf() {
-    step "perf campaign (--quick, --profile) + schema validation + noise-aware regression gate"
-    ensure_built
-    # Gate: each case's tolerated slowdown adapts to the measured rep
-    # noise (MAD-based via ldcf_analysis::stats, clamped to 25–40%;
-    # policy in EXPERIMENTS.md; regenerate the baseline with:
-    # experiments perf --quick --label baseline).
-    # The gated set includes the rgg-100k scale case under both engines,
-    # so a regression in either the slot dispatch loop or the event
-    # engine's skip machinery fails here.
-    # --profile additionally emits PROFILE_ci.json from a separate
-    # instrumented pass — the timing reps themselves stay unprofiled.
-    ./target/release/experiments perf --quick --profile --label ci --out "$ART_DIR" \
-        --baseline BENCH_baseline.json \
-        | grep -E 'speedup|no case regressed' || { echo "perf gate FAILED"; exit 1; }
-    ./target/release/experiments perf --validate "$ART_DIR/BENCH_ci.json"
-    ./target/release/experiments perf --validate-profile "$ART_DIR/PROFILE_ci.json"
-}
-
 stage_digests() {
     step "scenario golden gates (generator digests vs scenarios.sha256)"
     ensure_built
@@ -318,11 +297,6 @@ stage_service() {
         exit 1
     fi
     echo "service smoke: byte-identical fetch + dedupe + graceful shutdown"
-}
-
-stage_bench_compile() {
-    step "criterion benches compile"
-    cargo bench --workspace --no-run
 }
 
 stage_benchmark() {

@@ -38,5 +38,5 @@ pub use forensics::{ForensicsError, ForensicsReport, PacketForensics, Via, Viola
 pub use plot::{ascii_chart, PlotOptions};
 pub use series::{Series, Table};
 pub use source::{EventSource, SourceError};
-pub use stats::{mad, median, sign_test_two_sided, OnlineStats, Summary};
+pub use stats::{sign_test_two_sided, OnlineStats, Summary};
 pub use sweep::{monte_carlo_mean, parallel_sweep};

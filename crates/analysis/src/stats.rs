@@ -1,8 +1,7 @@
 //! Summary statistics over `f64` samples: one-shot [`Summary`] of a
 //! slice, the streaming [`OnlineStats`] accumulator (Welford update,
 //! Chan merge) the campaign reducer folds thousand-seed cells into,
-//! 95 % confidence intervals, the exact paired sign test, and the
-//! robust noise-tolerance helpers shared by the perf regression gate.
+//! 95 % confidence intervals and the exact paired sign test.
 
 use serde::{Deserialize, Serialize};
 
@@ -65,27 +64,6 @@ pub fn percentile_sorted(sorted: &[f64], q: f64) -> f64 {
     let hi = pos.ceil() as usize;
     let frac = pos - lo as f64;
     sorted[lo] * (1.0 - frac) + sorted[hi] * frac
-}
-
-/// Median of an unsorted sample (`None` when empty). Robust location
-/// estimate for noisy wall-clock measurements: one cold-cache or
-/// preempted repetition shifts a mean but leaves the median alone.
-pub fn median(samples: &[f64]) -> Option<f64> {
-    if samples.is_empty() {
-        return None;
-    }
-    let mut sorted: Vec<f64> = samples.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("samples must not be NaN"));
-    Some(percentile_sorted(&sorted, 0.50))
-}
-
-/// Median absolute deviation from the median (`None` when empty) — the
-/// robust scale companion of [`median`]. Raw MAD; multiply by 1.4826
-/// for a Gaussian-consistent σ estimate.
-pub fn mad(samples: &[f64]) -> Option<f64> {
-    let m = median(samples)?;
-    let devs: Vec<f64> = samples.iter().map(|x| (x - m).abs()).collect();
-    median(&devs)
 }
 
 /// Streaming moment accumulator: count, mean, centred second moment
@@ -228,27 +206,6 @@ pub fn sign_test_two_sided(pos: u64, neg: u64) -> Option<f64> {
     Some((2.0 * cdf).min(1.0))
 }
 
-/// Scale factor turning a MAD into a Gaussian-consistent σ estimate.
-pub const MAD_TO_SIGMA: f64 = 1.4826;
-
-/// Relative robust σ of a measurement: `1.4826 · MAD ∕ median`
-/// (median floored at 1e-9 to stay finite).
-pub fn rel_sigma(median: f64, mad: f64) -> f64 {
-    MAD_TO_SIGMA * mad / median.max(1e-9)
-}
-
-/// Combine two independent relative σs in quadrature.
-pub fn combined_rel_sigma(a: f64, b: f64) -> f64 {
-    (a * a + b * b).sqrt()
-}
-
-/// Noise-adapted fractional tolerance: `multiplier · r` clamped to
-/// `[floor, ceil]`. The perf gate's policy knob — one implementation,
-/// shared by every consumer of robust intervals.
-pub fn noise_tolerance(r: f64, multiplier: f64, floor: f64, ceil: f64) -> f64 {
-    (multiplier * r).clamp(floor, ceil)
-}
-
 /// Ordinary least squares fit `y = a + b·x`; returns `(a, b)`.
 pub fn linear_fit(xs: &[f64], ys: &[f64]) -> (f64, f64) {
     assert_eq!(xs.len(), ys.len());
@@ -291,20 +248,6 @@ mod tests {
         assert!((percentile_sorted(&sorted, 0.5) - 5.0).abs() < 1e-12);
         assert_eq!(percentile_sorted(&sorted, 0.0), 0.0);
         assert_eq!(percentile_sorted(&sorted, 1.0), 10.0);
-    }
-
-    #[test]
-    fn median_and_mad_are_robust_to_outliers() {
-        // One wild outlier moves the mean far but the median/MAD little.
-        let clean = [10.0, 11.0, 9.0, 10.5, 9.5];
-        let dirty = [10.0, 11.0, 9.0, 10.5, 1000.0];
-        assert_eq!(median(&clean), Some(10.0));
-        assert_eq!(median(&dirty), Some(10.5));
-        assert_eq!(mad(&clean), Some(0.5));
-        assert_eq!(mad(&dirty), Some(0.5));
-        assert_eq!(median(&[]), None);
-        assert_eq!(mad(&[]), None);
-        assert_eq!(mad(&[7.0]), Some(0.0));
     }
 
     #[test]
@@ -415,19 +358,5 @@ mod tests {
         // A lopsided thousand-flip split is vanishingly unlikely.
         let p = sign_test_two_sided(900, 100).unwrap();
         assert!(p > 0.0 && p < 1e-100, "p = {p}");
-    }
-
-    #[test]
-    fn noise_helpers_reproduce_the_perf_gate_policy() {
-        // Quiet reps: clamped up to the floor.
-        let quiet = combined_rel_sigma(rel_sigma(1000.0, 1.0), rel_sigma(1000.0, 1.0));
-        assert_eq!(noise_tolerance(quiet, 4.0, 0.25, 0.40), 0.25);
-        // Wild reps: clamped down to the ceiling.
-        let wild = combined_rel_sigma(rel_sigma(1000.0, 200.0), rel_sigma(1000.0, 200.0));
-        assert_eq!(noise_tolerance(wild, 4.0, 0.25, 0.40), 0.40);
-        // In-between: the quadrature value scaled by the multiplier.
-        let r = combined_rel_sigma(rel_sigma(1000.0, 50.0), 0.0);
-        let tol = noise_tolerance(r, 4.0, 0.25, 0.40);
-        assert!((tol - 4.0 * 1.4826 * 0.05).abs() < 1e-12);
     }
 }

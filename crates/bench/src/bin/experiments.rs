@@ -7,8 +7,6 @@
 //! experiments trace info --trace FILE [--min-ratio R]
 //! experiments trace export --trace FILE [--out FILE]
 //! experiments trace query --trace FILE --slot A..B [--node N] [--packet P]
-//! experiments perf [--quick] [--label NAME] [--out DIR] [--profile] [--reps N]
-//! experiments perf --validate FILE | --validate-profile FILE
 //! experiments campaign --spec FILE [--quick] [--out DIR] [--no-progress]
 //! experiments serve --data DIR [--addr HOST:PORT] [--jobs N]
 //!             [--allow-remote-shutdown] [--no-progress]
@@ -25,7 +23,6 @@
 //!   resilience                                    (fault-injection campaign)
 //!   forensics                                     (trace post-mortem)
 //!   trace                                         (trace file tooling: info/export/query)
-//!   perf                                          (throughput benchmark → BENCH_<label>.json)
 //!   analytical                                    (all instant artefacts)
 //!   all                                           (everything)
 //! ```
@@ -134,14 +131,9 @@ struct Cli {
     trace_events: Option<(PathBuf, TraceFormat)>,
     metrics: Option<PathBuf>,
     trace: Option<PathBuf>,
-    label: Option<String>,
-    validate: Option<PathBuf>,
-    validate_profile: Option<PathBuf>,
-    baseline: Option<PathBuf>,
     spec: Option<PathBuf>,
     digest: bool,
     profile: bool,
-    reps: usize,
     no_progress: bool,
     min_ratio: Option<f64>,
     slot: Option<String>,
@@ -177,16 +169,6 @@ fn allowed_flags(artefact: &str) -> &'static [&'static str] {
             "--node",
             "--packet",
         ],
-        "perf" => &[
-            "--quick",
-            "--label",
-            "--out",
-            "--validate",
-            "--validate-profile",
-            "--baseline",
-            "--profile",
-            "--reps",
-        ],
         "campaign" => &["--spec", "--quick", "--out", "--digest", "--no-progress"],
         "stats" => &["--spec", "--quick", "--from", "--out", "--gate"],
         "serve" => &[
@@ -217,14 +199,9 @@ fn parse_args() -> Cli {
     let mut quick = false;
     let mut out = None;
     let mut trace = None;
-    let mut label = None;
-    let mut validate = None;
-    let mut validate_profile = None;
-    let mut baseline = None;
     let mut spec = None;
     let mut digest = false;
     let mut profile = false;
-    let mut reps = ldcf_bench::perf::DEFAULT_REPS;
     let mut no_progress = false;
     let mut trace_events = None;
     let mut trace_format: Option<TraceFormat> = None;
@@ -256,20 +233,6 @@ fn parse_args() -> Cli {
             "--digest" => digest = true,
             "--profile" => profile = true,
             "--no-progress" => no_progress = true,
-            "--reps" => {
-                let n = value("a count");
-                reps = n
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| {
-                        usage(&format!("--reps wants a positive integer, got {n:?}"))
-                    });
-            }
-            "--label" => label = Some(value("a name")),
-            "--validate" => validate = Some(PathBuf::from(value("a file"))),
-            "--validate-profile" => validate_profile = Some(PathBuf::from(value("a file"))),
-            "--baseline" => baseline = Some(PathBuf::from(value("a file"))),
             "--out" => out = Some(PathBuf::from(value("a directory"))),
             "--trace" => trace = Some(PathBuf::from(value("a file"))),
             "--spec" => spec = Some(PathBuf::from(value("a file"))),
@@ -365,14 +328,9 @@ fn parse_args() -> Cli {
         trace_events: trace_events.map(|dir| (dir, trace_format.unwrap_or_default())),
         metrics,
         trace,
-        label,
-        validate,
-        validate_profile,
-        baseline,
         spec,
         digest,
         profile,
-        reps,
         no_progress,
         min_ratio,
         slot,
@@ -422,8 +380,6 @@ fn usage(err: &str) -> ! {
          \u{20}      experiments trace info --trace FILE [--min-ratio R]\n\
          \u{20}      experiments trace export --trace FILE [--out FILE]\n\
          \u{20}      experiments trace query --trace FILE --slot A..B [--node N] [--packet P]\n\
-         \u{20}      experiments perf [--quick] [--label NAME] [--out DIR] [--baseline FILE] [--profile] [--reps N]\n\
-         \u{20}      experiments perf --validate FILE | --validate-profile FILE\n\
          \u{20}      experiments campaign --spec FILE [--quick] [--out DIR] [--no-progress]\n\
          \u{20}      experiments campaign --spec FILE --digest\n\
          \u{20}      experiments stats --spec FILE --from DIR [--quick] [--out DIR] [--gate]\n\
@@ -435,7 +391,7 @@ fn usage(err: &str) -> ! {
          artefacts: table1 fig3 fig5 fig6 fig7 fig9 fig10 fig11\n\
          \u{20}          ablation-overhearing ablation-opportunistic ablation-policy\n\
          \u{20}          lifetime-gain theorem1-check cross-layer sync-error resilience\n\
-         \u{20}          forensics trace perf campaign stats analytical all\n\
+         \u{20}          forensics trace campaign stats analytical all\n\
          \u{20}          serve submit status fetch cancel"
     );
     std::process::exit(if err.is_empty() { 0 } else { 2 });
@@ -556,150 +512,6 @@ fn run_trace(cli: &Cli) -> ! {
         other => usage(&format!(
             "unknown trace action '{other}' (expected info, export or query)"
         )),
-    }
-    std::process::exit(0);
-}
-
-/// The `perf` artefact: run the throughput campaign (`--reps`
-/// repetitions per case, median/MAD summarized), print the summary
-/// table, write + validate `BENCH_<label>.json`, and gate against a
-/// baseline with the noise-aware tolerance. `--profile` additionally
-/// runs each case once with a phase profiler attached and writes
-/// `PROFILE_<label>.json` (validated: the phase times must cover
-/// ≥ 95 % of each case's wall clock). `--validate FILE` /
-/// `--validate-profile FILE` instead check an existing file only.
-fn run_perf(cli: &Cli) -> ! {
-    use ldcf_bench::perf;
-
-    if let Some(file) = &cli.validate {
-        let text = std::fs::read_to_string(file)
-            .unwrap_or_else(|e| usage(&format!("--validate {}: {e}", file.display())));
-        match perf::validate_bench_json(&text) {
-            Ok(names) => {
-                outln!(
-                    "{}: valid BENCH file ({} cases)",
-                    file.display(),
-                    names.len()
-                );
-                std::process::exit(0);
-            }
-            Err(e) => {
-                eprintln!("{}: invalid BENCH file: {e}", file.display());
-                std::process::exit(1);
-            }
-        }
-    }
-    if let Some(file) = &cli.validate_profile {
-        let text = std::fs::read_to_string(file)
-            .unwrap_or_else(|e| usage(&format!("--validate-profile {}: {e}", file.display())));
-        match perf::validate_profile_json(&text) {
-            Ok(names) => {
-                outln!(
-                    "{}: valid PROFILE file ({} cases)",
-                    file.display(),
-                    names.len()
-                );
-                std::process::exit(0);
-            }
-            Err(e) => {
-                eprintln!("{}: invalid PROFILE file: {e}", file.display());
-                std::process::exit(1);
-            }
-        }
-    }
-
-    let label = cli
-        .label
-        .clone()
-        .unwrap_or_else(|| if cli.quick { "quick" } else { "full" }.to_string());
-    let mut report = perf::perf(&cli.opts, cli.quick, &label, cli.reps);
-    // The scale cases (rgg-100k, and rgg-1m outside --quick) time the
-    // slot-stepped and event-driven engines side by side over the same
-    // deterministic workload.
-    report.cases.extend(perf::scale_perf(cli.quick, cli.reps));
-    outln!("\n## perf\n\n{}", report.to_markdown());
-
-    let dir = cli.out.clone().unwrap_or_else(|| PathBuf::from("."));
-    std::fs::create_dir_all(&dir).expect("create output dir");
-    let path = dir.join(format!("BENCH_{label}.json"));
-    let json = report.to_json_pretty() + "\n";
-    std::fs::write(&path, &json).expect("write BENCH file");
-    if let Err(e) = perf::validate_bench_json(&json) {
-        eprintln!("perf: emitted {} fails validation: {e}", path.display());
-        std::process::exit(1);
-    }
-    eprintln!("perf: wrote {} (validated)", path.display());
-
-    // The profiled pass runs after (and apart from) the timing reps, so
-    // BENCH numbers never carry the ~9 clock reads/slot of profiling.
-    if cli.profile {
-        let prof_report = perf::profile(&cli.opts, cli.quick, &label);
-        outln!("\n## perf profile\n\n{}", prof_report.to_markdown());
-        let prof_path = dir.join(format!("PROFILE_{label}.json"));
-        let prof_json = prof_report.to_json_pretty() + "\n";
-        std::fs::write(&prof_path, &prof_json).expect("write PROFILE file");
-        if let Err(e) = perf::validate_profile_json(&prof_json) {
-            eprintln!(
-                "perf: emitted {} fails validation: {e}",
-                prof_path.display()
-            );
-            std::process::exit(1);
-        }
-        eprintln!("perf: wrote {} (validated)", prof_path.display());
-    }
-
-    // `--baseline FILE` is the CI regression gate: non-zero exit when
-    // any case's median throughput falls below the baseline's by more
-    // than the noise-aware tolerance (policy in EXPERIMENTS.md).
-    if let Some(file) = &cli.baseline {
-        let text = std::fs::read_to_string(file)
-            .unwrap_or_else(|e| usage(&format!("--baseline {}: {e}", file.display())));
-        let verdicts = match perf::gate_vs_baseline(&text, &report) {
-            Ok(v) => v,
-            Err(e) => {
-                eprintln!("perf: baseline {} not comparable: {e}", file.display());
-                std::process::exit(1);
-            }
-        };
-        let mut failed = false;
-        for v in &verdicts {
-            outln!(
-                "speedup vs baseline: {} {:.2}x (tolerance {:.0}%)",
-                v.name,
-                v.speedup,
-                v.tolerance * 100.0
-            );
-            if v.regressed {
-                failed = true;
-                eprintln!(
-                    "perf: REGRESSION {}: {:.2}x (gate: ≥ {:.2}x of baseline at measured noise)",
-                    v.name,
-                    v.speedup,
-                    1.0 - v.tolerance
-                );
-            }
-        }
-        if failed {
-            std::process::exit(1);
-        }
-        outln!(
-            "perf: no case regressed beyond its noise-aware tolerance vs {}",
-            file.display()
-        );
-        std::process::exit(0);
-    }
-
-    let baseline = dir.join("BENCH_baseline.json");
-    if label != "baseline" && baseline.exists() {
-        let text = std::fs::read_to_string(&baseline).expect("read baseline");
-        match perf::gate_vs_baseline(&text, &report) {
-            Ok(verdicts) => {
-                for v in verdicts {
-                    outln!("speedup vs baseline: {} {:.2}x", v.name, v.speedup);
-                }
-            }
-            Err(e) => eprintln!("perf: baseline not comparable: {e}"),
-        }
     }
     std::process::exit(0);
 }
@@ -953,9 +765,6 @@ fn main() {
     }
     if cli.artefact == "trace" {
         run_trace(&cli);
-    }
-    if cli.artefact == "perf" {
-        run_perf(&cli);
     }
     if cli.artefact == "campaign" {
         run_campaign_cmd(&cli);

@@ -11,7 +11,6 @@ pub mod campaign;
 pub mod experiments;
 pub mod heartbeat;
 pub mod options;
-pub mod perf;
 pub mod resilience;
 pub mod runner;
 pub mod service_cli;

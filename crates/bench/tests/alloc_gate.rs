@@ -14,15 +14,18 @@
 //! too, and a [`JsonlReader`] parses every line after its first without
 //! touching the heap.
 //!
-//! Deliberately a single `#[test]`: the counter is process-global, and
-//! a second test thread allocating concurrently would poison the
-//! measured windows. Keep it that way.
+//! The counter is per thread, so a window counts only the allocations
+//! of the thread that opened it: other tests, and any other thread of
+//! this process, may allocate concurrently without touching it. The
+//! last test here holds the counter to that.
 
 use ldcf_net::{LinkQuality, NodeId, Topology};
 use ldcf_obs::{CountingAlloc, JsonlReader, JsonlSink, SimObserver};
 use ldcf_protocols::{Dbao, NaiveFlood, OpportunisticFlooding, Opt};
 use ldcf_sim::{Engine, FaultConfig, FaultInjector, FaultPlan, FloodingProtocol, SimConfig};
 use std::io;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -197,4 +200,34 @@ fn hot_path_is_allocation_free_for_every_protocol() {
     gate_protocol("of", grid(), OpportunisticFlooding::new);
     gate_protocol("naive", grid(), NaiveFlood::new);
     gate_tracing();
+}
+
+#[test]
+fn other_threads_do_not_count_in_a_window() {
+    let stop = Arc::new(AtomicBool::new(false));
+    let rounds = Arc::new(AtomicU64::new(0));
+    let churner = {
+        let (stop, rounds) = (Arc::clone(&stop), Arc::clone(&rounds));
+        std::thread::spawn(move || {
+            while !stop.load(Ordering::Relaxed) {
+                std::hint::black_box(Vec::<u64>::with_capacity(64));
+                rounds.fetch_add(1, Ordering::Relaxed);
+            }
+        })
+    };
+    while rounds.load(Ordering::Relaxed) == 0 {
+        std::hint::spin_loop();
+    }
+    let before = CountingAlloc::allocations();
+    let opened = rounds.load(Ordering::Relaxed);
+    while rounds.load(Ordering::Relaxed) < opened + 10_000 {
+        std::hint::spin_loop();
+    }
+    let delta = CountingAlloc::allocations() - before;
+    stop.store(true, Ordering::Relaxed);
+    churner.join().unwrap();
+    assert_eq!(
+        delta, 0,
+        "a window read {delta} allocations made by another thread"
+    );
 }

@@ -40,30 +40,22 @@ fn foreign_flags_are_rejected_per_subcommand() {
     assert_eq!(out.status.code(), Some(2));
     assert!(stderr(&out).contains("'--trace' is not valid for 'fig3'"));
 
-    // --quick belongs to artefact/perf/campaign runs, not forensics.
+    // --quick belongs to artefact/campaign runs, not forensics.
     let out = run(&["forensics", "--quick"]);
     assert_eq!(out.status.code(), Some(2));
     assert!(stderr(&out).contains("'--quick' is not valid for 'forensics'"));
 
     // --digest belongs to campaign only.
-    let out = run(&["perf", "--digest"]);
+    let out = run(&["fig9", "--digest"]);
     assert_eq!(out.status.code(), Some(2));
-    assert!(stderr(&out).contains("'--digest' is not valid for 'perf'"));
+    assert!(stderr(&out).contains("'--digest' is not valid for 'fig9'"));
 
-    // --reps and --validate-profile belong to perf only.
-    let out = run(&["fig3", "--reps", "3"]);
+    // --no-progress belongs to campaign and serve only.
+    let out = run(&["fig9", "--no-progress"]);
     assert_eq!(out.status.code(), Some(2));
-    assert!(stderr(&out).contains("'--reps' is not valid for 'fig3'"));
-    let out = run(&["fig3", "--validate-profile", "x.json"]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(stderr(&out).contains("'--validate-profile' is not valid for 'fig3'"));
+    assert!(stderr(&out).contains("'--no-progress' is not valid for 'fig9'"));
 
-    // --no-progress belongs to campaign only.
-    let out = run(&["perf", "--no-progress"]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(stderr(&out).contains("'--no-progress' is not valid for 'perf'"));
-
-    // --profile drives artefact/perf runs, not forensics.
+    // --profile drives artefact runs, not forensics.
     let out = run(&["forensics", "--profile"]);
     assert_eq!(out.status.code(), Some(2));
     assert!(stderr(&out).contains("'--profile' is not valid for 'forensics'"));
@@ -127,11 +119,18 @@ fn trace_subcommand_validates_action_and_flags() {
 }
 
 #[test]
-fn reps_must_be_a_positive_integer() {
-    for bad in ["0", "-1", "three"] {
-        let out = run(&["perf", "--reps", bad]);
-        assert_eq!(out.status.code(), Some(2), "--reps {bad} must be rejected");
-        assert!(stderr(&out).contains("--reps"), "stderr: {}", stderr(&out));
+fn perf_is_an_unknown_artefact_and_its_flags_are_unknown() {
+    let out = run(&["perf"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(stderr(&out).contains("unknown artefact 'perf'"));
+    for flag in ["--label", "--reps", "--validate", "--baseline"] {
+        let out = run(&["fig3", flag, "x"]);
+        assert_eq!(out.status.code(), Some(2), "{flag} must be rejected");
+        assert!(
+            stderr(&out).contains(&format!("unknown flag '{flag}'")),
+            "stderr: {}",
+            stderr(&out)
+        );
     }
 }
 
@@ -222,9 +221,9 @@ fn stats_subcommand_validates_its_flags() {
     let out = run(&["campaign", "--from", "/tmp/x"]);
     assert_eq!(out.status.code(), Some(2));
     assert!(stderr(&out).contains("'--from' is not valid for 'campaign'"));
-    let out = run(&["perf", "--gate"]);
+    let out = run(&["fig9", "--gate"]);
     assert_eq!(out.status.code(), Some(2));
-    assert!(stderr(&out).contains("'--gate' is not valid for 'perf'"));
+    assert!(stderr(&out).contains("'--gate' is not valid for 'fig9'"));
 
     // stats requires both --spec and --from.
     let out = run(&["stats"]);

@@ -4,8 +4,8 @@
 //!
 //! The campaign runner merges per-cell [`PhaseProfiler`]s into one
 //! aggregate; if that merge (or the histogram arithmetic under it)
-//! depended on scheduling in any way, `PROFILE_*.json` would stop being
-//! reproducible. Jobs here fan out over the vendored rayon pool with
+//! depended on scheduling in any way, the merged profile would stop
+//! being reproducible. Jobs here fan out over the vendored rayon pool with
 //! deterministic synthetic samples (a seeded LCG per job — no wall
 //! clock), are reduced in input order, and the merged JSON is compared
 //! to the bit across thread limits. Lives in its own integration binary

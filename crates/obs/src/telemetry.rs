@@ -16,9 +16,9 @@
 //!   commutative [`merge`](StreamingHistogram::merge), so per-worker
 //!   histograms fold into one deterministic aggregate whatever the
 //!   rayon thread count.
-//! * [`CountingAlloc`] — a `GlobalAlloc` wrapper that counts heap
-//!   allocations, turning the "allocation-free hot path" claim into an
-//!   enforced test gate instead of a changelog sentence.
+//! * [`CountingAlloc`] — a `GlobalAlloc` wrapper that counts each
+//!   thread's heap allocations, turning the "allocation-free hot path"
+//!   claim into an enforced test gate instead of a changelog sentence.
 //!
 //! The [`PhaseProfiler`] ties the first two together: one streaming
 //! histogram per engine [`Phase`] plus one for whole-slot cost. The
@@ -485,12 +485,21 @@ impl SimProfiler for PhaseProfiler {
 // ---------------------------------------------------------------------
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const`-initialised and without a destructor: reading it never
+    // allocates, so the allocator cannot re-enter itself, and it stays
+    // usable while a thread is being torn down.
+    static ALLOC_CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_call() {
+    ALLOC_CALLS.with(|c| c.set(c.get() + 1));
+}
 
 /// A [`GlobalAlloc`] wrapper around [`System`] that counts every
-/// allocation and reallocation — the measurement half of the
+/// allocation and reallocation per thread — the measurement half of the
 /// allocation gate (`crates/bench/tests/alloc_gate.rs`), which asserts
 /// the engine's hot path performs **zero** heap allocations per slot
 /// after warmup.
@@ -508,29 +517,29 @@ static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
 pub struct CountingAlloc;
 
 impl CountingAlloc {
-    /// Allocations (+ reallocations) since process start. Sample before
-    /// and after a region; the difference is the region's count —
-    /// meaningful only while no other thread allocates.
+    /// Allocations (+ reallocations) the calling thread has made since
+    /// it started. Sample before and after a region; the difference is
+    /// the region's count, whatever other threads allocate meanwhile.
     pub fn allocations() -> u64 {
-        ALLOC_CALLS.load(Ordering::Relaxed)
+        ALLOC_CALLS.with(Cell::get)
     }
 }
 
-// SAFETY: delegates verbatim to `System`, only bumping a relaxed
+// SAFETY: delegates verbatim to `System`, only bumping a thread-local
 // counter on the allocating entry points.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_call();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_call();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_call();
         System.realloc(ptr, layout, new_size)
     }
 
