@@ -17,9 +17,10 @@
 #   test           cargo test --workspace
 #   alloc-gate     hot-path allocation gate
 #   artefacts      fig9 + resilience + OF/DBAO ablation byte-identity
-#                  vs pinned baselines
-#   forensics      theory checks over every fig9 trace (+ faulted)
-#   bintrace       binary trace container: export identity + ratio
+#                  vs pinned baselines; binary traces exported to JSONL
+#                  and checked against the pinned trace hashes
+#   forensics      theory checks over every fig9 trace (+ faulted),
+#                  binary vs exported-JSONL report identity, ratio
 #   digests        scenario generator digests vs scenarios.sha256
 #   campaign       demo campaign: run twice, byte-identity + resume;
 #                  campaign-nightly (mixed periods) vs its pinned tables
@@ -41,7 +42,7 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 STAGES=(fmt clippy shellcheck build test alloc-gate artefacts forensics
-    bintrace digests campaign stats service benchmark)
+    digests campaign stats service benchmark)
 
 ART_DIR="$(mktemp -d)"
 SRV_PID=""
@@ -111,6 +112,7 @@ stage_artefacts() {
         --trace-events "$ART_DIR/traces" > /dev/null
     ./target/release/experiments resilience --quick --profile --out "$ART_DIR" \
         --trace-events "$ART_DIR/traces" > /dev/null
+    export_traces
     # The ablations hold OF's pure-tree mode and DBAO without
     # overhearing to pinned bytes too.
     ./target/release/experiments ablation-opportunistic --quick --out "$ART_DIR" > /dev/null
@@ -119,9 +121,10 @@ stage_artefacts() {
     # tables and event traces are diffed against
     # crates/bench/baselines/quick/, which the slot-stepped oracle
     # produced — so this stage also holds the event engine (the only
-    # runtime path) to byte identity with it. (Wall-clock telemetry — heartbeat
-    # *-telemetry.jsonl, profile reports — is deliberately outside this
-    # contract and never diffed.)
+    # runtime path) to byte identity with it. Runs write binary traces;
+    # the pins are of their JSONL exports. (Wall-clock telemetry —
+    # heartbeat *-telemetry.jsonl, profile reports — is deliberately
+    # outside this contract and never diffed.)
     diff -u crates/bench/baselines/quick/fig9.md "$ART_DIR/fig9.md"
     diff -u crates/bench/baselines/quick/resilience.md "$ART_DIR/resilience.md"
     for table in ablation-opportunistic ablation-overhearing; do
@@ -132,57 +135,41 @@ stage_artefacts() {
     echo "byte-identical (with profiling enabled)"
 }
 
+# Export every binary trace to its JSONL twin beside it.
+export_traces() {
+    for bin in "$ART_DIR"/traces/*.events.bin; do
+        ./target/release/experiments trace export --trace "$bin" 2> /dev/null
+    done
+}
+
 stage_forensics() {
-    step "flood forensics (fig9 --quick traces, fail on theory violations)"
+    step "flood forensics (fig9 --quick + burst+drift faulted traces: theory checks, bin vs JSONL, ratio)"
     ensure_built
-    if ! ls "$ART_DIR"/traces/*-s[0-9].events.jsonl > /dev/null 2>&1; then
+    if ! ls "$ART_DIR"/traces/*.events.jsonl > /dev/null 2>&1; then
         ./target/release/experiments fig9 --quick --out "$ART_DIR" \
             --trace-events "$ART_DIR/traces" > /dev/null
         ./target/release/experiments resilience --quick --out "$ART_DIR" \
             --trace-events "$ART_DIR/traces" > /dev/null
+        export_traces
     fi
-    for trace in "$ART_DIR"/traces/*-s[0-9].events.jsonl; do
-        echo "forensics: $(basename "$trace")"
-        ./target/release/experiments forensics --trace "$trace" | grep -v '^  note:'
-    done
-
-    step "forensics over a burst+drift faulted trace"
-    # The isolation table's burst+drift row keeps schedules static, so
-    # its trace must replay cleanly through the forensics hard checks.
-    FAULTED="$ART_DIR/traces/dbao-p100-a5-m30-s1-fbd.events.jsonl"
-    echo "forensics: $(basename "$FAULTED")"
-    ./target/release/experiments forensics --trace "$FAULTED" | grep -v '^  note:'
-}
-
-stage_bintrace() {
-    step "binary trace pipeline (fig9 --quick --trace-format bin: export identity, ratio, forensics)"
-    ensure_built
-    # The same fig9 cases traced to the columnar binary container must
-    # (a) export back to JSONL byte-identical to the pinned baselines,
-    # (b) compress at least 4x over JSONL, and (c) feed forensics
-    # directly, (d) with a JSON report identical to the one forensics
-    # writes from the exported JSONL twin: the binary and JSONL decoders
+    # Each fig9 trace, and the isolation table's burst+drift trace
+    # (static schedules, so it must replay cleanly through the hard
+    # checks), must (a) pass forensics, (b) compress at least 4x over
+    # JSONL, and (c) write a JSON report identical to the one forensics
+    # writes from its exported JSONL twin: the binary and JSONL decoders
     # agree end to end.
-    ./target/release/experiments fig9 --quick --out "$ART_DIR/bin-run" \
-        --trace-events "$ART_DIR/bin-run/traces" --trace-format bin > /dev/null
-    for bin in "$ART_DIR"/bin-run/traces/*.events.bin; do
-        ./target/release/experiments trace info --trace "$bin" --min-ratio 4 > /dev/null
-        ./target/release/experiments trace export --trace "$bin" 2> /dev/null
-    done
-    (cd "$ART_DIR/bin-run/traces" \
-        && grep -E -- '-s[0-9]\.events\.jsonl$' \
-            "$OLDPWD/crates/bench/baselines/quick/traces.sha256" \
-        | sha256sum --check --quiet)
-    for bin in "$ART_DIR"/bin-run/traces/*.events.bin; do
-        echo "forensics (bin and jsonl): $(basename "$bin")"
+    for bin in "$ART_DIR"/traces/*-s[0-9].events.bin \
+        "$ART_DIR/traces/dbao-p100-a5-m30-s1-fbd.events.bin"; do
+        echo "forensics: $(basename "$bin")"
         ./target/release/experiments forensics --trace "$bin" \
-            --out "$ART_DIR/bin-run/forensics-bin" > /dev/null
+            --out "$ART_DIR/forensics-bin" | grep -v '^  note:'
         ./target/release/experiments forensics --trace "${bin%.bin}.jsonl" \
-            --out "$ART_DIR/bin-run/forensics-jsonl" > /dev/null
+            --out "$ART_DIR/forensics-jsonl" > /dev/null
+        ./target/release/experiments trace info --trace "$bin" --min-ratio 4 > /dev/null
     done
-    diff -r "$ART_DIR/bin-run/forensics-bin" "$ART_DIR/bin-run/forensics-jsonl"
-    echo "binary traces export byte-identical, compress >= 4x, replay forensics" \
-        "identical to their JSONL twins"
+    diff -r "$ART_DIR/forensics-bin" "$ART_DIR/forensics-jsonl"
+    echo "forensics clean; binary traces compress >= 4x and replay identically" \
+        "to their JSONL twins"
 }
 
 stage_digests() {

@@ -673,12 +673,6 @@ pub fn stats_of_cells(cells: &[CellSummary]) -> CampaignStats {
     stats
 }
 
-/// Render the aggregated campaign as a markdown table joining simulated
-/// against predicted `E[FDL]` (via [`stats_of_cells`]).
-pub fn campaign_table(cells: &[CellSummary]) -> String {
-    stats_of_cells(cells).campaign_table()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -738,7 +732,7 @@ mod tests {
         assert_eq!(g.fdl.count, 1, "mean over covered cells only");
         assert_eq!(g.fdl.mean, 80.0);
         assert_eq!(g.coverage.mean, 0.5);
-        let table = campaign_table(&cells);
+        let table = stats.campaign_table();
         assert!(table.contains("| of | 0.050 | 2 |"), "table:\n{table}");
     }
 

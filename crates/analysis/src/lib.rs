@@ -30,9 +30,7 @@ pub mod stats;
 pub mod sweep;
 
 pub use attribution::{attribute_hop, Cause, DelayAttribution};
-pub use campaign::{
-    campaign_table, predicted_fdl, CampaignStats, CellSummary, GroupStats, PairedStats,
-};
+pub use campaign::{predicted_fdl, CampaignStats, CellSummary, GroupStats, PairedStats};
 pub use events::{PacketReplay, ReplayBuilder, ReplayReport};
 pub use forensics::{ForensicsError, ForensicsReport, PacketForensics, Via, Violation};
 pub use plot::{ascii_chart, PlotOptions};

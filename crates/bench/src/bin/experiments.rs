@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! experiments <artefact> [--quick] [--out DIR] [--trace-events DIR]
-//!             [--trace-format jsonl|bin] [--metrics DIR] [--profile]
+//!             [--metrics DIR] [--profile]
 //! experiments forensics --trace FILE [--out DIR]
 //! experiments trace info --trace FILE [--min-ratio R]
 //! experiments trace export --trace FILE [--out FILE]
@@ -33,12 +33,11 @@
 //! with a provenance manifest beside it (`DIR/<name>.manifest.json`:
 //! protocols, config, seeds, sims, slots, wall clock, slots/sec).
 //! `--trace-events DIR` streams every flood's slot-level events to one
-//! file per run — row-wise JSONL by default, or the columnar binary
-//! container (`--trace-format bin`, typically several times smaller,
-//! with a seekable slot index) — and records the sink's event/byte
-//! totals in each artefact manifest. `--metrics DIR` snapshots per-run
-//! metric registries (delay histogram, per-node load, coverage growth)
-//! as JSON.
+//! columnar binary file per run (`<stem>.events.bin`, with a seekable
+//! slot index) and records the sink's event/byte totals in each
+//! artefact manifest; `trace export` turns such a file into JSONL.
+//! `--metrics DIR` snapshots per-run metric registries (delay
+//! histogram, per-node load, coverage growth) as JSON.
 //! `--profile` on a generic artefact attaches the engine phase profiler
 //! to every simulation and prints a per-phase cost summary to stderr —
 //! the artefact bytes themselves must not change (CI diffs them against
@@ -47,8 +46,8 @@
 //! provably dead slots instead of stepping them (see EXPERIMENTS.md
 //! "Engines").
 //!
-//! `forensics` replays one `--trace-events` file (either format,
-//! sniffed from its leading bytes) through
+//! `forensics` replays one trace (a `--trace-events` file or its JSONL
+//! export; the format is sniffed from the leading bytes) through
 //! `ldcf_analysis::ForensicsReport`: it reconstructs each packet's
 //! dissemination tree, attributes every node's flooding delay to five
 //! causes, extracts critical paths, and checks the run against the
@@ -57,14 +56,15 @@
 //! the derived per-packet state, not the event count. It prints a human
 //! summary, writes `DIR/<stem>.forensics.json` under `--out`, and exits
 //! non-zero if any hard theory check fails — CI runs it on every quick
-//! fig9 trace.
+//! fig9 trace and on its exported JSONL twin.
 //!
 //! `trace` is the trace-file toolbox: `info` prints event counts, slot
 //! span, byte sizes and the binary-vs-JSONL compression ratio (and
 //! gates on `--min-ratio` for CI); `export` converts a binary trace to
-//! JSONL byte-identical to a direct JSONL run; `query` streams the
-//! events in a slot range (binary traces seek via the trailing index),
-//! optionally filtered to one node or packet.
+//! JSONL byte-identical to what a `JsonlSink` observing the same run
+//! writes; `query` streams the events in a slot range (binary traces
+//! seek via the trailing index), optionally filtered to one node or
+//! packet.
 //!
 //! `serve` turns the campaign runner into a long-lived HTTP job server
 //! over `--data DIR` (one job directory per spec digest; see
@@ -74,7 +74,7 @@
 //! the artefacts it serves are byte-identical to direct
 //! `experiments campaign` runs.
 
-use ldcf_bench::{experiments, ExpOptions, Runner, TraceFormat, WorkLedger};
+use ldcf_bench::{experiments, CampaignOptions, ExpOptions, Runner, WorkLedger};
 use ldcf_obs::RunManifest;
 use serde::Value;
 use std::path::PathBuf;
@@ -127,8 +127,7 @@ struct Cli {
     opts: ExpOptions,
     quick: bool,
     out: Option<PathBuf>,
-    /// `--trace-events DIR` with its `--trace-format`.
-    trace_events: Option<(PathBuf, TraceFormat)>,
+    trace_events: Option<PathBuf>,
     metrics: Option<PathBuf>,
     trace: Option<PathBuf>,
     spec: Option<PathBuf>,
@@ -186,7 +185,6 @@ fn allowed_flags(artefact: &str) -> &'static [&'static str] {
             "--quick",
             "--out",
             "--trace-events",
-            "--trace-format",
             "--metrics",
             "--profile",
         ],
@@ -204,7 +202,6 @@ fn parse_args() -> Cli {
     let mut profile = false;
     let mut no_progress = false;
     let mut trace_events = None;
-    let mut trace_format: Option<TraceFormat> = None;
     let mut metrics = None;
     let mut min_ratio = None;
     let mut slot = None;
@@ -237,12 +234,6 @@ fn parse_args() -> Cli {
             "--trace" => trace = Some(PathBuf::from(value("a file"))),
             "--spec" => spec = Some(PathBuf::from(value("a file"))),
             "--trace-events" => trace_events = Some(PathBuf::from(value("a directory"))),
-            "--trace-format" => {
-                let name = value("jsonl or bin");
-                trace_format = Some(TraceFormat::from_cli_name(&name).unwrap_or_else(|| {
-                    usage(&format!("--trace-format wants jsonl or bin, got {name:?}"))
-                }));
-            }
             "--metrics" => metrics = Some(PathBuf::from(value("a directory"))),
             "--min-ratio" => {
                 let r = value("a ratio");
@@ -312,9 +303,6 @@ fn parse_args() -> Cli {
             usage(&format!("flag '{flag}' is not valid for '{artefact}'"));
         }
     }
-    if trace_format.is_some() && trace_events.is_none() {
-        usage("--trace-format needs --trace-events DIR");
-    }
     Cli {
         artefact,
         action,
@@ -325,7 +313,7 @@ fn parse_args() -> Cli {
         },
         quick,
         out,
-        trace_events: trace_events.map(|dir| (dir, trace_format.unwrap_or_default())),
+        trace_events,
         metrics,
         trace,
         spec,
@@ -353,9 +341,9 @@ impl Cli {
     /// A fresh runner for one artefact, configured from the flags.
     fn runner(&self) -> Runner {
         let mut runner = Runner::default();
-        if let Some((dir, format)) = &self.trace_events {
+        if let Some(dir) = &self.trace_events {
             runner = runner
-                .with_event_tracing(dir, *format)
+                .with_event_tracing(dir)
                 .unwrap_or_else(|e| usage(&format!("--trace-events: {e}")));
         }
         if let Some(dir) = &self.metrics {
@@ -375,7 +363,7 @@ fn usage(err: &str) -> ! {
         eprintln!("error: {err}\n");
     }
     eprintln!(
-        "usage: experiments <artefact> [--quick] [--out DIR] [--trace-events DIR] [--trace-format jsonl|bin] [--metrics DIR] [--profile]\n\
+        "usage: experiments <artefact> [--quick] [--out DIR] [--trace-events DIR] [--metrics DIR] [--profile]\n\
          \u{20}      experiments forensics --trace FILE [--out DIR]\n\
          \u{20}      experiments trace info --trace FILE [--min-ratio R]\n\
          \u{20}      experiments trace export --trace FILE [--out FILE]\n\
@@ -552,8 +540,12 @@ fn run_campaign_cmd(cli: &Cli) -> ! {
 
     let out = cli.out.clone().unwrap_or_else(|| PathBuf::from("."));
     let t0 = std::time::Instant::now();
-    let outcome = match ldcf_bench::campaign::run_campaign(spec, cli.quick, &out, !cli.no_progress)
-    {
+    let opts = CampaignOptions {
+        quick: cli.quick,
+        progress: !cli.no_progress,
+        ..CampaignOptions::default()
+    };
+    let outcome = match ldcf_bench::run_campaign_with(spec, &out, opts) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("error: {e}");
@@ -868,9 +860,8 @@ fn main() {
             ledger.slots,
             wall.as_millis() as u64,
         );
-        if let Some((_, format)) = &cli.trace_events {
-            manifest =
-                manifest.with_trace_stats(format.label(), ledger.trace_events, ledger.trace_bytes);
+        if cli.trace_events.is_some() {
+            manifest = manifest.with_trace_stats("bin", ledger.trace_events, ledger.trace_bytes);
         }
         if let Some(dir) = &cli.out {
             std::fs::write(

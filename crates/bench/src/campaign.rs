@@ -303,24 +303,6 @@ pub struct CampaignOptions {
     pub cancel: Option<Arc<AtomicBool>>,
 }
 
-/// [`run_campaign_with`] under the original one-shot CLI signature.
-pub fn run_campaign(
-    spec: ScenarioSpec,
-    quick: bool,
-    out: &Path,
-    progress: bool,
-) -> Result<CampaignOutcome, String> {
-    run_campaign_with(
-        spec,
-        out,
-        CampaignOptions {
-            quick,
-            progress,
-            ..CampaignOptions::default()
-        },
-    )
-}
-
 /// One (duty, seed-shard) work unit's fold: walk the shard's seeds in
 /// matrix order, fetch every protocol's cell for the seed, fold the
 /// row into a fresh partial. `get_cell(p_idx, seed_idx)` supplies the

@@ -16,9 +16,9 @@ pub mod runner;
 pub mod service_cli;
 pub mod trace_cmd;
 
-pub use campaign::{run_campaign, run_campaign_with, CampaignOptions, CampaignOutcome};
+pub use campaign::{run_campaign_with, CampaignOptions, CampaignOutcome};
 pub use experiments::*;
 pub use heartbeat::Heartbeat;
 pub use options::ExpOptions;
-pub use runner::{ProtocolKind, RunOutput, RunRequest, Runner, TraceFormat, WorkLedger};
+pub use runner::{ProtocolKind, RunOutput, RunRequest, Runner, WorkLedger};
 pub use service_cli::BenchExec;

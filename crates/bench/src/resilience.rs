@@ -15,8 +15,8 @@
 //!    `sync-error` artefact) at fixed intensity with each model enabled
 //!    alone, plus the forensics-safe burst+drift composition and the
 //!    full stack, attributing the damage. The burst+drift row's event
-//!    trace (`dbao-…-fbd.events.jsonl`) is the one CI replays through
-//!    flood forensics.
+//!    trace (`dbao-…-fbd.events.bin`) is the one faulted trace CI
+//!    replays through flood forensics.
 
 use crate::options::ExpOptions;
 use crate::runner::{ProtocolKind, RunRequest, Runner};

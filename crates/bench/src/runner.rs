@@ -7,9 +7,11 @@
 //!   protocols/seeds involved, folded into each artefact's
 //!   `RunManifest`;
 //! * optional **event tracing** (`--trace-events DIR`) — every flood
-//!   writes its slot-level event stream as one file, row-wise JSONL or
-//!   the columnar binary container (`--trace-format bin`), with the
-//!   sink's event/byte totals folded into the ledger;
+//!   writes its slot-level event stream as one columnar binary file
+//!   (`<stem>.events.bin`, `ldcf_obs::binlog`), with the sink's
+//!   event/byte totals folded into the ledger. JSONL is an export view
+//!   of that file (`experiments trace export`), byte-identical to what
+//!   a [`JsonlSink`](ldcf_sim::JsonlSink) observing the same run writes;
 //! * optional **metrics capture** (`--metrics DIR`) — every flood
 //!   snapshots a `MetricsRegistry` (delay histogram, per-node load,
 //!   queue depth, coverage growth) as one JSON file;
@@ -28,8 +30,8 @@ use ldcf_net::{NeighborTable, Topology};
 use ldcf_protocols::{Dbao, DbaoConfig, NaiveFlood, OfConfig, OpportunisticFlooding, Opt};
 use ldcf_sim::energy::EnergyLedger;
 use ldcf_sim::{
-    BinSink, Engine, FaultConfig, FaultPlan, FloodingProtocol, Injection, JsonlSink,
-    MetricsObserver, NullObserver, PhaseProfiler, SimConfig, SimEvent, SimObserver, SimReport,
+    BinSink, Engine, FaultConfig, FaultPlan, FloodingProtocol, Injection, MetricsObserver,
+    NullObserver, PhaseProfiler, SimConfig, SimEvent, SimObserver, SimReport,
 };
 use std::collections::BTreeSet;
 use std::fs::File;
@@ -208,19 +210,19 @@ pub struct RunOutput {
 /// test). `Sync`, so rayon fan-outs share one by reference.
 #[derive(Debug, Default)]
 pub struct Runner {
-    trace: Option<(PathBuf, TraceFormat)>,
+    trace: Option<PathBuf>,
     metrics: Option<PathBuf>,
     profiling: bool,
     tally: Mutex<(WorkLedger, Option<PhaseProfiler>)>,
 }
 
 impl Runner {
-    /// Route every flood's event stream to
-    /// `dir/<protocol>-p<period>-a<active>-m<M>-s<seed>.events.{jsonl,bin}`
-    /// in the given format. Creates `dir`.
-    pub fn with_event_tracing(mut self, dir: &Path, format: TraceFormat) -> std::io::Result<Self> {
+    /// Route every flood's event stream to the binary trace
+    /// `dir/<protocol>-p<period>-a<active>-m<M>-s<seed>.events.bin`.
+    /// Creates `dir`.
+    pub fn with_event_tracing(mut self, dir: &Path) -> std::io::Result<Self> {
         std::fs::create_dir_all(dir)?;
-        self.trace = Some((dir.to_path_buf(), format));
+        self.trace = Some(dir.to_path_buf());
         Ok(self)
     }
 
@@ -343,43 +345,6 @@ impl Runner {
 // Tracing
 // ---------------------------------------------------------------------
 
-/// On-disk encoding of `--trace-events` streams.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum TraceFormat {
-    /// One JSON object per event, one event per line (`.events.jsonl`).
-    #[default]
-    Jsonl,
-    /// Binary columnar frames with a slot index (`.events.bin`).
-    Bin,
-}
-
-impl TraceFormat {
-    /// CLI vocabulary (`--trace-format {jsonl,bin}`).
-    pub fn from_cli_name(name: &str) -> Option<Self> {
-        match name.to_ascii_lowercase().as_str() {
-            "jsonl" => Some(TraceFormat::Jsonl),
-            "bin" => Some(TraceFormat::Bin),
-            _ => None,
-        }
-    }
-
-    /// Stable label (manifest `trace_format` field).
-    pub fn label(self) -> &'static str {
-        match self {
-            TraceFormat::Jsonl => "jsonl",
-            TraceFormat::Bin => "bin",
-        }
-    }
-
-    /// Trace filename extension, without the leading dot.
-    fn extension(self) -> &'static str {
-        match self {
-            TraceFormat::Jsonl => "events.jsonl",
-            TraceFormat::Bin => "events.bin",
-        }
-    }
-}
-
 /// Deterministic per-run file stem: the same `(protocol, config,
 /// fault tag)` triple always maps to the same files, so re-running an
 /// artefact overwrites traces with byte-identical content instead of
@@ -406,60 +371,11 @@ fn run_stem(protocol: &str, cfg: &SimConfig, fault_tag: &str) -> String {
     stem
 }
 
-/// Format-dispatching event sink: one trace file per flood, row-wise
-/// JSONL or columnar binary depending on the runner's [`TraceFormat`].
-enum EventSink {
-    Jsonl(JsonlSink<File>),
-    Bin(BinSink<File>),
-}
-
-impl EventSink {
-    fn create(path: &Path, format: TraceFormat) -> std::io::Result<Self> {
-        let file = File::create(path)?;
-        Ok(match format {
-            TraceFormat::Jsonl => EventSink::Jsonl(JsonlSink::new(file)),
-            TraceFormat::Bin => EventSink::Bin(BinSink::new(file)),
-        })
-    }
-
-    /// `(events, bytes)` written so far. For the binary sink, accurate
-    /// once `on_finish` has sealed the index and trailer.
-    fn stats(&self) -> (u64, u64) {
-        match self {
-            EventSink::Jsonl(s) => (s.lines(), s.bytes()),
-            EventSink::Bin(s) => (s.events(), s.bytes()),
-        }
-    }
-
-    fn into_result(self) -> std::io::Result<()> {
-        match self {
-            EventSink::Jsonl(s) => s.into_result().map(|_| ()),
-            EventSink::Bin(s) => s.into_result().map(|_| ()),
-        }
-    }
-}
-
-impl SimObserver for EventSink {
-    fn on_event(&mut self, event: &SimEvent) {
-        match self {
-            EventSink::Jsonl(s) => s.on_event(event),
-            EventSink::Bin(s) => s.on_event(event),
-        }
-    }
-
-    fn on_finish(&mut self) {
-        match self {
-            EventSink::Jsonl(s) => s.on_finish(),
-            EventSink::Bin(s) => s.on_finish(),
-        }
-    }
-}
-
 /// Runtime-optional composite observer for traced floods. Only
 /// instantiated when tracing or metrics are enabled, so the `Option`
 /// checks never touch the default (un-traced) hot path.
 struct TraceObserver {
-    sink: Option<(EventSink, PathBuf)>,
+    sink: Option<(BinSink<File>, PathBuf)>,
     metrics: Option<(MetricsObserver, PathBuf)>,
     /// `(events, bytes)` the sink wrote, set when the run finishes.
     written: (u64, u64),
@@ -472,10 +388,10 @@ impl TraceObserver {
             return None;
         }
         let stem = run_stem(req.kind.name(), req.cfg, req.tag);
-        let sink = runner.trace.as_ref().and_then(|(dir, format)| {
-            let path = dir.join(format!("{stem}.{}", format.extension()));
-            match EventSink::create(&path, *format) {
-                Ok(s) => Some((s, path)),
+        let sink = runner.trace.as_ref().and_then(|dir| {
+            let path = dir.join(format!("{stem}.events.bin"));
+            match File::create(&path) {
+                Ok(file) => Some((BinSink::new(file), path)),
                 Err(e) => {
                     eprintln!("trace-events: cannot create {}: {e}", path.display());
                     None
@@ -510,8 +426,10 @@ impl SimObserver for TraceObserver {
     fn on_finish(&mut self) {
         let mut sink_stats = None;
         if let Some((mut sink, path)) = self.sink.take() {
+            // `on_finish` seals the index and trailer, so the byte
+            // count read after it is the final file size.
             sink.on_finish();
-            let (events, bytes) = sink.stats();
+            let (events, bytes) = (sink.events(), sink.bytes());
             self.written = (events, bytes);
             sink_stats = Some((events, bytes));
             if let Err(e) = sink.into_result() {
@@ -699,6 +617,59 @@ mod tests {
         assert!(r1.all_covered());
         assert_eq!(r1.slots_elapsed, r2.slots_elapsed, "same inputs, same run");
         assert_eq!(r1.transmissions, r2.transmissions);
+    }
+
+    #[test]
+    fn traced_run_writes_one_binary_trace_that_exports_to_direct_jsonl() {
+        use ldcf_sim::JsonlSink;
+
+        let topo = Topology::grid(3, 3, LinkQuality::new(0.9));
+        let cfg = SimConfig {
+            period: 4,
+            active_per_period: 1,
+            n_packets: 2,
+            coverage: 1.0,
+            max_slots: 100_000,
+            seed: 5,
+            mistiming_prob: 0.0,
+        };
+        let faults = FaultConfig::at_intensity(5, 0.5).burst_and_drift_only();
+        let dir = std::env::temp_dir().join(format!("ldcf-runner-trace-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let runner = Runner::default().with_event_tracing(&dir).unwrap();
+        let out = runner.run(RunRequest {
+            faults: Some(&faults),
+            tag: "fbd",
+            ..RunRequest::new(&topo, &cfg, ProtocolKind::Dbao)
+        });
+
+        let mut files: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        files.sort();
+        assert_eq!(files, ["dbao-p4-a1-m2-s5-fbd.events.bin"]);
+        let bin = dir.join(&files[0]);
+
+        // The ledger books exactly what the binary sink wrote.
+        let ledger = runner.ledger();
+        let events = ldcf_obs::BinReader::open_path(&bin).unwrap().n_events();
+        let bytes = std::fs::metadata(&bin).unwrap().len();
+        assert!(events > 0);
+        assert_eq!((out.trace_events, out.trace_bytes), (events, bytes));
+        assert_eq!((ledger.trace_events, ledger.trace_bytes), (events, bytes));
+
+        // JSONL is an export view: byte-identical to a JSONL sink
+        // observing the same request.
+        let jsonl = dir.join("export.jsonl");
+        assert_eq!(crate::trace_cmd::export(&bin, &jsonl).unwrap().0, events);
+        let (report, _, sink) = Engine::new(topo.clone(), cfg.clone(), Dbao::new())
+            .with_faults(faults.build())
+            .with_observer(JsonlSink::new(Vec::new()))
+            .run_traced();
+        assert_eq!(report.slots_elapsed, out.report.slots_elapsed);
+        assert_eq!(std::fs::read(&jsonl).unwrap(), sink.into_result().unwrap());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

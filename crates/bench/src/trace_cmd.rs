@@ -9,10 +9,12 @@
 //!   `io::sink()`. For a JSONL trace the binary-equivalent size is
 //!   measured the same way with a binary sink — so the ratio is
 //!   comparable from either side.
-//! * `export` — binary → JSONL, byte-identical to what a `--trace-format
-//!   jsonl` run of the same case writes: both go through [`JsonlSink`],
-//!   which encodes each event with [`SimEvent::write_jsonl`] + `\n`. CI
-//!   diffs exported fig9 traces against the pinned JSONL baselines.
+//! * `export` — binary → JSONL, the only way a run's trace becomes
+//!   JSONL (`--trace-events` writes binary only). The bytes equal what
+//!   a [`JsonlSink`] observing the same run writes, since export goes
+//!   through one, which encodes each event with
+//!   [`SimEvent::write_jsonl`] + `\n`. CI hashes the exported fig9 and
+//!   resilience traces against the pinned JSONL baselines.
 //! * `query` — slot-range scan (`--slot A..B`, `B` exclusive) with
 //!   optional `--node` / `--packet` filters. On a binary trace the
 //!   trailing index skips every frame outside the range; the scanned /
@@ -115,7 +117,7 @@ pub fn info(path: &Path) -> Result<TraceInfo, String> {
         }
         _ => {
             // JSONL input: encode the stream into a counting binary
-            // sink to measure what `--trace-format bin` would write.
+            // sink to measure what a traced run would write.
             let mut probe = BinSink::new(std::io::sink());
             let mut events = 0u64;
             let mut slot_span: Option<(u64, u64)> = None;
@@ -155,8 +157,8 @@ pub fn default_export_path(input: &Path) -> PathBuf {
     input.with_file_name(out)
 }
 
-/// Export a binary trace to JSONL, byte-identical to a direct JSONL
-/// run of the same case. Returns `(events, bytes)` written.
+/// Export a binary trace to JSONL, byte-identical to a [`JsonlSink`]
+/// observing the same run. Returns `(events, bytes)` written.
 pub fn export(path: &Path, out: &Path) -> Result<(u64, u64), String> {
     let mut magic = [0u8; 8];
     {

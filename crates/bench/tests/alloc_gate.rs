@@ -9,10 +9,13 @@
 //! redraws its working schedule — so the churn window asserts a small
 //! amortized budget instead of zero.
 //!
-//! Tracing is held to the same bar: a run observed by a [`JsonlSink`]
-//! encodes every event into one reused buffer, so its window is zero
-//! too, and a [`JsonlReader`] parses every line after its first without
-//! touching the heap.
+//! Tracing is held to the same bar. The [`BinSink`] every traced run
+//! attaches buffers events into fixed-size frames and allocates only
+//! when it encodes one, so its window asserts a budget per frame
+//! flushed in it and zero between flushes. A run observed by a
+//! [`JsonlSink`] (the `trace export` writer) encodes every event into
+//! one reused buffer, so its window is zero, and a [`JsonlReader`]
+//! parses every line after its first without touching the heap.
 //!
 //! The counter is per thread, so a window counts only the allocations
 //! of the thread that opened it: other tests, and any other thread of
@@ -20,7 +23,8 @@
 //! last test here holds the counter to that.
 
 use ldcf_net::{LinkQuality, NodeId, Topology};
-use ldcf_obs::{CountingAlloc, JsonlReader, JsonlSink, SimObserver};
+use ldcf_obs::binlog::FRAME_EVENTS;
+use ldcf_obs::{BinSink, CountingAlloc, JsonlReader, JsonlSink, SimObserver};
 use ldcf_protocols::{Dbao, NaiveFlood, OpportunisticFlooding, Opt};
 use ldcf_sim::{Engine, FaultConfig, FaultInjector, FaultPlan, FloodingProtocol, SimConfig};
 use std::io;
@@ -58,6 +62,10 @@ fn grid_cfg() -> SimConfig {
     }
 }
 
+/// Allocations [`BinSink`] may make per frame it flushes: the frame's
+/// payload, header and output buffers, plus one growth of its index.
+const ALLOCS_PER_FRAME: u64 = 4;
+
 /// Step the engine through warm-up, then count heap allocations over
 /// the measured window. Returns `(allocations, slots_measured)`.
 fn steady_state_allocs<P, O, F>(engine: &mut Engine<P, O, F>) -> (u64, u64)
@@ -66,6 +74,11 @@ where
     O: SimObserver,
     F: FaultPlan,
 {
+    warm_up(engine);
+    measure(engine)
+}
+
+fn warm_up<P: FloodingProtocol, O: SimObserver, F: FaultPlan>(engine: &mut Engine<P, O, F>) {
     let mut warmed = 0;
     while warmed < WARMUP && engine.step() {
         warmed += 1;
@@ -74,6 +87,13 @@ where
         warmed, WARMUP,
         "flood ended during warm-up — grow the workload"
     );
+}
+
+/// Count heap allocations over the measured window. Returns
+/// `(allocations, slots_measured)`.
+fn measure<P: FloodingProtocol, O: SimObserver, F: FaultPlan>(
+    engine: &mut Engine<P, O, F>,
+) -> (u64, u64) {
     let before = CountingAlloc::allocations();
     let mut measured = 0;
     while measured < MEASURE_CAP && engine.step() {
@@ -149,12 +169,26 @@ fn gate_protocol<P: FloodingProtocol>(name: &str, topo: Topology, mk: impl Fn() 
     eprintln!("alloc-gate {name}: clean 0, burst+drift 0, churn {delta}/{slots} slots");
 }
 
-/// A DBAO run traced to JSONL (DBAO's floods emit every kind of
-/// reception event): the encoding window must not allocate. Then the
-/// same run's trace is read back from memory, its longest line first so
-/// the reader's line buffer reaches full size on that line: no later
-/// line may allocate.
+/// A DBAO run (DBAO's floods emit every kind of reception event)
+/// traced to binary: the window may allocate only for the frames it
+/// flushes. Traced to JSONL: the encoding window must not allocate.
+/// Then the JSONL trace is read back from memory, its longest line
+/// first so the reader's line buffer reaches full size on that line:
+/// no later line may allocate.
 fn gate_tracing() {
+    let mut engine =
+        Engine::new(grid(), grid_cfg(), Dbao::new()).with_observer(BinSink::new(io::sink()));
+    warm_up(&mut engine);
+    let frames_before = engine.observer().events() / FRAME_EVENTS as u64;
+    let (bin_delta, bin_slots) = measure(&mut engine);
+    let frames = engine.observer().events() / FRAME_EVENTS as u64 - frames_before;
+    let budget = ALLOCS_PER_FRAME * frames;
+    assert!(
+        bin_delta <= budget,
+        "dbao traced to binary allocated {bin_delta} times in {bin_slots} steady-state \
+         slots, flushing {frames} frames (budget {budget})"
+    );
+
     let mut engine =
         Engine::new(grid(), grid_cfg(), Dbao::new()).with_observer(JsonlSink::new(io::sink()));
     let (delta, slots) = steady_state_allocs(&mut engine);
@@ -188,7 +222,8 @@ fn gate_tracing() {
         read - 1
     );
     eprintln!(
-        "alloc-gate tracing: jsonl encode 0 in {slots} slots, jsonl read 0 in {} lines",
+        "alloc-gate tracing: bin encode {bin_delta} in {bin_slots} slots ({frames} frames), \
+         jsonl encode 0 in {slots} slots, jsonl read 0 in {} lines",
         read - 1
     );
 }

@@ -4,7 +4,7 @@
 //! count, and a resumed run over existing checkpoints reproduces the
 //! same bytes while simulating only the missing cells.
 
-use ldcf_bench::campaign::run_campaign;
+use ldcf_bench::{run_campaign_with, CampaignOptions};
 use ldcf_scenarios::ScenarioSpec;
 use std::path::{Path, PathBuf};
 
@@ -15,6 +15,13 @@ fn demo_spec() -> ScenarioSpec {
     );
     let text = std::fs::read_to_string(path).expect("committed demo spec exists");
     ScenarioSpec::from_toml_str(&text).expect("committed demo spec parses")
+}
+
+fn quick() -> CampaignOptions {
+    CampaignOptions {
+        quick: true,
+        ..CampaignOptions::default()
+    }
 }
 
 fn fresh_dir(name: &str) -> PathBuf {
@@ -38,8 +45,8 @@ fn two_runs_and_both_thread_counts_are_byte_identical() {
     let d2 = fresh_dir("run2");
     let d3 = fresh_dir("run3");
 
-    let o1 = run_campaign(demo_spec(), true, &d1, false).unwrap();
-    let o2 = run_campaign(demo_spec(), true, &d2, false).unwrap();
+    let o1 = run_campaign_with(demo_spec(), &d1, quick()).unwrap();
+    let o2 = run_campaign_with(demo_spec(), &d2, quick()).unwrap();
     assert_eq!(o1.digest, o2.digest);
     assert_eq!(o1.cells_run, 6);
     assert_eq!(artefacts(&d1), artefacts(&d2), "two runs, same bytes");
@@ -47,7 +54,7 @@ fn two_runs_and_both_thread_counts_are_byte_identical() {
     // One worker thread vs the default: the aggregate must not depend
     // on execution order.
     rayon::set_thread_limit(Some(1));
-    let o3 = run_campaign(demo_spec(), true, &d3, false);
+    let o3 = run_campaign_with(demo_spec(), &d3, quick());
     rayon::set_thread_limit(None);
     let o3 = o3.unwrap();
     assert_eq!(o3.digest, o1.digest);
@@ -65,7 +72,7 @@ fn two_runs_and_both_thread_counts_are_byte_identical() {
 #[test]
 fn resume_after_partial_loss_reruns_only_missing_cells_same_bytes() {
     let dir = fresh_dir("resume");
-    let first = run_campaign(demo_spec(), true, &dir, false).unwrap();
+    let first = run_campaign_with(demo_spec(), &dir, quick()).unwrap();
     assert_eq!(first.cells_total, 6);
     assert_eq!(first.cells_run, 6);
     let baseline = artefacts(&dir);
@@ -90,7 +97,7 @@ fn resume_after_partial_loss_reruns_only_missing_cells_same_bytes() {
     std::fs::remove_file(dir.join("campaign.json")).unwrap();
     std::fs::remove_file(dir.join("campaign-stats.md")).unwrap();
 
-    let second = run_campaign(demo_spec(), true, &dir, false).unwrap();
+    let second = run_campaign_with(demo_spec(), &dir, quick()).unwrap();
     assert_eq!(second.cells_resumed, 4, "four checkpoints survived");
     assert_eq!(second.cells_run, 2, "only the lost cells re-simulate");
     assert_eq!(artefacts(&dir), baseline, "resumed run, same bytes");
@@ -101,14 +108,14 @@ fn resume_after_partial_loss_reruns_only_missing_cells_same_bytes() {
 #[test]
 fn stale_checkpoints_from_another_spec_are_ignored() {
     let dir = fresh_dir("stale");
-    run_campaign(demo_spec(), true, &dir, false).unwrap();
+    run_campaign_with(demo_spec(), &dir, quick()).unwrap();
 
     // A different topology seed changes the spec digest but leaves
     // every cell filename identical — the old checkpoints must be
     // re-run, not silently reused.
     let mut spec = demo_spec();
     spec.topology_seed = 1234;
-    let outcome = run_campaign(spec, true, &dir, false).unwrap();
+    let outcome = run_campaign_with(spec, &dir, quick()).unwrap();
     assert_eq!(outcome.cells_resumed, 0, "stale digests never resume");
     assert_eq!(outcome.cells_run, 6);
 

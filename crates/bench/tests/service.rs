@@ -51,7 +51,15 @@ fn poll_state(client: &Client, id: &str, want: &str, timeout: Duration) -> Value
 /// Run the demo spec directly through the runner (the reference bytes).
 fn direct_run(out: &Path, quick: bool) -> Vec<u8> {
     let spec = ldcf_scenarios::ScenarioSpec::from_toml_str(&spec_text()).unwrap();
-    ldcf_bench::campaign::run_campaign(spec, quick, out, false).expect("direct campaign");
+    ldcf_bench::run_campaign_with(
+        spec,
+        out,
+        ldcf_bench::CampaignOptions {
+            quick,
+            ..Default::default()
+        },
+    )
+    .expect("direct campaign");
     std::fs::read(out.join("campaign.json")).unwrap()
 }
 

@@ -5,7 +5,8 @@
 //! rayon worker count. Uses a seed-heavy spec (the shape the streaming
 //! reducer exists for) shrunk to stay test-fast.
 
-use ldcf_bench::campaign::{recompute_stats, run_campaign, validate_campaign_json};
+use ldcf_bench::campaign::{recompute_stats, validate_campaign_json};
+use ldcf_bench::{run_campaign_with, CampaignOptions};
 use ldcf_scenarios::ScenarioSpec;
 use serde::Value;
 use std::path::PathBuf;
@@ -51,7 +52,7 @@ fn fresh_dir(name: &str) -> PathBuf {
 #[test]
 fn recomputed_stats_equal_the_campaign_embedded_block() {
     let dir = fresh_dir("recompute");
-    let outcome = run_campaign(seedy_spec(), false, &dir, false).unwrap();
+    let outcome = run_campaign_with(seedy_spec(), &dir, CampaignOptions::default()).unwrap();
     assert_eq!(outcome.cells_total, 120);
 
     // The embedded statistics block validates and matches the fold the
@@ -94,9 +95,9 @@ fn statistics_bytes_are_worker_count_invariant() {
     let d1 = fresh_dir("threads-default");
     let d2 = fresh_dir("threads-one");
 
-    let o1 = run_campaign(seedy_spec(), false, &d1, false).unwrap();
+    let o1 = run_campaign_with(seedy_spec(), &d1, CampaignOptions::default()).unwrap();
     rayon::set_thread_limit(Some(1));
-    let o2 = run_campaign(seedy_spec(), false, &d2, false);
+    let o2 = run_campaign_with(seedy_spec(), &d2, CampaignOptions::default());
     rayon::set_thread_limit(None);
     let o2 = o2.unwrap();
 
@@ -120,7 +121,7 @@ fn statistics_bytes_are_worker_count_invariant() {
 #[test]
 fn paired_comparison_and_conformance_surface_in_the_artefacts() {
     let dir = fresh_dir("surface");
-    let outcome = run_campaign(seedy_spec(), false, &dir, false).unwrap();
+    let outcome = run_campaign_with(seedy_spec(), &dir, CampaignOptions::default()).unwrap();
 
     // Two protocols over common seeds → exactly one paired comparison,
     // fed by every seed both sides covered.

@@ -1,14 +1,14 @@
 //! Telemetry merge determinism: histograms and profilers built by
-//! parallel workers and merged in input order must serialize to the
-//! same bytes whatever the worker count.
+//! parallel workers and merged in input order must come out equal,
+//! counter for counter, whatever the worker count.
 //!
 //! The campaign runner merges per-cell [`PhaseProfiler`]s into one
 //! aggregate; if that merge (or the histogram arithmetic under it)
 //! depended on scheduling in any way, the merged profile would stop
 //! being reproducible. Jobs here fan out over the vendored rayon pool with
 //! deterministic synthetic samples (a seeded LCG per job — no wall
-//! clock), are reduced in input order, and the merged JSON is compared
-//! to the bit across thread limits. Lives in its own integration binary
+//! clock), are reduced in input order, and the merged structs are
+//! compared across thread limits. Lives in its own integration binary
 //! because the rayon thread limit is process-global (same idiom as
 //! `sweep_determinism.rs`).
 
@@ -45,7 +45,7 @@ fn job_profiler(seed: u64) -> PhaseProfiler {
     prof
 }
 
-fn merged_json(limit: Option<usize>) -> (String, String) {
+fn merged(limit: Option<usize>) -> (StreamingHistogram, PhaseProfiler) {
     rayon::set_thread_limit(limit);
     let jobs: Vec<u64> = (1..=24).collect();
 
@@ -67,30 +67,19 @@ fn merged_json(limit: Option<usize>) -> (String, String) {
         prof.merge(p);
     }
 
-    (
-        serde_json::to_string(&hist.to_value()).expect("histogram JSON"),
-        serde_json::to_string(&prof.to_value()).expect("profiler JSON"),
-    )
+    (hist, prof)
 }
 
 #[test]
 fn merged_telemetry_is_bit_identical_across_worker_counts() {
-    let baseline = merged_json(Some(1));
-    assert!(
-        baseline.0.contains("\"count\""),
-        "histogram JSON looks wrong: {}",
-        baseline.0
-    );
-    assert!(
-        baseline.1.contains("\"phases\""),
-        "profiler JSON looks wrong: {}",
-        baseline.1
-    );
+    let baseline = merged(Some(1));
+    assert_eq!(baseline.0.count, 24 * 500);
+    assert_eq!(baseline.1.slots(), 24 * 64);
     for limit in [Some(2), None] {
-        let run = merged_json(limit);
-        assert_eq!(
-            baseline, run,
-            "merged telemetry JSON differs at thread limit {limit:?}"
+        let run = merged(limit);
+        assert!(
+            baseline == run,
+            "merged telemetry differs at thread limit {limit:?}"
         );
     }
     rayon::set_thread_limit(None);

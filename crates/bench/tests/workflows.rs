@@ -65,7 +65,7 @@ fn ci_workflow_parses_and_fans_out_over_the_stages() {
         "./ci.sh fmt clippy",
         "./ci.sh shellcheck",
         "./ci.sh build test alloc-gate",
-        "./ci.sh build artefacts forensics bintrace digests",
+        "./ci.sh build artefacts forensics digests",
         "./ci.sh build campaign stats service",
         "./ci.sh benchmark",
     ] {
@@ -90,7 +90,6 @@ fn ci_script_carries_the_load_bearing_gates() {
         "alloc-gate",
         "artefacts",
         "forensics",
-        "bintrace",
         "digests",
         "campaign",
         "stats",
@@ -116,12 +115,20 @@ fn ci_script_carries_the_load_bearing_gates() {
     assert!(text.contains("ablation-opportunistic --quick"));
     assert!(text.contains("ablation-overhearing --quick"));
     assert!(text.contains("for table in ablation-opportunistic ablation-overhearing"));
-    // bintrace: forensics over each binary trace and over its exported
-    // JSONL twin must write identical JSON reports.
+    // Traced runs write binary only: every trace is exported to JSONL
+    // and checked against the pinned hashes...
+    assert!(text.contains("trace export --trace \"$bin\""));
+    assert!(text.contains("sha256sum --check --quiet"));
+    assert!(text.contains("baselines/quick/traces.sha256"));
+    // ...and forensics over each gated binary trace and over its
+    // exported JSONL twin must write identical JSON reports.
     assert!(text.contains("forensics --trace \"${bin%.bin}.jsonl\""));
-    assert!(text.contains(
-        "diff -r \"$ART_DIR/bin-run/forensics-bin\" \"$ART_DIR/bin-run/forensics-jsonl\""
-    ));
+    assert!(text.contains("diff -r \"$ART_DIR/forensics-bin\" \"$ART_DIR/forensics-jsonl\""));
+    assert!(text.contains("trace info --trace \"$bin\" --min-ratio 4"));
+    assert!(
+        !text.contains("bintrace"),
+        "ci.sh: the bintrace stage folded into artefacts and forensics"
+    );
     assert!(text.contains("--test alloc_gate"));
     assert!(text.contains("cargo test -q --manifest-path benchmark/Cargo.toml"));
     // benchmark/ sits outside the workspace: fmt and clippy must name it.

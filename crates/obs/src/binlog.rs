@@ -629,7 +629,9 @@ impl<R: Read + Seek> BinReader<R> {
 
         let mut pos = 1usize;
         let n_frames = get_varint(&index, &mut pos)?;
-        if n_frames > index_len {
+        // Each entry takes at least four one-byte varints, so this also
+        // bounds the allocation below by the index's own size.
+        if n_frames > index_len / 4 {
             return Err(corrupt(format!("index claims {n_frames} frames")));
         }
         let mut frames = Vec::with_capacity(n_frames as usize);
@@ -642,10 +644,20 @@ impl<R: Read + Seek> BinReader<R> {
             if offset < BIN_MAGIC.len() as u64 || offset >= index_offset {
                 return Err(corrupt(format!("frame offset {offset} is out of bounds")));
             }
+            let max_slot = min_slot.checked_add(span).ok_or_else(|| {
+                corrupt(format!("frame slot span {min_slot}+{span} overflows u64"))
+            })?;
+            // A frame holds at least one event, and at most one per
+            // payload byte (the tag stream).
+            if n_events == 0 || n_events > MAX_PAYLOAD {
+                return Err(corrupt(format!(
+                    "index claims {n_events} events in a frame"
+                )));
+            }
             frames.push(FrameMeta {
                 offset,
                 min_slot,
-                max_slot: min_slot + span,
+                max_slot,
                 n_events,
             });
         }
@@ -881,6 +893,51 @@ mod tests {
                 bytes.len()
             );
         }
+    }
+
+    /// A container around a hand-written index: magic, `body`, the
+    /// index, and a trailer carrying the index's real offset and CRC,
+    /// so every index field reaches the parser.
+    fn sealed(body: &[u8], index: &[u8]) -> Vec<u8> {
+        let mut bytes = BIN_MAGIC.to_vec();
+        bytes.extend_from_slice(body);
+        let index_offset = bytes.len() as u64;
+        bytes.extend_from_slice(index);
+        bytes.extend_from_slice(&index_offset.to_le_bytes());
+        bytes.extend_from_slice(&crc32(index).to_le_bytes());
+        bytes.extend_from_slice(&IDX_MAGIC);
+        bytes
+    }
+
+    fn open_err(bytes: Vec<u8>) -> String {
+        match BinReader::new(Cursor::new(bytes)) {
+            Ok(_) => panic!("hostile index accepted"),
+            Err(e) => e.to_string(),
+        }
+    }
+
+    #[test]
+    fn hostile_index_slot_span_is_corrupt() {
+        // One frame at offset 8 (zigzag 16) whose min_slot is the delta
+        // −1 (zigzag 1) from 0, i.e. u64::MAX, with a slot span of 1.
+        let err = open_err(sealed(&[0], &[INDEX_MARKER, 1, 16, 1, 1, 1]));
+        assert!(err.contains("overflows u64"), "{err}");
+    }
+
+    #[test]
+    fn hostile_index_event_counts_are_corrupt() {
+        // Two frames claiming 2^63 events each: their total would not
+        // fit in a u64.
+        let mut index = vec![INDEX_MARKER, 2];
+        for offset_delta in [16, 2] {
+            index.extend_from_slice(&[offset_delta, 0, 0]);
+            put_varint(&mut index, 1 << 63);
+        }
+        let err = open_err(sealed(&[0, 0], &index));
+        assert!(err.contains("events in a frame"), "{err}");
+        // A frame of no events is no frame.
+        let err = open_err(sealed(&[0], &[INDEX_MARKER, 1, 16, 0, 0, 0]));
+        assert!(err.contains("events in a frame"), "{err}");
     }
 
     #[test]

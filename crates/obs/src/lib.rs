@@ -20,10 +20,12 @@
 //!   queue depth) and the coverage-growth curve X(t).
 //! * [`JsonlSink`] / [`JsonlReader`] — one JSON object per event, one
 //!   event per line, through the direct codec
-//!   [`SimEvent::write_jsonl`] / [`SimEvent::parse_jsonl`].
-//! * [`binlog`] — the binary columnar trace format: [`BinSink`] writes
-//!   CRC-guarded varint+delta frames with a trailing slot index,
-//!   [`BinReader`] streams them back lazily or seeks by slot range.
+//!   [`SimEvent::write_jsonl`] / [`SimEvent::parse_jsonl`]; the export
+//!   view of a binary trace.
+//! * [`binlog`] — the binary columnar trace format, the one traced
+//!   `experiments` runs write: [`BinSink`] writes CRC-guarded
+//!   varint+delta frames with a trailing slot index, [`BinReader`]
+//!   streams them back lazily or seeks by slot range.
 //! * [`RunManifest`] — provenance (protocols, config, seeds, wall clock,
 //!   slots/sec) written next to every generated artefact; runs submitted
 //!   through the campaign service additionally record their job id and

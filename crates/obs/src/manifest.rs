@@ -29,11 +29,13 @@ pub struct RunManifest {
     /// slots were simulated).
     pub slots_per_sec: f64,
     /// Event-trace format the artefact's runs emitted (`"none"` when
-    /// tracing was off, else `"jsonl"` or `"bin"`).
+    /// tracing was off, else `"bin"`; manifests written before runs
+    /// traced to binary only may say `"jsonl"`).
     pub trace_format: String,
     /// Events written across every trace sink of the artefact.
     pub trace_events_written: u64,
-    /// Bytes written across every trace sink of the artefact.
+    /// Bytes written across every trace sink of the artefact: the
+    /// binary trace files' sizes, not those of their JSONL exports.
     pub trace_bytes_written: u64,
     /// How the run was initiated: `"cli"` for direct invocations,
     /// `"service"` for campaigns submitted over the job server's HTTP

@@ -26,8 +26,6 @@
 //! per-slot phase times telescope — their sum equals the recorded slot
 //! total *exactly*, by construction, not approximately.
 
-use serde::Value;
-
 // ---------------------------------------------------------------------
 // Phase taxonomy
 // ---------------------------------------------------------------------
@@ -237,75 +235,6 @@ impl StreamingHistogram {
     pub fn p99(&self) -> Option<u64> {
         self.quantile(0.99)
     }
-
-    /// JSON rendering: summary stats plus the *sparse* bucket list
-    /// (`[index, count]` pairs for non-empty buckets only, ascending),
-    /// so artefacts stay small and merges stay byte-comparable.
-    pub fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("count".into(), Value::UInt(self.count)),
-            ("sum".into(), Value::UInt(self.sum)),
-            ("max".into(), Value::UInt(self.max)),
-            ("p50".into(), Value::UInt(self.p50().unwrap_or(0))),
-            ("p95".into(), Value::UInt(self.p95().unwrap_or(0))),
-            ("p99".into(), Value::UInt(self.p99().unwrap_or(0))),
-            (
-                "buckets".into(),
-                Value::Array(
-                    self.counts
-                        .iter()
-                        .enumerate()
-                        .filter(|&(_, &c)| c > 0)
-                        .map(|(i, &c)| Value::Array(vec![Value::UInt(i as u64), Value::UInt(c)]))
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    /// Rebuild a histogram from its [`to_value`](Self::to_value)
-    /// rendering. The quantile fields are recomputed from the bucket
-    /// counters, not trusted; the summary counters must be internally
-    /// consistent (bucket counts summing to `count`) or the document is
-    /// rejected.
-    pub fn from_value(v: &Value) -> Result<Self, String> {
-        let field = |name: &str| {
-            v.get(name)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("histogram missing integer '{name}'"))
-        };
-        let mut h = Self::new();
-        h.count = field("count")?;
-        h.sum = field("sum")?;
-        h.max = field("max")?;
-        let Some(Value::Array(buckets)) = v.get("buckets") else {
-            return Err("histogram missing 'buckets' array".into());
-        };
-        let mut total = 0u64;
-        for (n, pair) in buckets.iter().enumerate() {
-            let Value::Array(pair) = pair else {
-                return Err(format!("buckets[{n}] is not an [index, count] pair"));
-            };
-            let (Some(i), Some(c)) = (
-                pair.first().and_then(Value::as_u64),
-                pair.get(1).and_then(Value::as_u64),
-            ) else {
-                return Err(format!("buckets[{n}] is not an [index, count] pair"));
-            };
-            if (i as usize) >= N_BUCKETS {
-                return Err(format!("buckets[{n}] index {i} out of range"));
-            }
-            h.counts[i as usize] += c;
-            total += c;
-        }
-        if total != h.count {
-            return Err(format!(
-                "bucket counts sum to {total} but count says {}",
-                h.count
-            ));
-        }
-        Ok(h)
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -374,7 +303,7 @@ impl<P: SimProfiler> SimProfiler for &mut P {
 /// Merging profilers from many runs (or many rayon workers) is
 /// counter addition throughout, so the folded result is deterministic
 /// whatever the parallelism.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PhaseProfiler {
     /// Per-phase segment-cost histograms, indexed by `Phase as usize`.
     phases: [StreamingHistogram; N_PHASES],
@@ -432,37 +361,6 @@ impl PhaseProfiler {
         }
         self.slot.merge(&other.slot);
         self.slot_total_ns += other.slot_total_ns;
-    }
-
-    /// JSON rendering: the slot histogram plus one entry per phase
-    /// (name, exact total, share of the slot total, histogram).
-    pub fn to_value(&self) -> Value {
-        let slot_total = self.slot_total_ns.max(1);
-        Value::Object(vec![
-            ("slots".into(), Value::UInt(self.slots())),
-            ("slot_total_ns".into(), Value::UInt(self.slot_total_ns)),
-            ("slot_ns".into(), self.slot.to_value()),
-            (
-                "phases".into(),
-                Value::Array(
-                    Phase::ALL
-                        .iter()
-                        .map(|&p| {
-                            let total = self.phase_total_ns(p);
-                            Value::Object(vec![
-                                ("phase".into(), Value::Str(p.name().into())),
-                                ("total_ns".into(), Value::UInt(total)),
-                                (
-                                    "share".into(),
-                                    Value::Float(total as f64 / slot_total as f64),
-                                ),
-                                ("segment_ns".into(), self.phase_hist(p).to_value()),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
     }
 }
 
@@ -635,57 +533,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_roundtrips_through_value() {
-        let mut h = StreamingHistogram::new();
-        for v in [0u64, 1, 15, 16, 17, 100, 1_000_000, u64::MAX / 2] {
-            h.record(v);
-        }
-        let back = StreamingHistogram::from_value(&h.to_value()).unwrap();
-        assert_eq!(back, h);
-        assert_eq!(back.p95(), h.p95());
-
-        let empty = StreamingHistogram::new();
-        assert_eq!(
-            StreamingHistogram::from_value(&empty.to_value()).unwrap(),
-            empty
-        );
-    }
-
-    #[test]
-    fn histogram_from_value_rejects_inconsistent_documents() {
-        let mut h = StreamingHistogram::new();
-        h.record(42);
-        // Tamper: claim two samples while the buckets hold one.
-        let Value::Object(mut fields) = h.to_value() else {
-            unreachable!()
-        };
-        for (k, v) in &mut fields {
-            if k == "count" {
-                *v = Value::UInt(2);
-            }
-        }
-        let err = StreamingHistogram::from_value(&Value::Object(fields)).unwrap_err();
-        assert!(err.contains("sum to 1"), "err: {err}");
-        assert!(StreamingHistogram::from_value(&Value::Null).is_err());
-        // Out-of-range bucket index.
-        let bad = Value::Object(vec![
-            ("count".into(), Value::UInt(1)),
-            ("sum".into(), Value::UInt(1)),
-            ("max".into(), Value::UInt(1)),
-            (
-                "buckets".into(),
-                Value::Array(vec![Value::Array(vec![
-                    Value::UInt(10_000),
-                    Value::UInt(1),
-                ])]),
-            ),
-        ]);
-        assert!(StreamingHistogram::from_value(&bad)
-            .unwrap_err()
-            .contains("out of range"));
-    }
-
-    #[test]
     #[allow(clippy::assertions_on_constants)]
     fn null_profiler_is_disabled() {
         assert!(!NullProfiler::ENABLED);
@@ -709,9 +556,6 @@ mod tests {
         assert_eq!(a.phases_total_ns(), 110);
         assert_eq!(a.phase_total_ns(Phase::Propose), 40);
         assert_eq!(a.phase_hist(Phase::Propose).count, 2);
-        let json = serde_json::to_string_pretty(&a.to_value()).unwrap();
-        assert!(json.contains("\"propose\""));
-        assert!(json.contains("slot_total_ns"));
     }
 
     #[test]
