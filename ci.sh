@@ -16,7 +16,7 @@
 #   build          cargo build --workspace --release
 #   test           cargo test --workspace
 #   alloc-gate     hot-path allocation gate
-#   artefacts      fig9 + resilience + OF/DBAO ablation byte-identity
+#   artefacts      fig9/10/11 + resilience + OF/DBAO ablation byte-identity
 #                  vs pinned baselines; binary traces exported to JSONL
 #                  and checked against the pinned trace hashes
 #   forensics      theory checks over every fig9 trace (+ faulted),
@@ -104,7 +104,7 @@ stage_alloc_gate() {
 }
 
 stage_artefacts() {
-    step "regenerate fig9 + resilience (--quick, --profile) and the OF/DBAO ablations, and gate byte-identity vs pinned baselines"
+    step "regenerate fig9 + resilience (--quick, --profile), fig10/fig11 and the OF/DBAO ablations, and gate byte-identity vs pinned baselines"
     ensure_built
     # Run with the phase profiler ON: telemetry must be observational
     # only, so even instrumented runs reproduce every pinned byte.
@@ -114,9 +114,12 @@ stage_artefacts() {
         --trace-events "$ART_DIR/traces" > /dev/null
     export_traces
     # The ablations hold OF's pure-tree mode and DBAO without
-    # overhearing to pinned bytes too.
+    # overhearing to pinned bytes too; fig10/fig11 hold all three
+    # protocols across four duties.
     ./target/release/experiments ablation-opportunistic --quick --out "$ART_DIR" > /dev/null
     ./target/release/experiments ablation-overhearing --quick --out "$ART_DIR" > /dev/null
+    ./target/release/experiments fig10 --quick --out "$ART_DIR" > /dev/null
+    ./target/release/experiments fig11 --quick --out "$ART_DIR" > /dev/null
     # Performance work must not move a single byte of any artefact:
     # tables and event traces are diffed against
     # crates/bench/baselines/quick/, which the slot-stepped oracle
@@ -126,6 +129,8 @@ stage_artefacts() {
     # heartbeat *-telemetry.jsonl, profile reports — is deliberately
     # outside this contract and never diffed.)
     diff -u crates/bench/baselines/quick/fig9.md "$ART_DIR/fig9.md"
+    diff -u crates/bench/baselines/quick/fig10.md "$ART_DIR/fig10.md"
+    diff -u crates/bench/baselines/quick/fig11.md "$ART_DIR/fig11.md"
     diff -u crates/bench/baselines/quick/resilience.md "$ART_DIR/resilience.md"
     for table in ablation-opportunistic ablation-overhearing; do
         diff -u "crates/bench/baselines/quick/$table.md" "$ART_DIR/$table.md"

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! experiments <artefact> [--quick] [--out DIR] [--trace-events DIR]
-//!             [--metrics DIR] [--profile]
+//!             [--profile]
 //! experiments forensics --trace FILE [--out DIR]
 //! experiments trace info --trace FILE [--min-ratio R]
 //! experiments trace export --trace FILE [--out FILE]
@@ -36,8 +36,8 @@
 //! columnar binary file per run (`<stem>.events.bin`, with a seekable
 //! slot index) and records the sink's event/byte totals in each
 //! artefact manifest; `trace export` turns such a file into JSONL.
-//! `--metrics DIR` snapshots per-run metric registries (delay
-//! histogram, per-node load, coverage growth) as JSON.
+//! That trace is the run's one record: `forensics` and `trace query`
+//! read per-packet delays, coverage growth and per-node load from it.
 //! `--profile` on a generic artefact attaches the engine phase profiler
 //! to every simulation and prints a per-phase cost summary to stderr —
 //! the artefact bytes themselves must not change (CI diffs them against
@@ -128,7 +128,6 @@ struct Cli {
     quick: bool,
     out: Option<PathBuf>,
     trace_events: Option<PathBuf>,
-    metrics: Option<PathBuf>,
     trace: Option<PathBuf>,
     spec: Option<PathBuf>,
     digest: bool,
@@ -181,13 +180,7 @@ fn allowed_flags(artefact: &str) -> &'static [&'static str] {
         "status" => &["--server", "--id"],
         "fetch" => &["--server", "--id", "--artefact", "--out"],
         "cancel" => &["--server", "--id"],
-        _ => &[
-            "--quick",
-            "--out",
-            "--trace-events",
-            "--metrics",
-            "--profile",
-        ],
+        _ => &["--quick", "--out", "--trace-events", "--profile"],
     }
 }
 
@@ -202,7 +195,6 @@ fn parse_args() -> Cli {
     let mut profile = false;
     let mut no_progress = false;
     let mut trace_events = None;
-    let mut metrics = None;
     let mut min_ratio = None;
     let mut slot = None;
     let mut node = None;
@@ -234,7 +226,6 @@ fn parse_args() -> Cli {
             "--trace" => trace = Some(PathBuf::from(value("a file"))),
             "--spec" => spec = Some(PathBuf::from(value("a file"))),
             "--trace-events" => trace_events = Some(PathBuf::from(value("a directory"))),
-            "--metrics" => metrics = Some(PathBuf::from(value("a directory"))),
             "--min-ratio" => {
                 let r = value("a ratio");
                 min_ratio = Some(
@@ -314,7 +305,6 @@ fn parse_args() -> Cli {
         quick,
         out,
         trace_events,
-        metrics,
         trace,
         spec,
         digest,
@@ -346,11 +336,6 @@ impl Cli {
                 .with_event_tracing(dir)
                 .unwrap_or_else(|e| usage(&format!("--trace-events: {e}")));
         }
-        if let Some(dir) = &self.metrics {
-            runner = runner
-                .with_metrics(dir)
-                .unwrap_or_else(|e| usage(&format!("--metrics: {e}")));
-        }
         if self.profile {
             runner = runner.with_profiling();
         }
@@ -363,7 +348,7 @@ fn usage(err: &str) -> ! {
         eprintln!("error: {err}\n");
     }
     eprintln!(
-        "usage: experiments <artefact> [--quick] [--out DIR] [--trace-events DIR] [--metrics DIR] [--profile]\n\
+        "usage: experiments <artefact> [--quick] [--out DIR] [--trace-events DIR] [--profile]\n\
          \u{20}      experiments forensics --trace FILE [--out DIR]\n\
          \u{20}      experiments trace info --trace FILE [--min-ratio R]\n\
          \u{20}      experiments trace export --trace FILE [--out FILE]\n\

@@ -354,9 +354,11 @@ pub fn lifetime_gain(n: u64, mean_q: f64) -> String {
 /// Sensitivity to the local-synchronization assumption (§III-B): sweep
 /// the residual sync error (mistimed-rendezvous probability) and measure
 /// DBAO's delay and wasted transmissions. The paper assumes perfect
-/// local sync; this quantifies how much precision the assumption buys,
-/// mapping each error level to the re-sync interval of a mote-class
-/// protocol via `ldcf_net::clock::SyncModel`.
+/// local sync; this quantifies how much precision the assumption buys
+/// over a fixed grid of error levels (0–50 %). The levels are not
+/// derived from a clock model: mapping an error level to the re-sync
+/// interval of a mote-class protocol (`ldcf_net::clock::SyncModel`) is
+/// `examples/sync_sensitivity.rs`'s job.
 pub fn sync_error(runner: &Runner, opts: &ExpOptions) -> Table {
     let topo = ldcf_trace::greenorbs::default_trace(opts.trace_seed);
     let errors = [0.0, 0.05, 0.1, 0.2, 0.3, 0.5];

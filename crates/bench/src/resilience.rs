@@ -126,7 +126,7 @@ fn cell_of_runs(
     }
 }
 
-/// One faulted flood, its trace/metrics files tagged with `tag`.
+/// One faulted flood, its trace file tagged with `tag`.
 fn faulted_run(
     runner: &Runner,
     topo: &Topology,

@@ -12,9 +12,6 @@
 //!   event/byte totals folded into the ledger. JSONL is an export view
 //!   of that file (`experiments trace export`), byte-identical to what
 //!   a [`JsonlSink`](ldcf_sim::JsonlSink) observing the same run writes;
-//! * optional **metrics capture** (`--metrics DIR`) — every flood
-//!   snapshots a `MetricsRegistry` (delay histogram, per-node load,
-//!   queue depth, coverage growth) as one JSON file;
 //! * optional **self-profiling** (`--profile`) — every flood runs with
 //!   an engine phase profiler attached, merged into the runner's
 //!   [`PhaseProfiler`].
@@ -22,16 +19,16 @@
 //! The CLI builds one runner per artefact and the campaign runner one
 //! per campaign, so concurrent service jobs and parallel tests never
 //! share a tally. Floods run on the engine's default, event-driven
-//! path; when neither directory is configured they run with the
-//! engine's `NullObserver` and pay nothing, likewise for profiling and
-//! the engine's `NullProfiler`.
+//! path; when tracing is off they run with the engine's `NullObserver`
+//! and pay nothing, likewise for profiling and the engine's
+//! `NullProfiler`.
 
 use ldcf_net::{NeighborTable, Topology};
 use ldcf_protocols::{Dbao, DbaoConfig, NaiveFlood, OfConfig, OpportunisticFlooding, Opt};
 use ldcf_sim::energy::EnergyLedger;
 use ldcf_sim::{
-    BinSink, Engine, FaultConfig, FaultPlan, FloodingProtocol, Injection, MetricsObserver,
-    NullObserver, PhaseProfiler, SimConfig, SimEvent, SimObserver, SimReport,
+    BinSink, Engine, FaultConfig, FaultPlan, FloodingProtocol, Injection, NullObserver,
+    PhaseProfiler, SimConfig, SimObserver, SimReport,
 };
 use std::collections::BTreeSet;
 use std::fs::File;
@@ -167,9 +164,9 @@ pub struct RunRequest<'a> {
     /// campaign runner's case, where the scenario owns both instead of
     /// the engine drawing them from `cfg.seed`.
     pub scenario: Option<(NeighborTable, &'a [Injection])>,
-    /// A short filename-safe label appended to the run's trace/metrics
-    /// file stem, so faulted or scenario runs never overwrite the files
-    /// of a run that shares their config shape (empty by default).
+    /// A short filename-safe label appended to the run's trace file
+    /// stem, so faulted or scenario runs never overwrite the trace of a
+    /// run that shares their config shape (empty by default).
     pub tag: &'a str,
 }
 
@@ -211,7 +208,6 @@ pub struct RunOutput {
 #[derive(Debug, Default)]
 pub struct Runner {
     trace: Option<PathBuf>,
-    metrics: Option<PathBuf>,
     profiling: bool,
     tally: Mutex<(WorkLedger, Option<PhaseProfiler>)>,
 }
@@ -223,15 +219,6 @@ impl Runner {
     pub fn with_event_tracing(mut self, dir: &Path) -> std::io::Result<Self> {
         std::fs::create_dir_all(dir)?;
         self.trace = Some(dir.to_path_buf());
-        Ok(self)
-    }
-
-    /// Snapshot every flood's metrics registry to
-    /// `dir/<protocol>-p<period>-a<active>-m<M>-s<seed>.metrics.json`.
-    /// Creates `dir`.
-    pub fn with_metrics(mut self, dir: &Path) -> std::io::Result<Self> {
-        std::fs::create_dir_all(dir)?;
-        self.metrics = Some(dir.to_path_buf());
         Ok(self)
     }
 
@@ -266,8 +253,7 @@ impl Runner {
     }
 
     /// Run one flood to completion and book it into the ledger; when
-    /// configured, write its event trace / metrics snapshot and profile
-    /// it.
+    /// configured, write its event trace and profile it.
     pub fn run(&self, req: RunRequest<'_>) -> RunOutput {
         let (kind, seed) = (req.kind, req.cfg.seed);
         let out = dispatch_protocol!(kind, |p| self.run_protocol(req, p));
@@ -302,20 +288,34 @@ impl Runner {
         }
     }
 
-    /// Attach the trace observer when tracing or metrics are on.
+    /// Attach the run's binary trace sink as the engine observer when
+    /// tracing is on. The sink's `on_finish` seals the index and
+    /// trailer, so the byte count read after the run is the file size.
     fn observe<P: FloodingProtocol, F: FaultPlan>(
         &self,
         engine: Engine<P, NullObserver, F>,
         req: &RunRequest<'_>,
     ) -> RunOutput {
-        match TraceObserver::for_run(self, req) {
-            Some(obs) => {
-                let (mut out, obs) = self.finish(engine.with_observer(obs));
-                (out.trace_events, out.trace_bytes) = obs.written;
-                out
+        let Some(dir) = &self.trace else {
+            return self.finish(engine).0;
+        };
+        let path = dir.join(format!(
+            "{}.events.bin",
+            run_stem(req.kind.name(), req.cfg, req.tag)
+        ));
+        let file = match File::create(&path) {
+            Ok(file) => file,
+            Err(e) => {
+                eprintln!("trace-events: cannot create {}: {e}", path.display());
+                return self.finish(engine).0;
             }
-            None => self.finish(engine).0,
+        };
+        let (mut out, sink) = self.finish(engine.with_observer(BinSink::new(file)));
+        (out.trace_events, out.trace_bytes) = (sink.events(), sink.bytes());
+        if let Err(e) = sink.into_result() {
+            eprintln!("trace-events: write to {} failed: {e}", path.display());
         }
+        out
     }
 
     /// Run the engine, with a profiler lent to it when profiling is on.
@@ -369,85 +369,6 @@ fn run_stem(protocol: &str, cfg: &SimConfig, fault_tag: &str) -> String {
         stem.push_str(fault_tag);
     }
     stem
-}
-
-/// Runtime-optional composite observer for traced floods. Only
-/// instantiated when tracing or metrics are enabled, so the `Option`
-/// checks never touch the default (un-traced) hot path.
-struct TraceObserver {
-    sink: Option<(BinSink<File>, PathBuf)>,
-    metrics: Option<(MetricsObserver, PathBuf)>,
-    /// `(events, bytes)` the sink wrote, set when the run finishes.
-    written: (u64, u64),
-}
-
-impl TraceObserver {
-    /// `None` when neither tracing nor metrics are configured.
-    fn for_run(runner: &Runner, req: &RunRequest<'_>) -> Option<Self> {
-        if runner.trace.is_none() && runner.metrics.is_none() {
-            return None;
-        }
-        let stem = run_stem(req.kind.name(), req.cfg, req.tag);
-        let sink = runner.trace.as_ref().and_then(|dir| {
-            let path = dir.join(format!("{stem}.events.bin"));
-            match File::create(&path) {
-                Ok(file) => Some((BinSink::new(file), path)),
-                Err(e) => {
-                    eprintln!("trace-events: cannot create {}: {e}", path.display());
-                    None
-                }
-            }
-        });
-        let metrics = runner.metrics.as_ref().map(|dir| {
-            let path = dir.join(format!("{stem}.metrics.json"));
-            (
-                MetricsObserver::new(req.topo.n_nodes(), req.cfg.period as u64),
-                path,
-            )
-        });
-        Some(Self {
-            sink,
-            metrics,
-            written: (0, 0),
-        })
-    }
-}
-
-impl SimObserver for TraceObserver {
-    fn on_event(&mut self, event: &SimEvent) {
-        if let Some((sink, _)) = &mut self.sink {
-            sink.on_event(event);
-        }
-        if let Some((metrics, _)) = &mut self.metrics {
-            metrics.on_event(event);
-        }
-    }
-
-    fn on_finish(&mut self) {
-        let mut sink_stats = None;
-        if let Some((mut sink, path)) = self.sink.take() {
-            // `on_finish` seals the index and trailer, so the byte
-            // count read after it is the final file size.
-            sink.on_finish();
-            let (events, bytes) = (sink.events(), sink.bytes());
-            self.written = (events, bytes);
-            sink_stats = Some((events, bytes));
-            if let Err(e) = sink.into_result() {
-                eprintln!("trace-events: write to {} failed: {e}", path.display());
-            }
-        }
-        if let Some((metrics, path)) = self.metrics.take() {
-            let mut registry = metrics.into_registry();
-            if let Some((events, bytes)) = sink_stats {
-                registry.push_counter("trace_events_written", events);
-                registry.push_counter("trace_bytes_written", bytes);
-            }
-            let json = registry.to_json_pretty();
-            if let Err(e) = std::fs::write(&path, json) {
-                eprintln!("metrics: write to {} failed: {e}", path.display());
-            }
-        }
-    }
 }
 
 #[cfg(test)]

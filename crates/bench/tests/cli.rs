@@ -86,6 +86,18 @@ fn trace_format_is_an_unknown_flag() {
 }
 
 #[test]
+fn metrics_is_an_unknown_flag() {
+    // A run's only record is its trace; nothing is written to the
+    // directory, since parsing stops at the flag.
+    let dir = std::env::temp_dir().join(format!("ldcf-cli-metrics-{}", std::process::id()));
+    let out = run(&["fig3", "--metrics", dir.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(2));
+    let err = stderr(&out);
+    assert!(err.contains("unknown flag '--metrics'"), "stderr: {err}");
+    assert!(!dir.exists());
+}
+
+#[test]
 fn trace_subcommand_validates_action_and_flags() {
     // An action is required...
     let out = run(&["trace"]);

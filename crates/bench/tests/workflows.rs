@@ -115,6 +115,13 @@ fn ci_script_carries_the_load_bearing_gates() {
     assert!(text.contains("ablation-opportunistic --quick"));
     assert!(text.contains("ablation-overhearing --quick"));
     assert!(text.contains("for table in ablation-opportunistic ablation-overhearing"));
+    // fig10/fig11 hold all three protocols across four duties.
+    for fig in ["fig10", "fig11"] {
+        assert!(text.contains(&format!("experiments {fig} --quick --out \"$ART_DIR\"")));
+        assert!(text.contains(&format!(
+            "diff -u crates/bench/baselines/quick/{fig}.md \"$ART_DIR/{fig}.md\""
+        )));
+    }
     // Traced runs write binary only: every trace is exported to JSONL
     // and checked against the pinned hashes...
     assert!(text.contains("trace export --trace \"$bin\""));

@@ -367,6 +367,14 @@ fn decode_frame<R: Read + Seek>(src: &mut R, meta: &FrameMeta) -> Result<Vec<Sim
             meta.offset
         )));
     }
+    // The index entry steers slot-range seeks, so it must describe the
+    // frame it points at.
+    if (min_slot, max_slot) != (meta.min_slot, meta.max_slot) {
+        return Err(corrupt(format!(
+            "frame at offset {} spans slots {min_slot}..={max_slot}, its index entry {}..={}",
+            meta.offset, meta.min_slot, meta.max_slot
+        )));
+    }
 
     let n = n_events as usize;
     let mut pos = 0usize;

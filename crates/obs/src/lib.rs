@@ -1,7 +1,7 @@
 //! # ldcf-obs — observability for the LDCF simulator
 //!
-//! Slot-level structured events, a metrics registry, JSONL event sinks,
-//! and run manifests. The design goal is **zero cost when disabled**:
+//! Slot-level structured events, binary and JSONL event sinks, and run
+//! manifests. The design goal is **zero cost when disabled**:
 //! the simulation engine is generic over a [`SimObserver`] whose
 //! associated `const ENABLED: bool` lets every emission site compile
 //! away under the default [`NullObserver`] — the hot path pays nothing
@@ -14,10 +14,7 @@
 //!   mistimed rendezvous, deferrals, coverage milestones, and per-slot
 //!   aggregates.
 //! * [`SimObserver`] — the engine-facing trait; observers compose as
-//!   tuples (`(metrics, sink)`).
-//! * [`MetricsRegistry`] / [`MetricsObserver`] — counters, fixed-bucket
-//!   histograms (flooding-delay distribution, per-node tx/rx load,
-//!   queue depth) and the coverage-growth curve X(t).
+//!   tuples (`(a, b)` feeds both).
 //! * [`JsonlSink`] / [`JsonlReader`] — one JSON object per event, one
 //!   event per line, through the direct codec
 //!   [`SimEvent::write_jsonl`] / [`SimEvent::parse_jsonl`]; the export
@@ -45,7 +42,6 @@ pub mod event;
 pub mod fsutil;
 mod jsonl;
 pub mod manifest;
-pub mod metrics;
 pub mod observer;
 pub mod progress;
 pub mod sink;
@@ -55,7 +51,6 @@ pub use binlog::{BinError, BinReader, BinSink};
 pub use event::SimEvent;
 pub use fsutil::write_atomic;
 pub use manifest::RunManifest;
-pub use metrics::{Histogram, MetricsObserver, MetricsRegistry, Series};
 pub use observer::{NullObserver, SimObserver, VecObserver};
 pub use progress::{CampaignProgress, LatestProgress, ProgressSink};
 pub use sink::{read_jsonl, JsonlReader, JsonlSink};

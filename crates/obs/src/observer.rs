@@ -46,7 +46,7 @@ impl SimObserver for VecObserver {
     }
 }
 
-/// Observers compose as pairs: `(metrics, sink)` feeds both.
+/// Observers compose as pairs: `(a, b)` feeds both.
 impl<A: SimObserver, B: SimObserver> SimObserver for (A, B) {
     const ENABLED: bool = A::ENABLED || B::ENABLED;
 

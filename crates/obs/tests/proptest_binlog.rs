@@ -6,7 +6,8 @@
 //! The reader is also fuzzed as a parser of untrusted bytes: arbitrary
 //! bytes, truncated files, mutated files whose CRCs are recomputed so
 //! the mutation reaches the parser, and hostile length and count
-//! fields in the index and frame headers. Each must come back as an
+//! fields in the index and frame headers, and an index slot span that
+//! disagrees with its frame's header. Each must come back as an
 //! `Err` (or, for a resealed mutation, a consistent decode), never a
 //! panic.
 
@@ -394,6 +395,23 @@ proptest! {
         };
         let frames = &bytes[BIN_MAGIC.len()..index_offset(&bytes)];
         prop_assert!(read_all(assemble(frames, &index_bytes(n, &entries))).is_err());
+    }
+
+    /// An index entry whose slot span differs from its frame header's is
+    /// rejected, with the index CRC resealed: 40 events in 8-event
+    /// frames, frame 2's span rewritten. The span steers slot-range
+    /// seeks, so a wrong one would make them skip frames they need.
+    #[test]
+    fn index_span_must_match_the_frame_header(span in 0u64..1_000) {
+        let events: Vec<SimEvent> =
+            (0..40u64).map(|i| build(0, 10 * i, 1, 2, 0, false, 0)).collect();
+        let bytes = encode(&events, 8);
+        let (n_frames, mut entries) = index_fields(&bytes);
+        prop_assert_eq!(entries.len(), 5);
+        prop_assume!(span != entries[2][2]);
+        entries[2][2] = span;
+        let frames = &bytes[BIN_MAGIC.len()..index_offset(&bytes)];
+        prop_assert!(read_all(assemble(frames, &index_bytes(n_frames, &entries))).is_err());
     }
 
     /// A single-frame trace whose frame header claims another event

@@ -116,13 +116,14 @@ pub(crate) struct Receiver {
 
 /// This slot's sender → receiver lists, built from the awake side.
 ///
-/// A sender can only serve a neighbor that is awake, live and not one
-/// it is backing off from, and at low duty far fewer nodes are awake
-/// than have work. So [`ReceiverLists::build`] walks the rows of the
-/// awake, live nodes only, and appends each awake node to the list of
-/// every neighbor with work. The lists lie one after another in sender
-/// order in one buffer of 8-byte entries: a first walk counts each
-/// sender's entries, a second appends them.
+/// A sender can only serve a neighbor that is awake, live and (for a
+/// protocol with a collision back-off) not one it is backing off from,
+/// and at low duty far fewer nodes are awake than have work. So
+/// [`ReceiverLists::build`] walks the rows of the awake, live nodes
+/// only, and appends each awake node to the list of every neighbor with
+/// work. The lists lie one after another in sender order in one buffer
+/// of 8-byte entries: a first walk counts each sender's entries, a
+/// second appends them.
 ///
 /// [`ReceiverLists::iter`] hands the lists out best link first (PRR
 /// descending, ties to the lower id): awake nodes arrive in ascending
@@ -169,16 +170,17 @@ impl ReceiverLists {
     }
 
     /// Build this slot's lists: every awake, live node `r`, in
-    /// ascending order, joins the list of each neighbor with work that
-    /// is not backing off from `r`.
-    pub fn build(&mut self, state: &SimState, backoff: &CollisionBackoff) {
+    /// ascending order, joins the list of each neighbor with work whose
+    /// inbound link `link_index(r, u)` passes `open` (a back-off filter,
+    /// or `|_| true`).
+    pub fn build(&mut self, state: &SimState, open: impl Fn(usize) -> bool) {
         for u in bitset::iter_ones(&self.senders) {
             self.ends[u] = 0;
         }
         bitset::clear_all(&mut self.senders);
         // Count each sender's receivers, then lay the lists out in
         // sender order: `ends[u]` becomes where u's list starts.
-        for_each_pair(state, backoff, |u, _, _| {
+        for_each_pair(state, &open, |u, _, _| {
             self.ends[u.index()] += 1;
             bitset::set_bit(&mut self.senders, u.index());
         });
@@ -194,7 +196,7 @@ impl ReceiverLists {
         };
         self.entries.clear();
         self.entries.resize(at as usize, blank);
-        for_each_pair(state, backoff, |u, node, link| {
+        for_each_pair(state, &open, |u, node, link| {
             let end = &mut self.ends[u.index()];
             self.entries[*end as usize] = Receiver {
                 node,
@@ -240,24 +242,23 @@ impl ReceiverLists {
 }
 
 /// Call `f(u, r, link)` for every awake, live node `r` in ascending
-/// order and every neighbor `u` of `r` with work that is not backing
-/// off from `r` over the inbound `link` (`link_index(r, u)`).
+/// order and every neighbor `u` of `r` with work whose inbound `link`
+/// (`link_index(r, u)`) passes `open`.
 #[inline]
 fn for_each_pair(
     state: &SimState,
-    backoff: &CollisionBackoff,
+    open: impl Fn(usize) -> bool,
     mut f: impl FnMut(NodeId, NodeId, usize),
 ) {
-    let now = state.now;
     let work = state.work_words();
-    let awake = state.schedules.active_words(now);
+    let awake = state.schedules.active_words(state.now);
     for (w, (&a, &d)) in awake.iter().zip(state.down_words()).enumerate() {
         let mut live = a & !d;
         while live != 0 {
             let r = NodeId::from(w * 64 + live.trailing_zeros() as usize);
             live &= live - 1;
             for (link, u, _) in state.topo.in_links(r) {
-                if bitset::test_bit(work, u.index()) && !backoff.blocked(link, now) {
+                if bitset::test_bit(work, u.index()) && open(link) {
                     f(u, r, link);
                 }
             }
@@ -467,7 +468,7 @@ mod tests {
     ) -> Vec<(NodeId, Vec<(NodeId, usize)>)> {
         let mut lists = ReceiverLists::default();
         lists.on_start(state);
-        lists.build(state, backoff);
+        lists.build(state, |link| !backoff.blocked(link, state.now));
         lists
             .iter(&state.topo)
             .map(|(u, rs)| (u, rs.iter().map(|r| (r.node, r.link as usize)).collect()))

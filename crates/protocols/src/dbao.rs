@@ -15,13 +15,15 @@
 //! * **Overhearing** — bystanders capture unicasts they can hear, so one
 //!   transmission often informs several sensors.
 //!
-//! What DBAO *cannot* fix is the hidden terminal: contenders outside each
-//! other's carrier-sense range still collide at the receiver. The paper
-//! attributes the entire remaining DBAO↔OPT gap to exactly this.
+//! The paper attributes the remaining DBAO↔OPT gap to the hidden
+//! terminal. Here hidden contenders do not collide: outsiders to a
+//! receiver's clique take turns by a license (below), so the gap shows up
+//! as the idle slots that serialisation costs instead (DESIGN.md, "Why
+//! DBAO never collides under this MAC").
 
-use crate::common::{max_degree, CollisionBackoff, ReceiverLists, SlotMemo};
+use crate::common::{max_degree, ReceiverLists, SlotMemo};
 use ldcf_net::{bitset, NodeId, Topology};
-use ldcf_sim::mac::{DeliveryEvent, Overhearing};
+use ldcf_sim::mac::Overhearing;
 use ldcf_sim::{FloodingProtocol, SimState, TxIntent};
 
 /// DBAO tuning knobs (mostly for ablation experiments).
@@ -56,8 +58,6 @@ pub struct Dbao {
     /// Clique members of every receiver, concatenated (see
     /// `clique_offsets`).
     clique_nodes: Vec<NodeId>,
-    /// Randomized retry back-off after hidden-terminal collisions.
-    backoff: CollisionBackoff,
     /// Scratch: this slot's receiver list per sender.
     lists: ReceiverLists,
     /// Per receiver, this slot: whether a member of its clique has a
@@ -78,7 +78,6 @@ impl Dbao {
             rank_in: Vec::new(),
             clique_offsets: Vec::new(),
             clique_nodes: Vec::new(),
-            backoff: CollisionBackoff::new(0xDBA0, 4),
             lists: ReceiverLists::default(),
             clique_busy: SlotMemo::default(),
         }
@@ -111,11 +110,9 @@ impl Dbao {
             // "Each sensor maintains a subset of its neighbors in which
             // those neighbors can hear each other": greedily build a
             // mutually-audible forwarder clique, best inbound links
-            // first. Only clique members may unicast to r, so carrier
-            // sense plus the deterministic ranks fully serialise r's
-            // forwarders; what remains is cross-receiver interference —
-            // the hidden-terminal residue the paper attributes the
-            // DBAO↔OPT gap to.
+            // first. Clique members have priority at r, so carrier sense
+            // plus the deterministic ranks serialise them; the rest of
+            // r's neighbors wait for an idle clique and a license.
             let start = self.clique_nodes.len();
             for (s, _, in_clique, _) in &mut inbound {
                 if self.clique_nodes[start..]
@@ -161,7 +158,6 @@ impl FloodingProtocol for Dbao {
 
     fn on_start(&mut self, state: &SimState) {
         self.build_ranks(&state.topo);
-        self.backoff.on_start(&state.topo);
         self.lists.on_start(state);
         self.clique_busy.on_start(state.n_nodes());
     }
@@ -174,23 +170,23 @@ impl FloodingProtocol for Dbao {
             rank_in,
             clique_offsets,
             clique_nodes,
-            backoff,
             lists,
             clique_busy,
             ..
         } = self;
         // The only senders that can produce an intent: nodes with work
-        // and an awake, live receiver they are not backing off from.
-        lists.build(state, backoff);
+        // and an awake, live receiver. DBAO keeps no collision back-off:
+        // at most one committed sender ever targets a receiver (DESIGN.md,
+        // "Why DBAO never collides under this MAC").
+        lists.build(state, |_| true);
         clique_busy.advance();
         // A receiver r is eligible for u if u wins the deterministic
         // back-off election: u yields to any better-ranked holder that
         // is either in r's forwarder clique (its priority is common
         // knowledge — r's clique assignment is broadcast) or audible to
-        // u (plain carrier sense). Better-ranked *hidden non-clique*
-        // holders are invisible to u — both elect themselves and
-        // collide at r: the residual hidden-terminal gap to OPT the
-        // paper calls out.
+        // u (plain carrier sense). Non-clique holders cannot hear each
+        // other, so they do not elect at all: r's broadcast assignment
+        // licenses one of them at a time.
         let mut eligible = |r: NodeId, my_rank: u32, p: u32| -> bool {
             let clique = &clique_nodes
                 [clique_offsets[r.index()] as usize..clique_offsets[r.index() + 1] as usize];
@@ -257,11 +253,6 @@ impl FloodingProtocol for Dbao {
                 });
             }
         }
-    }
-
-    fn on_events(&mut self, state: &SimState, events: &[DeliveryEvent]) {
-        self.backoff
-            .observe(&state.topo, events, state.now, state.cfg.period);
     }
 }
 

@@ -129,7 +129,7 @@ impl FloodingProtocol for OpportunisticFlooding {
         // The decision RNG is only ever consulted inside the candidate
         // loop, so skipping every other node leaves the draw sequence
         // untouched.
-        lists.build(state, backoff);
+        lists.build(state, |link| !backoff.blocked(link, state.now));
         parent_busy.advance();
         for (u, receivers) in lists.iter(&state.topo) {
             // FCFS over (packet, receiver) candidates: queue × receiver

@@ -1,14 +1,15 @@
 //! Differential test for OF's and DBAO's receiver selection: the
 //! link-indexed `propose` (receiver lists built from the awake nodes'
-//! rows, back-off windows and ranks keyed by the inbound link) must
-//! emit exactly the intents of a reference that enumerates every
-//! queued packet × awake neighbor pair from the sender's side, keys its
-//! back-off windows by `(sender, receiver)` in a hash map and keeps
-//! DBAO's ranks in a dense `n × n` matrix — at every slot of random
-//! floods on lossy links, with equal and mixed wake periods and with
-//! every node always awake, under churn, in both the default and the
-//! ablated configurations. Collisions open back-off windows; where the
-//! MAC never collides, spoofed collisions open them instead.
+//! rows, OF's back-off windows and DBAO's ranks keyed by the inbound
+//! link) must emit exactly the intents of a reference that enumerates
+//! every queued packet × awake neighbor pair from the sender's side,
+//! keys OF's back-off windows by `(sender, receiver)` in a hash map and
+//! keeps DBAO's ranks in a dense `n × n` matrix — at every slot of
+//! random floods on lossy links, with equal and mixed wake periods and
+//! with every node always awake, under churn, in both the default and
+//! the ablated configurations. Collisions open OF's back-off windows;
+//! where the MAC never collides, spoofed collisions open them instead.
+//! DBAO keeps no back-off, and no DBAO flood may collide.
 
 use ldcf_net::{LinkQuality, NeighborTable, NodeId, PacketId, Topology, WorkingSchedule};
 use ldcf_protocols::{Dbao, DbaoConfig, EnergyTree, OfConfig, OpportunisticFlooding};
@@ -168,8 +169,6 @@ struct ReferenceDbao {
     rank: Vec<Vec<u32>>,
     clique_members: Vec<Vec<NodeId>>,
     non_clique_ranks: Vec<Vec<u32>>,
-    backoff: PairBackoff,
-    blocked_hits: u64,
 }
 
 impl ReferenceDbao {
@@ -178,8 +177,6 @@ impl ReferenceDbao {
             rank: Vec::new(),
             clique_members: Vec::new(),
             non_clique_ranks: Vec::new(),
-            backoff: PairBackoff::new(0xDBA0, 4),
-            blocked_hits: 0,
         }
     }
 
@@ -220,7 +217,7 @@ impl ReferenceDbao {
 
     fn eligible(&self, state: &SimState, u: NodeId, r: NodeId, p: PacketId) -> bool {
         let my_rank = self.rank[r.index()][u.index()];
-        if my_rank == u32::MAX || self.backoff.blocked(u, r, state.now) {
+        if my_rank == u32::MAX {
             return false;
         }
         let clique = &self.clique_members[r.index()];
@@ -247,9 +244,6 @@ impl ReferenceDbao {
                 for (v, q) in state.topo.neighbors(u) {
                     if !state.is_active(v) || state.has(v, e.packet) {
                         continue;
-                    }
-                    if self.backoff.blocked(u, v, state.now) {
-                        self.blocked_hits += 1;
                     }
                     if best.is_none_or(|(bq, _)| q.prr() > bq)
                         && self.eligible(state, u, v, e.packet)
@@ -296,30 +290,36 @@ impl Reference {
         }
     }
 
+    /// Digest a slot's outcomes; returns the collisions among them.
     fn observe(&mut self, events: &[DeliveryEvent], now: u64, period: u32) -> u64 {
         match self {
             Reference::Of(r) => r.backoff.observe(events, now, period),
-            Reference::Dbao(r) => r.backoff.observe(events, now, period),
+            Reference::Dbao(_) => events
+                .iter()
+                .filter(|e| e.outcome == Outcome::Collision)
+                .count() as u64,
         }
     }
 
     fn blocked_hits(&self) -> u64 {
         match self {
             Reference::Of(r) => r.blocked_hits,
-            Reference::Dbao(r) => r.blocked_hits,
+            Reference::Dbao(_) => 0,
         }
     }
 }
 
-/// What a checked run saw: slots and intents compared, collisions that
-/// opened back-off windows, candidates a window held back, slots in
-/// which a crashed node the schedule calls awake sat next to a node
-/// with work, and the first disagreement.
+/// What a checked run saw: slots and intents compared, collisions the
+/// protocols were told of (spoofed ones included), collisions the MAC
+/// reported, candidates a back-off window held back, slots in which a
+/// crashed node the schedule calls awake sat next to a node with work,
+/// and the first disagreement.
 #[derive(Default)]
 struct Tally {
     slots: u64,
     intents: u64,
     collisions: u64,
+    mac_collisions: u64,
     blocked_hits: u64,
     crashed_beside_senders: u64,
     mismatch: Option<String>,
@@ -389,9 +389,9 @@ impl<P: FloodingProtocol> FloodingProtocol for Checked<P> {
         let mut events = events.to_vec();
         if self.spoof {
             // Both sides see every third reception as a collision, so
-            // back-off windows open even where the MAC never collides
-            // (pure-tree OF, DBAO's serialised cliques). The flood
-            // itself is untouched: the deliveries already happened.
+            // OF's back-off windows open even where the MAC never
+            // collides (pure-tree OF). The flood itself is untouched:
+            // the deliveries already happened.
             for (i, e) in events.iter_mut().enumerate() {
                 if (state.now as usize + i).is_multiple_of(3) {
                     e.outcome = Outcome::Collision;
@@ -506,21 +506,23 @@ fn run_checked<P: FloodingProtocol>(case: Case, fast: P, reference: Reference) -
         tally: Rc::clone(&tally),
     };
     let engine = Engine::with_schedules(topo, cfg, table, proto);
-    if case.churn {
+    let (report, _) = if case.churn {
         let mut fc = FaultConfig::at_intensity(case.seed, 1.0).churn_only();
         if let Some(c) = fc.churn.as_mut() {
             c.mean_uptime = 200.0;
             c.mean_downtime = 40.0;
             c.retry_backoff = 20;
         }
-        engine.with_faults(fc.build()).run();
+        engine.with_faults(fc.build()).run()
     } else {
-        engine.run();
-    }
-    Rc::try_unwrap(tally)
+        engine.run()
+    };
+    let mut tally = Rc::try_unwrap(tally)
         .ok()
         .expect("the engine is gone")
-        .into_inner()
+        .into_inner();
+    tally.mac_collisions = report.collisions;
+    tally
 }
 
 fn check_of(case: Case, opportunistic: bool) -> Tally {
@@ -599,15 +601,21 @@ proptest! {
             "vacuous run: {:?}",
             case
         );
+        // Clique members serialise by carrier sense, and an outsider
+        // sends only with the license and an idle clique, so at most one
+        // committed sender ever targets a receiver. Spoofing changes
+        // nothing here: DBAO keeps no back-off to feed.
+        prop_assert_eq!(tally.mac_collisions, 0, "DBAO collided: {:?}", case);
     }
 }
 
 /// The comparison is not vacuous about back-off. Opportunistic OF
 /// collides on a lossy grid by itself, and the windows those collisions
-/// open hold candidates back. Pure-tree OF and DBAO never collide under
-/// the MAC's model (one parent per child; carrier-sensed cliques and
-/// one licensed outsider per receiver), so their windows are opened by
-/// spoofed collisions. Either way the intents still agree.
+/// open hold candidates back. Pure-tree OF never collides under the
+/// MAC's model (one parent per child), so its windows are opened by
+/// spoofed collisions. DBAO never collides either (carrier-sensed
+/// cliques and one licensed outsider per receiver) and has no windows
+/// to open. Either way the intents still agree.
 #[test]
 fn back_off_windows_are_exercised() {
     for spoof in [false, true] {
@@ -628,7 +636,7 @@ fn back_off_windows_are_exercised() {
             ] {
                 let what = format!("{name} flag={flag} spoof={spoof}");
                 assert_eq!(tally.mismatch, None, "{what}");
-                let live = spoof || (name == "OF" && flag);
+                let live = name == "OF" && (spoof || flag);
                 assert_eq!(
                     live,
                     tally.collisions > 0 && tally.blocked_hits > 0,
@@ -636,6 +644,9 @@ fn back_off_windows_are_exercised() {
                     tally.collisions,
                     tally.blocked_hits
                 );
+                if name == "DBAO" {
+                    assert_eq!(tally.mac_collisions, 0, "{what}");
+                }
             }
         }
     }

@@ -1425,8 +1425,8 @@ impl<P: FloodingProtocol, O: SimObserver, F: FaultPlan, Pr: SimProfiler> Engine<
     }
 
     /// Run to termination, returning the observer alongside the report
-    /// (a [`ldcf_obs::JsonlSink`] to flush, a
-    /// [`ldcf_obs::MetricsObserver`] to snapshot, ...).
+    /// (a [`ldcf_obs::BinSink`] to read its totals from, a
+    /// [`ldcf_obs::VecObserver`] to inspect, ...).
     pub fn run_traced(mut self) -> (SimReport, EnergyLedger, O) {
         match self.core.kind {
             EngineKind::Slot => while self.step() {},

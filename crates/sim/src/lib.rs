@@ -39,10 +39,7 @@ pub use stats::{PacketStats, SimReport};
 
 // Observability is defined in `ldcf-obs`; re-exported here so callers
 // attaching observers to an [`Engine`] need only this crate.
-pub use ldcf_obs::{
-    BinSink, JsonlSink, MetricsObserver, MetricsRegistry, NullObserver, SimEvent, SimObserver,
-    VecObserver,
-};
+pub use ldcf_obs::{BinSink, JsonlSink, NullObserver, SimEvent, SimObserver, VecObserver};
 
 // Self-profiling (engine phase timers) is likewise defined in
 // `ldcf-obs`; re-exported so callers attaching profilers need only

@@ -104,25 +104,36 @@ fn theory_bound_sits_below_simulation() {
 fn delay_falls_as_duty_rises_all_protocols() {
     // Fig. 10's headline shape, on the small trace, per protocol.
     let topo = small_trace(45);
-    let run = |duty: f64, seed: u64| -> f64 {
-        let cfg = SimConfig {
-            n_packets: 5,
-            coverage: 0.99,
-            max_slots: 1_000_000,
-            seed,
-            ..SimConfig::default()
-        }
-        .with_duty_cycle(duty);
-        let (r, _) = Engine::new(topo.clone(), cfg, Dbao::new()).run();
-        assert!(r.all_covered());
-        r.mean_flooding_delay().unwrap()
-    };
-    let lo = (run(0.02, 1) + run(0.02, 2)) / 2.0;
-    let hi = (run(0.20, 1) + run(0.20, 2)) / 2.0;
-    assert!(
-        lo > hi,
-        "delay at duty 2% ({lo}) must exceed delay at duty 20% ({hi})"
-    );
+    // Mean delay over seeds 1 and 2 at duty 2 % and at duty 20 %.
+    fn low_and_high<P: FloodingProtocol>(topo: &Topology, protocol: impl Fn() -> P) -> (f64, f64) {
+        let run = |duty: f64, seed: u64| -> f64 {
+            let cfg = SimConfig {
+                n_packets: 5,
+                coverage: 0.99,
+                max_slots: 1_000_000,
+                seed,
+                ..SimConfig::default()
+            }
+            .with_duty_cycle(duty);
+            let (r, _) = Engine::new(topo.clone(), cfg, protocol()).run();
+            assert!(r.all_covered(), "{} at duty {duty}", r.protocol);
+            r.mean_flooding_delay().unwrap()
+        };
+        (
+            (run(0.02, 1) + run(0.02, 2)) / 2.0,
+            (run(0.20, 1) + run(0.20, 2)) / 2.0,
+        )
+    }
+    for (name, (lo, hi)) in [
+        ("OF", low_and_high(&topo, OpportunisticFlooding::new)),
+        ("DBAO", low_and_high(&topo, Dbao::new)),
+        ("OPT", low_and_high(&topo, Opt::new)),
+    ] {
+        assert!(
+            lo > hi,
+            "{name}: delay at duty 2% ({lo}) must exceed delay at duty 20% ({hi})"
+        );
+    }
 }
 
 #[test]
