@@ -15,6 +15,7 @@
 #   shellcheck     shellcheck ci.sh (skips when the tool is absent)
 #   build          cargo build --workspace --release
 #   test           cargo test --workspace
+#   examples       run every example once (release, small arguments)
 #   alloc-gate     hot-path allocation gate
 #   artefacts      fig9/10/11 + resilience + OF/DBAO ablation byte-identity
 #                  vs pinned baselines; binary traces exported to JSONL
@@ -41,8 +42,8 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-STAGES=(fmt clippy shellcheck build test alloc-gate artefacts forensics
-    digests campaign stats service benchmark)
+STAGES=(fmt clippy shellcheck build test examples alloc-gate artefacts
+    forensics digests campaign stats service benchmark)
 
 ART_DIR="$(mktemp -d)"
 SRV_PID=""
@@ -96,6 +97,24 @@ stage_build() {
 stage_test() {
     step "cargo test"
     cargo test -q --workspace
+}
+
+# `cargo test` compiles the examples but never runs them, and
+# sync_sensitivity is the only program that drives the clock model.
+stage_examples() {
+    step "run every example once (release, small arguments)"
+    cargo build --release --examples
+    local src ex args
+    for src in examples/*.rs; do
+        ex="$(basename "$src" .rs)"
+        case "$ex" in
+            greenorbs_flood) args=(10) ;;
+            scale_check) args=(opt 5) ;;
+            *) args=() ;;
+        esac
+        echo "example: $ex ${args[*]}"
+        "./target/release/examples/$ex" "${args[@]}" > /dev/null
+    done
 }
 
 stage_alloc_gate() {

@@ -194,12 +194,6 @@ impl ReplayReport {
         &mut self.packets[i]
     }
 
-    /// Per-packet flooding delays, indexed by sequence number — the
-    /// Fig. 9 distribution.
-    pub fn delays(&self) -> Vec<Option<u64>> {
-        self.packets.iter().map(|p| p.flooding_delay()).collect()
-    }
-
     /// Mean flooding delay over covered packets; `None` if none covered.
     /// Bit-for-bit the same arithmetic as `SimReport::mean_flooding_delay`
     /// (sum of integer delays divided by count), so a full trace replays

@@ -1,19 +1,18 @@
-//! # ldcf-analysis — statistics, series and parallel sweeps
+//! # ldcf-analysis — statistics, series, campaign folds and trace replay
 //!
-//! Support crate for the experiment harness: summary statistics
-//! ([`stats`]), labelled numeric series with markdown/CSV rendering
-//! ([`series`]), ASCII line charts for terminal output ([`plot`]),
-//! rayon-powered parameter sweeps with Monte-Carlo
-//! averaging ([`sweep`]) — the figures of §V average over seeds and
-//! sweep duty cycles, which is embarrassingly parallel — and replay of
-//! slot-level event traces back into delay distributions ([`events`]).
+//! Support crate for the experiment harness: streaming statistics,
+//! confidence intervals and the paired sign test ([`stats`]), the
+//! campaign fold over them ([`campaign`]), labelled numeric series with
+//! markdown rendering ([`series`]), ASCII line charts for terminal
+//! output ([`plot`]), and replay of slot-level event traces back into
+//! delay distributions ([`events`]).
 //! Traces arrive through [`source`]: a format-sniffing [`EventSource`]
 //! iterator that streams JSONL and binary (`ldcf-obs` binlog) traces
 //! identically, so every report below is format-agnostic.
 //!
 //! Flood forensics lives in [`forensics`]: dissemination-tree
 //! reconstruction and per-node delay attribution ([`attribution`])
-//! from the same JSONL traces, with hard checks against the paper's
+//! from the same traces, with hard checks against the paper's
 //! theory (exact attribution sums, spanning trees, Corollary 1
 //! blocking bounds).
 
@@ -27,7 +26,6 @@ pub mod plot;
 pub mod series;
 pub mod source;
 pub mod stats;
-pub mod sweep;
 
 pub use attribution::{attribute_hop, Cause, DelayAttribution};
 pub use campaign::{predicted_fdl, CampaignStats, CellSummary, GroupStats, PairedStats};
@@ -36,5 +34,4 @@ pub use forensics::{ForensicsError, ForensicsReport, PacketForensics, Via, Viola
 pub use plot::{ascii_chart, PlotOptions};
 pub use series::{Series, Table};
 pub use source::{EventSource, SourceError};
-pub use stats::{sign_test_two_sided, OnlineStats, Summary};
-pub use sweep::{monte_carlo_mean, parallel_sweep};
+pub use stats::{sign_test_two_sided, OnlineStats};

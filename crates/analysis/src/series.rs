@@ -1,8 +1,8 @@
 //! Labelled numeric series and table rendering.
 //!
 //! Experiment binaries print the same rows/series the paper's figures
-//! plot; [`Table`] renders them as aligned markdown (for EXPERIMENTS.md)
-//! or CSV (for external plotting).
+//! plot; [`Table`] renders them as markdown (for EXPERIMENTS.md) or as
+//! an ASCII chart.
 
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
@@ -28,11 +28,6 @@ impl Series {
     /// Append a point.
     pub fn push(&mut self, x: f64, y: f64) {
         self.points.push((x, y));
-    }
-
-    /// The y values.
-    pub fn ys(&self) -> Vec<f64> {
-        self.points.iter().map(|&(_, y)| y).collect()
     }
 
     /// The x values.
@@ -103,24 +98,6 @@ impl Table {
     pub fn to_chart(&self) -> String {
         crate::plot::ascii_chart(&self.series, &crate::plot::PlotOptions::default())
     }
-
-    /// Render as CSV with a header row.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        write!(out, "{}", self.x_label).unwrap();
-        for s in &self.series {
-            write!(out, ",{}", s.name).unwrap();
-        }
-        out.push('\n');
-        for (i, &(x, _)) in self.series[0].points.iter().enumerate() {
-            write!(out, "{}", trim_float(x)).unwrap();
-            for s in &self.series {
-                write!(out, ",{}", trim_float(s.points[i].1)).unwrap();
-            }
-            out.push('\n');
-        }
-        out
-    }
 }
 
 /// Format a float compactly: integers without decimals, otherwise two
@@ -162,12 +139,6 @@ mod tests {
         assert!(md.starts_with("| M | a | b |\n|---|---|---|\n"));
         assert!(md.contains("| 0 | 1 | 3 |"));
         assert!(md.contains("| 1 | 2.50 | 4 |"));
-    }
-
-    #[test]
-    fn csv_rendering() {
-        let t = Table::new("x", vec![series("y", &[1.0])]);
-        assert_eq!(t.to_csv(), "x,y\n0,1\n");
     }
 
     #[test]

@@ -1,70 +1,7 @@
-//! Summary statistics over `f64` samples: one-shot [`Summary`] of a
-//! slice, the streaming [`OnlineStats`] accumulator (Welford update,
-//! Chan merge) the campaign reducer folds thousand-seed cells into,
-//! 95 % confidence intervals and the exact paired sign test.
-
-use serde::{Deserialize, Serialize};
-
-/// Summary of a sample: count, mean, variance, extremes, percentiles.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct Summary {
-    /// Number of samples.
-    pub count: usize,
-    /// Arithmetic mean (0 for empty samples).
-    pub mean: f64,
-    /// Population standard deviation.
-    pub std_dev: f64,
-    /// Minimum.
-    pub min: f64,
-    /// Maximum.
-    pub max: f64,
-    /// Median (50th percentile).
-    pub median: f64,
-    /// 95th percentile.
-    pub p95: f64,
-}
-
-impl Summary {
-    /// Summarise a sample. Returns an all-zero summary for empty input.
-    pub fn of(samples: &[f64]) -> Self {
-        if samples.is_empty() {
-            return Self {
-                count: 0,
-                mean: 0.0,
-                std_dev: 0.0,
-                min: 0.0,
-                max: 0.0,
-                median: 0.0,
-                p95: 0.0,
-            };
-        }
-        let count = samples.len();
-        let mean = samples.iter().sum::<f64>() / count as f64;
-        let var = samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / count as f64;
-        let mut sorted: Vec<f64> = samples.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("samples must not be NaN"));
-        Self {
-            count,
-            mean,
-            std_dev: var.sqrt(),
-            min: sorted[0],
-            max: sorted[count - 1],
-            median: percentile_sorted(&sorted, 0.50),
-            p95: percentile_sorted(&sorted, 0.95),
-        }
-    }
-}
-
-/// Percentile (nearest-rank interpolation) of an ascending-sorted slice.
-pub fn percentile_sorted(sorted: &[f64], q: f64) -> f64 {
-    assert!(!sorted.is_empty());
-    assert!((0.0..=1.0).contains(&q));
-    let pos = q * (sorted.len() - 1) as f64;
-    let lo = pos.floor() as usize;
-    let hi = pos.ceil() as usize;
-    let frac = pos - lo as f64;
-    sorted[lo] * (1.0 - frac) + sorted[hi] * frac
-}
+//! Statistics over `f64` samples: the streaming [`OnlineStats`]
+//! accumulator (Welford update, Chan merge) the campaign reducer folds
+//! thousand-seed cells into, 95 % confidence intervals and the exact
+//! paired sign test.
 
 /// Streaming moment accumulator: count, mean, centred second moment
 /// (M2), min and max — O(1) memory whatever the sample count.
@@ -206,64 +143,9 @@ pub fn sign_test_two_sided(pos: u64, neg: u64) -> Option<f64> {
     Some((2.0 * cdf).min(1.0))
 }
 
-/// Ordinary least squares fit `y = a + b·x`; returns `(a, b)`.
-pub fn linear_fit(xs: &[f64], ys: &[f64]) -> (f64, f64) {
-    assert_eq!(xs.len(), ys.len());
-    assert!(xs.len() >= 2, "need two points for a line");
-    let n = xs.len() as f64;
-    let mx = xs.iter().sum::<f64>() / n;
-    let my = ys.iter().sum::<f64>() / n;
-    let sxy: f64 = xs.iter().zip(ys).map(|(x, y)| (x - mx) * (y - my)).sum();
-    let sxx: f64 = xs.iter().map(|x| (x - mx) * (x - mx)).sum();
-    assert!(sxx > 0.0, "x values must not be constant");
-    let b = sxy / sxx;
-    (my - b * mx, b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn summary_basics() {
-        let s = Summary::of(&[1.0, 2.0, 3.0, 4.0, 5.0]);
-        assert_eq!(s.count, 5);
-        assert!((s.mean - 3.0).abs() < 1e-12);
-        assert!((s.median - 3.0).abs() < 1e-12);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 5.0);
-        assert!((s.std_dev - 2.0f64.sqrt()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_summary_is_zero() {
-        let s = Summary::of(&[]);
-        assert_eq!(s.count, 0);
-        assert_eq!(s.mean, 0.0);
-    }
-
-    #[test]
-    fn percentiles_interpolate() {
-        let sorted = [0.0, 10.0];
-        assert!((percentile_sorted(&sorted, 0.5) - 5.0).abs() < 1e-12);
-        assert_eq!(percentile_sorted(&sorted, 0.0), 0.0);
-        assert_eq!(percentile_sorted(&sorted, 1.0), 10.0);
-    }
-
-    #[test]
-    fn linear_fit_recovers_line() {
-        let xs: Vec<f64> = (0..10).map(|i| i as f64).collect();
-        let ys: Vec<f64> = xs.iter().map(|x| 3.0 + 2.0 * x).collect();
-        let (a, b) = linear_fit(&xs, &ys);
-        assert!((a - 3.0).abs() < 1e-9);
-        assert!((b - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "need two points")]
-    fn linear_fit_rejects_singletons() {
-        let _ = linear_fit(&[1.0], &[2.0]);
-    }
 
     #[test]
     fn online_stats_match_the_batch_summary() {
@@ -272,14 +154,14 @@ mod tests {
         for &x in &samples {
             o.record(x);
         }
-        let s = Summary::of(&samples);
-        assert_eq!(o.count as usize, s.count);
-        assert!((o.mean - s.mean).abs() < 1e-12);
-        assert_eq!(o.min, s.min);
-        assert_eq!(o.max, s.max);
-        // Summary's std_dev is population; compare via M2.
-        let pop_var = o.m2 / o.count as f64;
-        assert!((pop_var.sqrt() - s.std_dev).abs() < 1e-12);
+        let n = samples.len() as f64;
+        let mean = samples.iter().sum::<f64>() / n;
+        let pop_var = samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n;
+        assert_eq!(o.count as usize, samples.len());
+        assert!((o.mean - mean).abs() < 1e-12);
+        assert_eq!(o.min, -2.0);
+        assert_eq!(o.max, 9.0);
+        assert!((o.m2 / n - pop_var).abs() < 1e-12);
         assert!(o.sample_variance().unwrap() > pop_var);
     }
 

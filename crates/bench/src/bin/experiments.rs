@@ -77,7 +77,7 @@
 use ldcf_bench::{experiments, CampaignOptions, ExpOptions, Runner, WorkLedger};
 use ldcf_obs::RunManifest;
 use serde::Value;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Stdout for everything an artefact prints. A reader that closes the
 /// pipe early (`experiments … | head`) ends the process quietly with
@@ -363,7 +363,7 @@ fn usage(err: &str) -> ! {
          \u{20}      experiments cancel --server ADDR --id JOB\n\
          artefacts: table1 fig3 fig5 fig6 fig7 fig9 fig10 fig11\n\
          \u{20}          ablation-overhearing ablation-opportunistic ablation-policy\n\
-         \u{20}          lifetime-gain theorem1-check cross-layer sync-error resilience\n\
+         \u{20}          lifetime-gain theorem1-check resilience\n\
          \u{20}          forensics trace campaign stats analytical all\n\
          \u{20}          serve submit status fetch cancel"
     );
@@ -389,17 +389,16 @@ fn run_forensics(cli: &Cli) -> ! {
     };
     outln!("{}", report.summary(5));
     if let Some(dir) = &cli.out {
-        std::fs::create_dir_all(dir).expect("create output dir");
         let stem = trace
             .file_stem()
             .and_then(|s| s.to_str())
             .unwrap_or("trace")
             .trim_end_matches(".events");
-        std::fs::write(
-            dir.join(format!("{stem}.forensics.json")),
+        write_out(
+            dir,
+            &format!("{stem}.forensics.json"),
             report.to_json_pretty() + "\n",
-        )
-        .expect("write forensics report");
+        );
     }
     if report.is_clean() {
         std::process::exit(0);
@@ -586,12 +585,8 @@ fn run_stats_cmd(cli: &Cli) -> ! {
     };
     outln!("{}", outcome.markdown);
     if let Some(dir) = &cli.out {
-        std::fs::create_dir_all(dir)
-            .unwrap_or_else(|e| usage(&format!("--out {}: {e}", dir.display())));
-        std::fs::write(dir.join("campaign-stats.md"), &outcome.markdown)
-            .expect("write campaign-stats.md");
-        std::fs::write(dir.join("campaign-stats.json"), outcome.to_json_pretty())
-            .expect("write campaign-stats.json");
+        write_out(dir, "campaign-stats.md", &outcome.markdown);
+        write_out(dir, "campaign-stats.json", outcome.to_json_pretty());
     }
     if cli.gate {
         let violations = outcome.stats.gate_violations();
@@ -684,8 +679,16 @@ fn with_chart(table: &ldcf_analysis::Table) -> String {
 fn emit(out: &Option<PathBuf>, name: &str, body: &str) {
     outln!("\n## {name}\n\n{body}");
     if let Some(dir) = out {
-        std::fs::create_dir_all(dir).expect("create output dir");
-        std::fs::write(dir.join(format!("{name}.md")), body).expect("write artefact");
+        write_out(dir, &format!("{name}.md"), body);
+    }
+}
+
+/// Write `name` into the `--out` directory `dir`, creating it first. An
+/// IO failure is a usage error naming the path (exit 2), not a panic.
+fn write_out(dir: &Path, name: &str, contents: impl AsRef<[u8]>) {
+    let path = dir.join(name);
+    if let Err(e) = std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, contents)) {
+        usage(&format!("--out {}: {e}", path.display()));
     }
 }
 
@@ -780,8 +783,6 @@ fn main() {
             "ablation-overhearing",
             "ablation-opportunistic",
             "ablation-policy",
-            "cross-layer",
-            "sync-error",
             "resilience",
         ],
         single => vec![single],
@@ -826,8 +827,6 @@ fn main() {
             "lifetime-gain" => experiments::lifetime_gain(298, 0.75),
             "theorem1-check" => experiments::theorem1_check(),
             "ablation-policy" => experiments::ablation_policy(),
-            "cross-layer" => experiments::cross_layer(&runner, &cli.opts),
-            "sync-error" => with_chart(&experiments::sync_error(&runner, &cli.opts)),
             "resilience" => ldcf_bench::resilience::resilience(&runner, &cli.opts, cli.quick),
             other => usage(&format!("unknown artefact '{other}'")),
         };
@@ -849,11 +848,11 @@ fn main() {
             manifest = manifest.with_trace_stats("bin", ledger.trace_events, ledger.trace_bytes);
         }
         if let Some(dir) = &cli.out {
-            std::fs::write(
-                dir.join(format!("{name}.manifest.json")),
+            write_out(
+                dir,
+                &format!("{name}.manifest.json"),
                 manifest.to_json_pretty() + "\n",
-            )
-            .expect("write manifest");
+            );
         }
         if ledger.sims > 0 {
             eprintln!(

@@ -13,8 +13,6 @@
 //! | [`ablation_opportunistic`] | OF ± opportunistic forwards |
 //! | [`ablation_policy`] | Algorithm 1 newest- vs oldest-first |
 //! | [`lifetime_gain`] | §V-C2 — lifetime vs delay trade-off |
-//! | [`cross_layer`] | §VI — duty configuration × opportunistic forwarding |
-//! | [`sync_error`] | §III-B — local-sync sensitivity |
 //! | [`theorem1_check`] | Lemma 3 / Theorem 1 empirical check |
 
 use crate::options::ExpOptions;
@@ -346,112 +344,6 @@ pub fn lifetime_gain(n: u64, mean_q: f64) -> String {
         "\nAdvisor optimum: duty {:.0}% (gain {:.4})",
         best * 100.0,
         gain
-    )
-    .unwrap();
-    out
-}
-
-/// Sensitivity to the local-synchronization assumption (§III-B): sweep
-/// the residual sync error (mistimed-rendezvous probability) and measure
-/// DBAO's delay and wasted transmissions. The paper assumes perfect
-/// local sync; this quantifies how much precision the assumption buys
-/// over a fixed grid of error levels (0–50 %). The levels are not
-/// derived from a clock model: mapping an error level to the re-sync
-/// interval of a mote-class protocol (`ldcf_net::clock::SyncModel`) is
-/// `examples/sync_sensitivity.rs`'s job.
-pub fn sync_error(runner: &Runner, opts: &ExpOptions) -> Table {
-    let topo = ldcf_trace::greenorbs::default_trace(opts.trace_seed);
-    let errors = [0.0, 0.05, 0.1, 0.2, 0.3, 0.5];
-    let mut delay = Series::new("DBAO delay");
-    let mut wasted = Series::new("mistimed tx");
-    let results: Vec<(f64, f64, f64)> = errors
-        .par_iter()
-        .map(|&err| {
-            let mut d = 0.0;
-            let mut w = 0.0;
-            for &seed in &opts.seeds {
-                let mut cfg = sim_config(opts, 0.05, seed);
-                cfg.mistiming_prob = err;
-                let report = runner
-                    .run(RunRequest::new(&topo, &cfg, ProtocolKind::Dbao))
-                    .report;
-                d += report.mean_flooding_delay().unwrap_or(f64::NAN);
-                w += report.mistimed as f64;
-            }
-            let k = opts.seeds.len() as f64;
-            (err, d / k, w / k)
-        })
-        .collect();
-    for (err, d, w) in results {
-        delay.push(err, d);
-        wasted.push(err, w);
-    }
-    Table::new("mistiming probability", vec![delay, wasted])
-}
-
-/// §VI cross-layer design (the paper's second future-work direction):
-/// pick the duty cycle by *measured* flooding performance of the
-/// opportunistic-forwarding protocol, rather than by the analytic model
-/// alone. For each duty cycle: run OF, compute the measured networking
-/// gain `lifetime(duty) / measured_delay`, and report the best operating
-/// point next to the analytic advisor's pick.
-pub fn cross_layer(runner: &Runner, opts: &ExpOptions) -> String {
-    let topo = ldcf_trace::greenorbs::default_trace(opts.trace_seed);
-    let n = topo.n_sensors() as u64;
-    let mean_q = topo.mean_link_quality().expect("trace has links");
-    let advisor = DutyCycleAdvisor::new(n, mean_q);
-
-    let rows: Vec<(f64, f64, f64, f64)> = opts
-        .duties
-        .par_iter()
-        .map(|&duty| {
-            let mut delay = 0.0;
-            for &seed in &opts.seeds {
-                let cfg = sim_config(opts, duty, seed);
-                let report = runner
-                    .run(RunRequest::new(&topo, &cfg, ProtocolKind::Of))
-                    .report;
-                delay += report.mean_flooding_delay().unwrap_or(f64::NAN);
-            }
-            delay /= opts.seeds.len() as f64;
-            let lifetime = advisor.lifetime(duty);
-            (duty, delay, lifetime, lifetime / delay)
-        })
-        .collect();
-
-    let mut out = String::new();
-    writeln!(
-        out,
-        "| duty (%) | measured OF delay | lifetime | measured gain |"
-    )
-    .unwrap();
-    writeln!(out, "|---|---|---|---|").unwrap();
-    let mut best = (0.0, f64::NEG_INFINITY);
-    for &(duty, delay, lifetime, gain) in &rows {
-        writeln!(
-            out,
-            "| {:.0} | {:.0} | {:.1} | {:.5} |",
-            duty * 100.0,
-            delay,
-            lifetime,
-            gain
-        )
-        .unwrap();
-        if gain > best.1 {
-            best = (duty, gain);
-        }
-    }
-    let (analytic, _) = advisor.best_duty(&opts.duties);
-    writeln!(
-        out,
-        "\ncross-layer pick (measured): duty {:.0}%; analytic advisor pick: duty {:.0}%",
-        best.0 * 100.0,
-        analytic * 100.0
-    )
-    .unwrap();
-    writeln!(
-        out,
-        "both reject the extreme low end — \"it is NOT always beneficial to set the duty cycle extremely low\" (§V-C2)."
     )
     .unwrap();
     out

@@ -11,9 +11,8 @@
 //!    flooding delay, per-node energy, crash/retry counts. The curves
 //!    are the artefact's contract: coverage degrades (weakly) and delay
 //!    grows (weakly) as intensity rises.
-//! 2. **Fault isolation** — one protocol (DBAO, matching the
-//!    `sync-error` artefact) at fixed intensity with each model enabled
-//!    alone, plus the forensics-safe burst+drift composition and the
+//! 2. **Fault isolation** — one protocol (DBAO) at fixed intensity
+//!    with each model enabled alone, plus the forensics-safe burst+drift composition and the
 //!    full stack, attributing the damage. The burst+drift row's event
 //!    trace (`dbao-…-fbd.events.bin`) is the one faulted trace CI
 //!    replays through flood forensics.

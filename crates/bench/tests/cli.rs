@@ -4,6 +4,7 @@
 //! the artefact name, and flags of one subcommand were accepted — and
 //! ignored — by every other).
 
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 fn run(args: &[&str]) -> Output {
@@ -150,6 +151,86 @@ fn perf_is_an_unknown_artefact_and_its_flags_are_unknown() {
             stderr(&out)
         );
     }
+}
+
+#[test]
+fn retired_artefacts_are_unknown() {
+    for name in ["sync-error", "cross-layer"] {
+        let out = run(&[name]);
+        assert_eq!(out.status.code(), Some(2), "{name} must be rejected");
+        let err = stderr(&out);
+        assert!(
+            err.contains(&format!("unknown artefact '{name}'")),
+            "stderr: {err}"
+        );
+        // The usage text no longer lists it, so `all` cannot run it.
+        assert!(!err.contains(&format!(" {name} ")), "stderr: {err}");
+    }
+}
+
+/// A scratch directory holding a regular file, and an `--out` path
+/// under that file: creating the directory or writing into it fails.
+fn unwritable_out(tag: &str) -> (PathBuf, PathBuf) {
+    let dir = std::env::temp_dir().join(format!("ldcf-cli-out-{tag}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    let file = dir.join("file");
+    std::fs::write(&file, b"").expect("write blocker file");
+    (dir, file.join("sub"))
+}
+
+fn assert_out_error(out: &Output, path: &Path) {
+    let err = stderr(out);
+    assert_eq!(out.status.code(), Some(2), "stderr: {err}");
+    assert!(
+        err.contains(&format!("--out {}", path.display())),
+        "stderr: {err}"
+    );
+    assert!(!err.contains("panicked"), "stderr: {err}");
+}
+
+#[test]
+fn unwritable_out_exits_2_naming_the_path() {
+    let (dir, out_path) = unwritable_out("fig3");
+    let out = run(&["fig3", "--out", out_path.to_str().unwrap()]);
+    assert_out_error(&out, &out_path);
+    std::fs::remove_dir_all(dir).expect("remove scratch dir");
+}
+
+#[test]
+fn forensics_to_an_unwritable_out_exits_2_naming_the_path() {
+    use ldcf_net::{LinkQuality, Topology};
+    use ldcf_protocols::Dbao;
+    use ldcf_sim::{BinSink, Engine, SimConfig};
+
+    let (dir, out_path) = unwritable_out("forensics");
+    let cfg = SimConfig {
+        period: 10,
+        active_per_period: 1,
+        n_packets: 2,
+        coverage: 1.0,
+        max_slots: 100_000,
+        seed: 1,
+        mistiming_prob: 0.0,
+    };
+    let engine = Engine::new(
+        Topology::grid(3, 3, LinkQuality::new(0.8)),
+        cfg,
+        Dbao::new(),
+    )
+    .with_observer(BinSink::new(Vec::new()));
+    let (_, _, sink) = engine.run_traced();
+    let trace = dir.join("grid.events.bin");
+    std::fs::write(&trace, sink.into_result().expect("in-memory sink")).expect("write trace");
+
+    let out = run(&[
+        "forensics",
+        "--trace",
+        trace.to_str().unwrap(),
+        "--out",
+        out_path.to_str().unwrap(),
+    ]);
+    assert_out_error(&out, &out_path);
+    std::fs::remove_dir_all(dir).expect("remove scratch dir");
 }
 
 #[test]

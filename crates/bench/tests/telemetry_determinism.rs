@@ -9,11 +9,10 @@
 //! deterministic synthetic samples (a seeded LCG per job — no wall
 //! clock), are reduced in input order, and the merged structs are
 //! compared across thread limits. Lives in its own integration binary
-//! because the rayon thread limit is process-global (same idiom as
-//! `sweep_determinism.rs`).
+//! because the rayon thread limit is process-global.
 
-use ldcf_analysis::sweep::parallel_sweep;
 use ldcf_sim::{Phase, PhaseProfiler, SimProfiler, StreamingHistogram};
+use rayon::prelude::*;
 
 /// Deterministic per-job samples: a seeded LCG spanning several orders
 /// of magnitude, so bucket boundaries and the running `sum`/`max` all
@@ -49,19 +48,22 @@ fn merged(limit: Option<usize>) -> (StreamingHistogram, PhaseProfiler) {
     rayon::set_thread_limit(limit);
     let jobs: Vec<u64> = (1..=24).collect();
 
-    let hists = parallel_sweep(&jobs, |&seed| {
-        let mut h = StreamingHistogram::new();
-        for v in samples(seed, 500) {
-            h.record(v);
-        }
-        h
-    });
+    let hists: Vec<StreamingHistogram> = jobs
+        .par_iter()
+        .map(|&seed| {
+            let mut h = StreamingHistogram::new();
+            for v in samples(seed, 500) {
+                h.record(v);
+            }
+            h
+        })
+        .collect();
     let mut hist = StreamingHistogram::new();
     for h in &hists {
         hist.merge(h);
     }
 
-    let profs = parallel_sweep(&jobs, |&seed| job_profiler(seed));
+    let profs: Vec<PhaseProfiler> = jobs.par_iter().map(|&seed| job_profiler(seed)).collect();
     let mut prof = PhaseProfiler::new();
     for p in &profs {
         prof.merge(p);

@@ -64,7 +64,7 @@ fn ci_workflow_parses_and_fans_out_over_the_stages() {
     for invocation in [
         "./ci.sh fmt clippy",
         "./ci.sh shellcheck",
-        "./ci.sh build test alloc-gate",
+        "./ci.sh build test examples alloc-gate",
         "./ci.sh build artefacts forensics digests",
         "./ci.sh build campaign stats service",
         "./ci.sh benchmark",
@@ -87,6 +87,7 @@ fn ci_script_carries_the_load_bearing_gates() {
         "shellcheck",
         "build",
         "test",
+        "examples",
         "alloc-gate",
         "artefacts",
         "forensics",
@@ -137,6 +138,9 @@ fn ci_script_carries_the_load_bearing_gates() {
         "ci.sh: the bintrace stage folded into artefacts and forensics"
     );
     assert!(text.contains("--test alloc_gate"));
+    // Every example runs, not only compiles.
+    assert!(text.contains("for src in examples/*.rs; do"));
+    assert!(text.contains("\"./target/release/examples/$ex\" \"${args[@]}\""));
     assert!(text.contains("cargo test -q --manifest-path benchmark/Cargo.toml"));
     // benchmark/ sits outside the workspace: fmt and clippy must name it.
     assert!(text.contains("cargo fmt --manifest-path benchmark/Cargo.toml -- --check"));

@@ -15,8 +15,9 @@
 //!   drift rate;
 //! * [`SyncModel::mistiming_probability`] — the probability that a
 //!   sender targeting a 1-slot rendezvous misses it, which the simulator
-//!   can inject to quantify how sensitive flooding is to the local-sync
-//!   assumption (`experiments sync-error`).
+//!   can inject (`SimConfig::mistiming_prob`) to quantify how sensitive
+//!   flooding is to the local-sync assumption
+//!   (`cargo run --release --example sync_sensitivity`).
 
 use serde::{Deserialize, Serialize};
 

@@ -13,7 +13,7 @@
 //!   active slot ([`sync::NeighborTable`]); clock drift and the residual
 //!   error of periodic re-synchronisation are modelled in [`clock`].
 //! * **Semi-duplex radios** — a node can transmit *or* receive in a slot,
-//!   never both ([`radio`]).
+//!   never both. The MAC in `ldcf-sim` enforces this.
 //! * **Unreliable links** — each directed link has a packet-reception
 //!   ratio (PRR); flooding is achieved through lossy unicasts
 //!   ([`link::LinkQuality`]).
@@ -32,7 +32,6 @@ pub mod clock;
 pub mod link;
 pub mod node;
 pub mod packet;
-pub mod radio;
 pub mod schedule;
 pub mod sync;
 pub mod topology;
@@ -40,8 +39,7 @@ pub mod topology;
 pub use clock::{DriftClock, SyncModel};
 pub use link::LinkQuality;
 pub use node::NodeId;
-pub use packet::{Packet, PacketId};
-pub use radio::RadioState;
+pub use packet::PacketId;
 pub use schedule::WorkingSchedule;
 pub use sync::NeighborTable;
 pub use topology::Topology;

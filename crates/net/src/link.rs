@@ -63,12 +63,6 @@ impl LinkQuality {
         let k = ((1.0 - confidence).ln() / q.ln()).ceil();
         (k as u32).max(1)
     }
-
-    /// Whether the link is perfect (`k = 1` class, §IV-B).
-    #[inline]
-    pub fn is_perfect(self) -> bool {
-        self.0 >= 1.0
-    }
 }
 
 impl Default for LinkQuality {

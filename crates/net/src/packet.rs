@@ -1,46 +1,8 @@
 //! Flooding packets (paper §III-C).
 //!
 //! The source sequentially injects `M` packets, indexed `0..M`. Nodes
-//! relay them hop by hop under a FCFS policy. Only the sequence number,
-//! origin, and injection time matter to the analysis; payload is opaque.
-
-use crate::NodeId;
-use serde::{Deserialize, Serialize};
+//! relay them hop by hop under a FCFS policy. Only the sequence number
+//! matters to the analysis; payload is opaque.
 
 /// Sequence number of a flooding packet (`p` in the paper, `0..M`).
 pub type PacketId = u32;
-
-/// A flooding packet.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
-pub struct Packet {
-    /// Sequence number assigned by the source (`p = 0, 1, 2, ...`).
-    pub seq: PacketId,
-    /// Originating node (the source, id 0, for ordinary floods).
-    pub origin: NodeId,
-    /// Slot at which the source made the packet ready to send.
-    pub injected_at: u64,
-}
-
-impl Packet {
-    /// A packet injected by the source at slot `injected_at`.
-    pub fn from_source(seq: PacketId, injected_at: u64) -> Self {
-        Self {
-            seq,
-            origin: crate::SOURCE,
-            injected_at,
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn source_packet_has_source_origin() {
-        let p = Packet::from_source(3, 10);
-        assert_eq!(p.seq, 3);
-        assert!(p.origin.is_source());
-        assert_eq!(p.injected_at, 10);
-    }
-}

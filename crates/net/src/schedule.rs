@@ -116,13 +116,6 @@ impl WorkingSchedule {
         }
     }
 
-    /// The first absolute slot strictly after `t` at which the node is
-    /// active. Used for retransmissions: after a loss at slot `t`, the
-    /// sender "waits one more sleep latency" (Fig. 1).
-    pub fn next_active_after(&self, t: u64) -> u64 {
-        self.next_active_at_or_after(t + 1)
-    }
-
     /// Expected waiting (in slots) from a uniformly random time until this
     /// node's next active slot. For a single-active-slot schedule this is
     /// `(T-1)/2`, matching the paper's `E[d_h] = (T-1)/2` under
@@ -163,7 +156,6 @@ mod tests {
         assert_eq!(s.next_active_at_or_after(0), 3);
         assert_eq!(s.next_active_at_or_after(3), 3);
         assert_eq!(s.next_active_at_or_after(4), 13);
-        assert_eq!(s.next_active_after(3), 13);
         assert_eq!(s.next_active_at_or_after(23), 23);
     }
 

@@ -5,12 +5,12 @@
 //! schedules." The [`NeighborTable`] holds the full set of schedules and
 //! answers the two questions a sender needs:
 //!
-//! * which neighbors are active (receivable) at slot `t`, and
-//! * when is neighbor `v` next active at-or-after slot `t`.
+//! * which nodes are active (receivable) at slot `t`, and
+//! * when does any node of a set next wake at-or-after slot `t`
+//!   ([`NeighborTable::next_rendezvous`]).
 
 use crate::bitset;
 use crate::schedule::WorkingSchedule;
-use crate::topology::Topology;
 use crate::NodeId;
 
 /// Precomputed wake calendar: for each slot offset of the calendar
@@ -255,24 +255,6 @@ impl NeighborTable {
         self.schedules[node.index()] = schedule;
     }
 
-    /// Next slot `>= t` at which `node` is active (sleep-latency query).
-    pub fn next_active(&self, node: NodeId, t: u64) -> u64 {
-        self.schedules[node.index()].next_active_at_or_after(t)
-    }
-
-    /// Neighbors of `u` (per `topo`) that are active at slot `t`.
-    pub fn active_neighbors<'a>(
-        &'a self,
-        topo: &'a Topology,
-        u: NodeId,
-        t: u64,
-    ) -> impl Iterator<Item = NodeId> + 'a {
-        topo.neighbor_ids(u)
-            .iter()
-            .copied()
-            .filter(move |&v| self.is_active(v, t))
-    }
-
     /// All nodes active at slot `t`, in ascending id order.
     #[inline]
     pub fn all_active(&self, t: u64) -> impl Iterator<Item = NodeId> + '_ {
@@ -335,28 +317,11 @@ impl NeighborTable {
         (from..from + cal.period as u64)
             .find(|&t| cal.rendezvous_at(cal.offset_of(t), targets, targets_summary))
     }
-
-    /// Mean duty ratio across nodes.
-    pub fn mean_duty_ratio(&self) -> f64 {
-        self.schedules.iter().map(|s| s.duty_ratio()).sum::<f64>() / self.schedules.len() as f64
-    }
-
-    /// Probability that two independently-random single-slot schedules
-    /// share an active slot: `a/T` when both have `a` active slots. The
-    /// paper's unicast assumption (§III-B) rests on this being small in
-    /// low-duty-cycle networks.
-    pub fn rendezvous_probability(period: u32, active_per_period: u32) -> f64 {
-        // P(specific slot of u collides with one of v's a slots) = a/T for
-        // a single-slot u; for multi-slot schedules this is the expected
-        // per-slot overlap probability.
-        active_per_period as f64 / period as f64
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::LinkQuality;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -375,8 +340,6 @@ mod tests {
         assert!(t.is_active(NodeId(0), 0));
         assert!(t.is_active(NodeId(1), 7));
         assert!(!t.is_active(NodeId(1), 6));
-        assert_eq!(t.next_active(NodeId(3), 0), 4);
-        assert_eq!(t.next_active(NodeId(3), 5), 9);
     }
 
     #[test]
@@ -387,35 +350,13 @@ mod tests {
     }
 
     #[test]
-    fn active_neighbors_respects_topology() {
-        let t = table();
-        let topo = Topology::line(4, LinkQuality::PERFECT);
-        // node 0's only neighbor is node 1, active at slot 2.
-        let act: Vec<NodeId> = t.active_neighbors(&topo, NodeId(0), 2).collect();
-        assert_eq!(act, vec![NodeId(1)]);
-        // node 2's neighbors are 1 and 3; at slot 4 only 3 is active.
-        let act: Vec<NodeId> = t.active_neighbors(&topo, NodeId(2), 4).collect();
-        assert_eq!(act, vec![NodeId(3)]);
-    }
-
-    #[test]
-    fn mean_duty_ratio_matches() {
-        let t = table();
-        assert!((t.mean_duty_ratio() - 0.2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn rendezvous_probability_is_low_at_low_duty() {
-        assert!((NeighborTable::rendezvous_probability(50, 1) - 0.02).abs() < 1e-12);
-        assert!(NeighborTable::rendezvous_probability(20, 1) <= 0.05);
-    }
-
-    #[test]
     fn random_single_slot_has_unit_duty() {
         let mut rng = StdRng::seed_from_u64(3);
         let t = NeighborTable::random_single_slot(50, 20, &mut rng);
         assert_eq!(t.n_nodes(), 50);
-        assert!((t.mean_duty_ratio() - 0.05).abs() < 1e-12);
+        for i in 0..50usize {
+            assert!((t.schedule(NodeId::from(i)).duty_ratio() - 0.05).abs() < 1e-12);
+        }
     }
 
     /// The calendar-backed queries must agree with a direct schedule

@@ -12,11 +12,11 @@
 //! * A sender may additionally make an **opportunistic forward** to a
 //!   non-child active neighbor when (a) the link is good enough to be
 //!   worth a dedicated unicast (`min_link_quality`), and (b) the sender
-//!   judges its copy to be "early": its own ETX distance from the source
-//!   is smaller than the neighbor's parent's, so the opportunistic copy
-//!   beats the expected tree delivery. The decision is *probabilistic* —
-//!   taken with probability `forward_probability` — which is how OF
-//!   thins redundant senders without coordination.
+//!   judges its copy to be "early": the neighbor's tree parent neither
+//!   holds the packet nor has other work for the neighbor, so the
+//!   opportunistic copy beats the expected tree delivery. The decision
+//!   is *probabilistic* — taken with probability `forward_probability`
+//!   — which is how OF thins redundant senders without coordination.
 //! * No overhearing; contention uses random-ish (node-id) back-off.
 //!   OF therefore suffers both more collisions and tree detours, landing
 //!   below DBAO and OPT exactly as in Figs. 9–10.

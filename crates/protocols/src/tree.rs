@@ -80,22 +80,6 @@ impl EnergyTree {
         self.parent[child.index()] == Some(parent)
     }
 
-    /// Expected total transmissions to deliver one packet along the whole
-    /// tree (sum of parent-edge ETX over all reachable non-root nodes) —
-    /// the tree's energy figure of merit.
-    pub fn total_expected_transmissions(&self, topo: &Topology) -> f64 {
-        let mut total = 0.0;
-        for (i, p) in self.parent.iter().enumerate() {
-            if let Some(p) = p {
-                total += topo
-                    .quality(*p, NodeId::from(i))
-                    .expect("tree edge exists")
-                    .etx();
-            }
-        }
-        total
-    }
-
     /// Tree depth (max number of hops root → leaf).
     pub fn depth(&self) -> u32 {
         let mut best = 0;
@@ -130,7 +114,6 @@ mod tests {
         assert_eq!(tree.depth(), 3);
         // ETX cost: 2.0 per hop.
         assert!((tree.cost(NodeId(3)) - 6.0).abs() < 1e-9);
-        assert!((tree.total_expected_transmissions(&topo) - 6.0).abs() < 1e-9);
     }
 
     #[test]

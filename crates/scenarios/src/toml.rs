@@ -7,7 +7,8 @@
 //! * `[table]` headers (one level; no dotted keys, no array-of-tables),
 //! * `key = value` pairs with bare keys,
 //! * values: basic `"strings"` (with `\" \\ \n \t` escapes), integers,
-//!   floats, booleans, and single-line arrays `[v, v, ...]`,
+//!   floats, booleans, and single-line arrays `[v, v, ...]` nested at
+//!   most 8 deep,
 //! * `#` comments and blank lines.
 //!
 //! Anything outside the subset is a hard error with a `line N, col C`
@@ -70,7 +71,7 @@ pub fn parse(text: &str) -> Result<Value, String> {
             + key_raw.chars().count()
             + 1
             + value_raw.chars().take_while(|c| c.is_whitespace()).count();
-        let value = parse_value(value_raw.trim(), lineno, value_col)?;
+        let value = parse_value(value_raw.trim(), lineno, value_col, 0)?;
         let target = match current {
             Some(i) => match &mut root[i].1 {
                 Value::Object(entries) => entries,
@@ -142,7 +143,12 @@ fn strip_comment(line: &str, lineno: usize) -> Result<String, String> {
     Ok(out)
 }
 
-fn parse_value(s: &str, lineno: usize, col: usize) -> Result<Value, String> {
+/// Deepest array nesting a value may have. Specs use flat arrays; the
+/// cap keeps a hostile `[[[…]]]` from recursing until the stack
+/// overflows, which would abort the whole server, not fail one request.
+const MAX_ARRAY_DEPTH: usize = 8;
+
+fn parse_value(s: &str, lineno: usize, col: usize, depth: usize) -> Result<Value, String> {
     let s = s.trim();
     if s.is_empty() {
         return Err(at(lineno, col, "missing value"));
@@ -151,6 +157,13 @@ fn parse_value(s: &str, lineno: usize, col: usize) -> Result<Value, String> {
         return parse_string(rest, lineno, col);
     }
     if let Some(body) = s.strip_prefix('[') {
+        if depth == MAX_ARRAY_DEPTH {
+            return Err(at(
+                lineno,
+                col,
+                &format!("arrays nested deeper than {MAX_ARRAY_DEPTH}"),
+            ));
+        }
         let body = body
             .strip_suffix(']')
             .ok_or_else(|| at(lineno, col, "unterminated array"))?;
@@ -162,7 +175,7 @@ fn parse_value(s: &str, lineno: usize, col: usize) -> Result<Value, String> {
                 continue; // trailing comma
             }
             // `col` points at `[`, so body offset k sits at col + k.
-            items.push(parse_value(part, lineno, col + offset + lead)?);
+            items.push(parse_value(part, lineno, col + offset + lead, depth + 1)?);
         }
         return Ok(Value::Array(items));
     }
@@ -369,6 +382,17 @@ mod tests {
         // Indented keys shift the base column.
         let err = parse("    broken ~ 2").unwrap_err();
         assert_eq!(error_location(&err), Some((1, 5)), "got: {err}");
+    }
+
+    #[test]
+    fn deep_array_nesting_is_a_positioned_error() {
+        let depth = |d: usize| format!("a = {}{}", "[".repeat(d), "]".repeat(d));
+        assert!(parse(&depth(MAX_ARRAY_DEPTH)).is_ok());
+        let err = parse(&depth(MAX_ARRAY_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nested deeper"), "got: {err}");
+        assert_eq!(error_location(&err), Some((1, 5 + MAX_ARRAY_DEPTH as u32)));
+        // Deep enough to overflow the stack without the cap.
+        assert!(parse(&depth(200_000)).is_err());
     }
 
     #[test]

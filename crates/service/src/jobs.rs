@@ -469,11 +469,6 @@ impl JobStore {
         }
         self.ready.notify_all();
     }
-
-    /// Has [`close`](Self::close) been called?
-    pub fn is_closed(&self) -> bool {
-        self.closed.load(Ordering::SeqCst)
-    }
 }
 
 fn view_of(job: &JobRecord) -> JobView {

@@ -59,38 +59,6 @@ impl EnergyLedger {
             + self.tx_slots as f64 * model.tx
             + self.rx_slots as f64 * model.rx_extra
     }
-
-    /// Charge wasted on failed transmissions.
-    pub fn wasted(&self, model: &EnergyModel) -> f64 {
-        self.failed_tx_slots as f64 * model.tx
-    }
-
-    /// Mean charge per node per slot, given `n_nodes` and `slots`.
-    pub fn mean_power(&self, model: &EnergyModel, n_nodes: usize, slots: u64) -> f64 {
-        if n_nodes == 0 || slots == 0 {
-            return 0.0;
-        }
-        self.total(model) / (n_nodes as f64 * slots as f64)
-    }
-
-    /// Network lifetime in slots for a per-node battery `capacity`,
-    /// assuming the observed mean power persists. Lifetime is linear in
-    /// `1/duty` when traffic is negligible — the paper's "system lifetime
-    /// linearly increases as the duty cycle becomes small".
-    pub fn lifetime_slots(
-        &self,
-        model: &EnergyModel,
-        n_nodes: usize,
-        slots: u64,
-        capacity: f64,
-    ) -> f64 {
-        let p = self.mean_power(model, n_nodes, slots);
-        if p <= 0.0 {
-            f64::INFINITY
-        } else {
-            capacity / p
-        }
-    }
 }
 
 /// Idle-network lifetime (no traffic): battery / (duty·listen +
@@ -117,7 +85,6 @@ mod tests {
         };
         let total = l.total(&m);
         assert!((total - (100.0 + 1.9 + 11.0 + 0.8)).abs() < 1e-9);
-        assert!((l.wasted(&m) - 3.3).abs() < 1e-9);
     }
 
     #[test]
@@ -128,14 +95,5 @@ mod tests {
         // Halving duty roughly doubles lifetime (sleep cost is small).
         let ratio = l5 / l10;
         assert!((ratio - 2.0).abs() < 0.1, "ratio {ratio}");
-    }
-
-    #[test]
-    fn mean_power_handles_degenerate_inputs() {
-        let m = EnergyModel::default();
-        let l = EnergyLedger::default();
-        assert_eq!(l.mean_power(&m, 0, 100), 0.0);
-        assert_eq!(l.mean_power(&m, 10, 0), 0.0);
-        assert!(l.lifetime_slots(&m, 10, 0, 100.0).is_infinite());
     }
 }

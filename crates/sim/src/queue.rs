@@ -77,16 +77,6 @@ impl FcfsQueue {
         self.entries.iter().copied().find(|e| has_work(e.packet))
     }
 
-    /// The most recently arrived entry matching `has_work` (Algorithm 1's
-    /// "transmit the most recently received non-expired packet first").
-    pub fn last_with_work(&self, mut has_work: impl FnMut(PacketId) -> bool) -> Option<QueueEntry> {
-        self.entries
-            .iter()
-            .rev()
-            .copied()
-            .find(|e| has_work(e.packet))
-    }
-
     /// Number of queued packets.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -125,16 +115,6 @@ mod tests {
         q.push(3, 2);
         // Head (1) has no work; FCFS service must skip to 2.
         let e = q.first_with_work(|p| p != 1).unwrap();
-        assert_eq!(e.packet, 2);
-    }
-
-    #[test]
-    fn last_with_work_picks_newest() {
-        let mut q = FcfsQueue::new();
-        q.push(1, 0);
-        q.push(2, 1);
-        q.push(3, 2);
-        let e = q.last_with_work(|p| p != 3).unwrap();
         assert_eq!(e.packet, 2);
     }
 

@@ -50,11 +50,6 @@ impl PacketStats {
     pub fn flooding_delay(&self) -> Option<u64> {
         Some(self.covered_at?.saturating_sub(self.pushed_at?))
     }
-
-    /// Total delay including source-side queueing (injection → coverage).
-    pub fn total_delay(&self) -> Option<u64> {
-        Some(self.covered_at?.saturating_sub(self.injected_at))
-    }
 }
 
 /// Aggregated result of one simulation run.
@@ -179,7 +174,6 @@ mod tests {
         r.record_coverage(0, 105);
         let p = &r.packets[0];
         assert_eq!(p.flooding_delay(), Some(100));
-        assert_eq!(p.total_delay(), Some(105));
         assert_eq!(r.packets[1].flooding_delay(), None);
         assert!(!r.all_covered());
         assert_eq!(r.mean_flooding_delay(), Some(100.0));

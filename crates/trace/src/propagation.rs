@@ -60,13 +60,6 @@ impl Propagation {
     pub fn measure<R: Rng + ?Sized>(&self, shadowed_mean: f64, rng: &mut R) -> f64 {
         shadowed_mean + standard_normal(rng) * self.fading_sigma_db
     }
-
-    /// The distance at which mean RSSI crosses `rssi_dbm` — handy for
-    /// choosing a neighborhood cut-off radius.
-    pub fn range_at_rssi(&self, rssi_dbm: f64) -> f64 {
-        let exp = (self.tx_power_dbm - self.pl_d0_db - rssi_dbm) / (10.0 * self.exponent);
-        self.d0 * 10f64.powf(exp)
-    }
 }
 
 #[cfg(test)]
@@ -90,15 +83,6 @@ mod tests {
     fn reference_distance_clamps() {
         let p = Propagation::default();
         assert_eq!(p.mean_rssi(0.0), p.mean_rssi(p.d0));
-    }
-
-    #[test]
-    fn range_inverts_mean_rssi() {
-        let p = Propagation::default();
-        for d in [10.0, 25.0, 50.0] {
-            let r = p.mean_rssi(d);
-            assert!((p.range_at_rssi(r) - d).abs() / d < 1e-9);
-        }
     }
 
     #[test]

@@ -8,12 +8,12 @@
 //!   flooding delay limits, Galton–Watson analysis, Algorithm 1, the
 //!   link-loss eigen-analysis and the duty-cycle trade-off advisor.
 //! * [`net`] (`ldcf-net`) — network substrate: schedules, links,
-//!   topologies, radios, local synchronization.
+//!   topologies, local synchronization and clock drift.
 //! * [`trace`] (`ldcf-trace`) — synthetic GreenOrbs-style traces.
 //! * [`sim`] (`ldcf-sim`) — the slotted simulator.
 //! * [`protocols`] (`ldcf-protocols`) — OPT / DBAO / OF / baselines.
-//! * [`analysis`] (`ldcf-analysis`) — series statistics and parallel
-//!   sweeps.
+//! * [`analysis`] (`ldcf-analysis`) — series, tables, campaign
+//!   statistics, trace replay and flood forensics.
 //!
 //! ## Quickstart
 //!
@@ -46,7 +46,7 @@ pub use ldcf_trace as trace;
 /// Convenient glob-import of the most used types.
 pub mod prelude {
     pub use ldcf_net::{
-        LinkQuality, NeighborTable, NodeId, Packet, PacketId, Topology, WorkingSchedule, SOURCE,
+        LinkQuality, NeighborTable, NodeId, PacketId, Topology, WorkingSchedule, SOURCE,
     };
     pub use ldcf_protocols::{Dbao, NaiveFlood, OpportunisticFlooding, Opt};
     pub use ldcf_sim::{Engine, FloodingProtocol, SimConfig, SimReport, TxIntent};
