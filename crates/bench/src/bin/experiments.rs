@@ -1,82 +1,22 @@
-//! Experiment harness: regenerates every table and figure of the paper.
+//! Experiment harness: regenerates every table and figure of the paper,
+//! and fronts the campaign runner, the trace tooling and the campaign
+//! service.
 //!
-//! ```text
-//! experiments <artefact> [--quick] [--out DIR] [--trace-events DIR]
-//!             [--profile]
-//! experiments forensics --trace FILE [--out DIR]
-//! experiments trace info --trace FILE [--min-ratio R]
-//! experiments trace export --trace FILE [--out FILE]
-//! experiments trace query --trace FILE --slot A..B [--node N] [--packet P]
-//! experiments campaign --spec FILE [--quick] [--out DIR] [--no-progress]
-//! experiments serve --data DIR [--addr HOST:PORT] [--jobs N]
-//!             [--allow-remote-shutdown] [--no-progress]
-//! experiments submit --server ADDR --spec FILE [--quick] [--wait]
-//! experiments status --server ADDR [--id JOB]
-//! experiments fetch --server ADDR --id JOB [--artefact NAME] [--out DIR]
-//! experiments cancel --server ADDR --id JOB
+//! [`usage`] prints the command lines. [`SUBCOMMANDS`] declares each
+//! subcommand's flags, and [`ARTEFACTS`] each paper artefact with its
+//! group; [`parse`] checks a command line against both before any
+//! handler runs, so a flag of one subcommand passed to another is a
+//! usage error instead of being silently ignored.
 //!
-//! artefacts:
-//!   table1 | fig3 | fig5 | fig6 | fig7            (analytical, instant)
-//!   fig9 | fig10 | fig11                          (trace-driven sims)
-//!   ablation-overhearing | ablation-opportunistic (ablations)
-//!   lifetime-gain | theorem1-check                (extensions)
-//!   resilience                                    (fault-injection campaign)
-//!   forensics                                     (trace post-mortem)
-//!   trace                                         (trace file tooling: info/export/query)
-//!   analytical                                    (all instant artefacts)
-//!   all                                           (everything)
-//! ```
-//!
-//! `--quick` shrinks the trace-driven runs (fewer packets/seeds, coarser
-//! duty grid) so the full suite completes in minutes on one core.
-//! `--out DIR` additionally writes each artefact to `DIR/<name>.md`,
-//! with a provenance manifest beside it (`DIR/<name>.manifest.json`:
-//! protocols, config, seeds, sims, slots, wall clock, slots/sec).
-//! `--trace-events DIR` streams every flood's slot-level events to one
-//! columnar binary file per run (`<stem>.events.bin`, with a seekable
-//! slot index) and records the sink's event/byte totals in each
-//! artefact manifest; `trace export` turns such a file into JSONL.
-//! That trace is the run's one record: `forensics` and `trace query`
-//! read per-packet delays, coverage growth and per-node load from it.
-//! `--profile` on a generic artefact attaches the engine phase profiler
-//! to every simulation and prints a per-phase cost summary to stderr —
-//! the artefact bytes themselves must not change (CI diffs them against
-//! the pinned baselines with profiling on).
 //! Every simulation runs on the event-driven engine, which jumps over
 //! provably dead slots instead of stepping them (see EXPERIMENTS.md
-//! "Engines").
-//!
-//! `forensics` replays one trace (a `--trace-events` file or its JSONL
-//! export; the format is sniffed from the leading bytes) through
-//! `ldcf_analysis::ForensicsReport`: it reconstructs each packet's
-//! dissemination tree, attributes every node's flooding delay to five
-//! causes, extracts critical paths, and checks the run against the
-//! paper's theory (exact attribution sums, spanning trees, Corollary 1
-//! blocking bounds). The trace is streamed — memory stays bounded by
-//! the derived per-packet state, not the event count. It prints a human
-//! summary, writes `DIR/<stem>.forensics.json` under `--out`, and exits
-//! non-zero if any hard theory check fails — CI runs it on every quick
-//! fig9 trace and on its exported JSONL twin.
-//!
-//! `trace` is the trace-file toolbox: `info` prints event counts, slot
-//! span, byte sizes and the binary-vs-JSONL compression ratio (and
-//! gates on `--min-ratio` for CI); `export` converts a binary trace to
-//! JSONL byte-identical to what a `JsonlSink` observing the same run
-//! writes; `query` streams the events in a slot range (binary traces
-//! seek via the trailing index), optionally filtered to one node or
-//! packet.
-//!
-//! `serve` turns the campaign runner into a long-lived HTTP job server
-//! over `--data DIR` (one job directory per spec digest; see
-//! EXPERIMENTS.md "Campaign service"), and `submit`/`status`/`fetch`/
-//! `cancel` are its thin clients. The server resumes interrupted
-//! campaigns on restart and dedupes re-submitted specs by digest, so
-//! the artefacts it serves are byte-identical to direct
-//! `experiments campaign` runs.
+//! "Engines"). The campaign service (`serve` and its thin clients) is
+//! described in EXPERIMENTS.md "Campaign service".
 
 use ldcf_bench::{experiments, CampaignOptions, ExpOptions, Runner, WorkLedger};
 use ldcf_obs::RunManifest;
 use serde::Value;
+use std::fmt::Display;
 use std::path::{Path, PathBuf};
 
 /// Stdout for everything an artefact prints. A reader that closes the
@@ -107,8 +47,7 @@ impl std::io::Write for Stdout {
 macro_rules! out {
     ($($arg:tt)*) => {
         if let Err(e) = std::io::Write::write_fmt(&mut Stdout, format_args!($($arg)*)) {
-            eprintln!("error: writing to stdout: {e}");
-            std::process::exit(1);
+            fail(1, format!("writing to stdout: {e}"));
         }
     };
 }
@@ -120,275 +59,322 @@ macro_rules! outln {
     };
 }
 
-struct Cli {
-    artefact: String,
-    /// Second positional for `trace`: `info`, `export` or `query`.
-    action: Option<String>,
-    opts: ExpOptions,
-    quick: bool,
-    out: Option<PathBuf>,
-    trace_events: Option<PathBuf>,
-    trace: Option<PathBuf>,
-    spec: Option<PathBuf>,
-    digest: bool,
-    profile: bool,
-    no_progress: bool,
-    min_ratio: Option<f64>,
-    slot: Option<String>,
-    node: Option<u32>,
-    packet: Option<u32>,
-    data: Option<PathBuf>,
-    addr: Option<String>,
-    jobs: Option<usize>,
-    server: Option<String>,
-    id: Option<String>,
-    /// `--artefact NAME` for `fetch` (the positional `artefact` field
-    /// above is the subcommand name).
-    artefact_name: Option<String>,
-    wait: bool,
-    allow_remote_shutdown: bool,
-    from: Option<PathBuf>,
-    gate: bool,
+/// A subcommand: its name, its handler, and every flag it accepts,
+/// written as [`usage`] writes them (see [`declared`]).
+struct Subcommand {
+    name: &'static str,
+    flags: &'static str,
+    run: fn(&Args),
 }
 
-/// The flags each subcommand accepts. Everything not listed here is a
-/// usage error for that subcommand: a `--quick` passed to `forensics`
-/// or a `--trace` passed to `fig9` used to be silently swallowed (or,
-/// worse, a leading flag became the artefact name), which made typo'd
-/// CI invocations look green while running the wrong thing.
-fn allowed_flags(artefact: &str) -> &'static [&'static str] {
-    match artefact {
-        "forensics" => &["--trace", "--out"],
-        "trace" => &[
-            "--trace",
-            "--out",
-            "--min-ratio",
-            "--slot",
-            "--node",
-            "--packet",
-        ],
-        "campaign" => &["--spec", "--quick", "--out", "--digest", "--no-progress"],
-        "stats" => &["--spec", "--quick", "--from", "--out", "--gate"],
-        "serve" => &[
-            "--data",
-            "--addr",
-            "--jobs",
-            "--allow-remote-shutdown",
-            "--no-progress",
-        ],
-        "submit" => &["--server", "--spec", "--quick", "--wait"],
-        "status" => &["--server", "--id"],
-        "fetch" => &["--server", "--id", "--artefact", "--out"],
-        "cancel" => &["--server", "--id"],
-        _ => &["--quick", "--out", "--trace-events", "--profile"],
+impl Subcommand {
+    /// The declared flag `name` and, if it takes a value, its placeholder.
+    fn flag(&self, name: &str) -> Option<(&'static str, Option<&'static str>)> {
+        declared(self.flags).find(|(flag, _)| *flag == name)
     }
 }
 
-fn parse_args() -> Cli {
-    let mut artefact: Option<String> = None;
-    let mut action: Option<String> = None;
-    let mut quick = false;
-    let mut out = None;
-    let mut trace = None;
-    let mut spec = None;
-    let mut digest = false;
-    let mut profile = false;
-    let mut no_progress = false;
-    let mut trace_events = None;
-    let mut min_ratio = None;
-    let mut slot = None;
-    let mut node = None;
-    let mut packet = None;
-    let mut data = None;
-    let mut addr = None;
-    let mut jobs = None;
-    let mut server = None;
-    let mut id = None;
-    let mut artefact_name = None;
-    let mut wait = false;
-    let mut allow_remote_shutdown = false;
-    let mut from = None;
-    let mut gate = false;
-    let mut seen: Vec<String> = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        let mut value = |what: &str| -> String {
-            args.next()
-                .unwrap_or_else(|| usage(&format!("{a} needs {what}")))
-        };
-        match a.as_str() {
-            "--help" | "-h" => usage(""),
-            "--quick" => quick = true,
-            "--digest" => digest = true,
-            "--profile" => profile = true,
-            "--no-progress" => no_progress = true,
-            "--out" => out = Some(PathBuf::from(value("a directory"))),
-            "--trace" => trace = Some(PathBuf::from(value("a file"))),
-            "--spec" => spec = Some(PathBuf::from(value("a file"))),
-            "--trace-events" => trace_events = Some(PathBuf::from(value("a directory"))),
-            "--min-ratio" => {
-                let r = value("a ratio");
-                min_ratio = Some(
-                    r.parse::<f64>()
-                        .ok()
-                        .filter(|r| *r > 0.0)
-                        .unwrap_or_else(|| {
-                            usage(&format!("--min-ratio wants a positive number, got {r:?}"))
-                        }),
-                );
-            }
-            "--slot" => slot = Some(value("a range A..B")),
-            "--data" => data = Some(PathBuf::from(value("a directory"))),
-            "--addr" => addr = Some(value("host:port")),
-            "--jobs" => {
-                let n = value("a count");
-                jobs = Some(
-                    n.parse::<usize>()
-                        .ok()
-                        .filter(|&n| n >= 1)
-                        .unwrap_or_else(|| {
-                            usage(&format!("--jobs wants a positive integer, got {n:?}"))
-                        }),
-                );
-            }
-            "--server" => server = Some(value("host:port")),
-            "--id" => id = Some(value("a job id")),
-            "--artefact" => artefact_name = Some(value("an artefact name")),
-            "--wait" => wait = true,
-            "--allow-remote-shutdown" => allow_remote_shutdown = true,
-            "--from" => from = Some(PathBuf::from(value("a directory"))),
-            "--gate" => gate = true,
-            "--node" => {
-                let n = value("a node id");
-                node = Some(
-                    n.parse::<u32>()
-                        .unwrap_or_else(|_| usage(&format!("--node wants a node id, got {n:?}"))),
-                );
-            }
-            "--packet" => {
-                let p = value("a packet id");
-                packet =
-                    Some(p.parse::<u32>().unwrap_or_else(|_| {
-                        usage(&format!("--packet wants a packet id, got {p:?}"))
-                    }));
-            }
-            other if other.starts_with('-') => {
-                usage(&format!("unknown flag '{other}'"));
-            }
-            other if artefact.is_none() => {
-                artefact = Some(other.to_string());
-                continue;
-            }
-            other if artefact.as_deref() == Some("trace") && action.is_none() => {
-                action = Some(other.to_string());
-                continue;
-            }
-            other => usage(&format!("unexpected argument '{other}'")),
-        }
-        seen.push(a);
-    }
-    let artefact = artefact.unwrap_or_else(|| usage("missing artefact name"));
-    let allowed = allowed_flags(&artefact);
-    for flag in &seen {
-        if !allowed.contains(&flag.as_str()) {
-            usage(&format!("flag '{flag}' is not valid for '{artefact}'"));
-        }
-    }
-    Cli {
-        artefact,
-        action,
-        opts: if quick {
-            ExpOptions::quick()
-        } else {
-            ExpOptions::full()
-        },
-        quick,
-        out,
-        trace_events,
-        trace,
-        spec,
-        digest,
-        profile,
-        no_progress,
-        min_ratio,
-        slot,
-        node,
-        packet,
-        data,
-        addr,
-        jobs,
-        server,
-        id,
-        artefact_name,
-        wait,
-        allow_remote_shutdown,
-        from,
-        gate,
-    }
+/// The flags in usage syntax: each `--flag`, with the placeholder that
+/// follows it when it takes a value. Other words are skipped.
+fn declared(usage: &str) -> impl Iterator<Item = (&str, Option<&str>)> {
+    let mut words = usage.split_whitespace().peekable();
+    std::iter::from_fn(move || {
+        let flag = words.find(|w| w.starts_with("--"))?;
+        Some((flag, words.next_if(|w| !w.starts_with("--"))))
+    })
 }
 
-impl Cli {
-    /// A fresh runner for one artefact, configured from the flags.
-    fn runner(&self) -> Runner {
-        let mut runner = Runner::default();
-        if let Some(dir) = &self.trace_events {
-            runner = runner
-                .with_event_tracing(dir)
-                .unwrap_or_else(|e| usage(&format!("--trace-events: {e}")));
-        }
-        if self.profile {
-            runner = runner.with_profiling();
-        }
-        runner
-    }
+/// The artefact runs share one entry, named by the placeholder the
+/// usage text gives them.
+const ARTEFACT_RUN: &str = "<artefact>";
+
+const SUBCOMMANDS: &[Subcommand] = &[
+    Subcommand {
+        name: ARTEFACT_RUN,
+        flags: "--quick --out DIR --trace-events DIR --profile",
+        run: run_artefacts,
+    },
+    Subcommand {
+        name: "forensics",
+        flags: "--trace FILE --out DIR",
+        run: run_forensics,
+    },
+    Subcommand {
+        name: "trace",
+        flags: "--trace FILE --out FILE --min-ratio R --slot A..B --node N --packet P",
+        run: run_trace,
+    },
+    Subcommand {
+        name: "campaign",
+        flags: "--spec FILE --quick --out DIR --digest --no-progress",
+        run: run_campaign_cmd,
+    },
+    Subcommand {
+        name: "stats",
+        flags: "--spec FILE --from DIR --quick --out DIR --gate",
+        run: run_stats_cmd,
+    },
+    Subcommand {
+        name: "serve",
+        flags: "--data DIR --addr HOST:PORT --jobs N --allow-remote-shutdown --no-progress",
+        run: run_service_cmd,
+    },
+    Subcommand {
+        name: "submit",
+        flags: "--server ADDR --spec FILE --quick --wait",
+        run: run_service_cmd,
+    },
+    Subcommand {
+        name: "status",
+        flags: "--server ADDR --id JOB",
+        run: run_service_cmd,
+    },
+    Subcommand {
+        name: "fetch",
+        flags: "--server ADDR --id JOB --artefact NAME --out DIR",
+        run: run_service_cmd,
+    },
+    Subcommand {
+        name: "cancel",
+        flags: "--server ADDR --id JOB",
+        run: run_service_cmd,
+    },
+];
+
+/// Which group an artefact belongs to: `analytical` runs the
+/// [`Group::Analytical`] ones, `all` runs every artefact.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Group {
+    /// Closed-form or instant: no trace-driven simulation.
+    Analytical,
+    /// Trace-driven simulations, sized by `--quick`.
+    Simulated,
 }
 
+/// An artefact: its name, its group, and how it renders (markdown).
+/// The table's order is the order `all` and `analytical` run in.
+type Artefact = (&'static str, Group, fn(&mut Render) -> String);
+
+const ARTEFACTS: &[Artefact] = &[
+    ("table1", Group::Analytical, |_| experiments::table1(1024)),
+    ("fig3", Group::Analytical, |_| experiments::fig3()),
+    ("fig5", Group::Analytical, |_| fig5()),
+    ("fig6", Group::Analytical, |_| {
+        with_chart(&experiments::fig6())
+    }),
+    ("fig7", Group::Analytical, |_| {
+        with_chart(&experiments::fig7(298))
+    }),
+    ("theorem1-check", Group::Analytical, |_| {
+        experiments::theorem1_check()
+    }),
+    ("lifetime-gain", Group::Analytical, |_| {
+        experiments::lifetime_gain(298, 0.75)
+    }),
+    ("fig9", Group::Simulated, |r| {
+        with_chart(&experiments::fig9(r.runner, r.opts))
+    }),
+    ("fig10", Group::Simulated, |r| r.fig10_11().0.clone()),
+    ("fig11", Group::Simulated, |r| r.fig10_11().1.clone()),
+    ("ablation-overhearing", Group::Simulated, |r| {
+        experiments::ablation_overhearing(r.runner, r.opts).to_markdown()
+    }),
+    ("ablation-opportunistic", Group::Simulated, |r| {
+        experiments::ablation_opportunistic(r.runner, r.opts).to_markdown()
+    }),
+    ("ablation-policy", Group::Analytical, |_| {
+        experiments::ablation_policy()
+    }),
+    ("resilience", Group::Simulated, |r| {
+        ldcf_bench::resilience::resilience(r.runner, r.opts, r.quick)
+    }),
+];
+
+/// The artefacts a run name selects: one artefact, a group, or none.
+fn select(name: &str) -> Vec<&'static Artefact> {
+    ARTEFACTS
+        .iter()
+        .filter(|(artefact, group, _)| match name {
+            "all" => true,
+            "analytical" => *group == Group::Analytical,
+            _ => *artefact == name,
+        })
+        .collect()
+}
+
+/// The command lines, one per subcommand (and per `trace` action). The
+/// flags each line names are exactly those its [`SUBCOMMANDS`] entry
+/// declares.
+const USAGE: &str = "\
+experiments <artefact> [--quick] [--out DIR] [--trace-events DIR] [--profile]
+experiments forensics --trace FILE [--out DIR]
+experiments trace info --trace FILE [--min-ratio R]
+experiments trace export --trace FILE [--out FILE]
+experiments trace query --trace FILE --slot A..B [--node N] [--packet P]
+experiments campaign --spec FILE [--quick] [--out DIR] [--no-progress]
+experiments campaign --spec FILE --digest
+experiments stats --spec FILE --from DIR [--quick] [--out DIR] [--gate]
+experiments serve --data DIR [--addr HOST:PORT] [--jobs N] [--allow-remote-shutdown] [--no-progress]
+experiments submit --server ADDR --spec FILE [--quick] [--wait]
+experiments status --server ADDR [--id JOB]
+experiments fetch --server ADDR --id JOB [--artefact NAME] [--out DIR]
+experiments cancel --server ADDR --id JOB";
+
+/// Print `err` (if any) and the usage text to stderr, then exit: 0 for
+/// `--help`, 2 for a usage error.
 fn usage(err: &str) -> ! {
     if !err.is_empty() {
         eprintln!("error: {err}\n");
     }
-    eprintln!(
-        "usage: experiments <artefact> [--quick] [--out DIR] [--trace-events DIR] [--profile]\n\
-         \u{20}      experiments forensics --trace FILE [--out DIR]\n\
-         \u{20}      experiments trace info --trace FILE [--min-ratio R]\n\
-         \u{20}      experiments trace export --trace FILE [--out FILE]\n\
-         \u{20}      experiments trace query --trace FILE --slot A..B [--node N] [--packet P]\n\
-         \u{20}      experiments campaign --spec FILE [--quick] [--out DIR] [--no-progress]\n\
-         \u{20}      experiments campaign --spec FILE --digest\n\
-         \u{20}      experiments stats --spec FILE --from DIR [--quick] [--out DIR] [--gate]\n\
-         \u{20}      experiments serve --data DIR [--addr HOST:PORT] [--jobs N] [--allow-remote-shutdown] [--no-progress]\n\
-         \u{20}      experiments submit --server ADDR --spec FILE [--quick] [--wait]\n\
-         \u{20}      experiments status --server ADDR [--id JOB]\n\
-         \u{20}      experiments fetch --server ADDR --id JOB [--artefact NAME] [--out DIR]\n\
-         \u{20}      experiments cancel --server ADDR --id JOB\n\
-         artefacts: table1 fig3 fig5 fig6 fig7 fig9 fig10 fig11\n\
-         \u{20}          ablation-overhearing ablation-opportunistic ablation-policy\n\
-         \u{20}          lifetime-gain theorem1-check resilience\n\
-         \u{20}          forensics trace campaign stats analytical all\n\
-         \u{20}          serve submit status fetch cancel"
-    );
+    for (i, line) in USAGE.lines().enumerate() {
+        eprintln!("{} {line}", if i == 0 { "usage:" } else { "      " });
+    }
+    let names = |group| {
+        let names: Vec<&str> = ARTEFACTS
+            .iter()
+            .filter(|a| a.1 == group)
+            .map(|a| a.0)
+            .collect();
+        names.join(" ")
+    };
+    eprintln!("analytical artefacts: {}", names(Group::Analytical));
+    eprintln!("simulated artefacts:  {}", names(Group::Simulated));
+    eprintln!("artefact groups:      analytical all");
     std::process::exit(if err.is_empty() { 0 } else { 2 });
 }
 
-/// The `forensics` artefact: stream one trace (either format) through
-/// the forensics collector, print the summary, optionally write the
-/// JSON report, and exit non-zero on any hard theory violation.
-fn run_forensics(cli: &Cli) -> ! {
-    let trace = cli
-        .trace
-        .as_ref()
-        .unwrap_or_else(|| usage("forensics needs --trace FILE"));
+/// Print `error: {msg}` to stderr and exit with `code`: 2 for input the
+/// command cannot use, 1 for a failure while running it.
+fn fail(code: i32, msg: impl Display) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(code);
+}
+
+/// A command line checked against [`SUBCOMMANDS`]: the subcommand, the
+/// `trace` action, and the flags given, in order.
+struct Args {
+    cmd: &'static Subcommand,
+    /// The first positional as given: an artefact, a group or a
+    /// subcommand name.
+    name: String,
+    /// The second positional, for `trace`: `info`, `export` or `query`.
+    action: Option<String>,
+    flags: Vec<(&'static str, Option<String>)>,
+}
+
+/// Parse the arguments after the program name. A flag no subcommand
+/// declares, a missing value, an unknown name or a flag the named
+/// subcommand does not declare is an error; `Err("")` asks for help.
+fn parse(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
+    let mut name: Option<String> = None;
+    let mut action = None;
+    let mut flags = Vec::new();
+    let mut argv = argv.into_iter();
+    while let Some(arg) = argv.next() {
+        if arg == "--help" || arg == "-h" {
+            return Err(String::new());
+        }
+        if arg.starts_with('-') {
+            let (flag, placeholder) = SUBCOMMANDS
+                .iter()
+                .find_map(|cmd| cmd.flag(&arg))
+                .ok_or_else(|| format!("unknown flag '{arg}'"))?;
+            let value = match placeholder {
+                Some(_) => Some(argv.next().ok_or(format!("{flag} needs a value"))?),
+                None => None,
+            };
+            flags.push((flag, value));
+        } else if name.is_none() {
+            name = Some(arg);
+        } else if name.as_deref() == Some("trace") && action.is_none() {
+            action = Some(arg);
+        } else {
+            return Err(format!("unexpected argument '{arg}'"));
+        }
+    }
+    let name = name.ok_or("missing artefact name")?;
+    let cmd = SUBCOMMANDS
+        .iter()
+        .find(|cmd| match cmd.name {
+            ARTEFACT_RUN => !select(&name).is_empty(),
+            subcommand => subcommand == name,
+        })
+        .ok_or_else(|| format!("unknown artefact '{name}'"))?;
+    if let Some((flag, _)) = flags.iter().find(|(flag, _)| cmd.flag(flag).is_none()) {
+        return Err(format!("flag '{flag}' is not valid for '{name}'"));
+    }
+    Ok(Args {
+        cmd,
+        name,
+        action,
+        flags,
+    })
+}
+
+impl Args {
+    /// The last occurrence of `flag`, which the subcommand must declare.
+    fn last(&self, flag: &str) -> Option<&(&'static str, Option<String>)> {
+        debug_assert!(
+            self.cmd.flag(flag).is_some(),
+            "{flag} is not declared for {}",
+            self.cmd.name
+        );
+        self.flags.iter().rev().find(|(given, _)| *given == flag)
+    }
+
+    /// Whether a flag was given.
+    fn has(&self, flag: &str) -> bool {
+        self.last(flag).is_some()
+    }
+
+    /// The value given for `flag` (a repeated flag's last value wins).
+    fn value(&self, flag: &str) -> Option<&str> {
+        self.last(flag)?.1.as_deref()
+    }
+
+    fn path(&self, flag: &str) -> Option<PathBuf> {
+        self.value(flag).map(PathBuf::from)
+    }
+
+    /// The value of a flag the subcommand cannot run without; its
+    /// absence is a usage error naming the flag and its placeholder.
+    fn required(&self, flag: &str) -> &str {
+        self.value(flag).unwrap_or_else(|| {
+            let placeholder = self.cmd.flag(flag).and_then(|f| f.1).unwrap_or("");
+            usage(&format!("{} needs {flag} {placeholder}", self.name))
+        })
+    }
+
+    /// The value of `flag` parsed as `T` and accepted by `ok`; any other
+    /// value is a usage error saying what the flag `wants`.
+    fn parsed<T: std::str::FromStr>(
+        &self,
+        flag: &str,
+        wants: &str,
+        ok: impl Fn(&T) -> bool,
+    ) -> Option<T> {
+        let value = self.value(flag)?;
+        let parsed = value.parse().ok().filter(|v| ok(v));
+        Some(parsed.unwrap_or_else(|| usage(&format!("{flag} wants {wants}, got {value:?}"))))
+    }
+}
+
+/// The `forensics` artefact: stream one trace (a `--trace-events` file
+/// or its JSONL export; the format is sniffed from the leading bytes)
+/// through `ldcf_analysis::ForensicsReport`, which reconstructs each
+/// packet's dissemination tree, attributes every node's flooding delay
+/// to five causes, extracts critical paths and checks the run against
+/// the paper's theory. Prints the summary, optionally writes
+/// `DIR/<stem>.forensics.json`, and exits 1 on any hard theory
+/// violation.
+fn run_forensics(args: &Args) {
+    let trace = Path::new(args.required("--trace"));
+    let out = args.path("--out");
     let source = ldcf_analysis::EventSource::open(trace)
         .unwrap_or_else(|e| usage(&format!("--trace {}: {e}", trace.display())));
-    let report = match ldcf_analysis::ForensicsReport::from_source(source) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
+    let report = ldcf_analysis::ForensicsReport::from_source(source).unwrap_or_else(|e| fail(2, e));
     outln!("{}", report.summary(5));
-    if let Some(dir) = &cli.out {
+    if let Some(dir) = &out {
         let stem = trace
             .file_stem()
             .and_then(|s| s.to_str())
@@ -400,41 +386,37 @@ fn run_forensics(cli: &Cli) -> ! {
             report.to_json_pretty() + "\n",
         );
     }
-    if report.is_clean() {
-        std::process::exit(0);
+    if !report.is_clean() {
+        eprintln!(
+            "forensics: {} theory violation(s) — see summary above",
+            report.violations.len()
+        );
+        std::process::exit(1);
     }
-    eprintln!(
-        "forensics: {} theory violation(s) — see summary above",
-        report.violations.len()
-    );
-    std::process::exit(1);
 }
 
 /// The `trace` artefact: file-level tooling over event traces.
-/// `info` measures (and optionally gates) the binary compression ratio,
-/// `export` converts binary → JSONL byte-identically to a direct JSONL
-/// run, `query` streams a slot range using the binary index when the
-/// input has one.
-fn run_trace(cli: &Cli) -> ! {
+/// `info` prints event counts, slot span, byte sizes and the binary
+/// compression ratio (and gates it with `--min-ratio`), `export`
+/// converts binary → JSONL byte-identically to a direct JSONL run,
+/// `query` streams a slot range, seeking via the binary index when the
+/// input has one, optionally filtered to one node or packet.
+fn run_trace(args: &Args) {
     use ldcf_bench::trace_cmd;
 
-    let action = cli
+    let action = args
         .action
         .as_deref()
         .unwrap_or_else(|| usage("trace needs an action: info, export or query"));
-    let trace = cli
-        .trace
-        .as_ref()
-        .unwrap_or_else(|| usage("trace needs --trace FILE"));
-    let fail = |e: String| -> ! {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    };
+    let trace = Path::new(args.required("--trace"));
+    let min_ratio = args.parsed("--min-ratio", "a positive number", |r: &f64| *r > 0.0);
+    let node = args.parsed("--node", "a node id", |_: &u32| true);
+    let packet = args.parsed("--packet", "a packet id", |_: &u32| true);
     match action {
         "info" => {
-            let info = trace_cmd::info(trace).unwrap_or_else(|e| fail(e));
+            let info = trace_cmd::info(trace).unwrap_or_else(|e| fail(2, e));
             out!("{}", info.render(trace));
-            if let Some(min) = cli.min_ratio {
+            if let Some(min) = min_ratio {
                 if info.ratio() < min {
                     eprintln!(
                         "trace info: compression ratio {:.2}x below --min-ratio {min}",
@@ -449,11 +431,10 @@ fn run_trace(cli: &Cli) -> ! {
             }
         }
         "export" => {
-            let out = cli
-                .out
-                .clone()
+            let out = args
+                .path("--out")
                 .unwrap_or_else(|| trace_cmd::default_export_path(trace));
-            let (events, bytes) = trace_cmd::export(trace, &out).unwrap_or_else(|e| fail(e));
+            let (events, bytes) = trace_cmd::export(trace, &out).unwrap_or_else(|e| fail(2, e));
             eprintln!(
                 "trace export: {} -> {} ({events} events, {bytes} bytes)",
                 trace.display(),
@@ -461,17 +442,14 @@ fn run_trace(cli: &Cli) -> ! {
             );
         }
         "query" => {
-            let range = cli
-                .slot
-                .as_deref()
+            let range = args
+                .value("--slot")
                 .unwrap_or_else(|| usage("trace query needs --slot A..B"));
             let range = trace_cmd::parse_slot_range(range).unwrap_or_else(|e| usage(&e));
             let mut out = std::io::BufWriter::new(Stdout);
-            let stats = trace_cmd::query(trace, range, cli.node, cli.packet, &mut out)
-                .unwrap_or_else(|e| fail(e));
-            use std::io::Write;
-            out.flush().unwrap_or_else(|e| fail(e.to_string()));
-            drop(out);
+            let stats = trace_cmd::query(trace, range, node, packet, &mut out)
+                .unwrap_or_else(|e| fail(2, e));
+            std::io::Write::flush(&mut out).unwrap_or_else(|e| fail(2, e));
             if stats.frames_total > 0 {
                 eprintln!(
                     "trace query: {} event(s), decoded {}/{} frames via index",
@@ -485,70 +463,55 @@ fn run_trace(cli: &Cli) -> ! {
             "unknown trace action '{other}' (expected info, export or query)"
         )),
     }
-    std::process::exit(0);
+}
+
+/// The scenario spec named by `--spec`: an unreadable file or a spec
+/// that does not parse exits 2, naming the file.
+fn load_spec(args: &Args) -> (PathBuf, ldcf_scenarios::ScenarioSpec) {
+    let path = PathBuf::from(args.required("--spec"));
+    let text = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| usage(&format!("--spec {}: {e}", path.display())));
+    match ldcf_scenarios::ScenarioSpec::from_toml_str(&text) {
+        Ok(spec) => (path, spec),
+        Err(e) => fail(2, format!("{}: {e}", path.display())),
+    }
 }
 
 /// The `campaign` subcommand: parse a scenario spec, then either print
 /// its generator digest (`--digest`, the CI golden gate) or run/resume
 /// the campaign into `--out` and print the aggregated table.
-fn run_campaign_cmd(cli: &Cli) -> ! {
-    use ldcf_scenarios::{BuiltScenario, ScenarioSpec};
-
-    let spec_path = cli
-        .spec
-        .as_ref()
-        .unwrap_or_else(|| usage("campaign needs --spec FILE"));
-    let text = std::fs::read_to_string(spec_path)
-        .unwrap_or_else(|e| usage(&format!("--spec {}: {e}", spec_path.display())));
-    let spec = match ScenarioSpec::from_toml_str(&text) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: {}: {e}", spec_path.display());
-            std::process::exit(2);
-        }
-    };
-
-    if cli.digest {
+fn run_campaign_cmd(args: &Args) {
+    let (path, spec) = load_spec(args);
+    if args.has("--digest") {
         // Digest of the *full* matrix even under --quick: the golden
         // file pins one digest per spec, not one per truncation level.
-        let built = match BuiltScenario::build(spec) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("error: {}: {e}", spec_path.display());
-                std::process::exit(2);
-            }
-        };
+        let built = ldcf_scenarios::BuiltScenario::build(spec)
+            .unwrap_or_else(|e| fail(2, format!("{}: {e}", path.display())));
         outln!("{}  {}", built.digest(), built.spec.name);
-        std::process::exit(0);
+        return;
     }
 
-    let out = cli.out.clone().unwrap_or_else(|| PathBuf::from("."));
+    let out = args.path("--out").unwrap_or_else(|| PathBuf::from("."));
+    // An `--out` that cannot be a directory is a usage error, like
+    // every other `--out` and `serve --data`.
+    std::fs::create_dir_all(&out)
+        .unwrap_or_else(|e| usage(&format!("--out {}: {e}", out.display())));
     let t0 = std::time::Instant::now();
     let opts = CampaignOptions {
-        quick: cli.quick,
-        progress: !cli.no_progress,
+        quick: args.has("--quick"),
+        progress: !args.has("--no-progress"),
         ..CampaignOptions::default()
     };
-    let outcome = match ldcf_bench::run_campaign_with(spec, &out, opts) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-    };
+    let outcome = ldcf_bench::run_campaign_with(spec, &out, opts).unwrap_or_else(|e| fail(1, e));
     let wall = t0.elapsed();
     outln!("{}", outcome.markdown);
 
     ldcf_bench::campaign::write_manifest(&out, &outcome.manifest(wall.as_millis() as u64))
-        .unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        });
+        .unwrap_or_else(|e| fail(1, e));
     eprintln!(
         "[campaign-{}] done in {wall:?} — {}/{} cells run, {} resumed, digest {}",
         outcome.name, outcome.cells_run, outcome.cells_total, outcome.cells_resumed, outcome.digest
     );
-    std::process::exit(0);
 }
 
 /// The `stats` subcommand: recompute a campaign's statistics from an
@@ -556,39 +519,17 @@ fn run_campaign_cmd(cli: &Cli) -> ! {
 /// optionally write `campaign-stats.md` / `campaign-stats.json` to
 /// `--out`, and with `--gate` exit 1 when the theory-conformance gate
 /// (Theorem 2 band / hard worst case) is violated.
-fn run_stats_cmd(cli: &Cli) -> ! {
-    use ldcf_scenarios::ScenarioSpec;
-
-    let spec_path = cli
-        .spec
-        .as_ref()
-        .unwrap_or_else(|| usage("stats needs --spec FILE"));
-    let from = cli
-        .from
-        .as_ref()
-        .unwrap_or_else(|| usage("stats needs --from DIR (a campaign output directory)"));
-    let text = std::fs::read_to_string(spec_path)
-        .unwrap_or_else(|e| usage(&format!("--spec {}: {e}", spec_path.display())));
-    let spec = match ScenarioSpec::from_toml_str(&text) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: {}: {e}", spec_path.display());
-            std::process::exit(2);
-        }
-    };
-    let outcome = match ldcf_bench::campaign::recompute_stats(spec, cli.quick, from) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-    };
+fn run_stats_cmd(args: &Args) {
+    let (_, spec) = load_spec(args);
+    let from = Path::new(args.required("--from"));
+    let outcome = ldcf_bench::campaign::recompute_stats(spec, args.has("--quick"), from)
+        .unwrap_or_else(|e| fail(1, e));
     outln!("{}", outcome.markdown);
-    if let Some(dir) = &cli.out {
-        write_out(dir, "campaign-stats.md", &outcome.markdown);
-        write_out(dir, "campaign-stats.json", outcome.to_json_pretty());
+    if let Some(dir) = args.path("--out") {
+        write_out(&dir, "campaign-stats.md", &outcome.markdown);
+        write_out(&dir, "campaign-stats.json", outcome.to_json_pretty());
     }
-    if cli.gate {
+    if args.has("--gate") {
         let violations = outcome.stats.gate_violations();
         if !violations.is_empty() {
             for v in &violations {
@@ -606,65 +547,47 @@ fn run_stats_cmd(cli: &Cli) -> ! {
             outcome.name
         );
     }
-    std::process::exit(0);
 }
 
-/// The campaign-service subcommands (`serve` and its thin clients).
-/// Flag validation happens here — missing required flags exit 2 like
-/// every other usage error; server-side failures exit 1.
-fn run_service_cmd(cli: &Cli) -> ! {
+/// The campaign-service subcommands: `serve` runs the campaign runner
+/// as a long-lived HTTP job server over `--data DIR` (one job directory
+/// per spec digest; interrupted campaigns resume on restart), and
+/// `submit`/`status`/`fetch`/`cancel` are its thin clients. Missing
+/// flags exit 2 like every other usage error; server-side and transport
+/// failures exit 1.
+fn run_service_cmd(args: &Args) {
     use ldcf_bench::service_cli;
 
-    let server = || -> &str {
-        cli.server
-            .as_deref()
-            .unwrap_or_else(|| usage(&format!("{} needs --server ADDR", cli.artefact)))
-    };
-    let job_id = || -> &str {
-        cli.id
-            .as_deref()
-            .unwrap_or_else(|| usage(&format!("{} needs --id JOB", cli.artefact)))
-    };
-    let result = match cli.artefact.as_str() {
+    let result = match args.name.as_str() {
         "serve" => {
-            let data = cli
-                .data
-                .as_ref()
-                .unwrap_or_else(|| usage("serve needs --data DIR"));
+            let data = Path::new(args.required("--data"));
+            let jobs = args.parsed("--jobs", "a positive integer", |&n: &usize| n >= 1);
             std::fs::create_dir_all(data)
                 .unwrap_or_else(|e| usage(&format!("--data {}: {e}", data.display())));
             service_cli::serve(
                 data,
-                cli.addr.as_deref().unwrap_or("127.0.0.1:0"),
-                cli.jobs.unwrap_or(2),
-                cli.allow_remote_shutdown,
-                !cli.no_progress,
+                args.value("--addr").unwrap_or("127.0.0.1:0"),
+                jobs.unwrap_or(2),
+                args.has("--allow-remote-shutdown"),
+                !args.has("--no-progress"),
             )
         }
         "submit" => {
-            let spec = cli
-                .spec
-                .as_ref()
-                .unwrap_or_else(|| usage("submit needs --spec FILE"));
-            service_cli::submit(server(), spec, cli.quick, cli.wait)
+            let server = args.required("--server");
+            let spec = Path::new(args.required("--spec"));
+            service_cli::submit(server, spec, args.has("--quick"), args.has("--wait"))
         }
-        "status" => service_cli::status(server(), cli.id.as_deref()),
+        "status" => service_cli::status(args.required("--server"), args.value("--id")),
         "fetch" => service_cli::fetch(
-            server(),
-            job_id(),
-            cli.artefact_name.as_deref(),
-            cli.out.as_deref(),
+            args.required("--server"),
+            args.required("--id"),
+            args.value("--artefact"),
+            args.path("--out").as_deref(),
         ),
-        "cancel" => service_cli::cancel(server(), job_id()),
-        other => usage(&format!("unknown service subcommand '{other}'")),
+        "cancel" => service_cli::cancel(args.required("--server"), args.required("--id")),
+        other => unreachable!("'{other}' is not a service subcommand"),
     };
-    match result {
-        Ok(()) => std::process::exit(0),
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-    }
+    result.unwrap_or_else(|e| fail(1, e));
 }
 
 /// Markdown table followed by its ASCII chart (fenced for markdown).
@@ -676,10 +599,34 @@ fn with_chart(table: &ldcf_analysis::Table) -> String {
     )
 }
 
-fn emit(out: &Option<PathBuf>, name: &str, body: &str) {
-    outln!("\n## {name}\n\n{body}");
-    if let Some(dir) = out {
-        write_out(dir, &format!("{name}.md"), body);
+/// Fig. 5's two panels.
+fn fig5() -> String {
+    let (left, right) = experiments::fig5();
+    format!(
+        "Left panel (N = 1024):\n\n{}\nRight panel (T = 5):\n\n{}",
+        with_chart(&left),
+        with_chart(&right)
+    )
+}
+
+/// What an artefact renders with: its own runner, the sweep options,
+/// and the Fig. 10/11 sweep the two figures share. The sweep runs
+/// once, on the runner of whichever of the two renders first, whose
+/// ledger bills it.
+struct Render<'a> {
+    runner: &'a Runner,
+    opts: &'a ExpOptions,
+    quick: bool,
+    fig10_11: &'a mut Option<(String, String)>,
+}
+
+impl Render<'_> {
+    fn fig10_11(&mut self) -> &(String, String) {
+        let (runner, opts) = (self.runner, self.opts);
+        self.fig10_11.get_or_insert_with(|| {
+            let (f10, f11) = experiments::fig10_fig11(runner, opts);
+            (with_chart(&f10), with_chart(&f11))
+        })
     }
 }
 
@@ -738,116 +685,68 @@ fn report_profile(name: &str, runner: &Runner) {
     );
 }
 
-fn main() {
-    let cli = parse_args();
-    if cli.artefact == "forensics" {
-        run_forensics(&cli);
-    }
-    if cli.artefact == "trace" {
-        run_trace(&cli);
-    }
-    if cli.artefact == "campaign" {
-        run_campaign_cmd(&cli);
-    }
-    if cli.artefact == "stats" {
-        run_stats_cmd(&cli);
-    }
-    if matches!(
-        cli.artefact.as_str(),
-        "serve" | "submit" | "status" | "fetch" | "cancel"
-    ) {
-        run_service_cmd(&cli);
-    }
-    let names: Vec<&str> = match cli.artefact.as_str() {
-        "analytical" => vec![
-            "table1",
-            "fig3",
-            "fig5",
-            "fig6",
-            "fig7",
-            "theorem1-check",
-            "lifetime-gain",
-            "ablation-policy",
-        ],
-        "all" => vec![
-            "table1",
-            "fig3",
-            "fig5",
-            "fig6",
-            "fig7",
-            "theorem1-check",
-            "lifetime-gain",
-            "fig9",
-            "fig10",
-            "fig11",
-            "ablation-overhearing",
-            "ablation-opportunistic",
-            "ablation-policy",
-            "resilience",
-        ],
-        single => vec![single],
+/// An artefact run (one artefact or a group of them): print each
+/// artefact's markdown, and under `--out DIR` write it to
+/// `DIR/<name>.md` beside a provenance manifest
+/// (`DIR/<name>.manifest.json`: protocols, config, seeds, sims, slots,
+/// wall clock, slots/sec). `--quick` shrinks the trace-driven runs
+/// (fewer packets/seeds, coarser duty grid). `--trace-events DIR`
+/// streams every flood's slot-level events to one binary file per run
+/// (`<stem>.events.bin`, with a seekable slot index), the run's one
+/// record, and books the sink's totals in the manifest. `--profile`
+/// attaches the engine phase profiler to every simulation and prints a
+/// per-phase summary to stderr; the artefact bytes must not change (CI
+/// diffs them against the pinned baselines with profiling on).
+fn run_artefacts(args: &Args) {
+    let quick = args.has("--quick");
+    let opts = if quick {
+        ExpOptions::quick()
+    } else {
+        ExpOptions::full()
     };
-
-    // fig10 and fig11 share one sweep: compute lazily, cache. The shared
-    // ledger/wall-clock is billed to whichever of the two runs first.
-    let mut sweep_cache: Option<(String, String)> = None;
-    let mut fig10_11 = |runner: &Runner, opts: &ExpOptions| -> (String, String) {
-        if sweep_cache.is_none() {
-            let (f10, f11) = experiments::fig10_fig11(runner, opts);
-            sweep_cache = Some((with_chart(&f10), with_chart(&f11)));
+    let out = args.path("--out");
+    let trace_events = args.path("--trace-events");
+    let profile = args.has("--profile");
+    let mut fig10_11 = None;
+    for (name, _, render) in select(&args.name) {
+        // A fresh runner per artefact: its ledger holds only its runs.
+        let mut runner = Runner::default();
+        if let Some(dir) = &trace_events {
+            runner = runner
+                .with_event_tracing(dir)
+                .unwrap_or_else(|e| usage(&format!("--trace-events: {e}")));
         }
-        sweep_cache.clone().expect("just set")
-    };
-
-    for name in names {
-        let runner = cli.runner();
+        if profile {
+            runner = runner.with_profiling();
+        }
         let t0 = std::time::Instant::now();
-        let body = match name {
-            "table1" => experiments::table1(1024),
-            "fig3" => experiments::fig3(),
-            "fig5" => {
-                let (l, r) = experiments::fig5();
-                format!(
-                    "Left panel (N = 1024):\n\n{}\nRight panel (T = 5):\n\n{}",
-                    with_chart(&l),
-                    with_chart(&r)
-                )
-            }
-            "fig6" => with_chart(&experiments::fig6()),
-            "fig7" => with_chart(&experiments::fig7(298)),
-            "fig9" => with_chart(&experiments::fig9(&runner, &cli.opts)),
-            "fig10" => fig10_11(&runner, &cli.opts).0,
-            "fig11" => fig10_11(&runner, &cli.opts).1,
-            "ablation-overhearing" => {
-                experiments::ablation_overhearing(&runner, &cli.opts).to_markdown()
-            }
-            "ablation-opportunistic" => {
-                experiments::ablation_opportunistic(&runner, &cli.opts).to_markdown()
-            }
-            "lifetime-gain" => experiments::lifetime_gain(298, 0.75),
-            "theorem1-check" => experiments::theorem1_check(),
-            "ablation-policy" => experiments::ablation_policy(),
-            "resilience" => ldcf_bench::resilience::resilience(&runner, &cli.opts, cli.quick),
-            other => usage(&format!("unknown artefact '{other}'")),
-        };
+        let body = render(&mut Render {
+            runner: &runner,
+            opts: &opts,
+            quick,
+            fig10_11: &mut fig10_11,
+        });
         let wall = t0.elapsed();
-        emit(&cli.out, name, &body);
+        outln!("\n## {name}\n\n{body}");
+        if let Some(dir) = &out {
+            write_out(dir, &format!("{name}.md"), &body);
+        }
 
         let ledger = runner.ledger();
         let mut manifest = RunManifest::new(
             name,
             ledger.protocols.iter().map(|p| p.to_string()).collect(),
-            opts_value(&cli.opts, &ledger),
+            opts_value(&opts, &ledger),
             ledger.seeds.iter().copied().collect(),
-            cli.quick,
+            quick,
             ledger.sims,
             ledger.slots,
             wall.as_millis() as u64,
         );
-        if cli.trace_events.is_some() {
+        if trace_events.is_some() {
             manifest = manifest.with_trace_stats("bin", ledger.trace_events, ledger.trace_bytes);
         }
-        if let Some(dir) = &cli.out {
+        if let Some(dir) = &out {
             write_out(
                 dir,
                 &format!("{name}.manifest.json"),
@@ -862,8 +761,175 @@ fn main() {
         } else {
             eprintln!("[{name}] done in {wall:?}");
         }
-        if cli.profile {
+        if profile {
             report_profile(name, &runner);
         }
+    }
+}
+
+fn main() {
+    let args = parse(std::env::args().skip(1)).unwrap_or_else(|e| usage(&e));
+    (args.cmd.run)(&args);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every `experiments` command line in a script or document: the
+    /// words after each `./target/release/experiments` or
+    /// `--bin experiments --`, with `\` continuations joined. Comment
+    /// lines are skipped.
+    fn invocations(text: &str) -> Vec<Vec<String>> {
+        let joined = text.replace("\\\n", " ");
+        let mut found = Vec::new();
+        for line in joined.lines().filter(|l| !l.trim_start().starts_with('#')) {
+            for marker in ["./target/release/experiments ", "--bin experiments -- "] {
+                for (at, _) in line.match_indices(marker) {
+                    found.push(shell_words(&line[at + marker.len()..]));
+                }
+            }
+        }
+        found
+    }
+
+    /// The words of a shell command up to its first unquoted operator,
+    /// with quotes removed; the descriptor number of a redirection such
+    /// as `2>` is dropped with it.
+    fn shell_words(cmd: &str) -> Vec<String> {
+        let mut words = Vec::new();
+        let mut word = String::new();
+        let mut quote = None;
+        for c in cmd.chars() {
+            match (quote, c) {
+                (Some(q), c) if c == q => quote = None,
+                (Some(_), c) => word.push(c),
+                (None, '"' | '\'') => quote = Some(c),
+                (None, c) if c.is_whitespace() => {
+                    if !word.is_empty() {
+                        words.push(std::mem::take(&mut word));
+                    }
+                }
+                (None, '|' | '&' | ';' | '<' | '>' | ')') => {
+                    if word.chars().all(|c| c.is_ascii_digit()) {
+                        word.clear();
+                    }
+                    break;
+                }
+                (None, c) => word.push(c),
+            }
+        }
+        if !word.is_empty() {
+            words.push(word);
+        }
+        words
+    }
+
+    #[test]
+    fn every_invocation_in_ci_and_the_readme_parses() {
+        let sources = [
+            ("ci.sh", include_str!("../../../../ci.sh")),
+            (
+                "ci.yml",
+                include_str!("../../../../.github/workflows/ci.yml"),
+            ),
+            (
+                "nightly.yml",
+                include_str!("../../../../.github/workflows/nightly.yml"),
+            ),
+            ("README.md", include_str!("../../../../README.md")),
+        ];
+        let mut checked = 0;
+        for (file, text) in sources {
+            for words in invocations(text) {
+                let line = words.join(" ");
+                if let Err(e) = parse(words) {
+                    panic!("{file}: `experiments {line}` does not parse: {e}");
+                }
+                checked += 1;
+            }
+        }
+        // The extractor itself must keep finding the command lines.
+        assert!(checked >= 40, "only {checked} invocations found");
+    }
+
+    #[test]
+    fn usage_names_exactly_the_declared_flags() {
+        for cmd in SUBCOMMANDS {
+            let mut named: Vec<String> = Vec::new();
+            for line in USAGE.lines() {
+                if line.split_whitespace().nth(1) != Some(cmd.name) {
+                    continue;
+                }
+                for (flag, placeholder) in declared(&line.replace(['[', ']'], "")) {
+                    let flag = format!("{flag} {}", placeholder.unwrap_or_default());
+                    if !named.contains(&flag) {
+                        named.push(flag);
+                    }
+                }
+            }
+            let mut table: Vec<String> = declared(cmd.flags)
+                .map(|(flag, placeholder)| format!("{flag} {}", placeholder.unwrap_or_default()))
+                .collect();
+            named.sort();
+            table.sort();
+            assert_eq!(named, table, "usage of '{}'", cmd.name);
+        }
+    }
+
+    #[test]
+    fn a_flag_takes_a_value_everywhere_or_nowhere() {
+        // `parse` reads a flag's value before it knows the subcommand.
+        for cmd in SUBCOMMANDS {
+            for (flag, placeholder) in declared(cmd.flags) {
+                for other in SUBCOMMANDS.iter().filter_map(|other| other.flag(flag)) {
+                    assert_eq!(placeholder.is_some(), other.1.is_some(), "{flag}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn groups_run_in_table_order() {
+        let names = |group| select(group).iter().map(|a| a.0).collect::<Vec<_>>();
+        assert_eq!(
+            names("analytical"),
+            [
+                "table1",
+                "fig3",
+                "fig5",
+                "fig6",
+                "fig7",
+                "theorem1-check",
+                "lifetime-gain",
+                "ablation-policy"
+            ]
+        );
+        assert_eq!(names("all").len(), ARTEFACTS.len());
+        assert_eq!(names("fig9"), ["fig9"]);
+        assert!(names("<artefact>").is_empty());
+    }
+
+    #[test]
+    fn parse_resolves_names_and_flags_against_the_tables() {
+        let parse = |line: &str| parse(line.split_whitespace().map(String::from));
+        let args = parse("--quick fig9 --out a --out b").unwrap();
+        assert_eq!(args.cmd.name, ARTEFACT_RUN);
+        assert_eq!(args.value("--out"), Some("b"));
+        assert!(args.has("--quick"));
+        let args = parse("trace query --trace t.bin --slot 0..9").unwrap();
+        assert_eq!(
+            (args.cmd.name, args.action.as_deref()),
+            ("trace", Some("query"))
+        );
+        assert_eq!(
+            parse("<artefact>").err().unwrap(),
+            "unknown artefact '<artefact>'"
+        );
+        assert_eq!(parse("fig3 --help").err().unwrap(), "");
+        assert_eq!(
+            parse("stats --wait").err().unwrap(),
+            "flag '--wait' is not valid for 'stats'"
+        );
     }
 }

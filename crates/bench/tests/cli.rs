@@ -234,6 +234,26 @@ fn forensics_to_an_unwritable_out_exits_2_naming_the_path() {
 }
 
 #[test]
+fn campaign_to_an_unwritable_out_exits_2_naming_the_path() {
+    let (dir, out_path) = unwritable_out("campaign");
+    let spec = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../scenarios/demo-quick.toml"
+    );
+    let out = run(&[
+        "campaign",
+        "--spec",
+        spec,
+        "--quick",
+        "--no-progress",
+        "--out",
+        out_path.to_str().unwrap(),
+    ]);
+    assert_out_error(&out, &out_path);
+    std::fs::remove_dir_all(dir).expect("remove scratch dir");
+}
+
+#[test]
 fn missing_flag_values_and_artefacts_exit_2() {
     let out = run(&["fig3", "--out"]);
     assert_eq!(out.status.code(), Some(2));

@@ -53,7 +53,7 @@ pub use fsutil::write_atomic;
 pub use manifest::RunManifest;
 pub use observer::{NullObserver, SimObserver, VecObserver};
 pub use progress::{CampaignProgress, LatestProgress, ProgressSink};
-pub use sink::{read_jsonl, JsonlReader, JsonlSink};
+pub use sink::{JsonlReader, JsonlSink};
 pub use telemetry::{
     CountingAlloc, NullProfiler, Phase, PhaseProfiler, SimProfiler, StreamingHistogram,
 };

@@ -161,18 +161,15 @@ impl<R: BufRead> Iterator for JsonlReader<R> {
     }
 }
 
-/// Parse a JSONL event stream back into events, skipping blank lines.
-/// Stops with an error on the first malformed line (1-based index
-/// included in the message). Thin collecting wrapper over
-/// [`JsonlReader`]; prefer the iterator for large traces.
-pub fn read_jsonl(text: &str) -> Result<Vec<SimEvent>, serde::Error> {
-    JsonlReader::new(text.as_bytes()).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use ldcf_net::NodeId;
+
+    /// Collect a whole JSONL text through [`JsonlReader`].
+    fn read_all(text: &str) -> Result<Vec<SimEvent>, serde::Error> {
+        JsonlReader::new(text.as_bytes()).collect()
+    }
 
     #[test]
     fn sink_writes_one_line_per_event_and_roundtrips() {
@@ -213,14 +210,14 @@ mod tests {
             }
             probe.bytes()
         });
-        let back = read_jsonl(&text).unwrap();
+        let back = read_all(&text).unwrap();
         assert_eq!(back, events);
     }
 
     #[test]
     fn reader_skips_blanks_and_reports_bad_lines() {
         let ok = "\n{\"t\":\"deferred\",\"slot\":3,\"sender\":2,\"receiver\":5,\"packet\":1}\n\n";
-        let events = read_jsonl(ok).unwrap();
+        let events = read_all(ok).unwrap();
         assert_eq!(
             events,
             vec![SimEvent::Deferred {
@@ -232,7 +229,7 @@ mod tests {
         );
         let bad =
             "{\"t\":\"deferred\",\"slot\":3,\"sender\":2,\"receiver\":5,\"packet\":1}\nnot json\n";
-        let err = read_jsonl(bad).unwrap_err();
+        let err = read_all(bad).unwrap_err();
         assert!(err.to_string().contains("line 2"), "{err}");
     }
 
@@ -241,7 +238,7 @@ mod tests {
         // 2^32 would wrap to node 0 if narrowed.
         let text = "{\"t\":\"node_crashed\",\"slot\":1,\"node\":7}\n\
                     {\"t\":\"node_crashed\",\"slot\":2,\"node\":4294967296}\n";
-        let err = read_jsonl(text).unwrap_err().to_string();
+        let err = read_all(text).unwrap_err().to_string();
         assert!(err.contains("line 2"), "{err}");
         assert!(
             err.contains("`node`") && err.contains("exceeds u32"),
@@ -253,10 +250,10 @@ mod tests {
     fn only_json_whitespace_is_trimmed() {
         let line = "{\"t\":\"source_retry\",\"slot\":1,\"packet\":0}";
         let padded = format!(" \t{line}\r\n\n{line}\n");
-        assert_eq!(read_jsonl(&padded).unwrap().len(), 2);
+        assert_eq!(read_all(&padded).unwrap().len(), 2);
         // U+00A0 is whitespace to `str::trim` but not to JSON.
         let wrapped = format!("{line}\n\u{a0}{line}\u{a0}\n");
-        let err = read_jsonl(&wrapped).unwrap_err().to_string();
+        let err = read_all(&wrapped).unwrap_err().to_string();
         assert!(err.contains("line 2"), "{err}");
     }
 

@@ -9,15 +9,10 @@ use rand::{Rng, SeedableRng};
 /// The FCFS-earliest packet at `u` for which some active neighbor of `u`
 /// is still missing it, together with the best such neighbor (highest
 /// PRR). This is the canonical "what should I unicast now" query shared
-/// by the sender-initiated protocols.
-pub fn fcfs_candidate(state: &SimState, u: NodeId) -> Option<(PacketId, NodeId)> {
-    fcfs_candidate_filtered(state, u, |_| true)
-}
-
-/// [`fcfs_candidate`] restricted to the receivers `v` whose inbound
+/// by the sender-initiated protocols. Only receivers `v` whose inbound
 /// link from `u` (index [`Topology::link_index`]`(v, u)`, the key of
-/// [`CollisionBackoff`]) passes `allow` (used to honour per-link
-/// collision back-off windows).
+/// [`CollisionBackoff`]) passes `allow` count (used to honour per-link
+/// collision back-off windows; `|_| true` admits every receiver).
 pub fn fcfs_candidate_filtered(
     state: &SimState,
     u: NodeId,
@@ -444,7 +439,7 @@ mod tests {
         };
         let engine = Engine::with_schedules(topo, cfg, schedules, Idle);
         let state = engine.state();
-        let (p, v) = fcfs_candidate(state, NodeId(0)).unwrap();
+        let (p, v) = fcfs_candidate_filtered(state, NodeId(0), |_| true).unwrap();
         assert_eq!(p, 0, "FCFS: earliest packet first");
         assert_eq!(v, NodeId(1), "best link first");
 
@@ -556,7 +551,7 @@ mod tests {
         };
         let engine = Engine::with_schedules(topo, cfg, schedules, Idle);
         // At slot 0, node 1 is dormant: no candidate.
-        assert!(fcfs_candidate(engine.state(), NodeId(0)).is_none());
+        assert!(fcfs_candidate_filtered(engine.state(), NodeId(0), |_| true).is_none());
         let mut backoff = CollisionBackoff::new(1, 1);
         backoff.on_start(&engine.state().topo);
         assert!(lists_of(engine.state(), &backoff).is_empty());

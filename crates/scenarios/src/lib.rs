@@ -28,7 +28,7 @@ pub mod spec;
 pub mod toml;
 
 pub use build::BuiltScenario;
-pub use sha256::{hex_digest, Sha256};
+pub use sha256::Sha256;
 pub use spec::{
     LinkModel, MatrixSpec, ScenarioSpec, ScheduleModel, TopologySpec, Workload, WorkloadKind,
     QUICK_DUTIES, QUICK_SEEDS,

@@ -130,21 +130,16 @@ impl Sha256 {
     }
 }
 
-/// One-shot digest rendered as lowercase hex (the `sha256sum` format).
-pub fn hex_digest(data: &[u8]) -> String {
-    let mut h = Sha256::new();
-    h.update(data);
-    let digest = h.finalize();
-    let mut out = String::with_capacity(64);
-    for byte in digest {
-        out.push_str(&format!("{byte:02x}"));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One-shot digest rendered as lowercase hex (the `sha256sum` format).
+    fn hex_digest(data: &[u8]) -> String {
+        let mut h = Sha256::new();
+        h.update(data);
+        h.finalize().iter().map(|b| format!("{b:02x}")).collect()
+    }
 
     // NIST FIPS 180-4 / sha256sum reference vectors.
     #[test]

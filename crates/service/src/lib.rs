@@ -26,4 +26,4 @@ pub use client::Client;
 pub use exec::{CampaignExec, ExecError, ExecOutcome, ExecRequest};
 pub use jobs::{JobState, JobStore, JobView, RunningJob, SubmitError, JOB_SCHEMA_VERSION};
 pub use server::{start, ServerHandle, ServiceConfig};
-pub use signal::{install_handlers, request_shutdown, shutdown_requested};
+pub use signal::{install_handlers, shutdown_requested};

@@ -55,21 +55,3 @@ pub fn install_handlers() {
 pub fn shutdown_requested() -> bool {
     SHUTDOWN_REQUESTED.load(Ordering::SeqCst)
 }
-
-/// Programmatic equivalent of a signal (used by `POST /shutdown` and
-/// by tests).
-pub fn request_shutdown() {
-    SHUTDOWN_REQUESTED.store(true, Ordering::SeqCst);
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn request_sets_the_flag() {
-        install_handlers();
-        request_shutdown();
-        assert!(shutdown_requested());
-    }
-}

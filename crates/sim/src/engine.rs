@@ -485,36 +485,27 @@ impl<P: FloodingProtocol> Engine<P> {
         Self::with_schedules(topo, cfg, schedules, protocol)
     }
 
-    /// Build an engine with explicit working schedules.
+    /// Build an engine with explicit working schedules; every packet is
+    /// injected at the source in slot 0 ([`Injection::at_source`]).
     pub fn with_schedules(
         topo: Topology,
         cfg: SimConfig,
         schedules: NeighborTable,
         protocol: P,
     ) -> Self {
-        Self::build(topo, cfg, schedules, protocol, None)
+        let plan = vec![Injection::at_source(); cfg.n_packets as usize];
+        Self::with_injections(topo, cfg, schedules, &plan, protocol)
     }
 
     /// Build an engine with explicit schedules *and* an explicit
     /// injection plan (one [`Injection`] per packet, slots non-decreasing
-    /// in packet id). The default plan — `Injection::at_source()` for
-    /// every packet — is byte-identical to [`Engine::with_schedules`].
+    /// in packet id).
     pub fn with_injections(
         topo: Topology,
         cfg: SimConfig,
         schedules: NeighborTable,
         plan: &[Injection],
         protocol: P,
-    ) -> Self {
-        Self::build(topo, cfg, schedules, protocol, Some(plan))
-    }
-
-    fn build(
-        topo: Topology,
-        cfg: SimConfig,
-        schedules: NeighborTable,
-        protocol: P,
-        plan: Option<&[Injection]>,
     ) -> Self {
         cfg.validate();
         assert_eq!(schedules.n_nodes(), topo.n_nodes());
@@ -557,45 +548,33 @@ impl<P: FloodingProtocol> Engine<P> {
         };
         let mut pending_injections: Vec<(u64, PacketId, NodeId)> = Vec::new();
         let mut start_injections: Vec<(PacketId, NodeId)> = Vec::new();
-        match plan {
-            None => {
-                // The source injects all M packets up front; FCFS order at the
-                // source realises the paper's sequential injection.
-                for p in 0..state.cfg.n_packets {
-                    state.grant(SOURCE, p);
-                    state.queue_push(SOURCE, p, 0);
-                    report.record_injection(p, 0);
-                }
-                state.injected = state.cfg.n_packets;
+        assert_eq!(plan.len(), m, "injection plan needs one entry per packet");
+        assert!(
+            plan.windows(2).all(|w| w[0].slot <= w[1].slot),
+            "injection slots must be non-decreasing in packet id"
+        );
+        for (pi, inj) in plan.iter().enumerate() {
+            let p = pi as PacketId;
+            assert!(inj.origin.index() < n, "injection origin out of range");
+            state.origins[pi] = inj.origin;
+            if inj.slot > 0 {
+                pending_injections.push((inj.slot, p, inj.origin));
+                continue;
             }
-            Some(plan) => {
-                assert_eq!(plan.len(), m, "injection plan needs one entry per packet");
-                assert!(
-                    plan.windows(2).all(|w| w[0].slot <= w[1].slot),
-                    "injection slots must be non-decreasing in packet id"
-                );
-                for (pi, inj) in plan.iter().enumerate() {
-                    let p = pi as PacketId;
-                    assert!(inj.origin.index() < n, "injection origin out of range");
-                    state.origins[pi] = inj.origin;
-                    if inj.slot > 0 {
-                        pending_injections.push((inj.slot, p, inj.origin));
-                        continue;
-                    }
-                    state.grant(inj.origin, p);
-                    state.queue_push(inj.origin, p, 0);
-                    report.record_injection(p, 0);
-                    state.injected += 1;
-                    if inj.origin != SOURCE {
-                        // A sensor origin counts towards its own packet's
-                        // coverage from the start.
-                        state.holders[pi] += 1;
-                        if state.holders[pi] >= state.coverage_target {
-                            report.record_coverage(p, 0);
-                        }
-                        start_injections.push((p, inj.origin));
-                    }
+            // Slot-0 packets enter their origin's queue in packet order:
+            // at the source, FCFS realises the paper's sequential injection.
+            state.grant(inj.origin, p);
+            state.queue_push(inj.origin, p, 0);
+            report.record_injection(p, 0);
+            state.injected += 1;
+            if inj.origin != SOURCE {
+                // A sensor origin counts towards its own packet's
+                // coverage from the start.
+                state.holders[pi] += 1;
+                if state.holders[pi] >= state.coverage_target {
+                    report.record_coverage(p, 0);
                 }
+                start_injections.push((p, inj.origin));
             }
         }
         Self {
