@@ -60,7 +60,8 @@ macro_rules! outln {
 }
 
 /// A subcommand: its name, its handler, and every flag it accepts,
-/// written as [`usage`] writes them (see [`declared`]).
+/// written as [`usage`] writes them (see [`declared`]). The `trace`
+/// actions are subcommands of their own, named `trace <action>`.
 struct Subcommand {
     name: &'static str,
     flags: &'static str,
@@ -100,9 +101,19 @@ const SUBCOMMANDS: &[Subcommand] = &[
         run: run_forensics,
     },
     Subcommand {
-        name: "trace",
-        flags: "--trace FILE --out FILE --min-ratio R --slot A..B --node N --packet P",
-        run: run_trace,
+        name: "trace info",
+        flags: "--trace FILE --min-ratio R",
+        run: run_trace_info,
+    },
+    Subcommand {
+        name: "trace export",
+        flags: "--trace FILE --out FILE",
+        run: run_trace_export,
+    },
+    Subcommand {
+        name: "trace query",
+        flags: "--trace FILE --slot A..B --node N --packet P",
+        run: run_trace_query,
     },
     Subcommand {
         name: "campaign",
@@ -250,21 +261,30 @@ fn fail(code: i32, msg: impl Display) -> ! {
     std::process::exit(code);
 }
 
-/// A command line checked against [`SUBCOMMANDS`]: the subcommand, the
-/// `trace` action, and the flags given, in order.
+/// A command line checked against [`SUBCOMMANDS`]: the subcommand and
+/// the flags given, in order.
 struct Args {
     cmd: &'static Subcommand,
     /// The first positional as given: an artefact, a group or a
     /// subcommand name.
     name: String,
-    /// The second positional, for `trace`: `info`, `export` or `query`.
-    action: Option<String>,
     flags: Vec<(&'static str, Option<String>)>,
 }
 
+/// The `trace` actions: the second words of the `trace <action>`
+/// subcommands.
+fn trace_actions() -> String {
+    let actions: Vec<&str> = SUBCOMMANDS
+        .iter()
+        .filter_map(|cmd| cmd.name.strip_prefix("trace "))
+        .collect();
+    actions.join(", ")
+}
+
 /// Parse the arguments after the program name. A flag no subcommand
-/// declares, a missing value, an unknown name or a flag the named
-/// subcommand does not declare is an error; `Err("")` asks for help.
+/// declares, a missing value, an unknown name or `trace` action, or a
+/// flag the named subcommand does not declare is an error; `Err("")`
+/// asks for help.
 fn parse(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut name: Option<String> = None;
     let mut action = None;
@@ -293,22 +313,28 @@ fn parse(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
         }
     }
     let name = name.ok_or("missing artefact name")?;
+    let key = match (name.as_str(), &action) {
+        ("trace", None) => return Err(format!("trace needs an action: {}", trace_actions())),
+        ("trace", Some(action)) => format!("trace {action}"),
+        _ => name.clone(),
+    };
     let cmd = SUBCOMMANDS
         .iter()
         .find(|cmd| match cmd.name {
-            ARTEFACT_RUN => !select(&name).is_empty(),
-            subcommand => subcommand == name,
+            ARTEFACT_RUN => !select(&key).is_empty(),
+            subcommand => subcommand == key,
         })
-        .ok_or_else(|| format!("unknown artefact '{name}'"))?;
+        .ok_or_else(|| match &action {
+            Some(action) => format!(
+                "unknown trace action '{action}' (expected {})",
+                trace_actions()
+            ),
+            None => format!("unknown artefact '{name}'"),
+        })?;
     if let Some((flag, _)) = flags.iter().find(|(flag, _)| cmd.flag(flag).is_none()) {
-        return Err(format!("flag '{flag}' is not valid for '{name}'"));
+        return Err(format!("flag '{flag}' is not valid for '{key}'"));
     }
-    Ok(Args {
-        cmd,
-        name,
-        action,
-        flags,
-    })
+    Ok(Args { cmd, name, flags })
 }
 
 impl Args {
@@ -395,73 +421,67 @@ fn run_forensics(args: &Args) {
     }
 }
 
-/// The `trace` artefact: file-level tooling over event traces.
-/// `info` prints event counts, slot span, byte sizes and the binary
-/// compression ratio (and gates it with `--min-ratio`), `export`
-/// converts binary → JSONL byte-identically to a direct JSONL run,
-/// `query` streams a slot range, seeking via the binary index when the
-/// input has one, optionally filtered to one node or packet.
-fn run_trace(args: &Args) {
-    use ldcf_bench::trace_cmd;
-
-    let action = args
-        .action
-        .as_deref()
-        .unwrap_or_else(|| usage("trace needs an action: info, export or query"));
+/// `trace info`: event counts, slot span, byte sizes and the binary
+/// compression ratio of a trace, gated with `--min-ratio`.
+fn run_trace_info(args: &Args) {
     let trace = Path::new(args.required("--trace"));
     let min_ratio = args.parsed("--min-ratio", "a positive number", |r: &f64| *r > 0.0);
+    let info = ldcf_bench::trace_cmd::info(trace).unwrap_or_else(|e| fail(2, e));
+    out!("{}", info.render(trace));
+    if let Some(min) = min_ratio {
+        if info.ratio() < min {
+            eprintln!(
+                "trace info: compression ratio {:.2}x below --min-ratio {min}",
+                info.ratio()
+            );
+            std::process::exit(1);
+        }
+        eprintln!(
+            "trace info: ratio gate passed ({:.2}x >= {min}x)",
+            info.ratio()
+        );
+    }
+}
+
+/// `trace export`: binary → JSONL, byte-identical to a direct JSONL run.
+fn run_trace_export(args: &Args) {
+    use ldcf_bench::trace_cmd;
+
+    let trace = Path::new(args.required("--trace"));
+    let out = args
+        .path("--out")
+        .unwrap_or_else(|| trace_cmd::default_export_path(trace));
+    let (events, bytes) = trace_cmd::export(trace, &out).unwrap_or_else(|e| fail(2, e));
+    eprintln!(
+        "trace export: {} -> {} ({events} events, {bytes} bytes)",
+        trace.display(),
+        out.display()
+    );
+}
+
+/// `trace query`: stream a slot range, seeking via the binary index
+/// when the input has one, optionally filtered to one node or packet.
+fn run_trace_query(args: &Args) {
+    use ldcf_bench::trace_cmd;
+
+    let trace = Path::new(args.required("--trace"));
     let node = args.parsed("--node", "a node id", |_: &u32| true);
     let packet = args.parsed("--packet", "a packet id", |_: &u32| true);
-    match action {
-        "info" => {
-            let info = trace_cmd::info(trace).unwrap_or_else(|e| fail(2, e));
-            out!("{}", info.render(trace));
-            if let Some(min) = min_ratio {
-                if info.ratio() < min {
-                    eprintln!(
-                        "trace info: compression ratio {:.2}x below --min-ratio {min}",
-                        info.ratio()
-                    );
-                    std::process::exit(1);
-                }
-                eprintln!(
-                    "trace info: ratio gate passed ({:.2}x >= {min}x)",
-                    info.ratio()
-                );
-            }
-        }
-        "export" => {
-            let out = args
-                .path("--out")
-                .unwrap_or_else(|| trace_cmd::default_export_path(trace));
-            let (events, bytes) = trace_cmd::export(trace, &out).unwrap_or_else(|e| fail(2, e));
-            eprintln!(
-                "trace export: {} -> {} ({events} events, {bytes} bytes)",
-                trace.display(),
-                out.display()
-            );
-        }
-        "query" => {
-            let range = args
-                .value("--slot")
-                .unwrap_or_else(|| usage("trace query needs --slot A..B"));
-            let range = trace_cmd::parse_slot_range(range).unwrap_or_else(|e| usage(&e));
-            let mut out = std::io::BufWriter::new(Stdout);
-            let stats = trace_cmd::query(trace, range, node, packet, &mut out)
-                .unwrap_or_else(|e| fail(2, e));
-            std::io::Write::flush(&mut out).unwrap_or_else(|e| fail(2, e));
-            if stats.frames_total > 0 {
-                eprintln!(
-                    "trace query: {} event(s), decoded {}/{} frames via index",
-                    stats.matched, stats.frames_scanned, stats.frames_total
-                );
-            } else {
-                eprintln!("trace query: {} event(s) (full jsonl scan)", stats.matched);
-            }
-        }
-        other => usage(&format!(
-            "unknown trace action '{other}' (expected info, export or query)"
-        )),
+    let range = args
+        .value("--slot")
+        .unwrap_or_else(|| usage("trace query needs --slot A..B"));
+    let range = trace_cmd::parse_slot_range(range).unwrap_or_else(|e| usage(&e));
+    let mut out = std::io::BufWriter::new(Stdout);
+    let stats =
+        trace_cmd::query(trace, range, node, packet, &mut out).unwrap_or_else(|e| fail(2, e));
+    std::io::Write::flush(&mut out).unwrap_or_else(|e| fail(2, e));
+    if stats.frames_total > 0 {
+        eprintln!(
+            "trace query: {} event(s), decoded {}/{} frames via index",
+            stats.matched, stats.frames_scanned, stats.frames_total
+        );
+    } else {
+        eprintln!("trace query: {} event(s) (full jsonl scan)", stats.matched);
     }
 }
 
@@ -553,8 +573,9 @@ fn run_stats_cmd(args: &Args) {
 /// as a long-lived HTTP job server over `--data DIR` (one job directory
 /// per spec digest; interrupted campaigns resume on restart), and
 /// `submit`/`status`/`fetch`/`cancel` are its thin clients. Missing
-/// flags exit 2 like every other usage error; server-side and transport
-/// failures exit 1.
+/// flags, and a `--data` or `--out` that cannot be a directory, exit 2
+/// like every other usage error; server-side and transport failures
+/// exit 1.
 fn run_service_cmd(args: &Args) {
     use ldcf_bench::service_cli;
 
@@ -578,12 +599,15 @@ fn run_service_cmd(args: &Args) {
             service_cli::submit(server, spec, args.has("--quick"), args.has("--wait"))
         }
         "status" => service_cli::status(args.required("--server"), args.value("--id")),
-        "fetch" => service_cli::fetch(
-            args.required("--server"),
-            args.required("--id"),
-            args.value("--artefact"),
-            args.path("--out").as_deref(),
-        ),
+        "fetch" => {
+            let (server, id) = (args.required("--server"), args.required("--id"));
+            let out = args.path("--out");
+            if let Some(dir) = &out {
+                std::fs::create_dir_all(dir)
+                    .unwrap_or_else(|e| usage(&format!("--out {}: {e}", dir.display())));
+            }
+            service_cli::fetch(server, id, args.value("--artefact"), out.as_deref())
+        }
         "cancel" => service_cli::cancel(args.required("--server"), args.required("--id")),
         other => unreachable!("'{other}' is not a service subcommand"),
     };
@@ -857,8 +881,10 @@ mod tests {
     fn usage_names_exactly_the_declared_flags() {
         for cmd in SUBCOMMANDS {
             let mut named: Vec<String> = Vec::new();
+            let words = cmd.name.split_whitespace();
             for line in USAGE.lines() {
-                if line.split_whitespace().nth(1) != Some(cmd.name) {
+                let line_words = line.split_whitespace().skip(1).take(words.clone().count());
+                if !line_words.eq(words.clone()) {
                     continue;
                 }
                 for (flag, placeholder) in declared(&line.replace(['[', ']'], "")) {
@@ -919,8 +945,14 @@ mod tests {
         assert!(args.has("--quick"));
         let args = parse("trace query --trace t.bin --slot 0..9").unwrap();
         assert_eq!(
-            (args.cmd.name, args.action.as_deref()),
-            ("trace", Some("query"))
+            (args.cmd.name, args.name.as_str()),
+            ("trace query", "trace")
+        );
+        assert_eq!(
+            parse("trace export --trace t.bin --min-ratio 100")
+                .err()
+                .unwrap(),
+            "flag '--min-ratio' is not valid for 'trace export'"
         );
         assert_eq!(
             parse("<artefact>").err().unwrap(),

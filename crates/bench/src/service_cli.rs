@@ -152,7 +152,8 @@ pub fn status(server: &str, id: Option<&str>) -> Result<(), String> {
 }
 
 /// Fetch a finished campaign's results (or a named artefact) and write
-/// it under `out` (keeping the artefact's file name) or to stdout.
+/// it into the existing directory `out` (keeping the artefact's file
+/// name) or to stdout.
 pub fn fetch(
     server: &str,
     id: &str,
@@ -166,7 +167,6 @@ pub fn fetch(
     };
     match out {
         Some(dir) => {
-            std::fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
             let path = dir.join(name.rsplit('/').next().expect("non-empty name"));
             write_atomic(&path, &bytes).map_err(|e| format!("write {}: {e}", path.display()))?;
             eprintln!("[fetch] wrote {} ({} bytes)", path.display(), bytes.len());

@@ -128,6 +128,17 @@ fn trace_subcommand_validates_action_and_flags() {
     assert_eq!(out.status.code(), Some(2));
     assert!(stderr(&out).contains("--min-ratio wants a positive number"));
 
+    // Each action takes only its own flags.
+    let out = run(&["trace", "export", "--trace", "x.bin", "--min-ratio", "100"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(stderr(&out).contains("flag '--min-ratio' is not valid for 'trace export'"));
+    let out = run(&["trace", "info", "--trace", "x.bin", "--slot", "0..3"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(stderr(&out).contains("flag '--slot' is not valid for 'trace info'"));
+    let out = run(&["trace", "info", "--trace", "x.bin", "--node", "4"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(stderr(&out).contains("flag '--node' is not valid for 'trace info'"));
+
     // Query filters are trace-only flags.
     let out = run(&["fig3", "--slot", "0..9"]);
     assert_eq!(out.status.code(), Some(2));
@@ -246,6 +257,24 @@ fn campaign_to_an_unwritable_out_exits_2_naming_the_path() {
         spec,
         "--quick",
         "--no-progress",
+        "--out",
+        out_path.to_str().unwrap(),
+    ]);
+    assert_out_error(&out, &out_path);
+    std::fs::remove_dir_all(dir).expect("remove scratch dir");
+}
+
+#[test]
+fn fetch_to_an_unwritable_out_exits_2_naming_the_path() {
+    // The directory is checked before the server is asked: nothing
+    // listens on port 9, which would be a transport error (exit 1).
+    let (dir, out_path) = unwritable_out("fetch");
+    let out = run(&[
+        "fetch",
+        "--server",
+        "127.0.0.1:9",
+        "--id",
+        "0",
         "--out",
         out_path.to_str().unwrap(),
     ]);

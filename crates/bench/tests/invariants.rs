@@ -3,9 +3,15 @@
 //! Every joule and every counter must be attributable to events.
 
 use ldcf_bench::{ProtocolKind, RunRequest, Runner};
-use ldcf_net::{LinkQuality, Topology};
-use ldcf_protocols::Dbao;
-use ldcf_sim::{Engine, SimConfig, SimEvent, VecObserver};
+use ldcf_net::{bitset, LinkQuality, NeighborTable, NodeId, Topology};
+use ldcf_protocols::{Dbao, OpportunisticFlooding, Opt};
+use ldcf_sim::{
+    Engine, EngineKind, FaultConfig, FaultPlan, FloodingProtocol, Injection, NullObserver,
+    SimConfig, SimEvent, SimState, VecObserver,
+};
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 fn cfg(seed: u64, mistiming: f64) -> SimConfig {
     SimConfig {
@@ -153,4 +159,128 @@ fn observation_does_not_perturb_the_run() {
     assert_eq!(plain.mean_flooding_delay(), traced.mean_flooding_delay());
     assert_eq!(plain_energy.tx_slots, traced_energy.tx_slots);
     assert_eq!(plain_energy.active_slots, traced_energy.active_slots);
+}
+
+/// The queued-packet rows are the queues' packet sets, exactly: bit `p`
+/// of `queued_words(u)` is set iff `p` is in `u`'s FCFS queue (each
+/// packet once), and `u`'s work bit is set iff that row is non-zero.
+fn assert_queued_rows_exact(s: &SimState, ctx: &str) {
+    for ui in 0..s.n_nodes() {
+        let u = NodeId::from(ui);
+        let row = s.queued_words(u);
+        let mut from_queue = vec![0u64; row.len()];
+        for e in s.queue(u).iter() {
+            assert!(
+                bitset::set_bit(&mut from_queue, e.packet as usize),
+                "{ctx}: packet {} queued twice at {u}",
+                e.packet
+            );
+        }
+        assert_eq!(row, &from_queue[..], "{ctx}: queued row of {u}");
+        assert_eq!(
+            bitset::test_bit(s.work_words(), ui),
+            row.iter().any(|&w| w != 0),
+            "{ctx}: work bit of {u}"
+        );
+    }
+}
+
+/// A random connected topology: a random tree plus `n / 2` extra
+/// links, qualities in `[0.3, 1]`.
+fn random_topology(n: usize, rng: &mut StdRng) -> Topology {
+    let mut topo = Topology::empty(n);
+    let quality = |rng: &mut StdRng| LinkQuality::new(rng.random_range(0.3..=1.0));
+    for i in 1..n {
+        let parent = rng.random_range(0..i);
+        let q = quality(rng);
+        topo.add_edge(NodeId::from(parent), NodeId::from(i), q, q);
+    }
+    for _ in 0..n / 2 {
+        let (a, b) = (rng.random_range(0..n), rng.random_range(0..n));
+        if a != b && !topo.are_neighbors(NodeId::from(a), NodeId::from(b)) {
+            let q = quality(rng);
+            topo.add_edge(NodeId::from(a), NodeId::from(b), q, q);
+        }
+    }
+    topo
+}
+
+/// Step `engine` to the end, checking the queued rows after every slot.
+fn step_checking_queued_rows<P: FloodingProtocol, F: FaultPlan>(
+    mut engine: Engine<P, NullObserver, F>,
+    ctx: &str,
+) {
+    assert_queued_rows_exact(engine.state(), ctx);
+    while engine.step() {
+        assert_queued_rows_exact(engine.state(), ctx);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Pushes, prunes, crash wipes, churn repairs and source retries
+    /// keep `SimState::queued_words` equal to the queues' packet sets,
+    /// for every protocol, under deferred multi-origin injections and
+    /// frequent churn.
+    #[test]
+    fn queued_rows_track_the_queues_under_churn(
+        n in 4usize..24,
+        seed in any::<u64>(),
+        m in 1u32..10,
+        period in 2u32..12,
+        protocol in 0usize..3,
+        slot_engine in any::<bool>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let topo = random_topology(n, &mut rng);
+        let cfg = SimConfig {
+            period,
+            active_per_period: 1,
+            n_packets: m,
+            coverage: 1.0,
+            max_slots: 3_000,
+            seed,
+            mistiming_prob: 0.0,
+        };
+        let schedules = NeighborTable::random_single_slot(n, period, &mut rng);
+        // Non-decreasing slots; some packets start at a sensor.
+        let mut slot = 0;
+        let plan: Vec<Injection> = (0..m)
+            .map(|_| {
+                slot += rng.random_range(0..3 * period as u64);
+                let origin = if rng.random_bool(0.3) {
+                    NodeId::from(rng.random_range(1..n))
+                } else {
+                    NodeId(0)
+                };
+                Injection { origin, slot }
+            })
+            .collect();
+        // Every fault model, with churn fast enough to crash and
+        // recover nodes within a flood.
+        let mut faults = FaultConfig::at_intensity(seed, 1.0);
+        if let Some(churn) = faults.churn.as_mut() {
+            churn.mean_uptime = 300.0;
+            churn.mean_downtime = 40.0;
+            churn.retry_backoff = 20;
+        }
+        let kind = if slot_engine { EngineKind::Slot } else { EngineKind::Event };
+        let ctx = format!("n {n} seed {seed} m {m} period {period} protocol {protocol}");
+        macro_rules! check {
+            ($protocol:expr) => {
+                step_checking_queued_rows(
+                    Engine::with_injections(topo, cfg, schedules, &plan, $protocol)
+                        .with_faults(faults.build())
+                        .with_engine_kind(kind),
+                    &ctx,
+                )
+            };
+        }
+        match protocol {
+            0 => check!(OpportunisticFlooding::new()),
+            1 => check!(Dbao::new()),
+            _ => check!(Opt::new()),
+        }
+    }
 }

@@ -111,14 +111,17 @@ pub(crate) struct Receiver {
 
 /// This slot's sender → receiver lists, built from the awake side.
 ///
-/// A sender can only serve a neighbor that is awake, live and (for a
-/// protocol with a collision back-off) not one it is backing off from,
-/// and at low duty far fewer nodes are awake than have work. So
-/// [`ReceiverLists::build`] walks the rows of the awake, live nodes
-/// only, and appends each awake node to the list of every neighbor with
-/// work. The lists lie one after another in sender order in one buffer
-/// of 8-byte entries: a first walk counts each sender's entries, a
-/// second appends them.
+/// A sender can only serve a neighbor that is awake, live, missing a
+/// packet the sender has queued and (for a protocol with a collision
+/// back-off) not one it is backing off from, and at low duty far fewer
+/// nodes are awake than have work. So [`ReceiverLists::build`] walks the
+/// rows of the awake, live nodes only, once, and collects each pair of
+/// an awake node and a neighbor whose queue holds a packet it misses
+/// ([`SimState::queue_misses`], a word AND per packet word). It then
+/// scatters the pairs into one buffer of 8-byte entries, the lists one
+/// after another in sender order. A pair with nothing to move would
+/// fail every packet of the sender's queue scan, so leaving it out
+/// changes no decision.
 ///
 /// [`ReceiverLists::iter`] hands the lists out best link first (PRR
 /// descending, ties to the lower id): awake nodes arrive in ascending
@@ -131,19 +134,21 @@ pub(crate) struct Receiver {
 pub(crate) struct ReceiverLists {
     /// Nodes whose list is non-empty, packed.
     senders: Vec<u64>,
-    /// Per sender: its list's length while counting, then where its
+    /// Per sender: its list's length while collecting, then where its
     /// next entry goes, which ends as where its list ends in `entries`.
     /// Zero for every other node.
     ends: Vec<u32>,
+    /// This slot's (sender, receiver) pairs in walk order.
+    pairs: Vec<(NodeId, Receiver)>,
     /// Every list, in sender order.
     entries: Vec<Receiver>,
 }
 
 impl ReceiverLists {
-    /// Size the scratch for `state`'s network and wake calendar: an
-    /// entry per (awake node, neighbor) pair of the busiest calendar
-    /// offset, so building never allocates unless churn redraws
-    /// schedules into a busier offset.
+    /// Size the scratch for `state`'s network and wake calendar: a pair
+    /// and an entry per (awake node, neighbor) pair of the busiest
+    /// calendar offset, so building never allocates unless churn
+    /// redraws schedules into a busier offset.
     pub fn on_start(&mut self, state: &SimState) {
         let n = state.n_nodes();
         self.senders.clear();
@@ -160,25 +165,42 @@ impl ReceiverLists {
             })
             .max()
             .unwrap_or(0);
+        self.pairs.clear();
+        self.pairs.reserve(busiest);
         self.entries.clear();
         self.entries.reserve(busiest);
     }
 
     /// Build this slot's lists: every awake, live node `r`, in
-    /// ascending order, joins the list of each neighbor with work whose
-    /// inbound link `link_index(r, u)` passes `open` (a back-off filter,
-    /// or `|_| true`).
+    /// ascending order, joins the list of each neighbor `u` with a
+    /// queued packet `r` misses whose inbound link `link_index(r, u)`
+    /// passes `open` (a back-off filter, or `|_| true`).
     pub fn build(&mut self, state: &SimState, open: impl Fn(usize) -> bool) {
         for u in bitset::iter_ones(&self.senders) {
             self.ends[u] = 0;
         }
         bitset::clear_all(&mut self.senders);
-        // Count each sender's receivers, then lay the lists out in
-        // sender order: `ends[u]` becomes where u's list starts.
-        for_each_pair(state, &open, |u, _, _| {
-            self.ends[u.index()] += 1;
-            bitset::set_bit(&mut self.senders, u.index());
-        });
+        self.pairs.clear();
+        let work = state.work_words();
+        let awake = state.schedules.active_words(state.now);
+        for (w, (&a, &d)) in awake.iter().zip(state.down_words()).enumerate() {
+            let mut live = a & !d;
+            while live != 0 {
+                let r = NodeId::from(w * 64 + live.trailing_zeros() as usize);
+                live &= live - 1;
+                for (link, u, _) in state.topo.in_links(r) {
+                    if bitset::test_bit(work, u.index()) && state.queue_misses(u, r) && open(link) {
+                        self.ends[u.index()] += 1;
+                        bitset::set_bit(&mut self.senders, u.index());
+                        let link = link as u32;
+                        self.pairs.push((u, Receiver { node: r, link }));
+                    }
+                }
+            }
+        }
+        // Lay the lists out in sender order (`ends[u]` becomes where u's
+        // list starts), then scatter the pairs, keeping walk order
+        // within each list.
         let mut at = 0;
         for u in bitset::iter_ones(&self.senders) {
             let len = self.ends[u];
@@ -191,14 +213,11 @@ impl ReceiverLists {
         };
         self.entries.clear();
         self.entries.resize(at as usize, blank);
-        for_each_pair(state, &open, |u, node, link| {
+        for &(u, receiver) in &self.pairs {
             let end = &mut self.ends[u.index()];
-            self.entries[*end as usize] = Receiver {
-                node,
-                link: link as u32,
-            };
+            self.entries[*end as usize] = receiver;
             *end += 1;
-        });
+        }
     }
 
     /// Every sender with its receivers, senders ascending. Each list is
@@ -211,6 +230,7 @@ impl ReceiverLists {
             senders,
             ends,
             entries,
+            ..
         } = self;
         let prr = |r: &Receiver| topo.in_quality(r.link as usize).prr();
         let mut rest = &mut entries[..];
@@ -233,31 +253,6 @@ impl ReceiverLists {
             }
             (NodeId::from(u), &*list)
         })
-    }
-}
-
-/// Call `f(u, r, link)` for every awake, live node `r` in ascending
-/// order and every neighbor `u` of `r` with work whose inbound `link`
-/// (`link_index(r, u)`) passes `open`.
-#[inline]
-fn for_each_pair(
-    state: &SimState,
-    open: impl Fn(usize) -> bool,
-    mut f: impl FnMut(NodeId, NodeId, usize),
-) {
-    let work = state.work_words();
-    let awake = state.schedules.active_words(state.now);
-    for (w, (&a, &d)) in awake.iter().zip(state.down_words()).enumerate() {
-        let mut live = a & !d;
-        while live != 0 {
-            let r = NodeId::from(w * 64 + live.trailing_zeros() as usize);
-            live &= live - 1;
-            for (link, u, _) in state.topo.in_links(r) {
-                if bitset::test_bit(work, u.index()) && open(link) {
-                    f(u, r, link);
-                }
-            }
-        }
     }
 }
 
@@ -511,6 +506,44 @@ mod tests {
         };
         backoff.observe(&state.topo, &[collision], state.now, 1);
         assert_eq!(receivers(lists_of(state, &backoff)), [2, 1, 3].map(NodeId));
+    }
+
+    #[test]
+    fn a_sender_whose_awake_receivers_hold_its_queue_gets_no_list() {
+        // Line 0 – 1 – 2, period 4: node 1 wakes at slot 1, node 0 at
+        // slot 2, node 2 at slot 3. At slot 1 the source hands its one
+        // packet to node 1, which keeps it queued for the sleeping
+        // node 2. At slot 2 node 1's only awake neighbor already holds
+        // it: node 1 has work but nothing to move.
+        let topo = Topology::line(3, LinkQuality::PERFECT);
+        let schedules = NeighborTable::new(vec![
+            WorkingSchedule::new(4, vec![2]),
+            WorkingSchedule::new(4, vec![1]),
+            WorkingSchedule::new(4, vec![3]),
+        ]);
+        let cfg = SimConfig {
+            period: 4,
+            active_per_period: 1,
+            n_packets: 1,
+            coverage: 1.0,
+            max_slots: 10,
+            seed: 1,
+            mistiming_prob: 0.0,
+        };
+        let mut engine = Engine::with_schedules(topo, cfg, schedules, crate::Dbao::new())
+            .with_engine_kind(ldcf_sim::EngineKind::Slot);
+        engine.step();
+        engine.step();
+        let state = engine.state();
+        assert_eq!(state.now, 2);
+        assert!(state.is_active(NodeId(0)) && state.has(NodeId(0), 0));
+        assert_eq!(state.queue(NodeId(1)).len(), 1, "node 1 queues the packet");
+        assert!(!state.queue_misses(NodeId(1), NodeId(0)));
+        let mut lists = ReceiverLists::default();
+        lists.on_start(state);
+        lists.build(state, |_| true);
+        assert!(!bitset::test_bit(&lists.senders, 1), "node 1 is no sender");
+        assert!(lists.iter(&state.topo).next().is_none());
     }
 
     #[test]

@@ -164,7 +164,6 @@ impl FloodingProtocol for Dbao {
 
     fn propose(&mut self, state: &SimState, out: &mut Vec<TxIntent>) {
         let now = state.now;
-        let work = state.work_words();
         let period = state.cfg.period as u64;
         let Self {
             rank_in,
@@ -206,10 +205,7 @@ impl FloodingProtocol for Dbao {
                 // on neither u nor p, so it is computed once per
                 // receiver.
                 let busy = clique_busy.get_or(r.index(), || {
-                    clique.iter().any(|&s| {
-                        bitset::test_bit(work, s.index())
-                            && state.queue(s).iter().any(|e| !state.has(r, e.packet))
-                    })
+                    clique.iter().any(|&s| state.queue_misses(s, r))
                 });
                 if busy {
                     return false;

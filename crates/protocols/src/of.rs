@@ -21,7 +21,7 @@
 //!   OF therefore suffers both more collisions and tree detours, landing
 //!   below DBAO and OPT exactly as in Figs. 9–10.
 
-use crate::common::{max_degree, CollisionBackoff, ReceiverLists, SlotMemo};
+use crate::common::{CollisionBackoff, ReceiverLists};
 use crate::tree::EnergyTree;
 use ldcf_net::{bitset, NodeId};
 use ldcf_sim::mac::DeliveryEvent;
@@ -62,12 +62,6 @@ pub struct OpportunisticFlooding {
     backoff: CollisionBackoff,
     /// Scratch: this slot's receiver list per sender.
     lists: ReceiverLists,
-    /// Per receiver, this slot: whether its tree parent has a queued
-    /// packet the receiver misses.
-    parent_busy: SlotMemo,
-    /// Per receiver of the current sender: how many of the sender's
-    /// queued packets it misses (0: not counted yet).
-    overlap: Vec<u32>,
 }
 
 impl OpportunisticFlooding {
@@ -84,8 +78,6 @@ impl OpportunisticFlooding {
             cfg,
             tree: None,
             lists: ReceiverLists::default(),
-            parent_busy: SlotMemo::default(),
-            overlap: Vec::new(),
         }
     }
 
@@ -110,8 +102,6 @@ impl FloodingProtocol for OpportunisticFlooding {
         self.tree = Some(EnergyTree::build(&state.topo));
         self.backoff.on_start(&state.topo);
         self.lists.on_start(state);
-        self.parent_busy.on_start(state.n_nodes());
-        self.overlap.reserve(max_degree(&state.topo));
     }
 
     fn propose(&mut self, state: &SimState, out: &mut Vec<TxIntent>) {
@@ -121,16 +111,14 @@ impl FloodingProtocol for OpportunisticFlooding {
             rng,
             backoff,
             lists,
-            parent_busy,
-            overlap,
         } = self;
         let tree = tree.as_ref().expect("on_start ran");
-        // Only nodes with queued work and an awake receiver can propose.
+        // Only nodes with an awake receiver missing a queued packet can
+        // propose.
         // The decision RNG is only ever consulted inside the candidate
         // loop, so skipping every other node leaves the draw sequence
         // untouched.
         lists.build(state, |link| !backoff.blocked(link, state.now));
-        parent_busy.advance();
         for (u, receivers) in lists.iter(&state.topo) {
             // FCFS over (packet, receiver) candidates: queue × receiver
             // pairs in that order, minus receivers holding the packet.
@@ -139,12 +127,10 @@ impl FloodingProtocol for OpportunisticFlooding {
             // child to serve.
             let mut chosen: Option<(u32, NodeId)> = None;
             let mut fallback: Option<(u32, NodeId)> = None;
-            overlap.clear();
-            overlap.resize(receivers.len(), 0);
             'queue: for e in state.queue(u).iter() {
                 let packet = e.packet;
                 let holders = state.holder_words(packet);
-                for (i, r) in receivers.iter().enumerate() {
+                for r in receivers {
                     let receiver = r.node;
                     if bitset::test_bit(holders, receiver.index()) {
                         continue;
@@ -172,16 +158,9 @@ impl FloodingProtocol for OpportunisticFlooding {
                     // neither holds this packet nor has *any* pending packet
                     // the receiver misses — otherwise the parent will serve
                     // this same active slot and the opportunistic unicast
-                    // would collide with it. The second half does not depend
-                    // on the packet, so it is computed once per receiver.
+                    // would collide with it.
                     let parent_clear = tree.parent(receiver).is_some_and(|par| {
-                        !state.has(par, packet)
-                            && !parent_busy.get_or(receiver.index(), || {
-                                state
-                                    .queue(par)
-                                    .iter()
-                                    .any(|e| !state.has(receiver, e.packet))
-                            })
+                        !state.has(par, packet) && !state.queue_misses(par, receiver)
                     });
                     if !parent_clear {
                         continue;
@@ -200,18 +179,15 @@ impl FloodingProtocol for OpportunisticFlooding {
                     // Opportunistic streams for *different* packets can also
                     // converge on the receiver, so thin additionally by the
                     // number of packets u itself could offer r (a local proxy
-                    // for the frontier width at this receiver). It does not
-                    // depend on the packet either: counted once per
-                    // (sender, receiver).
-                    if overlap[i] == 0 {
-                        overlap[i] = state
-                            .queue(u)
-                            .iter()
-                            .filter(|e| !state.has(receiver, e.packet))
-                            .count()
-                            .max(1) as u32;
-                    }
-                    let my_overlap = overlap[i] as usize;
+                    // for the frontier width at this receiver): the queued
+                    // packets of u that r misses, at least one since r is
+                    // on u's list.
+                    let my_overlap: usize = state
+                        .queued_words(u)
+                        .iter()
+                        .zip(state.have_words(receiver))
+                        .map(|(&q, &h)| (q & !h).count_ones() as usize)
+                        .sum();
                     let p_send = cfg.forward_probability / (competitors * my_overlap) as f64;
                     if rng.random::<f64>() < p_send {
                         fallback = Some((packet, receiver));

@@ -100,6 +100,11 @@ pub struct SimState {
     missing: Vec<u32>,
     /// Per-node FCFS forwarding queues.
     queues: Vec<FcfsQueue>,
+    /// The queues' packet sets, laid out like `have`: bit `p` of node
+    /// `u`'s row is set iff `p` is in `u`'s queue. Kept exact at every
+    /// queue mutation, so "does `s` queue a packet `r` misses" is a word
+    /// AND per row word ([`SimState::queue_misses`]).
+    queued: Vec<u64>,
     /// Per-packet count of *sensors* (source excluded) holding it.
     holders: Vec<u32>,
     /// Sensors needed for a packet to count as flooded.
@@ -126,6 +131,30 @@ impl SimState {
             &self.have[node.index() * self.packet_words..],
             packet as usize,
         )
+    }
+
+    /// Packed row of packets `node` holds, bit `p` set iff it holds `p`.
+    #[inline]
+    pub fn have_words(&self, node: NodeId) -> &[u64] {
+        &self.have[node.index() * self.packet_words..][..self.packet_words]
+    }
+
+    /// Packed row of packets in `node`'s FCFS queue, laid out like
+    /// [`Self::have_words`].
+    #[inline]
+    pub fn queued_words(&self, node: NodeId) -> &[u64] {
+        &self.queued[node.index() * self.packet_words..][..self.packet_words]
+    }
+
+    /// Whether `s` queues a packet `r` does not hold: some word of
+    /// `queued(s) & !have(r)` is non-zero. Without it, no packet of `s`'s
+    /// queue can be forwarded to `r`.
+    #[inline]
+    pub fn queue_misses(&self, s: NodeId, r: NodeId) -> bool {
+        self.queued_words(s)
+            .iter()
+            .zip(self.have_words(r))
+            .any(|(&q, &h)| q & !h != 0)
     }
 
     /// Packed row of nodes (source included) holding `packet`, bit `u`
@@ -288,18 +317,32 @@ impl SimState {
         }
     }
 
-    /// Queue `packet` at `node`, keeping the work bitset exact.
+    /// Whether `packet` is in `node`'s queue.
+    #[inline]
+    fn is_queued(&self, node: NodeId, packet: PacketId) -> bool {
+        bitset::test_bit(self.queued_words(node), packet as usize)
+    }
+
+    /// Queue `packet` at `node`, keeping the queued and work bitsets
+    /// exact.
     #[inline]
     fn queue_push(&mut self, node: NodeId, packet: PacketId, now: u64) {
+        let fresh = bitset::set_bit(
+            &mut self.queued[node.index() * self.packet_words..],
+            packet as usize,
+        );
+        debug_assert!(fresh, "packet {packet} queued twice at {node}");
         self.queues[node.index()].push(packet, now);
         bitset::set_bit(&mut self.work, node.index());
     }
 
-    /// Drop `node`'s whole queue (crash wipe), keeping the work bitset
-    /// exact.
+    /// Drop `node`'s whole queue (crash wipe), keeping the queued and
+    /// work bitsets exact.
     fn queue_clear(&mut self, node: NodeId) {
-        self.queues[node.index()].clear();
-        bitset::clear_bit(&mut self.work, node.index());
+        let ui = node.index();
+        self.queued[ui * self.packet_words..][..self.packet_words].fill(0);
+        self.queues[ui].clear();
+        bitset::clear_bit(&mut self.work, ui);
     }
 
     /// Churn repair for one uncovered packet: re-queue it at every live
@@ -309,26 +352,21 @@ impl SimState {
     /// algebra over the possession row keeps this proportional to the
     /// holders of `p`, not to packets × nodes.
     fn repair_requeue(&mut self, p: PacketId, now: u64) {
-        let nw = self.node_words;
-        let holders = &self.holder_bits[p as usize * nw..][..nw];
-        let down = &self.down;
-        let topo = &self.topo;
-        let queues = &mut self.queues;
-        let work = &mut self.work;
-        for w in 0..nw {
-            let mut live_holders = holders[w] & !down[w];
+        for w in 0..self.node_words {
+            let mut live_holders = self.holder_words(p)[w] & !self.down[w];
             while live_holders != 0 {
-                let ui = w * 64 + live_holders.trailing_zeros() as usize;
+                let u = NodeId::from(w * 64 + live_holders.trailing_zeros() as usize);
                 live_holders &= live_holders - 1;
-                if queues[ui].contains(p) {
+                if self.is_queued(u, p) {
                     continue;
                 }
-                let needy = topo.neighbor_ids(NodeId::from(ui)).iter().any(|&v| {
-                    !bitset::test_bit(down, v.index()) && !bitset::test_bit(holders, v.index())
+                let holders = self.holder_words(p);
+                let needy = self.topo.neighbor_ids(u).iter().any(|&v| {
+                    !bitset::test_bit(&self.down, v.index())
+                        && !bitset::test_bit(holders, v.index())
                 });
                 if needy {
-                    queues[ui].push(p, now);
-                    bitset::set_bit(work, ui);
+                    self.queue_push(u, p, now);
                 }
             }
         }
@@ -539,6 +577,7 @@ impl<P: FloodingProtocol> Engine<P> {
             // Built per node — `vec![q; n]` would clone the prototype,
             // and a Vec clone keeps only its length, not its capacity.
             queues: (0..n).map(|_| FcfsQueue::with_capacity(m)).collect(),
+            queued: vec![0; n * packet_words],
             holders: vec![0; m],
             coverage_target,
             down: vec![0; node_words],
@@ -787,8 +826,7 @@ impl<P: FloodingProtocol, O: SimObserver, F: FaultPlan, Pr: SimProfiler> Engine<
             // With a deferred-injection plan the source may not hold a
             // not-yet-injected packet; a retry can only re-queue copies
             // the source actually has (always true for the default plan).
-            if self.core.state.has(SOURCE, p) && !self.core.state.queues[SOURCE.index()].contains(p)
-            {
+            if self.core.state.has(SOURCE, p) && !self.core.state.is_queued(SOURCE, p) {
                 self.core.state.queue_push(SOURCE, p, now);
                 self.core.report.source_retries += 1;
                 if O::ENABLED {
@@ -1161,7 +1199,9 @@ impl<P: FloodingProtocol, O: SimObserver, F: FaultPlan, Pr: SimProfiler> Engine<
             let missing = &state.missing[p as usize * n..][..n];
             for &u in state.topo.neighbor_ids(r).iter().chain(std::iter::once(&r)) {
                 let ui = u.index();
-                if missing[ui] == 0 && state.queues[ui].contains(p) {
+                let queued = &mut state.queued[ui * state.packet_words..];
+                if missing[ui] == 0 && bitset::test_bit(queued, p as usize) {
+                    bitset::clear_bit(queued, p as usize);
                     state.queues[ui].remove(p);
                     if state.queues[ui].is_empty() {
                         bitset::clear_bit(&mut state.work, ui);

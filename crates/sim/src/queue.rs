@@ -9,6 +9,13 @@
 //! whose every awake neighbor already holds it does not block younger
 //! packets behind it (otherwise lossy links would deadlock the flood),
 //! matching how the paper's protocols interleave many unicasts.
+//!
+//! The queue keeps order only. Which packets a node has queued is a
+//! bitset row in `SimState` (`queued_words`), kept exact by the engine
+//! at every push, removal and crash wipe (each packet is queued at most
+//! once per node), so membership and "does this queue hold a packet
+//! that neighbor misses" are word tests instead of scans of the
+//! entries.
 
 use ldcf_net::PacketId;
 
@@ -45,16 +52,7 @@ impl FcfsQueue {
 
     /// Append a packet on arrival (keeps arrival order).
     pub fn push(&mut self, packet: PacketId, arrived_at: u64) {
-        debug_assert!(
-            !self.contains(packet),
-            "packet {packet} queued twice at one node"
-        );
         self.entries.push(QueueEntry { packet, arrived_at });
-    }
-
-    /// Whether the queue holds `packet`.
-    pub fn contains(&self, packet: PacketId) -> bool {
-        self.entries.iter().any(|e| e.packet == packet)
     }
 
     /// Remove a packet (when the protocol decides the node is done
@@ -119,12 +117,13 @@ mod tests {
     }
 
     #[test]
-    fn remove_and_contains() {
+    fn remove_keeps_the_order_of_the_rest() {
         let mut q = FcfsQueue::new();
         q.push(7, 0);
-        assert!(q.contains(7));
+        q.push(4, 1);
         q.remove(7);
-        assert!(!q.contains(7));
+        assert_eq!(q.iter().map(|e| e.packet).collect::<Vec<_>>(), vec![4]);
+        q.remove(4);
         assert!(q.is_empty());
         assert!(q.first_with_work(|_| true).is_none());
     }
