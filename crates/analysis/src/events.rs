@@ -180,12 +180,6 @@ impl ReplayReport {
         Ok(b.finish())
     }
 
-    /// Parse a JSONL trace (one event per line) and replay it
-    /// (streaming, line by line).
-    pub fn from_jsonl(text: &str) -> Result<Self, serde::Error> {
-        Self::from_source(ldcf_obs::JsonlReader::new(text.as_bytes()))
-    }
-
     fn packet_mut(&mut self, packet: u32) -> &mut PacketReplay {
         let i = packet as usize;
         if i >= self.packets.len() {
@@ -321,7 +315,7 @@ mod tests {
             e.write_jsonl(&mut text);
             text.push(b'\n');
         }
-        let r = ReplayReport::from_jsonl(std::str::from_utf8(&text).unwrap()).unwrap();
+        let r = ReplayReport::from_source(ldcf_obs::JsonlReader::new(&text[..])).unwrap();
         assert_eq!(r, ReplayReport::from_events(&events));
         assert_eq!(r.mean_flooding_delay(), Some(10.0));
     }

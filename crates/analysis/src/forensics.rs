@@ -545,11 +545,6 @@ impl Collector {
 }
 
 impl ForensicsReport {
-    /// Parse a JSONL trace and reconstruct it (streaming, line by line).
-    pub fn from_jsonl(text: &str) -> Result<Self, ForensicsError> {
-        Self::from_source(ldcf_obs::JsonlReader::new(text.as_bytes()))
-    }
-
     /// Reconstruct from any fallible event stream — a
     /// [`ldcf_obs::JsonlReader`], a [`ldcf_obs::binlog::BinReader`]
     /// iterator, or an in-memory collection — holding only the

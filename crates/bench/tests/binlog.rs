@@ -7,6 +7,7 @@
 use ldcf_analysis::{ForensicsReport, ReplayReport};
 use ldcf_bench::ExpOptions;
 use ldcf_obs::binlog::BinReader;
+use ldcf_obs::JsonlReader;
 use ldcf_protocols::{Dbao, OpportunisticFlooding, Opt};
 use ldcf_sim::{BinSink, Engine, FloodingProtocol, JsonlSink, SimConfig};
 use std::io::Cursor;
@@ -67,7 +68,8 @@ fn verify_pipeline<P: FloodingProtocol>(protocol: P) {
     );
 
     // Forensics agree to the byte from either format.
-    let from_jsonl = ForensicsReport::from_jsonl(&jsonl).expect("jsonl forensics");
+    let from_jsonl =
+        ForensicsReport::from_source(JsonlReader::new(jsonl.as_bytes())).expect("jsonl forensics");
     let from_bin =
         ForensicsReport::from_source(BinReader::new(Cursor::new(bin.clone())).unwrap().events())
             .expect("bin forensics");
@@ -78,7 +80,8 @@ fn verify_pipeline<P: FloodingProtocol>(protocol: P) {
     );
 
     // Replay agrees as well.
-    let replay_jsonl = ReplayReport::from_jsonl(&jsonl).expect("jsonl replay");
+    let replay_jsonl =
+        ReplayReport::from_source(JsonlReader::new(jsonl.as_bytes())).expect("jsonl replay");
     let replay_bin = ReplayReport::from_source(BinReader::new(Cursor::new(bin)).unwrap().events())
         .expect("bin replay");
     assert_eq!(

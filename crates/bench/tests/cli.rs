@@ -245,6 +245,30 @@ fn forensics_to_an_unwritable_out_exits_2_naming_the_path() {
 }
 
 #[test]
+fn forensics_on_a_jsonl_line_with_permuted_keys_exits_2_naming_line_and_byte() {
+    // The reader takes only the layout `trace export` writes; the
+    // second line here has `period` before `node`.
+    let dir = std::env::temp_dir().join(format!("ldcf-cli-permuted-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    let trace = dir.join("permuted.events.jsonl");
+    std::fs::write(
+        &trace,
+        "{\"t\":\"schedule_slot\",\"slot\":0,\"node\":0,\"period\":10,\"offset\":3}\n\
+         {\"t\":\"schedule_slot\",\"slot\":0,\"period\":10,\"node\":1,\"offset\":4}\n",
+    )
+    .expect("write trace");
+    let out = run(&["forensics", "--trace", trace.to_str().unwrap()]);
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(2), "stderr: {err}");
+    assert!(
+        err.contains("line 2: expected `,\"node\":` at byte 29"),
+        "stderr: {err}"
+    );
+    assert!(!err.contains("panicked"), "stderr: {err}");
+    std::fs::remove_dir_all(dir).expect("remove scratch dir");
+}
+
+#[test]
 fn campaign_to_an_unwritable_out_exits_2_naming_the_path() {
     let (dir, out_path) = unwritable_out("campaign");
     let spec = concat!(

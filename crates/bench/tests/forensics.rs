@@ -7,6 +7,7 @@
 
 use ldcf_analysis::ForensicsReport;
 use ldcf_bench::ExpOptions;
+use ldcf_obs::JsonlReader;
 use ldcf_protocols::{Dbao, OpportunisticFlooding, Opt};
 use ldcf_sim::{Engine, FloodingProtocol, JsonlSink, SimConfig};
 
@@ -33,7 +34,8 @@ fn verify_attribution<P: FloodingProtocol>(protocol: P, expect_oracle: bool) {
     let engine = Engine::new(topo, cfg, protocol).with_observer(JsonlSink::new(Vec::new()));
     let (report, _, sink) = engine.run_traced();
     let text = String::from_utf8(sink.into_result().expect("in-memory sink")).unwrap();
-    let forensics = ForensicsReport::from_jsonl(&text).expect("trace reconstructs");
+    let forensics = ForensicsReport::from_source(JsonlReader::new(text.as_bytes()))
+        .expect("trace reconstructs");
     let ctx = &report.protocol;
 
     // Hard theory checks all pass: exact attribution, spanning trees,

@@ -5,6 +5,7 @@
 use ldcf_analysis::ReplayReport;
 use ldcf_bench::ExpOptions;
 use ldcf_net::{LinkQuality, Topology};
+use ldcf_obs::JsonlReader;
 use ldcf_protocols::{Dbao, NaiveFlood, OpportunisticFlooding, Opt};
 use ldcf_sim::{Engine, FloodingProtocol, JsonlSink, SimConfig, SimReport};
 
@@ -15,7 +16,8 @@ fn assert_replay_matches<P: FloodingProtocol>(topo: &Topology, cfg: &SimConfig, 
         Engine::new(topo.clone(), cfg.clone(), protocol).with_observer(JsonlSink::new(Vec::new()));
     let (report, _, sink) = engine.run_traced();
     let text = String::from_utf8(sink.into_result().expect("in-memory sink")).unwrap();
-    let replay = ReplayReport::from_jsonl(&text).expect("trace parses");
+    let replay =
+        ReplayReport::from_source(JsonlReader::new(text.as_bytes())).expect("trace parses");
     assert_replay_eq(&replay, &report);
 }
 

@@ -18,7 +18,8 @@
 //! * [`JsonlSink`] / [`JsonlReader`] — one JSON object per event, one
 //!   event per line, through the direct codec
 //!   [`SimEvent::write_jsonl`] / [`SimEvent::parse_jsonl`]; the export
-//!   view of a binary trace.
+//!   view of a binary trace. The reader takes only the layout the
+//!   writer writes.
 //! * [`binlog`] — the binary columnar trace format, the one traced
 //!   `experiments` runs write: [`BinSink`] writes CRC-guarded
 //!   varint+delta frames with a trailing slot index, [`BinReader`]

@@ -1,17 +1,19 @@
 //! Differential tests of the direct JSONL codec
 //! ([`SimEvent::write_jsonl`] / [`SimEvent::parse_jsonl`]) against the
 //! codec it replaced, kept here as `reference`: events converted to and
-//! from a `serde::Value` tree and printed or parsed by `serde_json`.
+//! from a `serde::Value` tree and printed or parsed by `serde_json`,
+//! with one check added, that an id field above `u32::MAX` is an error
+//! instead of a value wrapped to 32 bits.
 //!
-//! * The writer must produce the reference's bytes for every event.
-//! * The parser must accept and reject exactly the lines the reference
-//!   does — canonical, permuted, re-spaced, with extra or duplicate
-//!   keys, integral floats, escapes, truncated or byte-mutated — with
-//!   one intended difference: an id field above `u32::MAX` is an error
-//!   instead of a value wrapped to 32 bits. The reference takes a
-//!   `checked` flag that adds just that check; the parser must agree
-//!   with the checked reference on every line, and the checked and
-//!   unchecked references may differ only by that error.
+//! * The writer must produce the reference's bytes for every event, and
+//!   the parser must read them back as that event.
+//! * The parser reads only the writer's layout. On that layout with its
+//!   integers respelled in digits (leading zeros, values past `u32` or
+//!   `u64`) it accepts exactly what the reference accepts. Every line it
+//!   accepts, the reference reads as the same event.
+//! * Every other line (permuted, re-spaced, with extra or duplicate
+//!   keys, floats, escapes, truncated or byte-mutated) is an error that
+//!   names a byte offset or a field, never a panic.
 
 use ldcf_net::NodeId;
 use ldcf_obs::SimEvent;
@@ -172,7 +174,6 @@ mod reference {
 
     struct Fields<'a> {
         v: &'a Value,
-        checked: bool,
     }
 
     impl Fields<'_> {
@@ -185,7 +186,7 @@ mod reference {
 
         fn u32(&self, name: &str) -> Result<u32, Error> {
             let v = self.u64(name)?;
-            if self.checked && v > u64::from(u32::MAX) {
+            if v > u64::from(u32::MAX) {
                 return Err(Error::custom(format!("field `{name}`: {v} exceeds u32")));
             }
             Ok(v as u32)
@@ -203,11 +204,11 @@ mod reference {
         }
     }
 
-    /// Parse a line as the reference did; `checked` adds the range check
-    /// on `u32` fields.
-    pub fn parse(line: &str, checked: bool) -> Result<SimEvent, Error> {
+    /// Parse a line as the reference did, plus the range check on
+    /// `u32` fields.
+    pub fn parse(line: &str) -> Result<SimEvent, Error> {
         let v = serde_json::parse_value(line)?;
-        let f = Fields { v: &v, checked };
+        let f = Fields { v: &v };
         let tag = v
             .get("t")
             .and_then(Value::as_str)
@@ -550,13 +551,15 @@ fn members(ev: &SimEvent) -> Vec<(String, String)> {
         .collect()
 }
 
-/// Respell some of the integers in `m`: as integral floats, with
-/// leading zeros, or out of range — for a `u32` field (the intended
-/// difference) or for any field (past `u64`, where the reference reads
-/// a float).
+/// Respell some of the values in `m`: flags as numbers or strings, and
+/// integers as integral floats, with leading zeros, or out of range —
+/// for a `u32` field (a range error) or for any field (past `u64`,
+/// where the reference reads a float).
 fn renumber(rng: &mut StdRng, m: &mut [(String, String)]) {
     for (_, v) in m.iter_mut() {
-        if v.bytes().all(|b| b.is_ascii_digit()) {
+        if (v == "true" || v == "false") && rng.random_range(0..4u8) == 0 {
+            *v = pick(rng, &["0", "1", "\"true\"", "True", "null"]).to_string();
+        } else if v.bytes().all(|b| b.is_ascii_digit()) {
             match rng.random_range(0..10u8) {
                 0 => v.push_str(".0"),
                 1 => v.push_str("e0"),
@@ -582,7 +585,7 @@ fn renumber(rng: &mut StdRng, m: &mut [(String, String)]) {
 }
 
 /// The writer's own layout for `ev`, with some integers respelled: the
-/// lines the parser reads by matching that layout, and its near misses.
+/// lines the parser reads, and its near misses.
 fn laid_out(rng: &mut StdRng, ev: &SimEvent) -> Vec<u8> {
     let mut m = members(ev);
     renumber(rng, &mut m);
@@ -617,7 +620,7 @@ fn variant(rng: &mut StdRng, ev: &SimEvent) -> Vec<u8> {
         m.insert(at, (json_string(rng), json_value(rng, 3)));
     }
     if rng.random_bool(0.3) {
-        // A duplicate of a member: the first occurrence wins.
+        // A duplicate of a member.
         let i = rng.random_range(0..m.len());
         let dup = (m[i].0.clone(), json_value(rng, 1));
         m.insert(rng.random_range(0..=m.len()), dup);
@@ -628,7 +631,13 @@ fn variant(rng: &mut StdRng, ev: &SimEvent) -> Vec<u8> {
         .map(|(k, v)| format!("{}{k}{}:{}{v}{}", ws(rng), ws(rng), ws(rng), ws(rng)))
         .collect();
     let mut line = format!("{}{{{}}}{}", ws(rng), body.join(","), ws(rng)).into_bytes();
-    // Edits that may break the line.
+    mutate(rng, &mut line);
+    line
+}
+
+/// Now and then an edit that may break the line: truncate it, or
+/// overwrite, insert or remove one byte.
+fn mutate(rng: &mut StdRng, line: &mut Vec<u8>) {
     match rng.random_range(0..10u8) {
         0 => line.truncate(rng.random_range(0..line.len())),
         1 => {
@@ -648,34 +657,56 @@ fn variant(rng: &mut StdRng, ev: &SimEvent) -> Vec<u8> {
         }
         _ => {}
     }
-    line
 }
 
-/// Parse `line` with the direct codec and both references, and hold
-/// them to the contract in the module docs.
-fn check(line: &[u8]) -> Result<(), TestCaseError> {
-    let new = SimEvent::parse_jsonl(line);
-    let (old, checked) = match std::str::from_utf8(line) {
-        Ok(text) => (reference::parse(text, false), reference::parse(text, true)),
-        Err(_) => {
-            prop_assert!(new.is_err(), "accepted invalid UTF-8 {line:?}");
-            return Ok(());
+/// `line` with the leading zeros of its integers dropped.
+fn without_leading_zeros(line: &[u8]) -> Vec<u8> {
+    let mut out: Vec<u8> = Vec::with_capacity(line.len());
+    for (i, &b) in line.iter().enumerate() {
+        let leading = out.last() == Some(&b':');
+        if leading && b == b'0' && line.get(i + 1).is_some_and(u8::is_ascii_digit) {
+            continue;
         }
-    };
-    let shown = String::from_utf8_lossy(line);
-    match (&new, &checked) {
-        (Ok(a), Ok(b)) => prop_assert_eq!(a, b, "{}", shown),
-        (Err(_), Err(_)) => {}
-        _ => prop_assert!(
-            false,
-            "direct {new:?} but checked reference {checked:?} for {shown}"
-        ),
+        out.push(b);
     }
-    match (&old, &checked) {
-        (Ok(a), Ok(b)) => prop_assert_eq!(a, b),
-        (Err(_), Err(_)) => {}
-        (Ok(_), Err(e)) => prop_assert!(e.to_string().contains("exceeds u32"), "{e}"),
-        (Err(e), Ok(_)) => prop_assert!(false, "checking accepted more: {e} for {shown}"),
+    out
+}
+
+/// Parse `line` with the direct codec and hold it to the contract in
+/// the module docs. `digits_only` marks the writer's layout with its
+/// integers respelled in digits, which the parser must accept exactly
+/// when the reference does.
+fn check(line: &[u8], digits_only: bool) -> Result<(), TestCaseError> {
+    let new = SimEvent::parse_jsonl(line);
+    let shown = String::from_utf8_lossy(line);
+    if let Err(e) = &new {
+        let e = e.to_string();
+        prop_assert!(
+            e.contains(" at byte ") || e.starts_with("field `"),
+            "unpositioned error {e:?} for {shown}"
+        );
+    }
+    let Ok(text) = std::str::from_utf8(line) else {
+        prop_assert!(new.is_err(), "accepted invalid UTF-8 {line:?}");
+        return Ok(());
+    };
+    if let Ok(ev) = &new {
+        let mut written = Vec::new();
+        ev.write_jsonl(&mut written);
+        prop_assert!(
+            written == without_leading_zeros(line),
+            "accepted a line the writer does not write: {}",
+            shown
+        );
+    }
+    let reference = reference::parse(text);
+    match (&new, &reference) {
+        (Ok(a), Ok(b)) => prop_assert_eq!(a, b, "{}", shown),
+        (Ok(a), Err(e)) => prop_assert!(false, "direct {a:?} but reference {e} for {shown}"),
+        (Err(e), Ok(_)) if digits_only => {
+            prop_assert!(false, "rejected the writer's layout: {e} for {shown}")
+        }
+        (Err(_), _) => {}
     }
     Ok(())
 }
@@ -691,39 +722,67 @@ proptest! {
         let ev = draw_event(&mut rng);
         let mut line = Vec::new();
         ev.write_jsonl(&mut line);
-        prop_assert_eq!(String::from_utf8(line.clone()).unwrap(), reference::line(&ev));
+        let text = String::from_utf8(line.clone()).unwrap();
+        prop_assert_eq!(&text, &reference::line(&ev));
+        prop_assert_eq!(reference::parse(&text).unwrap(), ev);
         prop_assert_eq!(SimEvent::parse_jsonl(&line).unwrap(), ev);
     }
 
-    /// The parser agrees with the checked reference on every variant of
-    /// a line, and differs from the unchecked one only by range errors.
+    /// The parser accepts the writer's layout as the reference reads
+    /// it, and rejects every other variant of a line with a positioned
+    /// error: each truncation of the written line, each insertion of
+    /// JSON whitespace into it and some byte mutations included.
     #[test]
     fn parser_matches_reference(seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
         let ev = draw_event(&mut rng);
         for _ in 0..8 {
-            check(&variant(&mut rng, &ev))?;
+            check(&variant(&mut rng, &ev), false)?;
         }
         for _ in 0..4 {
-            check(&laid_out(&mut rng, &ev))?;
+            let line = laid_out(&mut rng, &ev);
+            let digits_only = !line.iter().any(|b| matches!(b, b'.' | b'e' | b'E'));
+            check(&line, digits_only)?;
+        }
+        let mut line = Vec::new();
+        ev.write_jsonl(&mut line);
+        for end in 0..line.len() {
+            check(&line[..end], false)?;
+        }
+        for at in 0..=line.len() {
+            let mut spaced = line.clone();
+            spaced.insert(at, b" \t\r\n"[at % 4]);
+            check(&spaced, false)?;
+        }
+        for _ in 0..4 {
+            let mut mutated = line.clone();
+            mutate(&mut rng, &mut mutated);
+            check(&mutated, false)?;
         }
     }
 }
 
 #[test]
 fn variants_cover_every_case() {
-    // The generator must reach accepted re-spellings, range errors and
-    // other rejections alike, or the property above proves little.
+    // The generators must reach accepted lines, range errors and other
+    // rejections alike, or the property above proves little. About one
+    // laid-out line in ten keeps every integer in range and in digits.
     let mut rng = StdRng::seed_from_u64(7);
     let (mut same, mut range, mut rejected) = (0, 0, 0);
     for _ in 0..4000 {
         let ev = draw_event(&mut rng);
-        let line = variant(&mut rng, &ev);
-        match SimEvent::parse_jsonl(&line) {
-            Ok(got) if got == ev => same += 1,
-            Ok(_) => {}
-            Err(e) if e.to_string().contains("exceeds u32") => range += 1,
-            Err(_) => rejected += 1,
+        let lines = [
+            laid_out(&mut rng, &ev),
+            laid_out(&mut rng, &ev),
+            variant(&mut rng, &ev),
+        ];
+        for line in lines {
+            match SimEvent::parse_jsonl(&line) {
+                Ok(got) if got == ev => same += 1,
+                Ok(_) => {}
+                Err(e) if e.to_string().contains("exceeds u32") => range += 1,
+                Err(_) => rejected += 1,
+            }
         }
     }
     assert!(

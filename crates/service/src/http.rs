@@ -7,7 +7,7 @@
 //! pools.
 
 use serde::Value;
-use std::io::{BufReader, Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 
 /// Upper bound on a request body (a scenario spec is a few KiB; one
@@ -26,7 +26,8 @@ pub struct Request {
     pub method: String,
     /// Path without the query string, e.g. `/campaigns/abc123`.
     pub path: String,
-    /// Decoded `key=value` pairs of the query string, in order.
+    /// `key=value` pairs of the query string, in order, as sent:
+    /// nothing is percent-decoded.
     pub query: Vec<(String, String)>,
     /// Body bytes (empty unless `Content-Length` said otherwise).
     pub body: Vec<u8>,
@@ -53,10 +54,11 @@ impl Request {
     }
 }
 
-/// Read and parse one request from a connection. `Err` is a malformed
-/// request the caller should answer with 400 (or drop, if the line
-/// never arrived).
-pub fn read_request(stream: &mut TcpStream) -> Result<Request, String> {
+/// Read and parse one request from a connection (or any byte stream).
+/// `Err` is a malformed request the caller should answer with 400 (or
+/// drop, if the line never arrived). A second `Content-Length` header
+/// is malformed, whatever its value.
+pub fn read_request(stream: impl Read) -> Result<Request, String> {
     let mut reader = BufReader::new(stream);
     let request_line = read_line(&mut reader)?;
     let mut parts = request_line.split_whitespace();
@@ -67,12 +69,13 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, String> {
         other => return Err(format!("unsupported protocol {other:?}")),
     }
 
-    let mut content_length = 0usize;
-    for _ in 0..MAX_HEADERS {
+    let mut content_length = None;
+    // The headers and the blank line that ends them.
+    for _ in 0..=MAX_HEADERS {
         let line = read_line(&mut reader)?;
         if line.is_empty() {
             let (path, query) = split_target(target);
-            let mut body = vec![0u8; content_length];
+            let mut body = vec![0u8; content_length.unwrap_or(0)];
             reader
                 .read_exact(&mut body)
                 .map_err(|e| format!("short body: {e}"))?;
@@ -85,20 +88,24 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, String> {
         }
         let (name, value) = line.split_once(':').ok_or("malformed header")?;
         if name.eq_ignore_ascii_case("content-length") {
-            content_length = value
+            if content_length.is_some() {
+                return Err("repeated content-length".into());
+            }
+            let len = value
                 .trim()
                 .parse::<usize>()
                 .map_err(|_| format!("bad content-length {value:?}"))?;
-            if content_length > MAX_BODY {
-                return Err(format!("body of {content_length} bytes exceeds {MAX_BODY}"));
+            if len > MAX_BODY {
+                return Err(format!("body of {len} bytes exceeds {MAX_BODY}"));
             }
+            content_length = Some(len);
         }
     }
     Err("too many headers".into())
 }
 
 /// One CRLF-terminated line, without the terminator.
-fn read_line(reader: &mut BufReader<&mut TcpStream>) -> Result<String, String> {
+fn read_line(reader: &mut impl BufRead) -> Result<String, String> {
     let mut line = Vec::new();
     loop {
         let mut byte = [0u8; 1];
@@ -118,7 +125,7 @@ fn read_line(reader: &mut BufReader<&mut TcpStream>) -> Result<String, String> {
     }
 }
 
-/// Split `/path?query` into the path and decoded query pairs.
+/// Split `/path?query` into the path and the query pairs.
 fn split_target(target: &str) -> (String, Vec<(String, String)>) {
     match target.split_once('?') {
         None => (target.to_string(), Vec::new()),
@@ -209,15 +216,8 @@ mod tests {
     use super::*;
     use std::net::{TcpListener, TcpStream};
 
-    /// Round one raw request through a loopback socket pair.
     fn parse_raw(raw: &[u8]) -> Result<Request, String> {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let mut client = TcpStream::connect(addr).unwrap();
-        client.write_all(raw).unwrap();
-        client.flush().unwrap();
-        let (mut server_side, _) = listener.accept().unwrap();
-        read_request(&mut server_side)
+        read_request(raw)
     }
 
     #[test]
@@ -255,6 +255,11 @@ mod tests {
             MAX_BODY + 1
         );
         assert!(parse_raw(too_big.as_bytes()).is_err(), "oversized body");
+        assert!(
+            parse_raw(b"POST /x HTTP/1.1\r\nContent-Length: 0\r\ncontent-length: 0\r\n\r\n")
+                .is_err(),
+            "repeated content-length"
+        );
     }
 
     #[test]

@@ -463,6 +463,27 @@ struct Core {
     skip_carry_ns: u64,
 }
 
+impl Core {
+    /// Put packet `p` into `origin`'s queue at slot `now`: the one path
+    /// of every injection, at build time (slot 0) and from the deferred
+    /// plan. A sensor origin holds its own packet, so it counts towards
+    /// that packet's coverage from then on.
+    fn inject(&mut self, origin: NodeId, p: PacketId, now: u64) {
+        let state = &mut self.state;
+        state.grant(origin, p);
+        state.queue_push(origin, p, now);
+        self.report.record_injection(p, now);
+        state.injected += 1;
+        if origin != SOURCE {
+            let pi = p as usize;
+            state.holders[pi] += 1;
+            if state.holders[pi] >= state.coverage_target {
+                self.report.record_coverage(p, now);
+            }
+        }
+    }
+}
+
 /// Drop every intent `missed` flags, booking each as a mistimed
 /// transmission: the energy and a failure are spent, nothing reaches
 /// the MAC. An in-place retain: the per-slot scratch Vec this used to
@@ -552,15 +573,14 @@ impl<P: FloodingProtocol> Engine<P> {
         let m = cfg.n_packets as usize;
         let coverage_target = ((cfg.coverage * n_sensors as f64).ceil() as u32).max(1);
         let rng = StdRng::seed_from_u64(cfg.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let mut report =
-            SimReport::new(protocol.name(), n_sensors, cfg.duty_ratio(), cfg.n_packets);
+        let report = SimReport::new(protocol.name(), n_sensors, cfg.duty_ratio(), cfg.n_packets);
         let packet_words = bitset::words_for(m);
         let node_words = bitset::words_for(n);
         // Nobody holds anything yet: every neighbor is missing.
         let missing = (0..m)
             .flat_map(|_| (0..n).map(|u| topo.degree(NodeId::from(u)) as u32))
             .collect();
-        let mut state = SimState {
+        let state = SimState {
             cfg,
             topo,
             schedules,
@@ -585,67 +605,57 @@ impl<P: FloodingProtocol> Engine<P> {
             origins: vec![SOURCE; m],
             injected: 0,
         };
-        let mut pending_injections: Vec<(u64, PacketId, NodeId)> = Vec::new();
-        let mut start_injections: Vec<(PacketId, NodeId)> = Vec::new();
         assert_eq!(plan.len(), m, "injection plan needs one entry per packet");
         assert!(
             plan.windows(2).all(|w| w[0].slot <= w[1].slot),
             "injection slots must be non-decreasing in packet id"
         );
+        let mut core = Core {
+            state,
+            rng,
+            report,
+            energy: EnergyLedger::default(),
+            // Slot-loop scratch, pre-sized to its worst-case high-water
+            // mark (≤ one intent per sender, ≤ one delivery per
+            // receiver): the flood wave widening mid-run must not grow
+            // any of these — the allocation gate asserts zero heap
+            // allocations per steady-state slot.
+            intents_buf: Vec::with_capacity(n),
+            mac_scratch: MacScratch::for_nodes(n),
+            res_buf: SlotResolution::for_nodes(n),
+            delivered_buf: Vec::with_capacity(n),
+            slot_anchor: None,
+            churn_buf: Vec::new(),
+            retry_heap: BinaryHeap::new(),
+            retry_attempts: vec![0; m],
+            retry_pending: vec![false; m],
+            pending_injections: Vec::new(),
+            next_injection: 0,
+            start_injections: Vec::new(),
+            kind: EngineKind::Event,
+            // Event-engine scratch, pre-sized like the rest: skipping
+            // must stay allocation-free too.
+            reach_buf: vec![0; node_words],
+            reach_summary_buf: vec![0; bitset::words_for(node_words)],
+            skip_carry_ns: 0,
+        };
         for (pi, inj) in plan.iter().enumerate() {
             let p = pi as PacketId;
             assert!(inj.origin.index() < n, "injection origin out of range");
-            state.origins[pi] = inj.origin;
+            core.state.origins[pi] = inj.origin;
             if inj.slot > 0 {
-                pending_injections.push((inj.slot, p, inj.origin));
+                core.pending_injections.push((inj.slot, p, inj.origin));
                 continue;
             }
             // Slot-0 packets enter their origin's queue in packet order:
             // at the source, FCFS realises the paper's sequential injection.
-            state.grant(inj.origin, p);
-            state.queue_push(inj.origin, p, 0);
-            report.record_injection(p, 0);
-            state.injected += 1;
+            core.inject(inj.origin, p, 0);
             if inj.origin != SOURCE {
-                // A sensor origin counts towards its own packet's
-                // coverage from the start.
-                state.holders[pi] += 1;
-                if state.holders[pi] >= state.coverage_target {
-                    report.record_coverage(p, 0);
-                }
-                start_injections.push((p, inj.origin));
+                core.start_injections.push((p, inj.origin));
             }
         }
         Self {
-            core: Core {
-                state,
-                rng,
-                report,
-                energy: EnergyLedger::default(),
-                // Slot-loop scratch, pre-sized to its worst-case high-water
-                // mark (≤ one intent per sender, ≤ one delivery per
-                // receiver): the flood wave widening mid-run must not grow
-                // any of these — the allocation gate asserts zero heap
-                // allocations per steady-state slot.
-                intents_buf: Vec::with_capacity(n),
-                mac_scratch: MacScratch::for_nodes(n),
-                res_buf: SlotResolution::for_nodes(n),
-                delivered_buf: Vec::with_capacity(n),
-                slot_anchor: None,
-                churn_buf: Vec::new(),
-                retry_heap: BinaryHeap::new(),
-                retry_attempts: vec![0; m],
-                retry_pending: vec![false; m],
-                pending_injections,
-                next_injection: 0,
-                start_injections,
-                kind: EngineKind::Event,
-                // Event-engine scratch, pre-sized like the rest: skipping
-                // must stay allocation-free too.
-                reach_buf: vec![0; node_words],
-                reach_summary_buf: vec![0; bitset::words_for(node_words)],
-                skip_carry_ns: 0,
-            },
+            core,
             protocol,
             obs: NullObserver,
             faults: NullFaultPlan,
@@ -930,17 +940,7 @@ impl<P: FloodingProtocol, O: SimObserver, F: FaultPlan, Pr: SimProfiler> Engine<
             }
             self.core.next_injection += 1;
             let now = self.core.state.now;
-            self.core.state.grant(origin, p);
-            self.core.state.queue_push(origin, p, now);
-            self.core.report.record_injection(p, now);
-            self.core.state.injected += 1;
-            if origin != SOURCE {
-                let pi = p as usize;
-                self.core.state.holders[pi] += 1;
-                if self.core.state.holders[pi] >= self.core.state.coverage_target {
-                    self.core.report.record_coverage(p, now);
-                }
-            }
+            self.core.inject(origin, p, now);
             if O::ENABLED {
                 self.obs.on_event(&SimEvent::PacketInjected {
                     slot: now,
