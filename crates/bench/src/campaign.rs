@@ -29,7 +29,7 @@
 //!   changed → digest changed) are ignored and overwritten.
 //!   [`recompute_stats`] replays the same fold over an existing
 //!   checkpoint directory without simulating anything — byte-identical
-//!   statistics, enforced by CI.
+//!   statistics, enforced by `tests/stats.rs`.
 
 use crate::heartbeat::Heartbeat;
 use crate::runner::{ProtocolKind, RunRequest, Runner};
@@ -585,8 +585,8 @@ impl StatsOutcome {
 ///
 /// The fold replays the runner's exact shard partition and merge
 /// order, so the resulting `campaign-stats.md` bytes and `statistics`
-/// block equal the campaign-embedded ones bit for bit (CI's stats
-/// stage diffs them).
+/// block equal the campaign-embedded ones bit for bit
+/// (`tests/stats.rs` compares them).
 pub fn recompute_stats(
     spec: ScenarioSpec,
     quick: bool,

@@ -13,7 +13,7 @@
 //! carries wall-clock measurements and its line order follows worker
 //! scheduling. The reproducible artefacts (`campaign.md`,
 //! `campaign.json`, per-cell checkpoints) never embed anything from it,
-//! and CI's byte-identity diffs must ignore `*-telemetry.jsonl`.
+//! and the byte-identity tests must ignore `*-telemetry.jsonl`.
 
 use ldcf_obs::{CampaignProgress, ProgressSink};
 use serde::Value;

@@ -14,8 +14,8 @@
 //! 2. **Fault isolation** — one protocol (DBAO) at fixed intensity
 //!    with each model enabled alone, plus the forensics-safe burst+drift composition and the
 //!    full stack, attributing the damage. The burst+drift row's event
-//!    trace (`dbao-…-fbd.events.bin`) is the one faulted trace CI
-//!    replays through flood forensics.
+//!    trace (`dbao-…-fbd.events.bin`) is the one faulted trace
+//!    `tests/pins.rs` replays through flood forensics.
 
 use crate::options::ExpOptions;
 use crate::runner::{ProtocolKind, RunRequest, Runner};

@@ -144,6 +144,9 @@ pub struct WorkLedger {
     pub trace_events: u64,
     /// Bytes written across every trace sink (0 when tracing is off).
     pub trace_bytes: u64,
+    /// The first trace file that could not be created or written, as
+    /// `path: error`; its run went on untraced.
+    pub trace_error: Option<String>,
 }
 
 /// One flood to run: the network, the config and the protocol, plus
@@ -225,8 +228,8 @@ impl Runner {
     /// Attach a phase profiler to every flood, merging each run's phase
     /// timings into the runner's [`Runner::profile`]. Profiling reads
     /// wall clocks only — simulation outcomes and artefacts stay
-    /// byte-identical (`--profile` on any artefact command proves this
-    /// in CI against the pinned baselines).
+    /// byte-identical (`tests/pins.rs` runs fig9 and resilience with
+    /// `--profile` against the pinned baselines).
     pub fn with_profiling(mut self) -> Self {
         self.profiling = true;
         self
@@ -306,16 +309,25 @@ impl Runner {
         let file = match File::create(&path) {
             Ok(file) => file,
             Err(e) => {
-                eprintln!("trace-events: cannot create {}: {e}", path.display());
+                self.trace_failed(&path, e);
                 return self.finish(engine).0;
             }
         };
         let (mut out, sink) = self.finish(engine.with_observer(BinSink::new(file)));
         (out.trace_events, out.trace_bytes) = (sink.events(), sink.bytes());
         if let Err(e) = sink.into_result() {
-            eprintln!("trace-events: write to {} failed: {e}", path.display());
+            self.trace_failed(&path, e);
         }
         out
+    }
+
+    /// Book the first trace file that failed into the ledger.
+    fn trace_failed(&self, path: &Path, e: std::io::Error) {
+        let mut tally = self.tally.lock().expect("runner tally");
+        tally
+            .0
+            .trace_error
+            .get_or_insert_with(|| format!("{}: {e}", path.display()));
     }
 
     /// Run the engine, with a profiler lent to it when profiling is on.

@@ -13,8 +13,9 @@
 //!   JSONL (`--trace-events` writes binary only). The bytes equal what
 //!   a [`JsonlSink`] observing the same run writes, since export goes
 //!   through one, which encodes each event with
-//!   [`SimEvent::write_jsonl`] + `\n`. CI hashes the exported fig9 and
-//!   resilience traces against the pinned JSONL baselines.
+//!   [`SimEvent::write_jsonl`] + `\n`. `tests/pins.rs` hashes the
+//!   exported fig9 and resilience traces against the pinned JSONL
+//!   baselines.
 //! * `query` — slot-range scan (`--slot A..B`, `B` exclusive) with
 //!   optional `--node` / `--packet` filters. On a binary trace the
 //!   trailing index skips every frame outside the range; the scanned /

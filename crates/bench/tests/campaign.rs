@@ -45,8 +45,14 @@ fn two_runs_and_both_thread_counts_are_byte_identical() {
     let d2 = fresh_dir("run2");
     let d3 = fresh_dir("run3");
 
+    // The second run streams the heartbeat to stderr: progress output
+    // must not reach the artefacts.
     let o1 = run_campaign_with(demo_spec(), &d1, quick()).unwrap();
-    let o2 = run_campaign_with(demo_spec(), &d2, quick()).unwrap();
+    let progress = CampaignOptions {
+        progress: true,
+        ..quick()
+    };
+    let o2 = run_campaign_with(demo_spec(), &d2, progress).unwrap();
     assert_eq!(o1.digest, o2.digest);
     assert_eq!(o1.cells_run, 6);
     assert_eq!(artefacts(&d1), artefacts(&d2), "two runs, same bytes");
@@ -81,8 +87,17 @@ fn resume_after_partial_loss_reruns_only_missing_cells_same_bytes() {
     // record, one per simulated cell, one summary. (Its contents are
     // wall-clock data, deliberately outside the byte-identity checks.)
     let telemetry = std::fs::read_to_string(dir.join("campaign-telemetry.jsonl")).unwrap();
-    assert_eq!(telemetry.lines().count(), 8, "start + 6 cells + done");
+    assert_eq!(
+        telemetry.lines().count(),
+        first.cells_run + 2,
+        "start + one line per cell + done"
+    );
     assert!(telemetry.lines().all(|l| l.starts_with('{')));
+
+    // A second run over complete checkpoints simulates nothing.
+    let again = run_campaign_with(demo_spec(), &dir, quick()).unwrap();
+    assert_eq!((again.cells_run, again.cells_resumed), (0, 6));
+    assert_eq!(artefacts(&dir), baseline, "fully resumed run, same bytes");
 
     // Simulate a killed run: two checkpoints and the aggregates gone.
     let mut cells: Vec<PathBuf> = std::fs::read_dir(dir.join("cells"))

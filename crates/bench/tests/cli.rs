@@ -46,10 +46,10 @@ fn foreign_flags_are_rejected_per_subcommand() {
     assert_eq!(out.status.code(), Some(2));
     assert!(stderr(&out).contains("'--quick' is not valid for 'forensics'"));
 
-    // --digest belongs to campaign only.
-    let out = run(&["fig9", "--digest"]);
+    // --spec belongs to campaign, stats and submit.
+    let out = run(&["fig9", "--spec", "x.toml"]);
     assert_eq!(out.status.code(), Some(2));
-    assert!(stderr(&out).contains("'--digest' is not valid for 'fig9'"));
+    assert!(stderr(&out).contains("'--spec' is not valid for 'fig9'"));
 
     // --no-progress belongs to campaign and serve only.
     let out = run(&["fig9", "--no-progress"]);
@@ -123,15 +123,10 @@ fn trace_subcommand_validates_action_and_flags() {
     assert_eq!(out.status.code(), Some(2));
     assert!(stderr(&out).contains("--slot range"));
 
-    // --min-ratio must be a positive number.
-    let out = run(&["trace", "info", "--trace", "x.bin", "--min-ratio", "-1"]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(stderr(&out).contains("--min-ratio wants a positive number"));
-
     // Each action takes only its own flags.
-    let out = run(&["trace", "export", "--trace", "x.bin", "--min-ratio", "100"]);
+    let out = run(&["trace", "export", "--trace", "x.bin", "--slot", "1..2"]);
     assert_eq!(out.status.code(), Some(2));
-    assert!(stderr(&out).contains("flag '--min-ratio' is not valid for 'trace export'"));
+    assert!(stderr(&out).contains("flag '--slot' is not valid for 'trace export'"));
     let out = run(&["trace", "info", "--trace", "x.bin", "--slot", "0..3"]);
     assert_eq!(out.status.code(), Some(2));
     assert!(stderr(&out).contains("flag '--slot' is not valid for 'trace info'"));
@@ -410,9 +405,9 @@ fn stats_subcommand_validates_its_flags() {
     assert!(stderr(&out).contains("stats needs --from"));
 
     // Foreign flags are rejected on stats too.
-    let out = run(&["stats", "--spec", spec, "--from", "/tmp/x", "--digest"]);
+    let out = run(&["stats", "--spec", spec, "--from", "/tmp/x", "--no-progress"]);
     assert_eq!(out.status.code(), Some(2));
-    assert!(stderr(&out).contains("'--digest' is not valid for 'stats'"));
+    assert!(stderr(&out).contains("'--no-progress' is not valid for 'stats'"));
 
     // An empty checkpoint directory is a runtime error (exit 1) that
     // names the missing cell.
@@ -426,19 +421,56 @@ fn stats_subcommand_validates_its_flags() {
 }
 
 #[test]
-fn campaign_digest_prints_sha256_and_name() {
+fn digest_and_min_ratio_are_unknown_flags() {
+    // The scenario digests and the trace ratio floor are checked by
+    // `cargo test` (tests/pins.rs), not by flags of the binary.
     let spec = concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/../../scenarios/demo-quick.toml"
     );
-    let out = run(&["campaign", "--spec", spec, "--digest"]);
-    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    let line = stdout.trim();
-    let (digest, name) = line.split_once("  ").expect("'<digest>  <name>' format");
-    assert_eq!(digest.len(), 64);
-    assert!(digest.chars().all(|c| c.is_ascii_hexdigit()));
-    assert_eq!(name, "demo-quick");
+    for (args, flag) in [
+        (&["campaign", "--spec", spec, "--digest"][..], "--digest"),
+        (
+            &["trace", "info", "--trace", "x.bin", "--min-ratio", "4"],
+            "--min-ratio",
+        ),
+    ] {
+        let out = run(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let err = stderr(&out);
+        assert!(
+            err.contains(&format!("unknown flag '{flag}'")),
+            "stderr: {err}"
+        );
+    }
+}
+
+#[test]
+fn unwritable_trace_file_exits_2_naming_the_path() {
+    // Where the first fig9 trace goes, a directory (the file cannot be
+    // created), then a link to /dev/full (writing it fails): either way
+    // the run must fail instead of exiting 0 without the trace.
+    let dir = std::env::temp_dir().join(format!("ldcf-cli-trace-{}", std::process::id()));
+    let blocked = dir.join("opt-p100-a5-m30-s1.events.bin");
+    std::fs::create_dir_all(&blocked).expect("create blocking directory");
+    let check = || {
+        let out = run(&["fig9", "--quick", "--trace-events", dir.to_str().unwrap()]);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "stderr: {err}");
+        assert!(
+            err.contains(&format!("--trace-events {}", blocked.display())),
+            "stderr: {err}"
+        );
+        assert!(!err.contains("panicked"), "stderr: {err}");
+    };
+    check();
+    #[cfg(target_os = "linux")]
+    {
+        std::fs::remove_dir(&blocked).expect("remove blocking directory");
+        std::os::unix::fs::symlink("/dev/full", &blocked).expect("link to /dev/full");
+        check();
+    }
+    std::fs::remove_dir_all(dir).expect("remove scratch dir");
 }
 
 #[test]

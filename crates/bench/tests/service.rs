@@ -48,9 +48,9 @@ fn poll_state(client: &Client, id: &str, want: &str, timeout: Duration) -> Value
     }
 }
 
-/// Run the demo spec directly through the runner (the reference bytes).
-fn direct_run(out: &Path, quick: bool) -> Vec<u8> {
-    let spec = ldcf_scenarios::ScenarioSpec::from_toml_str(&spec_text()).unwrap();
+/// Run a spec directly through the runner (the reference bytes).
+fn direct_run(text: &str, out: &Path, quick: bool) -> Vec<u8> {
+    let spec = ldcf_scenarios::ScenarioSpec::from_toml_str(text).unwrap();
     ldcf_bench::run_campaign_with(
         spec,
         out,
@@ -63,19 +63,51 @@ fn direct_run(out: &Path, quick: bool) -> Vec<u8> {
     std::fs::read(out.join("campaign.json")).unwrap()
 }
 
-fn start_server(data: &Path) -> ldcf_service::ServerHandle {
+fn start_server(data: &Path, jobs: usize) -> ldcf_service::ServerHandle {
     let mut cfg = ServiceConfig::new(data);
-    cfg.jobs = 1;
+    cfg.jobs = jobs;
     ldcf_service::start(cfg, Arc::new(BenchExec { progress: false })).expect("start server")
+}
+
+/// Fetch a quick job's manifest and check its service provenance and
+/// that it names the protocols and (quickened) seeds of `text`, the
+/// spec the job ran.
+fn job_manifest(client: &Client, id: &str, text: &str) -> Value {
+    let manifest = client.artefact(id, "campaign.manifest.json").unwrap();
+    let manifest: Value = serde_json::from_str(&String::from_utf8(manifest).unwrap()).unwrap();
+    assert_eq!(
+        manifest.get("submitted_via").and_then(Value::as_str),
+        Some("service")
+    );
+    assert_eq!(
+        manifest.get("service_job_id").and_then(Value::as_str),
+        Some(id)
+    );
+    let spec = ldcf_scenarios::ScenarioSpec::from_toml_str(text)
+        .unwrap()
+        .quicken();
+    let protocols = spec.matrix.protocols.iter().map(|p| p.to_ascii_uppercase());
+    let listed = |field: &str| match manifest.get(field) {
+        Some(Value::Array(items)) => items.clone(),
+        other => panic!("manifest {field} is not an array: {other:?}"),
+    };
+    assert_eq!(
+        listed("protocols"),
+        protocols.map(Value::Str).collect::<Vec<_>>(),
+        "job {id}"
+    );
+    let seeds: Vec<u64> = listed("seeds").iter().filter_map(Value::as_u64).collect();
+    assert_eq!(seeds, spec.matrix.seeds, "job {id}");
+    manifest
 }
 
 #[test]
 fn http_submitted_campaign_is_byte_identical_to_direct_run() {
     let direct_dir = tmpdir("byteid-direct");
-    let reference = direct_run(&direct_dir, true);
+    let reference = direct_run(&spec_text(), &direct_dir, true);
 
     let data = tmpdir("byteid-data");
-    let handle = start_server(&data);
+    let handle = start_server(&data, 1);
     let client = Client::new(&handle.addr().to_string());
 
     let submitted = client.submit(&spec_text(), true).unwrap();
@@ -107,37 +139,14 @@ fn http_submitted_campaign_is_byte_identical_to_direct_run() {
         done.get("cells_total").and_then(Value::as_u64)
     );
 
-    // The manifest records the service provenance.
-    let manifest = client.artefact(&id, "campaign.manifest.json").unwrap();
-    let manifest: Value = serde_json::from_str(&String::from_utf8(manifest).unwrap()).unwrap();
-    assert_eq!(
-        manifest.get("submitted_via").and_then(Value::as_str),
-        Some("service")
-    );
-    assert_eq!(
-        manifest.get("service_job_id").and_then(Value::as_str),
-        Some(id.as_str())
-    );
+    // The manifest records the service provenance and what ran: the
+    // spec's protocols and (quickened) seeds, the cells and slots
+    // simulated.
+    let manifest = job_manifest(&client, &id, &spec_text());
     assert!(manifest
         .get("queue_wait_ms")
         .and_then(Value::as_u64)
         .is_some());
-    // ... and what ran: the spec's protocols and (quickened) seeds,
-    // the cells and slots simulated.
-    let spec = ldcf_scenarios::ScenarioSpec::from_toml_str(&spec_text())
-        .unwrap()
-        .quicken();
-    let protocols = spec.matrix.protocols.iter().map(|p| p.to_ascii_uppercase());
-    let listed = |field: &str| match manifest.get(field) {
-        Some(Value::Array(items)) => items.clone(),
-        other => panic!("manifest {field} is not an array: {other:?}"),
-    };
-    assert_eq!(
-        listed("protocols"),
-        protocols.map(Value::Str).collect::<Vec<_>>()
-    );
-    let seeds: Vec<u64> = listed("seeds").iter().filter_map(Value::as_u64).collect();
-    assert_eq!(seeds, spec.matrix.seeds);
     assert_eq!(
         manifest.get("sims").and_then(Value::as_u64),
         done.get("cells_total").and_then(Value::as_u64)
@@ -156,10 +165,71 @@ fn http_submitted_campaign_is_byte_identical_to_direct_run() {
     let _ = std::fs::remove_dir_all(&data);
 }
 
+/// Three distinct specs submitted at once to a two-worker server: each
+/// job's artefacts are the bytes of a direct run of its own spec, and
+/// each manifest names its own job id, protocols and seeds — nothing
+/// leaks between concurrent jobs.
+#[test]
+fn concurrent_jobs_each_match_a_direct_run_of_their_own_spec() {
+    let protocols = r#"protocols = ["of", "dbao", "opt"]"#;
+    let seeds = "seeds = [1, 2]";
+    let texts = [
+        spec_text(),
+        spec_text()
+            .replace(protocols, r#"protocols = ["dbao"]"#)
+            .replace(seeds, "seeds = [3, 4]"),
+        spec_text()
+            .replace(protocols, r#"protocols = ["opt", "of"]"#)
+            .replace(seeds, "seeds = [5]"),
+    ];
+    assert!(
+        texts[1..].iter().all(|t| *t != spec_text()),
+        "edits must land"
+    );
+
+    let data = tmpdir("concurrent-data");
+    let handle = start_server(&data, 2);
+    let addr = handle.addr().to_string();
+    let ids: Vec<String> = std::thread::scope(|scope| {
+        let submits: Vec<_> = texts
+            .iter()
+            .map(|text| {
+                let addr = &addr;
+                scope.spawn(move || {
+                    let submitted = Client::new(addr).submit(text, true).unwrap();
+                    assert_eq!(submitted.get("deduped"), Some(&Value::Bool(false)));
+                    let id = submitted.get("id").and_then(Value::as_str).expect("job id");
+                    id.to_string()
+                })
+            })
+            .collect();
+        submits.into_iter().map(|s| s.join().unwrap()).collect()
+    });
+
+    let client = Client::new(&addr);
+    for (i, (text, id)) in texts.iter().zip(&ids).enumerate() {
+        poll_state(&client, id, "done", Duration::from_secs(120));
+        let direct = tmpdir(&format!("concurrent-direct-{i}"));
+        direct_run(text, &direct, true);
+        for name in ["campaign.json", "campaign.md"] {
+            assert_eq!(
+                client.artefact(id, name).unwrap(),
+                std::fs::read(direct.join(name)).unwrap(),
+                "spec {i}: {name} must equal a direct run's"
+            );
+        }
+        job_manifest(&client, id, text);
+        let _ = std::fs::remove_dir_all(direct);
+    }
+
+    handle.stop();
+    let _ = std::fs::remove_dir_all(&data);
+}
+
 #[test]
 fn invalid_specs_get_http_400_with_parser_location() {
     let data = tmpdir("badspec");
-    let handle = start_server(&data);
+    let handle = start_server(&data, 1);
     let client = Client::new(&handle.addr().to_string());
 
     let (status, body) = client
@@ -182,7 +252,7 @@ fn invalid_specs_get_http_400_with_parser_location() {
 #[test]
 fn oversized_schedule_periods_get_http_400() {
     let data = tmpdir("bigperiod");
-    let handle = start_server(&data);
+    let handle = start_server(&data, 1);
     let client = Client::new(&handle.addr().to_string());
 
     let hetero = "model = \"heterogeneous\"\nperiods = [20, 4294967298]";
@@ -219,7 +289,7 @@ fn oversized_schedule_periods_get_http_400() {
 #[test]
 fn oversized_workload_packets_get_http_400() {
     let data = tmpdir("bigpackets");
-    let handle = start_server(&data);
+    let handle = start_server(&data, 1);
     let client = Client::new(&handle.addr().to_string());
 
     let text = spec_text().replace("packets = 8", "packets = 4294967304");
@@ -240,7 +310,9 @@ fn oversized_workload_packets_get_http_400() {
 /// The spawned-binary path: `experiments serve` must shut down
 /// gracefully on SIGTERM (exit 0, no torn artefacts, interrupted job
 /// persisted as queued) and a restarted server must resume the job to
-/// a result byte-identical to a direct run.
+/// a result byte-identical to a direct run. The thin clients drive the
+/// restarted server: `submit --wait`, `fetch --out` (byte-identical to
+/// a direct run) and a re-submit that dedupes.
 #[cfg(unix)]
 #[test]
 fn sigterm_mid_campaign_restarts_and_resumes_byte_identically() {
@@ -298,7 +370,7 @@ fn sigterm_mid_campaign_restarts_and_resumes_byte_identically() {
     }
 
     let direct_dir = tmpdir("sigterm-direct");
-    let reference = direct_run(&direct_dir, false); // full 12-cell matrix
+    let reference = direct_run(&spec_text(), &direct_dir, false); // full 12-cell matrix
 
     let data = tmpdir("sigterm-data");
     let mut guard = KillOnDrop(Some(spawn_serve(&data)));
@@ -363,11 +435,50 @@ fn sigterm_mid_campaign_restarts_and_resumes_byte_identically() {
         "resumed campaign.json must be byte-identical to a direct run"
     );
 
+    // The thin clients against the live server.
+    let quick_dir = tmpdir("sigterm-direct-quick");
+    let quick_reference = direct_run(&spec_text(), &quick_dir, true);
+    let server = wait_endpoint(&data);
+    let experiments = |args: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
+            .args(args)
+            .output()
+            .expect("run experiments client");
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(out.status.success(), "{args:?}: {stderr}");
+        (String::from_utf8(out.stdout).unwrap(), stderr)
+    };
+    let submit = [
+        "submit", "--server", &server, "--spec", SPEC_PATH, "--quick",
+    ];
+    let (quick_id, _) = experiments(&[&submit[..], &["--wait"]].concat());
+    let quick_id = quick_id.trim();
+    let fetched = tmpdir("sigterm-fetched");
+    let fetched_arg = fetched.to_str().unwrap();
+    experiments(&[
+        "fetch",
+        "--server",
+        &server,
+        "--id",
+        quick_id,
+        "--out",
+        fetched_arg,
+    ]);
+    assert_eq!(
+        std::fs::read(fetched.join("campaign.json")).unwrap(),
+        quick_reference,
+        "fetch --out must write the direct run's campaign.json"
+    );
+    let (again, stderr) = experiments(&submit);
+    assert_eq!(again.trim(), quick_id);
+    assert!(stderr.contains("deduplicated"), "stderr: {stderr}");
+
     // The second server drains just as gracefully.
     let mut child = guard.0.take().expect("second server running");
     sigterm(&child);
     assert_eq!(child.wait().expect("wait").code(), Some(0));
 
-    let _ = std::fs::remove_dir_all(&direct_dir);
-    let _ = std::fs::remove_dir_all(&data);
+    for dir in [direct_dir, quick_dir, fetched, data] {
+        let _ = std::fs::remove_dir_all(dir);
+    }
 }

@@ -2,8 +2,9 @@
 //! a campaign embeds in `campaign.json`, the `campaign-stats.md` it
 //! writes, and what `experiments stats` recomputes from the checkpoint
 //! directory are all the *same fold* — byte-identical, whatever the
-//! rayon worker count. Uses a seed-heavy spec (the shape the streaming
-//! reducer exists for) shrunk to stay test-fast.
+//! rayon worker count, and whether the campaign runs once or twice.
+//! Uses the committed seed-heavy spec `scenarios/stats-quick.toml`, the
+//! shape the streaming reducer exists for.
 
 use ldcf_bench::campaign::{recompute_stats, validate_campaign_json};
 use ldcf_bench::{run_campaign_with, CampaignOptions};
@@ -11,35 +12,15 @@ use ldcf_scenarios::ScenarioSpec;
 use serde::Value;
 use std::path::PathBuf;
 
-/// A miniature seeds_per_cell spec: 2 protocols × 1 duty × 60 seeds —
-/// enough to span several shards of the fixed partition.
+/// The committed thousand-seed smoke spec: 2 protocols × 1 duty × 500
+/// seeds, enough to span every shard of the fixed partition.
 fn seedy_spec() -> ScenarioSpec {
-    ScenarioSpec::from_toml_str(
-        r#"
-        [scenario]
-        name = "stats-it"
-
-        [topology]
-        kind = "grid"
-        rows = 3
-        cols = 3
-        prr = 0.9
-
-        [schedule]
-        model = "homogeneous"
-        period = 20
-
-        [workload]
-        kind = "single-flood"
-        packets = 4
-
-        [matrix]
-        protocols = ["opt", "of"]
-        duties = [0.05]
-        seeds_per_cell = 60
-        "#,
-    )
-    .expect("inline spec parses")
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../scenarios/stats-quick.toml"
+    );
+    let text = std::fs::read_to_string(path).expect("committed stats spec exists");
+    ScenarioSpec::from_toml_str(&text).expect("committed stats spec parses")
 }
 
 fn fresh_dir(name: &str) -> PathBuf {
@@ -53,7 +34,7 @@ fn fresh_dir(name: &str) -> PathBuf {
 fn recomputed_stats_equal_the_campaign_embedded_block() {
     let dir = fresh_dir("recompute");
     let outcome = run_campaign_with(seedy_spec(), &dir, CampaignOptions::default()).unwrap();
-    assert_eq!(outcome.cells_total, 120);
+    assert_eq!(outcome.cells_total, 1000);
 
     // The embedded statistics block validates and matches the fold the
     // runner returned.
@@ -131,7 +112,7 @@ fn paired_comparison_and_conformance_surface_in_the_artefacts() {
         (pair.protocol_a.as_str(), pair.protocol_b.as_str()),
         ("opt", "of")
     );
-    assert!(pair.diff.count > 0 && pair.diff.count <= 60);
+    assert!(pair.diff.count > 0 && pair.diff.count <= 500);
     assert!(pair.sign_p().is_some());
 
     // The markdown carries all three sections.
@@ -144,9 +125,9 @@ fn paired_comparison_and_conformance_surface_in_the_artefacts() {
         assert!(md.contains(section), "missing {section:?} in:\n{md}");
     }
 
-    // Every group saw all 60 seeds and captured energy.
+    // Every group saw all 500 seeds and captured energy.
     for g in &outcome.stats.groups {
-        assert_eq!(g.cells, 60);
+        assert_eq!(g.cells, 500);
         assert!(g.energy.count > 0 && g.energy.mean > 0.0);
     }
     let _ = std::fs::remove_dir_all(dir);

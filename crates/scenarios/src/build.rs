@@ -8,7 +8,7 @@
 //! seed mix that never touches global state. The digest walks topology
 //! links, the injection plan, and every cell's schedules in a fixed
 //! order, so any drift in a generator or in the RNG stream changes the
-//! hex and trips the golden gate in `ci.sh`.
+//! hex and trips the golden gate (`crates/bench/tests/pins.rs`).
 
 use crate::sha256::Sha256;
 use crate::spec::{LinkModel, ScenarioSpec, ScheduleModel, TopologySpec, WorkloadKind};
