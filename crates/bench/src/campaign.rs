@@ -22,11 +22,13 @@
 //!   the injection plan from the workload, and the engine's MAC seed
 //!   from the cell seed. Nothing reads the wall clock.
 //! * Every finished cell is checkpointed to `<out>/cells/<stem>.json`
-//!   keyed by the scenario's spec digest. A re-run (after a kill, or
-//!   incrementally after adding matrix entries) reloads cells whose
-//!   digest still matches and re-runs only the rest, producing the same
-//!   aggregate bytes as an uninterrupted run. Stale checkpoints (spec
-//!   changed → digest changed) are ignored and overwritten.
+//!   keyed by the scenario's spec digest plus the workload's coverage
+//!   target and slot budget, which the digest does not hash. A re-run
+//!   (after a kill, or incrementally after adding matrix entries)
+//!   reloads cells whose key still matches and re-runs only the rest,
+//!   producing the same aggregate bytes as an uninterrupted run. Stale
+//!   checkpoints (spec, coverage or slot budget changed) are ignored
+//!   and overwritten.
 //!   [`recompute_stats`] replays the same fold over an existing
 //!   checkpoint directory without simulating anything — byte-identical
 //!   statistics, enforced by `tests/stats.rs`.
@@ -35,7 +37,7 @@ use crate::heartbeat::Heartbeat;
 use crate::runner::{ProtocolKind, RunRequest, Runner};
 use ldcf_analysis::campaign::{CampaignStats, CellSummary};
 use ldcf_obs::{write_atomic, ProgressSink, RunManifest};
-use ldcf_scenarios::{BuiltScenario, ScenarioSpec, ScheduleModel};
+use ldcf_scenarios::{BuiltScenario, ScenarioSpec, ScheduleModel, Workload};
 use ldcf_sim::SimConfig;
 use rayon::prelude::*;
 use serde::Value;
@@ -208,27 +210,51 @@ fn run_cell(
     }
 }
 
-fn cell_json(scenario: &str, digest: &str, summary: &CellSummary) -> String {
+/// What a cell checkpoint was written under: the spec (scenario name
+/// and digest) and the two run-length knobs the digest does not hash,
+/// `workload.coverage` and `workload.max_slots`. A checkpoint is reused
+/// only under an equal key.
+struct CheckpointKey<'a> {
+    scenario: &'a str,
+    digest: &'a str,
+    coverage: f64,
+    max_slots: u64,
+}
+
+impl<'a> CheckpointKey<'a> {
+    fn new(scenario: &'a str, digest: &'a str, workload: &Workload) -> Self {
+        Self {
+            scenario,
+            digest,
+            coverage: workload.coverage,
+            max_slots: workload.max_slots,
+        }
+    }
+}
+
+fn cell_json(key: &CheckpointKey, summary: &CellSummary) -> String {
     use serde::Serialize as _;
     let v = Value::Object(vec![
         ("schema_version".into(), Value::UInt(CELL_SCHEMA_VERSION)),
-        ("scenario".into(), Value::Str(scenario.to_string())),
-        ("spec_digest".into(), Value::Str(digest.to_string())),
+        ("scenario".into(), Value::Str(key.scenario.to_string())),
+        ("spec_digest".into(), Value::Str(key.digest.to_string())),
+        ("coverage".into(), Value::Float(key.coverage)),
+        ("max_slots".into(), Value::UInt(key.max_slots)),
         ("cell".into(), summary.to_value()),
     ]);
     serde_json::to_string_pretty(&v).expect("serialize cell") + "\n"
 }
 
-/// Reload a checkpoint if it exists, parses, and was written by *this*
-/// spec (same scenario name and digest) for *this* cell. Anything else
-/// — missing, corrupt, stale, or mislabelled — means "re-run".
+/// Reload a checkpoint if it exists, parses, and was written under
+/// *this* key (same scenario name, digest, coverage target and slot
+/// budget) for *this* cell. Anything else — missing, corrupt, stale, or
+/// mislabelled — means "re-run".
 fn load_cell(
     dir: &Path,
     protocol: &str,
     duty: f64,
     seed: u64,
-    scenario: &str,
-    digest: &str,
+    key: &CheckpointKey,
 ) -> Option<CellSummary> {
     use serde::Deserialize as _;
     let text =
@@ -236,8 +262,10 @@ fn load_cell(
             .ok()?;
     let v: Value = serde_json::from_str(&text).ok()?;
     if v.get("schema_version")?.as_u64()? != CELL_SCHEMA_VERSION
-        || v.get("scenario")?.as_str()? != scenario
-        || v.get("spec_digest")?.as_str()? != digest
+        || v.get("scenario")?.as_str()? != key.scenario
+        || v.get("spec_digest")?.as_str()? != key.digest
+        || v.get("coverage")?.as_f64()?.to_bits() != key.coverage.to_bits()
+        || v.get("max_slots")?.as_u64()? != key.max_slots
     {
         return None;
     }
@@ -370,6 +398,7 @@ pub fn run_campaign_with(
     let protocols: Vec<String> = kinds.iter().map(|(_, n)| n.clone()).collect();
     let duties = built.spec.matrix.duties.clone();
     let seeds = built.spec.matrix.seeds.clone();
+    let key = CheckpointKey::new(&name, &digest, &built.spec.workload);
     let cells_total = protocols.len() * duties.len() * seeds.len();
     // One runner per campaign: concurrent campaigns never share a tally.
     let runner = Runner::default();
@@ -384,7 +413,7 @@ pub fn run_campaign_with(
     for (_, protocol) in &kinds {
         for &duty in &duties {
             for &seed in &seeds {
-                if load_cell(&cells_dir, protocol, duty, seed, &name, &digest).is_some() {
+                if load_cell(&cells_dir, protocol, duty, seed, &key).is_some() {
                     cells_resumed += 1;
                 }
             }
@@ -430,7 +459,7 @@ pub fn run_campaign_with(
                 |p_idx, s_idx| {
                     let (kind, protocol) = &kinds[p_idx];
                     let seed = seeds[s_idx];
-                    if let Some(s) = load_cell(&cells_dir, protocol, duty, seed, &name, &digest) {
+                    if let Some(s) = load_cell(&cells_dir, protocol, duty, seed, &key) {
                         return Ok(s);
                     }
                     if cancelled() {
@@ -444,7 +473,7 @@ pub fn run_campaign_with(
                         summary.slots_elapsed,
                     );
                     let path = cells_dir.join(format!("{}.json", cell_stem(protocol, duty, seed)));
-                    write_atomic(&path, cell_json(&name, &digest, &summary).as_bytes())
+                    write_atomic(&path, cell_json(&key, &summary).as_bytes())
                         .map_err(|e| format!("checkpoint {}: {e}", path.display()))?;
                     cells_run += 1;
                     slots_run += summary.slots_elapsed;
@@ -601,6 +630,7 @@ pub fn recompute_stats(
     let duties = built.spec.matrix.duties.clone();
     let seeds = built.spec.matrix.seeds.clone();
     let cells_dir = from.join("cells");
+    let key = CheckpointKey::new(&name, &digest, &built.spec.workload);
 
     let mut stats = CampaignStats::new(&protocols, &duties, seeds.len() as u64);
     for d_idx in 0..duties.len() {
@@ -615,7 +645,7 @@ pub fn recompute_stats(
                     let (_, protocol) = &kinds[p_idx];
                     let duty = duties[d_idx];
                     let seed = seeds[s_idx];
-                    load_cell(&cells_dir, protocol, duty, seed, &name, &digest).ok_or_else(|| {
+                    load_cell(&cells_dir, protocol, duty, seed, &key).ok_or_else(|| {
                         format!(
                             "no valid checkpoint for cell {} under {} (missing, stale, or from \
                              another spec) — run `experiments campaign` first",
@@ -733,22 +763,38 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let digest = "ab".repeat(32);
+        let key = |scenario, digest, coverage, max_slots| CheckpointKey {
+            scenario,
+            digest,
+            coverage,
+            max_slots,
+        };
         std::fs::write(
             dir.join(format!("{}.json", cell_stem("of", 0.05, 1))),
-            cell_json("demo", &digest, &s),
+            cell_json(&key("demo", &digest, 0.95, 60_000), &s),
         )
         .unwrap();
         assert_eq!(
-            load_cell(&dir, "of", 0.05, 1, "demo", &digest),
+            load_cell(&dir, "of", 0.05, 1, &key("demo", &digest, 0.95, 60_000)),
             Some(s.clone())
         );
+        let other = "cd".repeat(32);
+        for (stale, why) in [
+            (key("demo", &other, 0.95, 60_000), "digest"),
+            (key("other", &digest, 0.95, 60_000), "scenario"),
+            (key("demo", &digest, 0.9, 60_000), "coverage"),
+            (key("demo", &digest, 0.95, 1_000), "slot budget"),
+        ] {
+            assert_eq!(
+                load_cell(&dir, "of", 0.05, 1, &stale),
+                None,
+                "a {why} mismatch must force a re-run"
+            );
+        }
         assert_eq!(
-            load_cell(&dir, "of", 0.05, 1, "demo", &"cd".repeat(32)),
-            None,
-            "digest mismatch must force a re-run"
+            load_cell(&dir, "of", 0.05, 2, &key("demo", &digest, 0.95, 60_000)),
+            None
         );
-        assert_eq!(load_cell(&dir, "of", 0.05, 1, "other", &digest), None);
-        assert_eq!(load_cell(&dir, "of", 0.05, 2, "demo", &digest), None);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

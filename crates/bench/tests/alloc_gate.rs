@@ -17,16 +17,21 @@
 //! one reused buffer, so its window is zero, and a [`JsonlReader`]
 //! parses every line after its first without touching the heap.
 //!
+//! A run's frozen network is shared, not copied: cloning a topology and
+//! its schedule table, as every run of a sweep does, allocates nothing.
+//!
 //! The counter is per thread, so a window counts only the allocations
 //! of the thread that opened it: other tests, and any other thread of
 //! this process, may allocate concurrently without touching it. The
 //! last test here holds the counter to that.
 
-use ldcf_net::{LinkQuality, NodeId, Topology};
+use ldcf_net::{LinkQuality, NeighborTable, NodeId, Topology};
 use ldcf_obs::binlog::FRAME_EVENTS;
 use ldcf_obs::{BinSink, CountingAlloc, JsonlReader, JsonlSink, SimObserver};
 use ldcf_protocols::{Dbao, NaiveFlood, OpportunisticFlooding, Opt};
 use ldcf_sim::{Engine, FaultConfig, FaultInjector, FaultPlan, FloodingProtocol, SimConfig};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -235,6 +240,23 @@ fn hot_path_is_allocation_free_for_every_protocol() {
     gate_protocol("of", grid(), OpportunisticFlooding::new);
     gate_protocol("naive", grid(), NaiveFlood::new);
     gate_tracing();
+}
+
+#[test]
+fn cloning_a_network_does_not_allocate() {
+    let n = 20_000;
+    let mut rng = StdRng::seed_from_u64(3);
+    let topo = Topology::random_geometric(n, (n as f64).sqrt(), 2.2, 0.95, 0.6, &mut rng);
+    let schedules = NeighborTable::random_single_slot(n, 100, &mut rng);
+    let before = CountingAlloc::allocations();
+    let copies = std::hint::black_box((topo.clone(), schedules.clone()));
+    let delta = CountingAlloc::allocations() - before;
+    assert_eq!(
+        delta,
+        0,
+        "cloning a {n}-node network ({} links) allocated {delta} times",
+        copies.0.n_links()
+    );
 }
 
 #[test]

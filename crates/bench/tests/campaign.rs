@@ -136,3 +136,39 @@ fn stale_checkpoints_from_another_spec_are_ignored() {
 
     let _ = std::fs::remove_dir_all(dir);
 }
+
+#[test]
+fn checkpoints_are_not_reused_under_another_coverage_or_slot_budget() {
+    let dir = fresh_dir("run-length");
+    let first = run_campaign_with(demo_spec(), &dir, quick()).unwrap();
+    assert_eq!(first.cells_run, first.cells_total);
+
+    // The spec digest hashes neither the coverage target nor the slot
+    // budget, and the cell filenames stay the same: the checkpoints
+    // must still be re-run, since each knob changes every cell.
+    let mut spec = demo_spec();
+    spec.workload.coverage = 0.5;
+    let outcome = run_campaign_with(spec.clone(), &dir, quick()).unwrap();
+    assert_eq!(outcome.digest, first.digest, "the digest is blind to it");
+    assert_eq!(
+        (outcome.cells_run, outcome.cells_resumed),
+        (first.cells_total, 0),
+        "another coverage target reruns every cell"
+    );
+    spec.workload.max_slots += 1;
+    let outcome = run_campaign_with(spec.clone(), &dir, quick()).unwrap();
+    assert_eq!(
+        (outcome.cells_run, outcome.cells_resumed),
+        (first.cells_total, 0),
+        "another slot budget reruns every cell"
+    );
+
+    // Under the key they were written with, they resume as before.
+    let again = run_campaign_with(spec, &dir, quick()).unwrap();
+    assert_eq!(
+        (again.cells_run, again.cells_resumed),
+        (0, first.cells_total)
+    );
+
+    let _ = std::fs::remove_dir_all(dir);
+}

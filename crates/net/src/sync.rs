@@ -12,6 +12,7 @@
 use crate::bitset;
 use crate::schedule::WorkingSchedule;
 use crate::NodeId;
+use std::sync::Arc;
 
 /// Precomputed wake calendar: for each slot offset of the calendar
 /// period `L` — the least common multiple of every schedule's period —
@@ -20,7 +21,9 @@ use crate::NodeId;
 /// list (for "who is awake now" iteration). A node with period `T` and
 /// active offset `a` sits at every offset `a + kT`, `k < L / T`, so the
 /// whole wake pattern repeats with period `L`. Maintained incrementally
-/// when churn re-randomizes a schedule.
+/// when churn re-randomizes a schedule. Its three tables are shared
+/// between clones and copied on the first write (see
+/// [`NeighborTable::set_schedule`]).
 #[derive(Clone, Debug)]
 struct WakeCalendar {
     period: u32,
@@ -31,16 +34,16 @@ struct WakeCalendar {
     summary_words: usize,
     /// Offset-major bitset: node `i` active at offset `o` ⇔ bit `i` of
     /// row `o`.
-    bits: Vec<u64>,
+    bits: Arc<[u64]>,
     /// Offset-major word-occupancy summary of `bits`: bit `w` of the
     /// offset-`o` summary row ⇔ word `w` of the offset-`o` active row
     /// is non-zero. The next-rendezvous scan rejects a whole offset
     /// with `summary_words` probes (64 active-row words per summary
     /// bit) before ever touching the row itself, which is what keeps
     /// the skip query O(period words) instead of O(period × N).
-    summary: Vec<u64>,
+    summary: Arc<[u64]>,
     /// Sorted active-node list per offset.
-    lists: Vec<Vec<NodeId>>,
+    lists: Arc<[Vec<NodeId>]>,
 }
 
 impl WakeCalendar {
@@ -52,9 +55,9 @@ impl WakeCalendar {
             period,
             words_per_offset,
             summary_words,
-            bits: vec![0; period as usize * words_per_offset],
-            summary: vec![0; period as usize * summary_words],
-            lists: vec![Vec::new(); period as usize],
+            bits: std::iter::repeat_n(0, period as usize * words_per_offset).collect(),
+            summary: std::iter::repeat_n(0, period as usize * summary_words).collect(),
+            lists: (0..period).map(|_| Vec::new()).collect(),
         };
         for (i, s) in schedules.iter().enumerate() {
             // Ascending node order keeps every offset list sorted.
@@ -96,16 +99,26 @@ impl WakeCalendar {
             })
     }
 
+    /// The three tables, writable: each is copied first if a clone
+    /// still shares it.
+    fn tables_mut(&mut self) -> (&mut [u64], &mut [u64], &mut [Vec<NodeId>]) {
+        (
+            Arc::make_mut(&mut self.bits),
+            Arc::make_mut(&mut self.summary),
+            Arc::make_mut(&mut self.lists),
+        )
+    }
+
     /// Add `node` at every calendar offset of `schedule` (keeps lists
     /// sorted).
     fn insert(&mut self, node: NodeId, schedule: &WorkingSchedule) {
-        for o in Self::offsets(self.period, schedule) {
-            let row = &mut self.bits[o * self.words_per_offset..(o + 1) * self.words_per_offset];
-            if bitset::set_bit(row, node.index()) {
+        let (wpo, sw, period) = (self.words_per_offset, self.summary_words, self.period);
+        let (bits, summary, lists) = self.tables_mut();
+        for o in Self::offsets(period, schedule) {
+            if bitset::set_bit(&mut bits[o * wpo..(o + 1) * wpo], node.index()) {
                 // The node's word is now non-zero; mark it occupied.
-                let srow = &mut self.summary[o * self.summary_words..(o + 1) * self.summary_words];
-                bitset::set_bit(srow, node.index() / 64);
-                let list = &mut self.lists[o];
+                bitset::set_bit(&mut summary[o * sw..(o + 1) * sw], node.index() / 64);
+                let list = &mut lists[o];
                 let at = list.partition_point(|&v| v < node);
                 list.insert(at, node);
             }
@@ -114,15 +127,16 @@ impl WakeCalendar {
 
     /// Remove `node` from every calendar offset of `schedule`.
     fn remove(&mut self, node: NodeId, schedule: &WorkingSchedule) {
-        for o in Self::offsets(self.period, schedule) {
-            let row = &mut self.bits[o * self.words_per_offset..(o + 1) * self.words_per_offset];
+        let (wpo, sw, period) = (self.words_per_offset, self.summary_words, self.period);
+        let (bits, summary, lists) = self.tables_mut();
+        for o in Self::offsets(period, schedule) {
+            let row = &mut bits[o * wpo..(o + 1) * wpo];
             bitset::clear_bit(row, node.index());
             if row[node.index() / 64] == 0 {
-                let srow = &mut self.summary[o * self.summary_words..(o + 1) * self.summary_words];
-                bitset::clear_bit(srow, node.index() / 64);
+                bitset::clear_bit(&mut summary[o * sw..(o + 1) * sw], node.index() / 64);
             }
-            if let Ok(at) = self.lists[o].binary_search(&node) {
-                self.lists[o].remove(at);
+            if let Ok(at) = lists[o].binary_search(&node) {
+                lists[o].remove(at);
             }
         }
     }
@@ -157,9 +171,15 @@ impl WakeCalendar {
 /// [`NeighborTable::next_rendezvous`] a scan of at most one calendar
 /// period; [`NeighborTable::set_schedule`] keeps the calendar in sync
 /// when churn re-randomizes a rebooted node's schedule.
+///
+/// The schedules and the calendar's tables are shared immutable slices:
+/// `clone()` bumps four reference counts and copies nothing, so the runs
+/// of a sweep read one copy. [`NeighborTable::set_schedule`] copies on
+/// write; a run that will rewrite schedules takes its own copy up front
+/// with [`NeighborTable::unshare`].
 #[derive(Clone, Debug)]
 pub struct NeighborTable {
-    schedules: Vec<WorkingSchedule>,
+    schedules: Arc<[WorkingSchedule]>,
     calendar: WakeCalendar,
 }
 
@@ -199,6 +219,10 @@ impl NeighborTable {
     /// input is checked against [`NeighborTable::calendar_period_of`]
     /// first.
     pub fn new(schedules: Vec<WorkingSchedule>) -> Self {
+        Self::from_shared(schedules.into())
+    }
+
+    fn from_shared(schedules: Arc<[WorkingSchedule]>) -> Self {
         assert!(!schedules.is_empty());
         let period = Self::calendar_period_of(schedules.iter().map(WorkingSchedule::period))
             .expect("the LCM of the schedule periods exceeds the calendar cap");
@@ -216,7 +240,7 @@ impl NeighborTable {
         period: u32,
         rng: &mut R,
     ) -> Self {
-        Self::new(
+        Self::from_shared(
             (0..n_nodes)
                 .map(|_| WorkingSchedule::single_random(period, rng))
                 .collect(),
@@ -243,7 +267,8 @@ impl NeighborTable {
     /// duty-cycle lottery with a fresh working schedule). The new
     /// schedule must keep the node's period, so the calendar period
     /// stands. The calendar is updated incrementally: the node moves
-    /// from its old offsets to the new ones.
+    /// from its old offsets to the new ones. While a clone shares the
+    /// table, the first call copies it (see [`NeighborTable::unshare`]).
     pub fn set_schedule(&mut self, node: NodeId, schedule: WorkingSchedule) {
         assert_eq!(
             schedule.period(),
@@ -252,7 +277,28 @@ impl NeighborTable {
         );
         self.calendar.remove(node, &self.schedules[node.index()]);
         self.calendar.insert(node, &schedule);
-        self.schedules[node.index()] = schedule;
+        Arc::make_mut(&mut self.schedules)[node.index()] = schedule;
+    }
+
+    /// Take a private copy of every table a clone still shares, so that
+    /// later [`NeighborTable::set_schedule`] calls copy nothing. A table
+    /// this one already owns alone is left as it is.
+    pub fn unshare(&mut self) {
+        Arc::make_mut(&mut self.schedules);
+        self.calendar.tables_mut();
+    }
+
+    /// The largest sum of `weight` over the nodes awake at one calendar
+    /// offset: with `|_| 1`, the most nodes ever awake in one slot; with
+    /// a node's degree, the most (awake node, neighbor) pairs. Slot-loop
+    /// buffers are sized by it.
+    pub fn busiest_offset(&self, mut weight: impl FnMut(NodeId) -> usize) -> usize {
+        self.calendar
+            .lists
+            .iter()
+            .map(|list| list.iter().map(|&v| weight(v)).sum())
+            .max()
+            .unwrap_or(0)
     }
 
     /// All nodes active at slot `t`, in ascending id order.

@@ -11,6 +11,7 @@ use crate::link::{Link, LinkQuality};
 use crate::node::{NodeId, Position};
 use serde::{Deserialize, Serialize, Value};
 use std::collections::BinaryHeap;
+use std::sync::Arc;
 
 /// One undirected edge: its endpoints and the quality of each
 /// direction, `a → b` then `b → a`.
@@ -39,9 +40,13 @@ pub type Edge = (NodeId, NodeId, LinkQuality, LinkQuality);
 ///
 /// Every constructor builds the table in one pass: count degrees, take
 /// prefix sums, fill (see [`Topology::from_edges`]). The table is meant
-/// to be frozen once built: [`Topology::set_quality`] rewrites an
-/// existing edge in place, while [`Topology::add_edge`] on a new pair
-/// shifts the arrays (`O(E)`), which only small hand-built graphs do.
+/// to be frozen once built, and its arrays are shared immutable slices:
+/// `clone()` bumps five reference counts and copies no array, so every
+/// run of a sweep reads one copy of the network. Mutation copies on
+/// write: [`Topology::set_quality`] copies the two quality arrays if
+/// another clone still shares them, and [`Topology::add_edge`] on a new
+/// pair rebuilds the arrays (`O(E)`), which only small hand-built
+/// graphs do. A clone never sees another clone's writes.
 ///
 /// The table is the only adjacency: [`Topology::are_neighbors`] is a
 /// binary search of one sorted row, and word-wise readers (carrier
@@ -51,15 +56,32 @@ pub type Edge = (NodeId, NodeId, LinkQuality, LinkQuality);
 #[derive(Clone, Debug)]
 pub struct Topology {
     /// Row bounds: node `u`'s entries are `offsets[u]..offsets[u + 1]`.
-    offsets: Vec<u32>,
+    offsets: Arc<[u32]>,
     /// Neighbor ids, each row sorted ascending.
-    targets: Vec<NodeId>,
+    targets: Arc<[NodeId]>,
     /// `q_out[k]` = quality of `u → targets[k]` for `k` in `u`'s row.
-    q_out: Vec<LinkQuality>,
+    q_out: Arc<[LinkQuality]>,
     /// `q_in[k]` = quality of `targets[k] → u` for `k` in `u`'s row.
-    q_in: Vec<LinkQuality>,
+    q_in: Arc<[LinkQuality]>,
     /// Optional node positions (used by geometric generators / traces).
-    positions: Option<Vec<Position>>,
+    positions: Option<Arc<[Position]>>,
+}
+
+/// A fresh slice of `len` copies of `x`, allocated once at its final
+/// size (an exact-length iterator collects in place; converting a
+/// filled `Vec` would hold a second copy while it moves).
+fn filled<T: Copy>(x: T, len: usize) -> Arc<[T]> {
+    std::iter::repeat_n(x, len).collect()
+}
+
+/// `a` with `x` inserted at index `k`, built in one allocation.
+fn inserted<T: Copy>(a: &[T], k: usize, x: T) -> Arc<[T]> {
+    a[..k]
+        .iter()
+        .copied()
+        .chain(std::iter::once(x))
+        .chain(a[k..].iter().copied())
+        .collect()
 }
 
 impl Topology {
@@ -105,41 +127,36 @@ impl Topology {
         );
         // Count degrees, then inclusive prefix sums: `offsets[u]` ends
         // u's row. Filling back to front moves each `offsets[u]` down to
-        // the start of u's row.
-        let mut offsets = vec![0u32; n_nodes + 1];
+        // the start of u's row. Every array is filled in place.
+        let mut offsets = filled(0u32, n_nodes + 1);
+        let mut targets = filled(NodeId(0), n_entries);
+        let mut q_out = filled(LinkQuality::PERFECT, n_entries);
+        let mut q_in = filled(LinkQuality::PERFECT, n_entries);
+        let fresh = "a new slice has no other owner";
+        let o = Arc::get_mut(&mut offsets).expect(fresh);
         for &(a, b, _, _) in edges {
             assert!(b.index() < n_nodes, "edge endpoint {b} out of range");
-            offsets[a.index()] += 1;
-            offsets[b.index()] += 1;
+            o[a.index()] += 1;
+            o[b.index()] += 1;
         }
         let mut end = 0;
-        for o in &mut offsets[..n_nodes] {
-            end += *o;
-            *o = end;
+        for x in &mut o[..n_nodes] {
+            end += *x;
+            *x = end;
         }
-        offsets[n_nodes] = end;
-        let mut targets = vec![NodeId(0); n_entries];
-        let mut q_out = vec![LinkQuality::PERFECT; n_entries];
-        let mut q_in = vec![LinkQuality::PERFECT; n_entries];
+        o[n_nodes] = end;
+        let t = Arc::get_mut(&mut targets).expect(fresh);
+        let qo = Arc::get_mut(&mut q_out).expect(fresh);
+        let qi = Arc::get_mut(&mut q_in).expect(fresh);
         for &(a, b, q_ab, q_ba) in edges.iter().rev() {
             for (u, v, out, inn) in [(a, b, q_ab, q_ba), (b, a, q_ba, q_ab)] {
-                offsets[u.index()] -= 1;
-                let k = offsets[u.index()] as usize;
-                targets[k] = v;
-                q_out[k] = out;
-                q_in[k] = inn;
+                o[u.index()] -= 1;
+                let k = o[u.index()] as usize;
+                t[k] = v;
+                qo[k] = out;
+                qi[k] = inn;
             }
         }
-        Self::from_csr(offsets, targets, q_out, q_in)
-    }
-
-    /// Wrap filled CSR arrays.
-    fn from_csr(
-        offsets: Vec<u32>,
-        targets: Vec<NodeId>,
-        q_out: Vec<LinkQuality>,
-        q_in: Vec<LinkQuality>,
-    ) -> Self {
         Self {
             offsets,
             targets,
@@ -164,7 +181,7 @@ impl Topology {
     /// Attach node positions (same length as node count).
     pub fn with_positions(mut self, positions: Vec<Position>) -> Self {
         assert_eq!(positions.len(), self.n_nodes());
-        self.positions = Some(positions);
+        self.positions = Some(positions.into());
         self
     }
 
@@ -201,20 +218,22 @@ impl Topology {
             .map(|i| row.start + i)
     }
 
-    /// Set the directed quality `from → to` of an existing link, in
-    /// place. Panics if the link is absent: new links come from
+    /// Set the directed quality `from → to` of an existing link. The
+    /// quality arrays are written in place once this topology is their
+    /// only owner; while a clone shares them, the first write copies
+    /// them. Panics if the link is absent: new links come from
     /// [`Topology::add_edge`], which adds both directions.
     pub fn set_quality(&mut self, from: NodeId, to: NodeId, q: LinkQuality) {
         assert_ne!(from, to, "self-links are not allowed");
         let (Some(k), Some(rev)) = (self.entry(from, to), self.entry(to, from)) else {
             panic!("no link {from} → {to}: add it with add_edge");
         };
-        self.q_out[k] = q;
-        self.q_in[rev] = q;
+        Arc::make_mut(&mut self.q_out)[k] = q;
+        Arc::make_mut(&mut self.q_in)[rev] = q;
     }
 
     /// Add an edge in both directions with the given per-direction
-    /// qualities, overwriting existing entries. A new pair shifts the
+    /// qualities, overwriting existing entries. A new pair rebuilds the
     /// arrays (`O(E)`), which renumbers every link behind it (see
     /// [`Topology::link_index`]): build large graphs with
     /// [`Topology::from_edges`].
@@ -229,16 +248,21 @@ impl Topology {
     }
 
     /// Insert `to` into `from`'s row at its sorted position, qualities
-    /// left for the caller to set.
+    /// left for the caller to set. Every array is rebuilt, so clones
+    /// keep the table they had.
     fn insert_entry(&mut self, from: NodeId, to: NodeId) {
         let row = self.row(from);
         let k = row.start + self.targets[row].partition_point(|&v| v < to);
-        self.targets.insert(k, to);
-        self.q_out.insert(k, LinkQuality::PERFECT);
-        self.q_in.insert(k, LinkQuality::PERFECT);
-        for o in &mut self.offsets[from.index() + 1..] {
-            *o += 1;
-        }
+        self.targets = inserted(&self.targets, k, to);
+        self.q_out = inserted(&self.q_out, k, LinkQuality::PERFECT);
+        self.q_in = inserted(&self.q_in, k, LinkQuality::PERFECT);
+        let f = from.index();
+        self.offsets = self
+            .offsets
+            .iter()
+            .enumerate()
+            .map(|(u, &o)| o + u32::from(u > f))
+            .collect();
     }
 
     /// Number of directed links: `2 × n_edges`, one per row entry.
@@ -562,7 +586,7 @@ impl Topology {
     ) -> Self {
         assert!(q_near >= q_far && q_far > 0.0 && q_near <= 1.0);
         assert!(radius > 0.0 && side > 0.0);
-        let positions: Vec<Position> = (0..n_nodes)
+        let positions: Arc<[Position]> = (0..n_nodes)
             .map(|_| Position::new(rng.random_range(0.0..side), rng.random_range(0.0..side)))
             .collect();
         // Bucket nodes into cells of side `radius`: any in-radius pair
@@ -609,7 +633,14 @@ impl Topology {
                 }
             }
         }
-        Self::from_edges(n_nodes, edges).with_positions(positions)
+        // The CSR arrays are built while the edge list is alive: give
+        // back its doubling slack and the cell index first.
+        drop((cells, cands));
+        edges.shrink_to_fit();
+        Self {
+            positions: Some(positions),
+            ..Self::from_edges(n_nodes, edges)
+        }
     }
 }
 
@@ -629,7 +660,7 @@ impl Serialize for Topology {
             .collect();
         Value::Object(vec![
             ("adj".into(), Value::Array(adj)),
-            ("positions".into(), self.positions.to_value()),
+            ("positions".into(), self.positions().to_value()),
         ])
     }
 }
@@ -714,10 +745,12 @@ impl Deserialize for Topology {
                 q_in.push(q_out[row.start + i]);
             }
         }
-        let topo = Self::from_csr(offsets, targets, q_out, q_in);
-        Ok(match positions {
-            Some(p) => topo.with_positions(p),
-            None => topo,
+        Ok(Self {
+            offsets: offsets.into(),
+            targets: targets.into(),
+            q_out: q_out.into(),
+            q_in: q_in.into(),
+            positions: positions.map(Into::into),
         })
     }
 }

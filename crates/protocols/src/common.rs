@@ -155,16 +155,7 @@ impl ReceiverLists {
         self.senders.resize(bitset::words_for(n), 0);
         self.ends.clear();
         self.ends.resize(n, 0);
-        let busiest = (0..u64::from(state.schedules.calendar_period()))
-            .map(|t| {
-                state
-                    .schedules
-                    .all_active(t)
-                    .map(|v| state.topo.degree(v))
-                    .sum::<usize>()
-            })
-            .max()
-            .unwrap_or(0);
+        let busiest = state.schedules.busiest_offset(|v| state.topo.degree(v));
         self.pairs.clear();
         self.pairs.reserve(busiest);
         self.entries.clear();

@@ -84,11 +84,13 @@ impl FloodingProtocol for Opt {
 
     fn on_start(&mut self, state: &SimState) {
         // Scratch high-water marks, known up front: at most one candidate
-        // per receiver per slot, one live entry per packet, one
-        // matched-bit word row per 64 nodes. Reserving here keeps the
-        // slot loop allocation-free even as the flood wave widens.
+        // per awake receiver per slot (the wake calendar's busiest
+        // offset), one live entry per packet, one matched-bit word row
+        // per 64 nodes. Reserving here keeps the slot loop
+        // allocation-free even as the flood wave widens.
         let nw = state.topo.words_per_row();
-        self.candidates.reserve(state.n_nodes());
+        self.candidates
+            .reserve(state.schedules.busiest_offset(|_| 1));
         self.live.reserve(state.cfg.n_packets as usize);
         self.sender_busy.reserve(nw);
         self.receiver_busy.reserve(nw);

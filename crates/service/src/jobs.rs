@@ -13,7 +13,12 @@
 //! The job id is the sha256 digest of the built (possibly quickened)
 //! scenario, so identical submissions collapse onto one job: a
 //! re-submitted spec that already ran returns the finished job instead
-//! of burning CPU on a byte-identical re-run.
+//! of burning CPU on a byte-identical re-run. The digest does not hash
+//! the matrix protocols, the coverage target or the slot budget, so
+//! each job also keeps a fingerprint of those ([`run_key`]): a spec
+//! with a known digest but another fingerprint is a different job
+//! under a taken id, and its submit is refused
+//! ([`SubmitError::Conflict`]) rather than merged.
 
 use crate::exec::{ExecError, ExecOutcome};
 use ldcf_obs::{CampaignProgress, LatestProgress};
@@ -85,6 +90,8 @@ struct JobRecord {
     spec_text: String,
     progress: Arc<LatestProgress>,
     cancel: Arc<AtomicBool>,
+    /// [`run_key`] of the job's spec.
+    run_key: u64,
     /// Cancellation was requested by a user (vs. a server shutdown,
     /// which requeues instead of cancelling).
     user_cancel: bool,
@@ -163,6 +170,12 @@ pub enum SubmitError {
         /// 1-based column of the offending token, if located.
         col: Option<u32>,
     },
+    /// The spec's digest is the id of an existing job whose spec runs
+    /// other protocols, another coverage target or another slot budget.
+    Conflict {
+        /// The id (spec digest) of the existing job.
+        existing: String,
+    },
     /// The server is shutting down and accepts no new jobs.
     ShuttingDown,
     /// The job directory could not be created/written.
@@ -196,6 +209,21 @@ pub struct RunningJob {
     pub progress: Arc<LatestProgress>,
     /// Job output directory.
     pub dir: PathBuf,
+}
+
+/// Fingerprint of what a job runs beyond its id: the matrix protocols
+/// (in order, case-folded as the runner resolves them), the coverage
+/// target and the slot budget. The spec digest hashes none of the
+/// three, and each changes the job's results.
+fn run_key(spec: &ScenarioSpec) -> u64 {
+    use std::hash::{DefaultHasher, Hash, Hasher};
+    let mut h = DefaultHasher::new();
+    for p in &spec.matrix.protocols {
+        p.to_ascii_lowercase().hash(&mut h);
+    }
+    spec.workload.coverage.to_bits().hash(&mut h);
+    spec.workload.max_slots.hash(&mut h);
+    h.finish()
 }
 
 struct Inner {
@@ -274,6 +302,9 @@ impl JobStore {
 
     /// Validate and enqueue a spec. Returns the job view plus whether
     /// the submission deduplicated onto an existing live/finished job.
+    /// A spec whose digest names an existing job but whose protocols,
+    /// coverage or slot budget differ is refused with
+    /// [`SubmitError::Conflict`].
     pub fn submit(&self, spec_text: &str, quick: bool) -> Result<(JobView, bool), SubmitError> {
         if self.closed.load(Ordering::SeqCst) {
             return Err(SubmitError::ShuttingDown);
@@ -284,9 +315,13 @@ impl JobStore {
         let id = built.digest();
         let name = built.spec.name.clone();
         let cells_total = built.spec.n_cells();
+        let run_key = run_key(&built.spec);
 
         let mut inner = self.inner.lock().expect("job store lock");
         if let Some(job) = inner.jobs.iter_mut().find(|j| j.id == id) {
+            if job.run_key != run_key {
+                return Err(SubmitError::Conflict { existing: id });
+            }
             match job.state {
                 // Live or finished: the existing job already covers the
                 // submission.
@@ -336,6 +371,7 @@ impl JobStore {
             spec_text: spec_text.to_string(),
             progress: Arc::new(LatestProgress::new()),
             cancel: Arc::new(AtomicBool::new(false)),
+            run_key,
             user_cancel: false,
             enqueued_at: Some(Instant::now()),
         };
@@ -580,6 +616,7 @@ fn recover_job(dir: &Path, dirname: &str) -> Result<Option<JobRecord>, String> {
         spec_text,
         progress: Arc::new(LatestProgress::new()),
         cancel: Arc::new(AtomicBool::new(false)),
+        run_key: run_key(&built.spec),
         user_cancel: false,
         enqueued_at: if state == JobState::Queued {
             Some(Instant::now())
@@ -644,6 +681,49 @@ mod tests {
         assert!(!deduped);
         assert_ne!(quick.id, view.id);
         assert_eq!(quick.cells_total, 2, "2 duties x 2 seeds quickened to 2x1");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A spec that changes only what the digest does not hash — the
+    /// protocols, the coverage target, the slot budget — shares the
+    /// existing job's id but not its results: it is refused, naming
+    /// that job, before and after a restart, and nothing is enqueued.
+    #[test]
+    fn same_digest_other_run_is_a_conflict() {
+        let dir = tmpdir("conflict");
+        let store = JobStore::open(&dir).unwrap();
+        let (view, _) = store.submit(SPEC, false).unwrap();
+        let variants = [
+            SPEC.replace(r#"protocols = ["of"]"#, r#"protocols = ["opt"]"#),
+            SPEC.replace("packets = 1", "packets = 1\n        coverage = 0.5"),
+            SPEC.replace("packets = 1", "packets = 1\n        max_slots = 900"),
+        ];
+        for (i, variant) in variants.iter().enumerate() {
+            let built = BuiltScenario::build(ScenarioSpec::from_toml_str(variant).unwrap());
+            assert_eq!(
+                built.unwrap().digest(),
+                view.id,
+                "variant {i} keeps the digest"
+            );
+            assert_eq!(
+                store.submit(variant, false).map(|_| ()),
+                Err(SubmitError::Conflict {
+                    existing: view.id.clone()
+                }),
+                "variant {i}"
+            );
+        }
+        // Case-folded protocol names are the same run.
+        let upper = SPEC.replace(r#"protocols = ["of"]"#, r#"protocols = ["OF"]"#);
+        assert_eq!(store.submit(&upper, false).unwrap().0.id, view.id);
+        assert_eq!(store.list().len(), 1);
+        drop(store);
+
+        let store = JobStore::open(&dir).unwrap();
+        assert_eq!(
+            store.submit(&variants[0], false).map(|_| ()),
+            Err(SubmitError::Conflict { existing: view.id })
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

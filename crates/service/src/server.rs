@@ -359,6 +359,14 @@ fn submit(req: &Request, ctx: &RouteCtx) -> Response {
             }
             Response::error(400, &msg, extra)
         }
+        Err(SubmitError::Conflict { existing }) => Response::error(
+            409,
+            &format!(
+                "job {existing} has this spec digest but other protocols, coverage or \
+                 max_slots; change the scenario name to submit it as a new job"
+            ),
+            vec![("id".to_string(), Value::Str(existing))],
+        ),
         Err(SubmitError::ShuttingDown) => Response::error(503, "server is shutting down", vec![]),
         Err(SubmitError::Io(msg)) => Response::error(500, &msg, vec![]),
     }
@@ -542,6 +550,12 @@ mod tests {
         let again = client.submit(SPEC, false).unwrap();
         assert_eq!(again.get("deduped"), Some(&Value::Bool(true)));
         assert_eq!(again.get("state").unwrap().as_str(), Some("done"));
+
+        // Same digest, another slot budget: another job under a taken
+        // id, refused with 409 naming the existing job.
+        let other = SPEC.replace("packets = 1", "packets = 1\n        max_slots = 900");
+        let err = client.submit(&other, false).unwrap_err();
+        assert!(err.starts_with("HTTP 409") && err.contains(&id), "{err}");
 
         let list = client.list().unwrap();
         match list.get("campaigns").unwrap() {

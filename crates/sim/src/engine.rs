@@ -576,6 +576,12 @@ impl<P: FloodingProtocol> Engine<P> {
         let report = SimReport::new(protocol.name(), n_sensors, cfg.duty_ratio(), cfg.n_packets);
         let packet_words = bitset::words_for(m);
         let node_words = bitset::words_for(n);
+        // The most intents, MAC events, deliveries or touched nodes one
+        // slot can have: intents run over distinct links into awake
+        // receivers and each awake node overhears at most once, so the
+        // wake calendar's busiest offset bounds them by its sum of
+        // (degree + 1), and no list outgrows the node count.
+        let per_slot = schedules.busiest_offset(|v| topo.degree(v) + 1).min(n);
         // Nobody holds anything yet: every neighbor is missing.
         let missing = (0..m)
             .flat_map(|_| (0..n).map(|u| topo.degree(NodeId::from(u)) as u32))
@@ -615,15 +621,16 @@ impl<P: FloodingProtocol> Engine<P> {
             rng,
             report,
             energy: EnergyLedger::default(),
-            // Slot-loop scratch, pre-sized to its worst-case high-water
-            // mark (≤ one intent per sender, ≤ one delivery per
-            // receiver): the flood wave widening mid-run must not grow
-            // any of these — the allocation gate asserts zero heap
-            // allocations per steady-state slot.
-            intents_buf: Vec::with_capacity(n),
-            mac_scratch: MacScratch::for_nodes(n),
-            res_buf: SlotResolution::for_nodes(n),
-            delivered_buf: Vec::with_capacity(n),
+            // Slot-loop scratch, sized by what can be awake in one slot
+            // (`per_slot`), not by the node count: the flood wave
+            // widening mid-run must not grow any of these — the
+            // allocation gate asserts zero heap allocations per
+            // steady-state slot. Only churn, redrawing a schedule into a
+            // busier offset, can outgrow them.
+            intents_buf: Vec::with_capacity(per_slot),
+            mac_scratch: MacScratch::for_nodes(n, per_slot),
+            res_buf: SlotResolution::with_capacity(per_slot),
+            delivered_buf: Vec::with_capacity(per_slot),
             slot_anchor: None,
             churn_buf: Vec::new(),
             retry_heap: BinaryHeap::new(),
@@ -926,6 +933,12 @@ impl<P: FloodingProtocol, O: SimObserver, F: FaultPlan, Pr: SimProfiler> Engine<
             }
             if F::ENABLED {
                 self.faults.on_start(self.core.state.n_nodes());
+                // A plan that can reboot nodes rewrites schedules: take
+                // the run's own copy of a shared table now, before any
+                // slot work, not at the first reboot mid-run.
+                if self.faults.churn_horizon() != u64::MAX {
+                    self.core.state.schedules.unshare();
+                }
             }
             self.protocol.on_start(&self.core.state);
         }
@@ -2133,6 +2146,88 @@ mod tests {
             ..line_cfg(1)
         };
         assert_engines_agree(|| Engine::new(topo.clone(), cfg.clone(), GreedyFlood));
+    }
+
+    /// The slot-loop buffers are sized by the wake calendar, not by N:
+    /// on a 10 000-node RGG at period 100 (about 100 nodes awake per
+    /// slot) every one holds at most the busiest offset's sum of
+    /// (degree + 1), and a stretch of flooding does not grow them.
+    #[test]
+    fn slot_scratch_is_sized_by_the_calendar() {
+        let n = 10_000;
+        let mut rng = StdRng::seed_from_u64(4);
+        let topo = Topology::random_geometric(n, 100.0, 2.2, 0.95, 0.6, &mut rng);
+        let schedules = NeighborTable::random_single_slot(n, 100, &mut rng);
+        let bound = (0..100)
+            .map(|t| {
+                schedules
+                    .all_active(t)
+                    .map(|v| topo.degree(v) + 1)
+                    .sum::<usize>()
+            })
+            .max()
+            .unwrap();
+        assert!(
+            bound < n,
+            "the premise: {bound} awake pairs per slot < {n} nodes"
+        );
+        let cfg = SimConfig {
+            period: 100,
+            n_packets: 4,
+            ..line_cfg(4)
+        };
+        let mut engine = Engine::with_schedules(topo, cfg, schedules, GreedyFlood);
+        let capacities = |e: &Engine<GreedyFlood>| {
+            let (c, r) = (&e.core, &e.core.res_buf);
+            let mut caps = vec![
+                c.intents_buf.capacity(),
+                c.delivered_buf.capacity(),
+                r.transmitted.capacity(),
+                r.committed.capacity(),
+                r.deferred.capacity(),
+                r.events.capacity(),
+            ];
+            caps.extend(c.mac_scratch.list_capacities());
+            caps
+        };
+        let built = capacities(&engine);
+        assert!(
+            built.iter().all(|&c| c > 0 && c <= bound),
+            "capacities {built:?} against the bound {bound}"
+        );
+        for _ in 0..400 {
+            assert!(engine.step());
+        }
+        assert!(engine.report().transmissions > 0, "the flood moved");
+        assert_eq!(capacities(&engine), built, "no buffer grew");
+    }
+
+    /// Churn rewrites schedules, so a run whose plan can reboot nodes
+    /// takes its own copy of a shared table before slot 0's work; a
+    /// plan that never reboots keeps reading the shared one.
+    #[test]
+    fn only_a_churning_run_copies_a_shared_schedule_table() {
+        let topo = Topology::complete(8, LinkQuality::PERFECT);
+        let shared = drawn_schedules(&topo, &line_cfg(2));
+        let churn = ldcf_faults::FaultConfig {
+            churn: Some(ldcf_faults::ChurnConfig {
+                mean_uptime: 60.0,
+                mean_downtime: 15.0,
+                retry_backoff: 40,
+            }),
+            ..ldcf_faults::FaultConfig::none(13)
+        };
+        let same = |e: &NeighborTable| std::ptr::eq(e.active_words(0), shared.active_words(0));
+        let mut engine =
+            Engine::with_schedules(topo.clone(), line_cfg(2), shared.clone(), GreedyFlood)
+                .with_faults(churn.build());
+        assert!(same(&engine.state().schedules), "building copies nothing");
+        engine.step();
+        assert!(!same(&engine.state().schedules), "slot 0 took a copy");
+        let mut engine = Engine::with_schedules(topo, line_cfg(2), shared.clone(), GreedyFlood)
+            .with_faults(ldcf_faults::FaultConfig::none(13).build());
+        engine.step();
+        assert!(same(&engine.state().schedules), "no churn, no copy");
     }
 
     #[test]

@@ -105,17 +105,20 @@ pub struct SlotResolution {
 }
 
 impl SlotResolution {
-    /// A resolution with capacity for the worst slot an `n`-node run can
-    /// produce: every node transmits (or defers), and every node logs at
-    /// most one target event plus one overhearing event. Pre-sizing to
-    /// this bound keeps the slot loop free of high-water-mark `Vec`
-    /// growth (the allocation gate asserts zero heap allocs per slot).
-    pub fn for_nodes(n: usize) -> Self {
+    /// A resolution with room for `per_slot` entries in every vector:
+    /// the most (awake node, neighbor) pairs plus awake nodes any slot
+    /// of the run can have (see [`MacScratch::for_nodes`]). A slot logs
+    /// at most one event per intent, and intents run over distinct
+    /// links into awake receivers, plus at most one overheard capture
+    /// per awake node. Pre-sizing to this bound keeps the slot loop free
+    /// of high-water-mark `Vec` growth (the allocation gate asserts zero
+    /// heap allocs per slot).
+    pub fn with_capacity(per_slot: usize) -> Self {
         Self {
-            transmitted: Vec::with_capacity(n),
-            committed: Vec::with_capacity(n),
-            deferred: Vec::with_capacity(n),
-            events: Vec::with_capacity(2 * n),
+            transmitted: Vec::with_capacity(per_slot),
+            committed: Vec::with_capacity(per_slot),
+            deferred: Vec::with_capacity(per_slot),
+            events: Vec::with_capacity(per_slot),
         }
     }
 
@@ -168,15 +171,20 @@ pub struct MacScratch {
 }
 
 impl MacScratch {
-    /// Scratch pre-sized for an `n`-node run: at most one intent per
-    /// sender per slot, so every index list is bounded by `n`. See
-    /// [`SlotResolution::for_nodes`].
-    pub fn for_nodes(n: usize) -> Self {
+    /// Scratch for an `n`-node run whose slots have at most `per_slot`
+    /// intents and touched nodes. Intents name awake receivers over
+    /// distinct links, so the wake calendar's busiest offset bounds
+    /// both: its sum of (degree + 1) over the awake nodes, capped at
+    /// `n` (the engine computes it with
+    /// [`ldcf_net::NeighborTable::busiest_offset`]). The per-node bit
+    /// rows and the targeting counter stay sized by `n`. See
+    /// [`SlotResolution::with_capacity`].
+    pub fn for_nodes(n: usize, per_slot: usize) -> Self {
         let words = bitset::words_for(n);
         Self {
-            order: Vec::with_capacity(n),
-            contended: Vec::with_capacity(n),
-            bypassed: Vec::with_capacity(n),
+            order: Vec::with_capacity(per_slot),
+            contended: Vec::with_capacity(per_slot),
+            bypassed: Vec::with_capacity(per_slot),
             committed: Vec::with_capacity(words),
             deferred: Vec::with_capacity(words),
             carrier: Vec::with_capacity(words),
@@ -184,8 +192,20 @@ impl MacScratch {
             seen: Vec::with_capacity(words),
             targeting: Vec::with_capacity(n),
             marked: Vec::with_capacity(words),
-            touched: Vec::with_capacity(n),
+            touched: Vec::with_capacity(per_slot),
         }
+    }
+
+    /// Capacities of the per-slot index lists (order, contended,
+    /// bypassed, touched), for the engine's sizing test.
+    #[cfg(test)]
+    pub(crate) fn list_capacities(&self) -> [usize; 4] {
+        [
+            self.order.capacity(),
+            self.contended.capacity(),
+            self.bypassed.capacity(),
+            self.touched.capacity(),
+        ]
     }
 
     /// The per-node bit rows, every one indexed by node id.

@@ -189,7 +189,7 @@ proptest! {
             &topo, &intents, over, |_| true, |_, _| true, |_, _, b| b, &mut rng_ref,
         );
 
-        let mut scratch = MacScratch::for_nodes(other.n_nodes());
+        let mut scratch = MacScratch::for_nodes(other.n_nodes(), other.n_nodes());
         let mut got = SlotResolution::default();
         let mut rng_dirty = StdRng::seed_from_u64(seed ^ 0xDEAD_BEEF);
         resolve_slot_into(
