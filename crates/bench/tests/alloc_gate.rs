@@ -19,6 +19,9 @@
 //!
 //! A run's frozen network is shared, not copied: cloning a topology and
 //! its schedule table, as every run of a sweep does, allocates nothing.
+//! Building one holds little beyond what it keeps: a random geometric
+//! topology peaks within 15 % of its finished table, and neither the
+//! one-slot schedule table nor the engine allocates per node.
 //!
 //! The counter is per thread, so a window counts only the allocations
 //! of the thread that opened it: other tests, and any other thread of
@@ -29,7 +32,9 @@ use ldcf_net::{LinkQuality, NeighborTable, NodeId, Topology};
 use ldcf_obs::binlog::FRAME_EVENTS;
 use ldcf_obs::{BinSink, CountingAlloc, JsonlReader, JsonlSink, SimObserver};
 use ldcf_protocols::{Dbao, NaiveFlood, OpportunisticFlooding, Opt};
-use ldcf_sim::{Engine, FaultConfig, FaultInjector, FaultPlan, FloodingProtocol, SimConfig};
+use ldcf_sim::{
+    Engine, FaultConfig, FaultInjector, FaultPlan, FloodingProtocol, Injection, SimConfig,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::io;
@@ -242,11 +247,19 @@ fn hot_path_is_allocation_free_for_every_protocol() {
     gate_tracing();
 }
 
+/// Nodes of the networks the build gates run on: a fifth of rgg-100k.
+const RGG_NODES: usize = 20_000;
+
+/// rgg-100k's network shape: unit density, radius 2.2.
+fn rgg(n: usize, rng: &mut StdRng) -> Topology {
+    Topology::random_geometric(n, (n as f64).sqrt(), 2.2, 0.95, 0.6, rng)
+}
+
 #[test]
 fn cloning_a_network_does_not_allocate() {
-    let n = 20_000;
+    let n = RGG_NODES;
     let mut rng = StdRng::seed_from_u64(3);
-    let topo = Topology::random_geometric(n, (n as f64).sqrt(), 2.2, 0.95, 0.6, &mut rng);
+    let topo = rgg(n, &mut rng);
     let schedules = NeighborTable::random_single_slot(n, 100, &mut rng);
     let before = CountingAlloc::allocations();
     let copies = std::hint::black_box((topo.clone(), schedules.clone()));
@@ -256,6 +269,65 @@ fn cloning_a_network_does_not_allocate() {
         0,
         "cloning a {n}-node network ({} links) allocated {delta} times",
         copies.0.n_links()
+    );
+}
+
+/// The build holds no edge list beside the rows it fills: its peak
+/// stays within 15 % of the bytes the finished topology keeps.
+#[test]
+fn building_a_random_geometric_network_peaks_near_its_table() {
+    let mut rng = StdRng::seed_from_u64(3);
+    let before = CountingAlloc::live_bytes();
+    CountingAlloc::reset_peak();
+    let topo = rgg(RGG_NODES, &mut rng);
+    let kept = CountingAlloc::live_bytes() - before;
+    let peak = CountingAlloc::peak_bytes() - before;
+    eprintln!(
+        "alloc-gate rgg build: {} links, keeps {kept} B, peaks at {peak} B",
+        topo.n_links()
+    );
+    assert!(
+        peak * 100 <= kept * 115,
+        "building a {RGG_NODES}-node network peaked at {peak} B for a {kept} B table"
+    );
+}
+
+/// Allocations of a one-slot schedule table and of an engine over a
+/// network of `n` nodes, each counted alone.
+fn build_allocations(n: usize) -> (u64, u64) {
+    let mut rng = StdRng::seed_from_u64(3);
+    let topo = rgg(n, &mut rng);
+    let before = CountingAlloc::allocations();
+    let schedules = NeighborTable::random_single_slot(n, 100, &mut rng);
+    let table = CountingAlloc::allocations() - before;
+    let cfg = SimConfig {
+        period: 100,
+        active_per_period: 1,
+        n_packets: 2,
+        coverage: 1.0,
+        max_slots: 1_000_000,
+        seed: 7,
+        mistiming_prob: 0.0,
+    };
+    let plan = [Injection::at_source(); 2];
+    let protocol = Opt::new();
+    let before = CountingAlloc::allocations();
+    let engine = Engine::with_injections(topo, cfg, schedules, &plan, protocol);
+    let engine_allocs = CountingAlloc::allocations() - before;
+    drop(engine);
+    (table, engine_allocs)
+}
+
+/// Schedules and engine state are a fixed number of tables, not one
+/// heap object per node: ten times the nodes, the same allocations.
+#[test]
+fn schedule_tables_and_engines_allocate_per_table_not_per_node() {
+    let small = build_allocations(RGG_NODES / 10);
+    let large = build_allocations(RGG_NODES);
+    eprintln!("alloc-gate build: (schedules, engine) allocations {small:?} at {} nodes, {large:?} at {RGG_NODES}", RGG_NODES / 10);
+    assert_eq!(
+        small, large,
+        "(schedule table, engine) allocations grow with the node count"
     );
 }
 

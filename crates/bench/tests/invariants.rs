@@ -163,20 +163,26 @@ fn observation_does_not_perturb_the_run() {
 
 /// The queued-packet rows are the queues' packet sets, exactly: bit `p`
 /// of `queued_words(u)` is set iff `p` is in `u`'s FCFS queue (each
-/// packet once), and `u`'s work bit is set iff that row is non-zero.
+/// packet once), the queue is as long as the row's popcount, and `u`'s
+/// work bit is set iff that row is non-zero.
 fn assert_queued_rows_exact(s: &SimState, ctx: &str) {
     for ui in 0..s.n_nodes() {
         let u = NodeId::from(ui);
         let row = s.queued_words(u);
         let mut from_queue = vec![0u64; row.len()];
-        for e in s.queue(u).iter() {
+        for &p in s.queue(u) {
             assert!(
-                bitset::set_bit(&mut from_queue, e.packet as usize),
-                "{ctx}: packet {} queued twice at {u}",
-                e.packet
+                bitset::set_bit(&mut from_queue, p as usize),
+                "{ctx}: packet {p} queued twice at {u}"
             );
         }
         assert_eq!(row, &from_queue[..], "{ctx}: queued row of {u}");
+        let popcount: u32 = row.iter().map(|w| w.count_ones()).sum();
+        assert_eq!(
+            s.queue(u).len(),
+            popcount as usize,
+            "{ctx}: queue length of {u}"
+        );
         assert_eq!(
             bitset::test_bit(s.work_words(), ui),
             row.iter().any(|&w| w != 0),

@@ -16,16 +16,27 @@
 
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A periodic active/dormant working schedule.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct WorkingSchedule {
     /// Period length `T` in slots.
     period: u32,
     /// Sorted, de-duplicated active slot offsets, each `< period`.
-    active: Vec<u32>,
+    active: ActiveSlots,
 }
+
+/// A schedule's active offsets. The paper's single slot is held inline,
+/// so a table of one-slot schedules is one allocation, not one per node.
+#[derive(Clone, PartialEq, Eq, Debug)]
+enum ActiveSlots {
+    One([u32; 1]),
+    /// Two or more offsets.
+    Many(Box<[u32]>),
+}
+
+// A one-slot schedule costs its 24 bytes in the table and nothing more.
+const _: () = assert!(std::mem::size_of::<WorkingSchedule>() <= 24);
 
 impl WorkingSchedule {
     /// Build a schedule from a period and a set of active slot offsets.
@@ -42,9 +53,21 @@ impl WorkingSchedule {
             *active_slots.last().unwrap() < period,
             "active slot offset out of range"
         );
+        let active = match active_slots[..] {
+            [slot] => ActiveSlots::One([slot]),
+            _ => ActiveSlots::Many(active_slots.into_boxed_slice()),
+        };
+        Self { period, active }
+    }
+
+    /// A schedule with the one active offset `slot` per period, built
+    /// without the heap. Panics if `period == 0` or `slot >= period`.
+    fn single(period: u32, slot: u32) -> Self {
+        assert!(period > 0, "schedule period must be positive");
+        assert!(slot < period, "active slot offset out of range");
         Self {
             period,
-            active: active_slots,
+            active: ActiveSlots::One([slot]),
         }
     }
 
@@ -53,7 +76,7 @@ impl WorkingSchedule {
     /// picks up one active time slot in one period and repeats").
     pub fn single_random<R: Rng + ?Sized>(period: u32, rng: &mut R) -> Self {
         let slot = rng.random_range(0..period);
-        Self::new(period, vec![slot])
+        Self::single(period, slot)
     }
 
     /// A schedule with `count` distinct random active slots per period,
@@ -69,7 +92,7 @@ impl WorkingSchedule {
     /// Always-on schedule (duty ratio 100 %), the degenerate `T = 1` case
     /// used by Fig. 5's "Duty Ratio = 100 %" curve.
     pub fn always_on() -> Self {
-        Self::new(1, vec![0])
+        Self::single(1, 0)
     }
 
     /// Period `T` in slots.
@@ -81,24 +104,27 @@ impl WorkingSchedule {
     /// Number of active slots per period.
     #[inline]
     pub fn active_per_period(&self) -> u32 {
-        self.active.len() as u32
+        self.active_slots().len() as u32
     }
 
     /// Sorted active slot offsets within the period.
     pub fn active_slots(&self) -> &[u32] {
-        &self.active
+        match &self.active {
+            ActiveSlots::One(slot) => slot,
+            ActiveSlots::Many(slots) => slots,
+        }
     }
 
     /// Duty ratio `a/T` in `(0, 1]`.
     pub fn duty_ratio(&self) -> f64 {
-        self.active.len() as f64 / self.period as f64
+        self.active_slots().len() as f64 / self.period as f64
     }
 
     /// Whether the node is active (can receive) at absolute slot `t`.
     #[inline]
     pub fn is_active(&self, t: u64) -> bool {
         let phase = (t % self.period as u64) as u32;
-        self.active.binary_search(&phase).is_ok()
+        self.active_slots().binary_search(&phase).is_ok()
     }
 
     /// The first absolute slot `>= t` at which the node is active.
@@ -109,10 +135,11 @@ impl WorkingSchedule {
     pub fn next_active_at_or_after(&self, t: u64) -> u64 {
         let period = self.period as u64;
         let phase = (t % period) as u32;
-        match self.active.iter().find(|&&s| s >= phase) {
+        let active = self.active_slots();
+        match active.iter().find(|&&s| s >= phase) {
             Some(&s) => t + (s - phase) as u64,
             // Wrap to the first active slot of the next period.
-            None => t + (period - phase as u64) + self.active[0] as u64,
+            None => t + (period - phase as u64) + active[0] as u64,
         }
     }
 
@@ -122,7 +149,7 @@ impl WorkingSchedule {
     /// `P(d_h = k) = 1/T, k = 0..T-1` (Theorem 1 proof).
     pub fn mean_sleep_latency(&self) -> f64 {
         let t = self.period as f64;
-        let a = self.active.len() as f64;
+        let a = self.active_slots().len() as f64;
         // With `a` active slots evenly likely, the mean gap-to-next over a
         // uniform phase is (T/a - 1)/2 only for evenly spaced slots; for
         // exactness we average the per-phase wait.
@@ -201,6 +228,24 @@ mod tests {
         let m = WorkingSchedule::multi_random(20, 4, &mut rng);
         assert_eq!(m.active_per_period(), 4);
         assert!((m.duty_ratio() - 0.2).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_single_slot_is_the_same_schedule_however_built() {
+        let one = WorkingSchedule::single(10, 3);
+        assert_eq!(one, WorkingSchedule::new(10, vec![3, 3]));
+        assert_eq!(one.active_slots(), &[3]);
+        assert_ne!(one, WorkingSchedule::new(10, vec![3, 4]));
+        assert_eq!(
+            WorkingSchedule::always_on(),
+            WorkingSchedule::new(1, vec![0])
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "active slot offset out of range")]
+    fn single_rejects_an_out_of_range_offset() {
+        let _ = WorkingSchedule::single(5, 5);
     }
 
     #[test]

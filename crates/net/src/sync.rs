@@ -51,13 +51,20 @@ impl WakeCalendar {
     fn build(schedules: &[WorkingSchedule], period: u32) -> Self {
         let words_per_offset = bitset::words_for(schedules.len());
         let summary_words = bitset::words_for(words_per_offset);
+        // Each offset's list is allocated once, at its final length.
+        let mut awake = vec![0usize; period as usize];
+        for s in schedules {
+            for o in Self::offsets(period, s) {
+                awake[o] += 1;
+            }
+        }
         let mut cal = Self {
             period,
             words_per_offset,
             summary_words,
             bits: std::iter::repeat_n(0, period as usize * words_per_offset).collect(),
             summary: std::iter::repeat_n(0, period as usize * summary_words).collect(),
-            lists: (0..period).map(|_| Vec::new()).collect(),
+            lists: awake.iter().map(|&k| Vec::with_capacity(k)).collect(),
         };
         for (i, s) in schedules.iter().enumerate() {
             // Ascending node order keeps every offset list sorted.

@@ -39,7 +39,7 @@ pub type Edge = (NodeId, NodeId, LinkQuality, LinkQuality);
 ///   rows.
 ///
 /// Every constructor builds the table in one pass: count degrees, take
-/// prefix sums, fill (see [`Topology::from_edges`]). The table is meant
+/// prefix sums, fill (see [`Topology::from_degrees`]). The table is meant
 /// to be frozen once built, and its arrays are shared immutable slices:
 /// `clone()` bumps five reference counts and copies no array, so every
 /// run of a sweep reads one copy of the network. Mutation copies on
@@ -72,6 +72,46 @@ pub struct Topology {
 /// filled `Vec` would hold a second copy while it moves).
 fn filled<T: Copy>(x: T, len: usize) -> Arc<[T]> {
     std::iter::repeat_n(x, len).collect()
+}
+
+/// Why `Arc::get_mut` succeeds on a slice made by [`filled`].
+const FRESH: &str = "a new slice has no other owner";
+
+/// Write cursors over the rows of a table under construction (see
+/// [`Topology::from_degrees`]), whose row lengths are already fixed.
+/// Pairs `(a, b)`, `a < b`, arrive strictly ascending: row `u` receives
+/// its lower neighbors from the pairs `(a, u)` and then its higher ones
+/// from `(u, b)`, both ascending, so rows come out sorted with no
+/// per-row sort.
+struct RowFill<'a> {
+    /// Next free entry of each row.
+    next: Vec<u32>,
+    /// `ends[u]` is one past row `u`'s last entry.
+    ends: &'a [u32],
+    targets: &'a mut [NodeId],
+    q_out: &'a mut [LinkQuality],
+    q_in: &'a mut [LinkQuality],
+}
+
+impl RowFill<'_> {
+    /// Write both directions of the pair `a < b`.
+    #[inline]
+    fn push(&mut self, a: NodeId, b: NodeId, q_ab: LinkQuality, q_ba: LinkQuality) {
+        for (u, v, out, inn) in [(a, b, q_ab, q_ba), (b, a, q_ba, q_ab)] {
+            let k = self.next[u.index()] as usize;
+            self.next[u.index()] += 1;
+            self.targets[k] = v;
+            self.q_out[k] = out;
+            self.q_in[k] = inn;
+        }
+    }
+
+    /// Entries of `u`'s row still unwritten. Once every pair `(a, u)`
+    /// is pushed and none `(u, b)` yet, these are its higher neighbors.
+    #[inline]
+    fn unfilled(&self, u: usize) -> usize {
+        (self.ends[u] - self.next[u]) as usize
+    }
 }
 
 /// `a` with `x` inserted at index `k`, built in one allocation.
@@ -114,49 +154,60 @@ impl Topology {
         Self::from_sorted_edges(n_nodes, &edges)
     }
 
-    /// The one-pass CSR build from edges with `a < b`, strictly
-    /// ascending in `(a, b)`. Row `u` receives its lower neighbors from
-    /// the pairs `(a, u)` and then its higher ones from `(u, b)`, both
-    /// ascending, so rows come out sorted with no per-row sort.
+    /// The CSR build from edges with `a < b`, strictly ascending in
+    /// `(a, b)`: count degrees, then fill the rows in one pass.
     fn from_sorted_edges(n_nodes: usize, edges: &[Edge]) -> Self {
-        assert!(n_nodes >= 1, "topology needs at least the source node");
-        let n_entries = 2 * edges.len();
+        let mut degrees = filled(0u32, n_nodes + 1);
+        let deg = Arc::get_mut(&mut degrees).expect(FRESH);
+        for &(a, b, _, _) in edges {
+            assert!(b.index() < n_nodes, "edge endpoint {b} out of range");
+            deg[a.index()] += 1;
+            deg[b.index()] += 1;
+        }
+        Self::from_degrees(degrees, |rows| {
+            for &(a, b, q_ab, q_ba) in edges {
+                rows.push(a, b, q_ab, q_ba);
+            }
+        })
+    }
+
+    /// The one-pass CSR build every constructor ends in. `offsets`
+    /// holds each node's degree on entry (its last entry 0) and becomes
+    /// the row bounds; `fill` must then push every undirected pair once,
+    /// `a < b`, strictly ascending in `(a, b)` (see [`RowFill`]). Every
+    /// array is allocated once at its final size and filled in place.
+    fn from_degrees(mut offsets: Arc<[u32]>, fill: impl FnOnce(&mut RowFill<'_>)) -> Self {
         assert!(
-            u32::try_from(n_entries).is_ok(),
-            "more directed links than a u32 row offset can address"
+            offsets.len() >= 2,
+            "topology needs at least the source node"
         );
-        // Count degrees, then inclusive prefix sums: `offsets[u]` ends
-        // u's row. Filling back to front moves each `offsets[u]` down to
-        // the start of u's row. Every array is filled in place.
-        let mut offsets = filled(0u32, n_nodes + 1);
+        let n_nodes = offsets.len() - 1;
+        let o = Arc::get_mut(&mut offsets).expect(FRESH);
+        // Exclusive prefix sums: `offsets[u]` starts u's row.
+        let mut start = 0u32;
+        for x in o.iter_mut() {
+            let degree = *x;
+            *x = start;
+            start = start
+                .checked_add(degree)
+                .expect("more directed links than a u32 row offset can address");
+        }
+        let n_entries = o[n_nodes] as usize;
         let mut targets = filled(NodeId(0), n_entries);
         let mut q_out = filled(LinkQuality::PERFECT, n_entries);
         let mut q_in = filled(LinkQuality::PERFECT, n_entries);
-        let fresh = "a new slice has no other owner";
-        let o = Arc::get_mut(&mut offsets).expect(fresh);
-        for &(a, b, _, _) in edges {
-            assert!(b.index() < n_nodes, "edge endpoint {b} out of range");
-            o[a.index()] += 1;
-            o[b.index()] += 1;
-        }
-        let mut end = 0;
-        for x in &mut o[..n_nodes] {
-            end += *x;
-            *x = end;
-        }
-        o[n_nodes] = end;
-        let t = Arc::get_mut(&mut targets).expect(fresh);
-        let qo = Arc::get_mut(&mut q_out).expect(fresh);
-        let qi = Arc::get_mut(&mut q_in).expect(fresh);
-        for &(a, b, q_ab, q_ba) in edges.iter().rev() {
-            for (u, v, out, inn) in [(a, b, q_ab, q_ba), (b, a, q_ba, q_ab)] {
-                o[u.index()] -= 1;
-                let k = o[u.index()] as usize;
-                t[k] = v;
-                qo[k] = out;
-                qi[k] = inn;
-            }
-        }
+        let mut rows = RowFill {
+            next: o[..n_nodes].to_vec(),
+            ends: &o[1..],
+            targets: Arc::get_mut(&mut targets).expect(FRESH),
+            q_out: Arc::get_mut(&mut q_out).expect(FRESH),
+            q_in: Arc::get_mut(&mut q_in).expect(FRESH),
+        };
+        fill(&mut rows);
+        assert!(
+            rows.next.iter().eq(rows.ends),
+            "the pushed pairs do not realize the counted degrees"
+        );
         Self {
             offsets,
             targets,
@@ -574,8 +625,13 @@ impl Topology {
     /// the old all-pairs sweep: positions first, then exactly one jitter
     /// draw per in-radius pair in ascending `(a, b)` lexicographic
     /// order, so every seeded topology (and every scenario digest pinned
-    /// in CI) reproduces byte-for-byte. That ascending order is also
-    /// the one [`Topology::from_edges`] builds from without sorting.
+    /// in CI) reproduces byte-for-byte.
+    ///
+    /// The neighbor search runs once and keeps only each node's higher
+    /// in-radius neighbors, 4 B per edge. The jitter pass then walks
+    /// them in that ascending pair order and writes both directions of
+    /// each pair straight into the rows, so no edge list is ever held:
+    /// the build's peak is the finished table plus that id list.
     pub fn random_geometric<R: rand::Rng + ?Sized>(
         n_nodes: usize,
         side: f64,
@@ -590,56 +646,83 @@ impl Topology {
             .map(|_| Position::new(rng.random_range(0.0..side), rng.random_range(0.0..side)))
             .collect();
         // Bucket nodes into cells of side `radius`: any in-radius pair
-        // lives in the same or an adjacent cell.
+        // lives in the same or an adjacent cell. One counting sort by
+        // cell lists every cell's nodes ascending, cells in index order,
+        // so the three cells of a grid row are one run of `members`.
         let ncells = (side / radius).ceil().max(1.0) as usize;
         let cell_of = |p: &Position| {
             let cx = ((p.x / radius) as usize).min(ncells - 1);
             let cy = ((p.y / radius) as usize).min(ncells - 1);
             cy * ncells + cx
         };
-        let mut cells: Vec<Vec<u32>> = vec![Vec::new(); ncells * ncells];
-        for (i, p) in positions.iter().enumerate() {
-            cells[cell_of(p)].push(i as u32);
+        // Inclusive counts, then placement from the back: afterwards
+        // cell `c` is `members[cell_start[c]..cell_start[c + 1]]`.
+        let mut cell_start = vec![0u32; ncells * ncells + 1];
+        for p in positions.iter() {
+            cell_start[cell_of(p)] += 1;
         }
-        let mut edges: Vec<Edge> = Vec::new();
-        let mut cands: Vec<u32> = Vec::new();
-        for a in 0..n_nodes {
-            let pa = &positions[a];
-            let cx = ((pa.x / radius) as usize).min(ncells - 1);
-            let cy = ((pa.y / radius) as usize).min(ncells - 1);
-            cands.clear();
-            for dy in cy.saturating_sub(1)..(cy + 2).min(ncells) {
-                for dx in cx.saturating_sub(1)..(cx + 2).min(ncells) {
-                    for &b in &cells[dy * ncells + dx] {
-                        if b as usize > a {
-                            cands.push(b);
-                        }
+        let mut end = 0;
+        for x in &mut cell_start {
+            end += *x;
+            *x = end;
+        }
+        let mut members = vec![0u32; n_nodes];
+        for (i, p) in positions.iter().enumerate().rev() {
+            let c = cell_of(p);
+            cell_start[c] -= 1;
+            members[cell_start[c] as usize] = i as u32;
+        }
+        // The search: each node's higher in-radius neighbors, ascending,
+        // node after node, with every node's degree counted.
+        let mut degrees = filled(0u32, n_nodes + 1);
+        let deg = Arc::get_mut(&mut degrees).expect(FRESH);
+        let mut higher: Vec<u32> = Vec::new();
+        for (a, pa) in positions.iter().enumerate() {
+            let c = cell_of(pa);
+            let (cx, cy) = (c % ncells, c / ncells);
+            let (x0, x1) = (cx.saturating_sub(1), (cx + 1).min(ncells - 1));
+            let first = higher.len();
+            for y in cy.saturating_sub(1)..(cy + 2).min(ncells) {
+                let run =
+                    cell_start[y * ncells + x0] as usize..cell_start[y * ncells + x1 + 1] as usize;
+                for &b in &members[run] {
+                    if b as usize > a && pa.distance(&positions[b as usize]) <= radius {
+                        higher.push(b);
                     }
                 }
             }
             // Ascending b restores the all-pairs sweep's draw order.
-            cands.sort_unstable();
-            for &b in &cands {
-                let b = b as usize;
-                let d = pa.distance(&positions[b]);
-                if d <= radius {
+            let found = &mut higher[first..];
+            found.sort_unstable();
+            deg[a] += found.len() as u32;
+            for &b in found.iter() {
+                deg[b as usize] += 1;
+            }
+        }
+        // The rows are allocated next: give back the cell index and the
+        // id list's growth slack first.
+        drop((cell_start, members));
+        higher.shrink_to_fit();
+        let mut higher = higher.iter();
+        let topo = Self::from_degrees(degrees, |rows| {
+            for (a, pa) in positions.iter().enumerate() {
+                // Every pair `(x, a)`, `x < a`, is in: what is left of
+                // a's row is its higher neighbors, next in `higher`.
+                for &b in higher.by_ref().take(rows.unfilled(a)) {
+                    let d = pa.distance(&positions[b as usize]);
                     let frac = d / radius;
                     let q = q_near + (q_far - q_near) * frac;
                     // Mild asymmetry, as in real deployments.
                     let jitter = 0.05 * (rng.random::<f64>() - 0.5);
                     let q_ab = LinkQuality::clamped(q + jitter, 0.05);
                     let q_ba = LinkQuality::clamped(q - jitter, 0.05);
-                    edges.push((NodeId::from(a), NodeId::from(b), q_ab, q_ba));
+                    rows.push(NodeId::from(a), NodeId(b), q_ab, q_ba);
                 }
             }
-        }
-        // The CSR arrays are built while the edge list is alive: give
-        // back its doubling slack and the cell index first.
-        drop((cells, cands));
-        edges.shrink_to_fit();
+        });
         Self {
             positions: Some(positions),
-            ..Self::from_edges(n_nodes, edges)
+            ..topo
         }
     }
 }
@@ -964,62 +1047,6 @@ mod tests {
             let (a, b) = (NodeId(0), NodeId::from(n - 1));
             t.add_edge(a, b, Q, Q);
             assert!(t.are_neighbors(a, b) && t.are_neighbors(b, a));
-        }
-    }
-
-    /// The old all-pairs generator, kept verbatim as the reference the
-    /// cell-bucketed one must reproduce draw for draw.
-    fn random_geometric_reference<R: rand::Rng + ?Sized>(
-        n_nodes: usize,
-        side: f64,
-        radius: f64,
-        q_near: f64,
-        q_far: f64,
-        rng: &mut R,
-    ) -> Topology {
-        let positions: Vec<Position> = (0..n_nodes)
-            .map(|_| Position::new(rng.random_range(0.0..side), rng.random_range(0.0..side)))
-            .collect();
-        let mut topo = Topology::empty(n_nodes);
-        for a in 0..n_nodes {
-            for b in (a + 1)..n_nodes {
-                let d = positions[a].distance(&positions[b]);
-                if d <= radius {
-                    let frac = d / radius;
-                    let q = q_near + (q_far - q_near) * frac;
-                    let jitter = 0.05 * (rng.random::<f64>() - 0.5);
-                    let q_ab = LinkQuality::clamped(q + jitter, 0.05);
-                    let q_ba = LinkQuality::clamped(q - jitter, 0.05);
-                    topo.add_edge(NodeId::from(a), NodeId::from(b), q_ab, q_ba);
-                }
-            }
-        }
-        topo.with_positions(positions)
-    }
-
-    #[test]
-    fn bucketed_random_geometric_reproduces_the_all_pairs_sweep() {
-        for seed in [3u64, 11, 42, 77] {
-            let mut r1 = StdRng::seed_from_u64(seed);
-            let mut r2 = StdRng::seed_from_u64(seed);
-            let got = Topology::random_geometric(120, 100.0, 22.0, 0.9, 0.3, &mut r1);
-            let want = random_geometric_reference(120, 100.0, 22.0, 0.9, 0.3, &mut r2);
-            assert_eq!(got.n_edges(), want.n_edges(), "seed {seed}");
-            for a in 0..got.n_nodes() {
-                let a = NodeId::from(a);
-                assert!(
-                    got.neighbors(a).eq(want.neighbors(a)),
-                    "seed {seed} node {a}"
-                );
-                assert!(
-                    got.in_neighbors(a).eq(want.in_neighbors(a)),
-                    "seed {seed} node {a}"
-                );
-            }
-            assert_eq!(got.positions(), want.positions());
-            // Both consumed the same number of draws.
-            use rand::Rng;
-            assert_eq!(r1.random::<u64>(), r2.random::<u64>(), "seed {seed}");
         }
     }
 

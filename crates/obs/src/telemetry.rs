@@ -390,17 +390,30 @@ thread_local! {
     // allocates, so the allocator cannot re-enter itself, and it stays
     // usable while a thread is being torn down.
     static ALLOC_CALLS: Cell<u64> = const { Cell::new(0) };
+    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
+    static PEAK_BYTES: Cell<i64> = const { Cell::new(0) };
 }
 
 fn count_call() {
     ALLOC_CALLS.with(|c| c.set(c.get() + 1));
 }
 
+/// Move the calling thread's live byte count by `delta`, raising its
+/// peak when it is exceeded.
+fn count_bytes(delta: i64) {
+    let live = LIVE_BYTES.with(|c| {
+        c.set(c.get() + delta);
+        c.get()
+    });
+    PEAK_BYTES.with(|c| c.set(c.get().max(live)));
+}
+
 /// A [`GlobalAlloc`] wrapper around [`System`] that counts every
 /// allocation and reallocation per thread — the measurement half of the
 /// allocation gate (`crates/bench/tests/alloc_gate.rs`), which asserts
 /// the engine's hot path performs **zero** heap allocations per slot
-/// after warmup.
+/// after warmup — and the bytes each thread holds, live and at peak,
+/// which bound what building a network may hold on top of the network.
 ///
 /// Install it in a test binary:
 ///
@@ -409,9 +422,10 @@ fn count_call() {
 /// static A: ldcf_obs::telemetry::CountingAlloc = ldcf_obs::telemetry::CountingAlloc;
 /// ```
 ///
-/// Deallocations are deliberately not counted: the gate cares about
+/// Deallocations are not counted as calls: the gate cares about
 /// acquisition cost and allocator traffic, and frees always pair with
-/// a counted alloc.
+/// a counted alloc. They do lower the live bytes, and a reallocation
+/// moves them from the old size to the new one.
 pub struct CountingAlloc;
 
 impl CountingAlloc {
@@ -421,28 +435,62 @@ impl CountingAlloc {
     pub fn allocations() -> u64 {
         ALLOC_CALLS.with(Cell::get)
     }
+
+    /// Bytes the calling thread has allocated and not freed since it
+    /// started. Memory freed by another thread than the one that
+    /// allocated it moves both threads' counts, so only differences
+    /// within one thread's window mean anything.
+    pub fn live_bytes() -> i64 {
+        LIVE_BYTES.with(Cell::get)
+    }
+
+    /// The most [`live_bytes`](Self::live_bytes) has read since the
+    /// calling thread's last [`reset_peak`](Self::reset_peak).
+    pub fn peak_bytes() -> i64 {
+        PEAK_BYTES.with(Cell::get)
+    }
+
+    /// Start a new peak window on the calling thread at its current
+    /// live bytes.
+    pub fn reset_peak() {
+        PEAK_BYTES.with(|c| c.set(Self::live_bytes()));
+    }
 }
 
-// SAFETY: delegates verbatim to `System`, only bumping a thread-local
-// counter on the allocating entry points.
+// SAFETY: delegates verbatim to `System`, only updating thread-local
+// counters, and the byte counts only after a successful call.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count_call();
-        System.alloc(layout)
+        let p = System.alloc(layout);
+        if !p.is_null() {
+            count_bytes(layout.size() as i64);
+        }
+        p
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         count_call();
-        System.alloc_zeroed(layout)
+        let p = System.alloc_zeroed(layout);
+        if !p.is_null() {
+            count_bytes(layout.size() as i64);
+        }
+        p
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count_call();
-        System.realloc(ptr, layout, new_size)
+        let p = System.realloc(ptr, layout, new_size);
+        if !p.is_null() {
+            count_bytes(-(layout.size() as i64));
+            count_bytes(new_size as i64);
+        }
+        p
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
+        System.dealloc(ptr, layout);
+        count_bytes(-(layout.size() as i64));
     }
 }
 

@@ -19,7 +19,7 @@ pub fn fcfs_candidate_filtered(
     mut allow: impl FnMut(usize) -> bool,
 ) -> Option<(PacketId, NodeId)> {
     let mut open = |v: NodeId| allow(state.topo.link_index(v, u).expect("links are symmetric"));
-    let entry = state.queue(u).first_with_work(|p| {
+    let packet = state.queue(u).iter().copied().find(|&p| {
         state
             .topo
             .neighbor_ids(u)
@@ -29,9 +29,9 @@ pub fn fcfs_candidate_filtered(
     let (v, _) = state
         .topo
         .neighbors(u)
-        .filter(|&(v, _)| state.is_active(v) && !state.has(v, entry.packet) && open(v))
+        .filter(|&(v, _)| state.is_active(v) && !state.has(v, packet) && open(v))
         .max_by(|a, b| a.1.prr().partial_cmp(&b.1.prr()).expect("PRR is finite"))?;
-    Some((entry.packet, v))
+    Some((packet, v))
 }
 
 /// Randomized retransmission back-off after collisions.

@@ -227,14 +227,14 @@ impl FloodingProtocol for Dbao {
             // receiver filter: the first awake receiver missing the
             // packet that u wins is that packet's best one.
             let mut cand: Option<(u32, NodeId, u32)> = None;
-            'queue: for e in state.queue(u).iter() {
-                let holders = state.holder_words(e.packet);
+            'queue: for &packet in state.queue(u) {
+                let holders = state.holder_words(packet);
                 for r in receivers {
                     let my_rank = rank_in[r.link as usize];
                     if !bitset::test_bit(holders, r.node.index())
-                        && eligible(r.node, my_rank, e.packet)
+                        && eligible(r.node, my_rank, packet)
                     {
-                        cand = Some((e.packet, r.node, my_rank));
+                        cand = Some((packet, r.node, my_rank));
                         break 'queue;
                     }
                 }

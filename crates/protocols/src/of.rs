@@ -127,8 +127,7 @@ impl FloodingProtocol for OpportunisticFlooding {
             // child to serve.
             let mut chosen: Option<(u32, NodeId)> = None;
             let mut fallback: Option<(u32, NodeId)> = None;
-            'queue: for e in state.queue(u).iter() {
-                let packet = e.packet;
+            'queue: for &packet in state.queue(u) {
                 let holders = state.holder_words(packet);
                 for r in receivers {
                     let receiver = r.node;

@@ -63,15 +63,15 @@ impl PairBackoff {
 /// by packet and quality-ordered by receiver within a packet.
 fn all_candidates(state: &SimState, u: NodeId) -> Vec<(PacketId, NodeId)> {
     let mut out = Vec::new();
-    for e in state.queue(u).iter() {
+    for &p in state.queue(u) {
         let mut targets: Vec<(NodeId, f64)> = state
             .topo
             .neighbors(u)
-            .filter(|&(v, _)| state.is_active(v) && !state.has(v, e.packet))
+            .filter(|&(v, _)| state.is_active(v) && !state.has(v, p))
             .map(|(v, q)| (v, q.prr()))
             .collect();
         targets.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("PRR is finite"));
-        out.extend(targets.into_iter().map(|(v, _)| (e.packet, v)));
+        out.extend(targets.into_iter().map(|(v, _)| (p, v)));
     }
     out
 }
@@ -124,10 +124,7 @@ impl ReferenceOf {
                 }
                 let parent_clear = tree.parent(receiver).is_some_and(|par| {
                     !state.has(par, packet)
-                        && !state
-                            .queue(par)
-                            .iter()
-                            .any(|e| !state.has(receiver, e.packet))
+                        && !state.queue(par).iter().any(|&p| !state.has(receiver, p))
                 });
                 if !parent_clear {
                     continue;
@@ -141,7 +138,7 @@ impl ReferenceOf {
                 let my_overlap = state
                     .queue(u)
                     .iter()
-                    .filter(|e| !state.has(receiver, e.packet))
+                    .filter(|&&p| !state.has(receiver, p))
                     .count()
                     .max(1);
                 let p_send = self.cfg.forward_probability / (competitors * my_overlap) as f64;
@@ -226,7 +223,7 @@ impl ReferenceDbao {
         } else {
             let clique_busy = clique
                 .iter()
-                .any(|&s| state.queue(s).iter().any(|e| !state.has(r, e.packet)));
+                .any(|&s| state.queue(s).iter().any(|&p| !state.has(r, p)));
             if clique_busy {
                 return false;
             }
@@ -239,20 +236,18 @@ impl ReferenceDbao {
     fn propose(&mut self, state: &SimState, out: &mut Vec<TxIntent>) {
         for u in state.nodes_with_work() {
             let mut cand: Option<(PacketId, NodeId)> = None;
-            'queue: for e in state.queue(u).iter() {
+            'queue: for &p in state.queue(u) {
                 let mut best: Option<(f64, NodeId)> = None;
                 for (v, q) in state.topo.neighbors(u) {
-                    if !state.is_active(v) || state.has(v, e.packet) {
+                    if !state.is_active(v) || state.has(v, p) {
                         continue;
                     }
-                    if best.is_none_or(|(bq, _)| q.prr() > bq)
-                        && self.eligible(state, u, v, e.packet)
-                    {
+                    if best.is_none_or(|(bq, _)| q.prr() > bq) && self.eligible(state, u, v, p) {
                         best = Some((q.prr(), v));
                     }
                 }
                 if let Some((_, v)) = best {
-                    cand = Some((e.packet, v));
+                    cand = Some((p, v));
                     break 'queue;
                 }
             }

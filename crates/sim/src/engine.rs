@@ -4,7 +4,7 @@ use crate::config::SimConfig;
 use crate::energy::EnergyLedger;
 use crate::mac::{self, MacScratch, Outcome, SlotResolution, TxIntent};
 use crate::protocol::FloodingProtocol;
-use crate::queue::FcfsQueue;
+use crate::queue::FcfsQueues;
 use crate::stats::SimReport;
 use ldcf_faults::{ChurnAction, FaultPlan, NullFaultPlan};
 use ldcf_net::bitset;
@@ -98,13 +98,14 @@ pub struct SimState {
     /// it at every neighbor of the granted node, [`SimState::revoke`]
     /// increments it back. Queue pruning drops `(u, p)` once it is 0.
     missing: Vec<u32>,
-    /// Per-node FCFS forwarding queues.
-    queues: Vec<FcfsQueue>,
-    /// The queues' packet sets, laid out like `have`: bit `p` of node
-    /// `u`'s row is set iff `p` is in `u`'s queue. Kept exact at every
-    /// queue mutation, so "does `s` queue a packet `r` misses" is a word
-    /// AND per row word ([`SimState::queue_misses`]).
-    queued: Vec<u64>,
+    /// Every node's FCFS forwarding queue, with each queue's packet
+    /// set as a row laid out like `have` (so "does `s` queue a packet
+    /// `r` misses" is a word AND per row word,
+    /// [`SimState::queue_misses`]), the set of nodes with a non-empty
+    /// queue (protocols iterate it instead of scanning all N nodes for
+    /// proposals) and the total queued, all kept exact at every queue
+    /// mutation.
+    queues: FcfsQueues,
     /// Per-packet count of *sensors* (source excluded) holding it.
     holders: Vec<u32>,
     /// Sensors needed for a packet to count as flooded.
@@ -112,10 +113,6 @@ pub struct SimState {
     /// Bitset of nodes crashed by fault injection (off the air). All
     /// zero unless a fault plan with churn is attached.
     down: Vec<u64>,
-    /// Bitset of nodes with a non-empty forwarding queue, maintained at
-    /// every queue mutation. Protocols iterate this instead of scanning
-    /// all N nodes for proposals.
-    work: Vec<u64>,
     /// Per-packet flood origin (all `SOURCE` for the default plan).
     origins: Vec<NodeId>,
     /// Packets injected so far. Injection plans are non-decreasing in
@@ -143,7 +140,7 @@ impl SimState {
     /// [`Self::have_words`].
     #[inline]
     pub fn queued_words(&self, node: NodeId) -> &[u64] {
-        &self.queued[node.index() * self.packet_words..][..self.packet_words]
+        self.queues.queued_words(node)
     }
 
     /// Whether `s` queues a packet `r` does not hold: some word of
@@ -179,7 +176,7 @@ impl SimState {
     /// Packed bitset of nodes whose forwarding queue is non-empty.
     #[inline]
     pub fn work_words(&self) -> &[u64] {
-        &self.work
+        self.queues.nonempty_words()
     }
 
     /// Nodes with a non-empty forwarding queue, ascending. Only these
@@ -187,7 +184,7 @@ impl SimState {
     /// this instead of every node.
     #[inline]
     pub fn nodes_with_work(&self) -> impl Iterator<Item = NodeId> + '_ {
-        bitset::iter_ones(&self.work).map(NodeId::from)
+        bitset::iter_ones(self.work_words()).map(NodeId::from)
     }
 
     /// Whether some node with forwarding work has a live neighbor awake
@@ -197,13 +194,14 @@ impl SimState {
     /// the nodes with work) looking for a neighbor with work.
     fn work_has_awake_neighbor(&self, t: u64) -> bool {
         let awake = self.schedules.active_words(t);
+        let work = self.work_words();
         for (w, (&a, &d)) in awake.iter().zip(&self.down).enumerate() {
             let mut live = a & !d;
             while live != 0 {
                 let v = NodeId::from(w * 64 + live.trailing_zeros() as usize);
                 live &= live - 1;
                 let row = self.topo.neighbor_ids(v);
-                if row.iter().any(|u| bitset::test_bit(&self.work, u.index())) {
+                if row.iter().any(|u| bitset::test_bit(work, u.index())) {
                     return true;
                 }
             }
@@ -211,9 +209,10 @@ impl SimState {
         false
     }
 
-    /// The FCFS queue of `node`.
-    pub fn queue(&self, node: NodeId) -> &FcfsQueue {
-        &self.queues[node.index()]
+    /// The FCFS queue of `node`: its packets in arrival order.
+    #[inline]
+    pub fn queue(&self, node: NodeId) -> &[PacketId] {
+        self.queues.get(node)
     }
 
     /// Whether `node` is active (can receive) this slot. A node crashed
@@ -317,47 +316,19 @@ impl SimState {
         }
     }
 
-    /// Whether `packet` is in `node`'s queue.
-    #[inline]
-    fn is_queued(&self, node: NodeId, packet: PacketId) -> bool {
-        bitset::test_bit(self.queued_words(node), packet as usize)
-    }
-
-    /// Queue `packet` at `node`, keeping the queued and work bitsets
-    /// exact.
-    #[inline]
-    fn queue_push(&mut self, node: NodeId, packet: PacketId, now: u64) {
-        let fresh = bitset::set_bit(
-            &mut self.queued[node.index() * self.packet_words..],
-            packet as usize,
-        );
-        debug_assert!(fresh, "packet {packet} queued twice at {node}");
-        self.queues[node.index()].push(packet, now);
-        bitset::set_bit(&mut self.work, node.index());
-    }
-
-    /// Drop `node`'s whole queue (crash wipe), keeping the queued and
-    /// work bitsets exact.
-    fn queue_clear(&mut self, node: NodeId) {
-        let ui = node.index();
-        self.queued[ui * self.packet_words..][..self.packet_words].fill(0);
-        self.queues[ui].clear();
-        bitset::clear_bit(&mut self.work, ui);
-    }
-
     /// Churn repair for one uncovered packet: re-queue it at every live
     /// holder that has a live neighbor still missing it (queue pruning
     /// assumed possession was monotone, so a crash or recovery can leave
     /// live holders with real forwarding work but empty queues). Word
     /// algebra over the possession row keeps this proportional to the
     /// holders of `p`, not to packets × nodes.
-    fn repair_requeue(&mut self, p: PacketId, now: u64) {
+    fn repair_requeue(&mut self, p: PacketId) {
         for w in 0..self.node_words {
             let mut live_holders = self.holder_words(p)[w] & !self.down[w];
             while live_holders != 0 {
                 let u = NodeId::from(w * 64 + live_holders.trailing_zeros() as usize);
                 live_holders &= live_holders - 1;
-                if self.is_queued(u, p) {
+                if self.queues.contains(u, p) {
                     continue;
                 }
                 let holders = self.holder_words(p);
@@ -366,7 +337,7 @@ impl SimState {
                         && !bitset::test_bit(holders, v.index())
                 });
                 if needy {
-                    self.queue_push(u, p, now);
+                    self.queues.push(u, p);
                 }
             }
         }
@@ -457,6 +428,9 @@ struct Core {
     /// [`bitset::summarize_into`]), sized for the calendar's
     /// next-rendezvous query.
     reach_summary_buf: Vec<u64>,
+    /// Scratch: awake-node count per calendar offset of an idle span
+    /// (event engine only), with room for the whole calendar period.
+    awake_buf: Vec<u64>,
     /// Nanoseconds of idle-skip settlement awaiting attribution to the
     /// next dispatched slot's total (profiled event runs only), so
     /// phase times keep telescoping to the slot total exactly.
@@ -471,7 +445,7 @@ impl Core {
     fn inject(&mut self, origin: NodeId, p: PacketId, now: u64) {
         let state = &mut self.state;
         state.grant(origin, p);
-        state.queue_push(origin, p, now);
+        state.queues.push(origin, p);
         self.report.record_injection(p, now);
         state.injected += 1;
         if origin != SOURCE {
@@ -582,6 +556,7 @@ impl<P: FloodingProtocol> Engine<P> {
         // wake calendar's busiest offset bounds them by its sum of
         // (degree + 1), and no list outgrows the node count.
         let per_slot = schedules.busiest_offset(|v| topo.degree(v) + 1).min(n);
+        let calendar_period = schedules.calendar_period() as usize;
         // Nobody holds anything yet: every neighbor is missing.
         let missing = (0..m)
             .flat_map(|_| (0..n).map(|u| topo.degree(NodeId::from(u)) as u32))
@@ -597,17 +572,10 @@ impl<P: FloodingProtocol> Engine<P> {
             node_words,
             reach: vec![0; m * node_words],
             missing,
-            // Queue capacity is bounded by the packet count; reserving it
-            // up front keeps the slot loop free of first-touch Vec growth
-            // (the allocation gate asserts zero heap allocs per slot).
-            // Built per node — `vec![q; n]` would clone the prototype,
-            // and a Vec clone keeps only its length, not its capacity.
-            queues: (0..n).map(|_| FcfsQueue::with_capacity(m)).collect(),
-            queued: vec![0; n * packet_words],
+            queues: FcfsQueues::new(n, m),
             holders: vec![0; m],
             coverage_target,
             down: vec![0; node_words],
-            work: vec![0; node_words],
             origins: vec![SOURCE; m],
             injected: 0,
         };
@@ -644,6 +612,7 @@ impl<P: FloodingProtocol> Engine<P> {
             // must stay allocation-free too.
             reach_buf: vec![0; node_words],
             reach_summary_buf: vec![0; bitset::words_for(node_words)],
+            awake_buf: Vec::with_capacity(calendar_period),
             skip_carry_ns: 0,
         };
         for (pi, inj) in plan.iter().enumerate() {
@@ -771,7 +740,7 @@ impl<P: FloodingProtocol, O: SimObserver, F: FaultPlan, Pr: SimProfiler> Engine<
                             .on_event(&SimEvent::NodeCrashed { slot: now, node: v });
                     }
                     // RAM wipe: forwarding queue and packet possession.
-                    self.core.state.queue_clear(v);
+                    self.core.state.queues.clear(v);
                     for p in 0..self.core.state.cfg.n_packets {
                         let pi = p as usize;
                         if !self.core.state.has(v, p) {
@@ -818,7 +787,7 @@ impl<P: FloodingProtocol, O: SimObserver, F: FaultPlan, Pr: SimProfiler> Engine<
             if self.core.report.packets[p as usize].covered_at.is_some() {
                 continue;
             }
-            self.core.state.repair_requeue(p, now);
+            self.core.state.repair_requeue(p);
         }
     }
 
@@ -843,8 +812,8 @@ impl<P: FloodingProtocol, O: SimObserver, F: FaultPlan, Pr: SimProfiler> Engine<
             // With a deferred-injection plan the source may not hold a
             // not-yet-injected packet; a retry can only re-queue copies
             // the source actually has (always true for the default plan).
-            if self.core.state.has(SOURCE, p) && !self.core.state.is_queued(SOURCE, p) {
-                self.core.state.queue_push(SOURCE, p, now);
+            if self.core.state.has(SOURCE, p) && !self.core.state.queues.contains(SOURCE, p) {
+                self.core.state.queues.push(SOURCE, p);
                 self.core.report.source_retries += 1;
                 if O::ENABLED {
                     self.obs.on_event(&SimEvent::SourceRetry {
@@ -1123,7 +1092,7 @@ impl<P: FloodingProtocol, O: SimObserver, F: FaultPlan, Pr: SimProfiler> Engine<
                     }
                     if fresh {
                         self.core.state.grant(e.receiver, e.packet);
-                        self.core.state.queue_push(e.receiver, e.packet, now);
+                        self.core.state.queues.push(e.receiver, e.packet);
                         newly_delivered.push((e.receiver, e.packet));
                         if e.receiver != SOURCE {
                             self.core.state.holders[pi] += 1;
@@ -1211,14 +1180,8 @@ impl<P: FloodingProtocol, O: SimObserver, F: FaultPlan, Pr: SimProfiler> Engine<
         for &(r, p) in &newly_delivered {
             let missing = &state.missing[p as usize * n..][..n];
             for &u in state.topo.neighbor_ids(r).iter().chain(std::iter::once(&r)) {
-                let ui = u.index();
-                let queued = &mut state.queued[ui * state.packet_words..];
-                if missing[ui] == 0 && bitset::test_bit(queued, p as usize) {
-                    bitset::clear_bit(queued, p as usize);
-                    state.queues[ui].remove(p);
-                    if state.queues[ui].is_empty() {
-                        bitset::clear_bit(&mut state.work, ui);
-                    }
+                if missing[u.index()] == 0 {
+                    state.queues.remove(u, p);
                 }
             }
         }
@@ -1246,10 +1209,9 @@ impl<P: FloodingProtocol, O: SimObserver, F: FaultPlan, Pr: SimProfiler> Engine<
         self.core.energy.sleep_slots += n - active_now;
 
         if O::ENABLED {
-            let queued: u64 = self.core.state.queues.iter().map(|q| q.len() as u64).sum();
             self.obs.on_event(&SimEvent::SlotEnd {
                 slot: now,
-                queued,
+                queued: self.core.state.queues.total(),
                 active_nodes: active_now as u32,
             });
         }
@@ -1330,7 +1292,7 @@ impl<P: FloodingProtocol, O: SimObserver, F: FaultPlan, Pr: SimProfiler> Engine<
         if bound <= now {
             return;
         }
-        let target = if self.core.state.work.iter().all(|&w| w == 0) {
+        let target = if self.core.state.work_words().iter().all(|&w| w == 0) {
             // No forwarding work anywhere: nothing can happen before
             // the next external event.
             bound
@@ -1400,52 +1362,46 @@ impl<P: FloodingProtocol, O: SimObserver, F: FaultPlan, Pr: SimProfiler> Engine<
     /// Book every slot in `[self.core.state.now, to)` exactly as dispatching
     /// it dead would have: duty-cycle energy (crashed nodes asleep),
     /// one `SlotEnd` per slot when observed, and the slot counters.
-    /// Without an observer the span aggregates per calendar offset —
-    /// O(period × words) however long the jump.
+    /// The wake pattern repeats with the calendar period and the down
+    /// set and queues are frozen across the span, so the awake count of
+    /// each calendar offset is taken once: O(period × words) however
+    /// long the jump, plus O(1) per slot when observed.
     fn settle_idle_span(&mut self, to: u64) {
         let from = self.core.state.now;
         debug_assert!(to > from);
-        let n = self.core.state.n_nodes() as u64;
-        let down = &self.core.state.down;
-        let active_at = |t: u64| -> u64 {
-            self.core
-                .state
+        let state = &self.core.state;
+        let n = state.n_nodes() as u64;
+        let span = to - from;
+        let period = state.schedules.calendar_period() as u64;
+        let mut awake = std::mem::take(&mut self.core.awake_buf);
+        awake.clear();
+        awake.extend((from..from + period.min(span)).map(|t| {
+            state
                 .schedules
                 .active_words(t)
                 .iter()
-                .zip(down)
+                .zip(&state.down)
                 .map(|(a, d)| (a & !d).count_ones() as u64)
-                .sum()
-        };
+                .sum::<u64>()
+        }));
+        let (full, rem) = (span / period, span % period);
+        let active_total: u64 = (0..)
+            .zip(&awake)
+            .map(|(i, &active)| active * (full + u64::from(i < rem)))
+            .sum();
+        self.core.energy.active_slots += active_total;
+        self.core.energy.sleep_slots += n * span - active_total;
         if O::ENABLED {
-            // Queue contents are frozen across a dead span.
-            let queued: u64 = self.core.state.queues.iter().map(|q| q.len() as u64).sum();
-            for t in from..to {
-                let active_now = active_at(t);
-                self.core.energy.active_slots += active_now;
-                self.core.energy.sleep_slots += n - active_now;
+            let queued = state.queues.total();
+            for (t, &active_now) in (from..to).zip(awake.iter().cycle()) {
                 self.obs.on_event(&SimEvent::SlotEnd {
                     slot: t,
                     queued,
                     active_nodes: active_now as u32,
                 });
             }
-        } else {
-            // The wake pattern repeats with the calendar period and the
-            // down set is frozen, so one pass over the offsets covers
-            // any span length.
-            let span = to - from;
-            let period = self.core.state.schedules.calendar_period() as u64;
-            let full = span / period;
-            let rem = span % period;
-            let mut active_total = 0u64;
-            for i in 0..period.min(span) {
-                let occ = full + u64::from(i < rem);
-                active_total += active_at(from + i) * occ;
-            }
-            self.core.energy.active_slots += active_total;
-            self.core.energy.sleep_slots += n * span - active_total;
         }
+        self.core.awake_buf = awake;
         self.core.state.now = to;
         self.core.report.slots_elapsed = to;
     }
@@ -1499,24 +1455,24 @@ mod tests {
         fn propose(&mut self, s: &SimState, out: &mut Vec<TxIntent>) {
             for ni in 0..s.n_nodes() {
                 let u = NodeId::from(ni);
-                let entry = s.queue(u).first_with_work(|p| {
+                let entry = s.queue(u).iter().copied().find(|&p| {
                     s.topo
                         .neighbor_ids(u)
                         .iter()
                         .any(|&v| s.is_active(v) && !s.has(v, p))
                 });
-                if let Some(e) = entry {
+                if let Some(p) = entry {
                     // Best active neighbor missing the packet.
                     let target = s
                         .topo
                         .neighbors(u)
-                        .filter(|&(v, _)| s.is_active(v) && !s.has(v, e.packet))
+                        .filter(|&(v, _)| s.is_active(v) && !s.has(v, p))
                         .max_by(|a, b| a.1.prr().partial_cmp(&b.1.prr()).unwrap());
                     if let Some((v, _)) = target {
                         out.push(TxIntent {
                             sender: u,
                             receiver: v,
-                            packet: e.packet,
+                            packet: p,
                             backoff_rank: u.0,
                             bypass_mac: false,
                         });

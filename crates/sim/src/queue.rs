@@ -4,90 +4,139 @@
 //! its own transmission, i.e. the FCFS policy. ... At each intermediate
 //! relay node, packet q follows the FCFS policy as well."
 //!
-//! A [`FcfsQueue`] records packets in order of local arrival. Protocols
-//! serve the *earliest-arrived packet that still has work* — a packet
-//! whose every awake neighbor already holds it does not block younger
-//! packets behind it (otherwise lossy links would deadlock the flood),
-//! matching how the paper's protocols interleave many unicasts.
+//! Each node's queue records packets in order of local arrival.
+//! Protocols serve the *earliest-arrived packet that still has work* —
+//! a packet whose every awake neighbor already holds it does not block
+//! younger packets behind it (otherwise lossy links would deadlock the
+//! flood), matching how the paper's protocols interleave many unicasts.
 //!
-//! The queue keeps order only. Which packets a node has queued is a
-//! bitset row in `SimState` (`queued_words`), kept exact by the engine
-//! at every push, removal and crash wipe (each packet is queued at most
-//! once per node), so membership and "does this queue hold a packet
-//! that neighbor misses" are word tests instead of scans of the
-//! entries.
+//! Every node's queue lives in one [`FcfsQueues`]. A node queues each
+//! packet at most once, so its queue fits a row of `m` packet ids (`m`
+//! the packet count) in one `n × m` slab, and a bitset row of the
+//! packets it queues answers membership and "does this queue hold a
+//! packet that neighbor misses" with word tests instead of scans. The
+//! popcount of that bitset row is the queue's length, so the slab keeps
+//! no lengths of its own.
 
-use ldcf_net::PacketId;
+use ldcf_net::{bitset, NodeId, PacketId};
 
-/// One queued packet at a node.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct QueueEntry {
-    /// Packet sequence number.
-    pub packet: PacketId,
-    /// Slot at which this node obtained the packet.
-    pub arrived_at: u64,
+/// The FCFS forwarding queues of every node of a network.
+#[derive(Debug)]
+pub struct FcfsQueues {
+    /// Entries per node row of `slab`: the packet count.
+    stride: usize,
+    /// Node `u`'s queue, in arrival order, is the first `len(u)` entries
+    /// of `slab[u * stride..][..stride]`; the rest of the row is stale.
+    slab: Vec<PacketId>,
+    /// Words per node row of `queued`.
+    words: usize,
+    /// Bit `p` of node `u`'s row is set iff `p` is in `u`'s queue.
+    queued: Vec<u64>,
+    /// Bit `u` is set iff `u`'s queue is non-empty.
+    nonempty: Vec<u64>,
+    /// Entries over all queues.
+    total: u64,
 }
 
-/// A first-come-first-served forwarding queue.
-#[derive(Clone, Debug, Default)]
-pub struct FcfsQueue {
-    entries: Vec<QueueEntry>,
-}
-
-impl FcfsQueue {
-    /// Empty queue.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Empty queue with room for `cap` entries. A node can queue each
-    /// packet at most once, so reserving the packet count up front makes
-    /// every later [`push`](Self::push) allocation-free — the engine
-    /// builds queues this way to keep its slot loop off the heap.
-    pub fn with_capacity(cap: usize) -> Self {
+impl FcfsQueues {
+    /// Empty queues for `n_nodes` nodes and `n_packets` packets: one
+    /// allocation per table, after which no operation allocates.
+    pub fn new(n_nodes: usize, n_packets: usize) -> Self {
+        let words = bitset::words_for(n_packets);
         Self {
-            entries: Vec::with_capacity(cap),
+            stride: n_packets,
+            slab: vec![0; n_nodes * n_packets],
+            words,
+            queued: vec![0; n_nodes * words],
+            nonempty: vec![0; bitset::words_for(n_nodes)],
+            total: 0,
         }
     }
 
-    /// Append a packet on arrival (keeps arrival order).
-    pub fn push(&mut self, packet: PacketId, arrived_at: u64) {
-        self.entries.push(QueueEntry { packet, arrived_at });
+    /// `node`'s queue in FCFS (arrival) order.
+    #[inline]
+    pub fn get(&self, node: NodeId) -> &[PacketId] {
+        &self.slab[node.index() * self.stride..][..self.len(node)]
     }
 
-    /// Remove a packet (when the protocol decides the node is done
-    /// forwarding it, e.g. every neighbor confirmed or it expired).
-    pub fn remove(&mut self, packet: PacketId) {
-        self.entries.retain(|e| e.packet != packet);
+    /// Number of packets `node` queues.
+    #[inline]
+    pub fn len(&self, node: NodeId) -> usize {
+        self.queued_words(node)
+            .iter()
+            .map(|w| w.count_ones() as usize)
+            .sum()
     }
 
-    /// Entries in FCFS (arrival) order.
-    pub fn iter(&self) -> impl Iterator<Item = &QueueEntry> {
-        self.entries.iter()
+    /// Packed row of packets in `node`'s queue, bit `p` set iff it
+    /// queues `p`.
+    #[inline]
+    pub fn queued_words(&self, node: NodeId) -> &[u64] {
+        &self.queued[node.index() * self.words..][..self.words]
     }
 
-    /// The earliest-arrived entry matching `has_work`, i.e. the FCFS
-    /// head after skipping packets with nothing to do this slot.
-    pub fn first_with_work(
-        &self,
-        mut has_work: impl FnMut(PacketId) -> bool,
-    ) -> Option<QueueEntry> {
-        self.entries.iter().copied().find(|e| has_work(e.packet))
+    /// Whether `packet` is in `node`'s queue.
+    #[inline]
+    pub fn contains(&self, node: NodeId, packet: PacketId) -> bool {
+        bitset::test_bit(self.queued_words(node), packet as usize)
     }
 
-    /// Number of queued packets.
-    pub fn len(&self) -> usize {
-        self.entries.len()
+    /// Packed bitset of nodes whose queue is non-empty.
+    #[inline]
+    pub fn nonempty_words(&self) -> &[u64] {
+        &self.nonempty
     }
 
-    /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+    /// Packets queued over all nodes.
+    #[inline]
+    pub fn total(&self) -> u64 {
+        self.total
     }
 
-    /// Drop every entry (a node crash wipes its RAM).
-    pub fn clear(&mut self) {
-        self.entries.clear();
+    /// Append `packet` to `node`'s queue on arrival. Panics if `node`
+    /// queues it already.
+    pub fn push(&mut self, node: NodeId, packet: PacketId) {
+        let len = self.len(node);
+        let fresh = bitset::set_bit(
+            &mut self.queued[node.index() * self.words..],
+            packet as usize,
+        );
+        assert!(fresh, "packet {packet} queued twice at {node}");
+        self.slab[node.index() * self.stride + len] = packet;
+        bitset::set_bit(&mut self.nonempty, node.index());
+        self.total += 1;
+    }
+
+    /// Remove `packet` from `node`'s queue, keeping the order of the
+    /// rest (the protocol is done forwarding it). Returns whether it was
+    /// queued.
+    pub fn remove(&mut self, node: NodeId, packet: PacketId) -> bool {
+        if !self.contains(node, packet) {
+            return false;
+        }
+        let len = self.len(node);
+        let row = &mut self.slab[node.index() * self.stride..][..len];
+        let at = row
+            .iter()
+            .position(|&p| p == packet)
+            .expect("a queued packet is in its row");
+        row.copy_within(at + 1.., at);
+        bitset::clear_bit(
+            &mut self.queued[node.index() * self.words..],
+            packet as usize,
+        );
+        if len == 1 {
+            bitset::clear_bit(&mut self.nonempty, node.index());
+        }
+        self.total -= 1;
+        true
+    }
+
+    /// Drop `node`'s whole queue (a node crash wipes its RAM).
+    pub fn clear(&mut self, node: NodeId) {
+        self.total -= self.len(node) as u64;
+        self.queued[node.index() * self.words..][..self.words].fill(0);
+        bitset::clear_bit(&mut self.nonempty, node.index());
     }
 }
 
@@ -95,36 +144,48 @@ impl FcfsQueue {
 mod tests {
     use super::*;
 
+    const U: NodeId = NodeId(1);
+
     #[test]
     fn preserves_arrival_order() {
-        let mut q = FcfsQueue::new();
-        q.push(5, 10);
-        q.push(2, 11);
-        q.push(9, 12);
-        let order: Vec<PacketId> = q.iter().map(|e| e.packet).collect();
-        assert_eq!(order, vec![5, 2, 9]);
+        let mut q = FcfsQueues::new(2, 10);
+        q.push(U, 5);
+        q.push(U, 2);
+        q.push(U, 9);
+        assert_eq!(q.get(U), &[5, 2, 9]);
+        assert!(q.get(NodeId(0)).is_empty());
+        assert_eq!(q.total(), 3);
     }
 
     #[test]
     fn first_with_work_skips_blocked_head() {
-        let mut q = FcfsQueue::new();
-        q.push(1, 0);
-        q.push(2, 1);
-        q.push(3, 2);
+        let mut q = FcfsQueues::new(2, 4);
+        q.push(U, 1);
+        q.push(U, 2);
+        q.push(U, 3);
         // Head (1) has no work; FCFS service must skip to 2.
-        let e = q.first_with_work(|p| p != 1).unwrap();
-        assert_eq!(e.packet, 2);
+        assert_eq!(q.get(U).iter().find(|&&p| p != 1), Some(&2));
     }
 
     #[test]
     fn remove_keeps_the_order_of_the_rest() {
-        let mut q = FcfsQueue::new();
-        q.push(7, 0);
-        q.push(4, 1);
-        q.remove(7);
-        assert_eq!(q.iter().map(|e| e.packet).collect::<Vec<_>>(), vec![4]);
-        q.remove(4);
-        assert!(q.is_empty());
-        assert!(q.first_with_work(|_| true).is_none());
+        let mut q = FcfsQueues::new(2, 8);
+        q.push(U, 7);
+        q.push(U, 4);
+        assert!(q.remove(U, 7));
+        assert!(!q.remove(U, 7));
+        assert_eq!(q.get(U), &[4]);
+        assert!(q.remove(U, 4));
+        assert!(q.get(U).is_empty());
+        assert_eq!(q.nonempty_words(), &[0]);
+        assert_eq!(q.total(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "queued twice")]
+    fn a_packet_is_queued_at_most_once() {
+        let mut q = FcfsQueues::new(2, 3);
+        q.push(U, 2);
+        q.push(U, 2);
     }
 }

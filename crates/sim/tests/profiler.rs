@@ -20,23 +20,23 @@ impl FloodingProtocol for GreedyFlood {
     fn propose(&mut self, s: &SimState, out: &mut Vec<TxIntent>) {
         for ni in 0..s.n_nodes() {
             let u = NodeId::from(ni);
-            let entry = s.queue(u).first_with_work(|p| {
+            let entry = s.queue(u).iter().copied().find(|&p| {
                 s.topo
                     .neighbor_ids(u)
                     .iter()
                     .any(|&v| s.is_active(v) && !s.has(v, p))
             });
-            if let Some(e) = entry {
+            if let Some(p) = entry {
                 let target = s
                     .topo
                     .neighbors(u)
-                    .filter(|&(v, _)| s.is_active(v) && !s.has(v, e.packet))
+                    .filter(|&(v, _)| s.is_active(v) && !s.has(v, p))
                     .max_by(|a, b| a.1.prr().partial_cmp(&b.1.prr()).unwrap());
                 if let Some((v, _)) = target {
                     out.push(TxIntent {
                         sender: u,
                         receiver: v,
-                        packet: e.packet,
+                        packet: p,
                         backoff_rank: u.0,
                         bypass_mac: false,
                     });
